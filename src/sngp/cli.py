@@ -168,6 +168,7 @@ class LoadedModel:
         self.variant = self.headers[0]["variant"]
         self.num_classes = self.models[0].num_classes
         self.is_ensemble = len(self.models) > 1
+        self.mc_samples = int(self.headers[0]["config"].get("mc_samples", 10))
         self._mc_rng = RngState(0).derive("cli_mc")
 
     @property
@@ -178,7 +179,8 @@ class LoadedModel:
         if self.is_ensemble:
             ens = EnsembleModel(members=self.models)
             return ensemble_predict(ens, x)
-        _, _, probs, _ = predict_batch(self.models[0], x, mc_samples=10, rng=self._mc_rng)
+        _, _, probs, _ = predict_batch(self.models[0], x, mc_samples=self.mc_samples,
+                                       rng=self._mc_rng)
         return probs
 
     def predicted_labels(self, x: np.ndarray) -> np.ndarray:
@@ -289,6 +291,10 @@ def cmd_surface(args) -> int:
 
 
 def _score_model(loaded: LoadedModel, ds: data_mod.Dataset2D, metric: str) -> dict:
+    bad = ds.labels[(ds.labels < 0) | (ds.labels >= loaded.num_classes)]
+    if bad.size:
+        raise ValueError(f"label {int(bad[0])} is out of range for a checkpoint with "
+                         f"{loaded.num_classes} classes")
     probs = loaded.probs(ds.points)
     preds = PredictionSet(probs=probs, labels=ds.labels)
     out = {
@@ -474,12 +480,8 @@ def _verify_kernel(println) -> None:
 
 
 def cmd_verify(args) -> int:
-    failures = []
-
     def println(name: str, ok: bool):
         print(f"[{'PASS' if ok else 'FAIL'}] {name}")
-        if not ok:
-            failures.append(name)
 
     suites = {"theory": _verify_theory, "lipschitz": _verify_lipschitz,
               "kernel": _verify_kernel}

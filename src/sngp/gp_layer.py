@@ -18,8 +18,15 @@ posterior is Gaussian with a closed-form per-class precision
 accumulated over data (``update_precision_exact``), or tracked with a
 discounted moving average during the final training epoch
 (``update_precision_minibatch``; previous precision weighted ``m``, fresh
-minibatch term weighted ``1 - m``).  Predictive variance for class k is
-``phi^T precision_k^{-1} phi``, evaluated through an SPD solve.
+minibatch term weighted ``1 - m``).  With ``shared_precision`` one matrix
+built from the class-mean weights serves every class; for K = 2 it is always
+used, because ``p_0 (1 - p_0) = p_1 (1 - p_1)`` makes the two per-class
+matrices equal.
+
+Predictive variance for class k is ``phi^T Sigma_k phi`` with the covariance
+``Sigma_k = precision_k^{-1}``.  Each distinct covariance is built once from a
+Cholesky factor and cached until the precision changes, so a batch of
+variances costs one matrix product per stored precision.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ class GpPrediction:
 
 class RffGpLayer:
     """Frozen random-feature frontend plus trainable output weights and
-    per-class Laplace precision matrices."""
+    Laplace precision matrices (one per class, or one shared)."""
 
     def __init__(self, in_dim: int, num_features: int, num_classes: int, rng: RngState,
                  length_scale: float = 2.0, ridge_s: float = 0.001, discount_m: float = 0.999,
@@ -65,7 +72,8 @@ class RffGpLayer:
         self.ridge_s = float(ridge_s)
         self.discount_m = float(discount_m)
         self.use_layer_norm = use_layer_norm
-        self.shared_precision = shared_precision
+        # For K = 2 the per-class Fisher weights coincide, so one matrix is exact.
+        self.shared_precision = shared_precision or num_classes == 2
 
         if projection_dim is not None:
             self.input_projection = rng.derive("gp_proj").normal_matrix(projection_dim, in_dim)
@@ -77,7 +85,7 @@ class RffGpLayer:
         self.b_fixed = rng.derive("gp_b").uniform(num_features, 0.0, 2.0 * np.pi)
         self.beta = np.zeros((num_classes, num_features))
         self.precision: list[np.ndarray] = []
-        self._factors: list | None = None
+        self._factors: list | None = None  # cached covariances, see _covariances
         self.reset_precision()
 
     # -- feature pipeline ---------------------------------------------------
@@ -142,20 +150,21 @@ class RffGpLayer:
         return 1 if self.shared_precision else self.num_classes
 
     def reset_precision(self) -> None:
-        """Set every class precision to ridge_s * I."""
+        """Set every stored precision to ridge_s * I."""
         eye = np.eye(self.num_features)
         self.precision = [self.ridge_s * eye.copy() for _ in range(self._num_precision())]
         self._factors = None
 
     def _fisher_terms(self, phi_batch: np.ndarray, probs_batch: np.ndarray) -> list[np.ndarray]:
-        """Per-class sums p_ik (1 - p_ik) phi_i phi_i^T, symmetrized exactly."""
-        terms = []
+        """Sums w_i phi_i phi_i^T, symmetrized exactly, one per stored precision:
+        w_ik = p_ik (1 - p_ik) per class, or its class mean when shared."""
         weights = probs_batch * (1.0 - probs_batch)
-        for k in range(self.num_classes):
+        if self.shared_precision:
+            weights = weights.mean(axis=1, keepdims=True)
+        terms = []
+        for k in range(weights.shape[1]):
             t = (phi_batch * weights[:, k:k + 1]).T @ phi_batch
             terms.append(0.5 * (t + t.T))
-        if self.shared_precision:
-            terms = [sum(terms) / self.num_classes]
         return terms
 
     def _check_batch(self, phi_batch: np.ndarray, probs_batch: np.ndarray) -> None:
@@ -197,30 +206,29 @@ class RffGpLayer:
             p += t
         self._factors = None
 
-    def _precision_factors(self):
+    def _covariances(self) -> list[np.ndarray]:
+        """Posterior covariance precision^{-1} for each stored precision, built
+        once from its Cholesky factor and cached until the precision changes."""
         if self._factors is None:
+            eye = np.eye(self.num_features)
             try:
-                self._factors = [spd_factor(p) for p in self.precision]
+                self._factors = [spd_solve_factored(spd_factor(p), eye) for p in self.precision]
             except NotSpdError as exc:
                 raise NotSpdError(f"precision matrix lost positive definiteness: {exc}") from exc
         return self._factors
 
     def predictive_variance(self, phi: np.ndarray, k: int) -> float:
         """Posterior logit variance phi^T precision_k^{-1} phi (always >= 0)."""
-        phi = np.asarray(phi, dtype=np.float64)
-        factor = self._precision_factors()[0 if self.shared_precision else k]
-        return float(max(phi @ spd_solve_factored(factor, phi), 0.0))
+        return float(self.predictive_variance_batch(np.asarray(phi)[None, :])[0, k])
 
     def predictive_variance_batch(self, phi_batch: np.ndarray) -> np.ndarray:
-        """(batch, K) logit variances via one factored solve per class."""
+        """(batch, K) logit variances, one matrix product per stored precision."""
         phi_batch = np.asarray(phi_batch, dtype=np.float64)
-        factors = self._precision_factors()
-        out = np.empty((phi_batch.shape[0], self.num_classes))
-        for k in range(self.num_classes):
-            factor = factors[0 if self.shared_precision else k]
-            sol = spd_solve_factored(factor, phi_batch.T)
-            out[:, k] = np.maximum(np.einsum("ij,ji->i", phi_batch, sol), 0.0)
-        return out
+        columns = [np.einsum("ij,ij->i", phi_batch @ cov, phi_batch)
+                   for cov in self._covariances()]
+        if self.shared_precision:
+            columns *= self.num_classes
+        return np.maximum(np.stack(columns, axis=1), 0.0)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -230,7 +238,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def mc_softmax(mean: np.ndarray, variance: np.ndarray, n_samples: int, rng: RngState) -> np.ndarray:
-    """Average softmax(mean + sqrt(variance) * eps) over n_samples normal draws.
+    """Average softmax(mean + sqrt(variance) * eps) over n_samples normal draws,
+    for one (K,) logit vector or an (N, K) batch of them.
 
     With zero variance this is exactly softmax(mean) for any sample count.
     """
@@ -243,5 +252,5 @@ def mc_softmax(mean: np.ndarray, variance: np.ndarray, n_samples: int, rng: RngS
     if not np.any(variance > 0.0):
         return softmax(mean)
     sd = np.sqrt(variance)
-    eps = rng.normal(n_samples * mean.shape[-1]).reshape(n_samples, mean.shape[-1])
+    eps = rng.normal(n_samples * mean.size).reshape(n_samples, *mean.shape)
     return softmax(mean + sd * eps).mean(axis=0)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 from scipy.special import expit, logsumexp
 
-from .gp_layer import GpPrediction, RffGpLayer, softmax
+from .gp_layer import GpPrediction, RffGpLayer, mc_softmax, softmax
 from .linalg import RngState
 from .nn import (DenseLayer, ResFfnNetwork, SgdMomentum, build_res_ffn, clamp_network,
                  normalize_network)
@@ -349,16 +349,9 @@ def predict_batch(model: SngpModel, x: np.ndarray, mc_samples: int = 10,
     else:
         means = model.head.logits(h)
         variances = np.zeros_like(means)
-    if np.any(variances > 0.0):
-        if rng is None:
-            raise ValueError("Monte Carlo averaging over logit noise requires an rng")
-        if mc_samples < 1:
-            raise ValueError("mc_samples must be >= 1")
-        sd = np.sqrt(variances)
-        eps = rng.normal(mc_samples * means.size).reshape(mc_samples, *means.shape)
-        probs = softmax(means[None, :, :] + sd[None, :, :] * eps).mean(axis=0)
-    else:
-        probs = softmax(means)
+    if rng is None and np.any(variances > 0.0):
+        raise ValueError("Monte Carlo averaging over logit noise requires an rng")
+    probs = mc_softmax(means, variances, mc_samples, rng)
     ds = expit(np.log(model.num_classes) - logsumexp(means, axis=1))
     return means, variances, probs, ds
 

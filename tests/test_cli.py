@@ -178,6 +178,32 @@ class TestEvalCommand:
                     .split("=")[1])
         assert acc == 1.0  # training data of a converged model
 
+    def test_label_beyond_class_count_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, epochs=1)
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--config", cfg, "--out", str(ckpt)]) == EXIT_OK
+        data_csv = tmp_path / "data.csv"
+        data_csv.write_text("x1,x2,label\n0.1,0.2,0\n0.3,0.4,2\n0.5,0.6,1\n")
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data_csv)]) == EXIT_USAGE
+        assert "label 2 is out of range" in capsys.readouterr().err
+
+    def test_mc_samples_read_from_checkpoint_config(self, tmp_path):
+        from sngp.cli import LoadedModel
+        from sngp.linalg import RngState
+        from sngp.train import build_sngp_model, predict_batch, save_checkpoint
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--config", write_config(tmp_path, epochs=1, mc_samples=3),
+                     "--out", str(ckpt)]) == EXIT_OK
+        loaded = LoadedModel([str(ckpt)])
+        x = np.array([[0.1, 0.2], [3.0, 3.0]])
+        _, _, expected, _ = predict_batch(loaded.models[0], x, mc_samples=3,
+                                          rng=RngState(0).derive("cli_mc"))
+        assert np.array_equal(loaded.probs(x), expected)
+        bare = tmp_path / "bare.ckpt"
+        save_checkpoint(build_sngp_model(2, 8, 1, 2, seed=0, num_features=16), str(bare))
+        assert LoadedModel([str(bare)]).mc_samples == 10
+
     def test_missing_checkpoint_exits_2(self, tmp_path):
         code = main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"),
                      "--data", str(tmp_path / "none.csv")])

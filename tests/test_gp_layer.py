@@ -191,8 +191,9 @@ class TestPrecision:
         probs = np.array([[0.5, 0.5], [0.8, 0.2]])
         layer.update_precision_exact(phi, probs)
         w0 = 0.25 * np.outer(phi[0], phi[0]) + 0.16 * np.outer(phi[1], phi[1])
+        # p(1-p) is the same for both classes when K = 2, so one precision serves both
+        assert len(layer.precision) == 1
         assert np.allclose(layer.precision[0], 0.5 * np.eye(2) + w0)
-        assert np.allclose(layer.precision[1], 0.5 * np.eye(2) + w0)  # p(1-p) symmetric for K=2
 
     def test_symmetry_and_spd_preserved(self):
         layer = make_layer(num_features=16, seed=19)
@@ -247,6 +248,39 @@ class TestPrecision:
         assert len(shared.precision) == 1
         assert np.allclose(shared.precision[0], ridge + mean_fisher)
 
+    def test_binary_layer_keeps_one_precision_equal_to_per_class(self):
+        rng = RngState(40)
+        phi = rng.normal_matrix(50, 16) * 0.3
+        probs = softmax(rng.normal_matrix(50, 2))
+        layer = make_layer(num_features=16, seed=41, discount_m=0.9)
+        assert layer.shared_precision and len(layer.precision) == 1
+        for _ in range(3):
+            layer.update_precision_minibatch(phi, probs)
+        w0 = probs[:, 0] * (1.0 - probs[:, 0])
+        t = (phi * w0[:, None]).T @ phi
+        per_class = layer.ridge_s * np.eye(16)
+        for _ in range(3):
+            per_class = 0.9 * per_class + 0.1 * (0.5 * (t + t.T))
+        assert np.allclose(layer.precision[0], per_class, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("num_classes,shared", [(2, False), (3, False), (3, True)])
+    def test_batch_variance_matches_dense_solve(self, num_classes, shared):
+        rng = RngState(42)
+        layer = make_layer(num_features=32, num_classes=num_classes, seed=43,
+                           shared_precision=shared)
+        fit = layer.rff_features(rng.normal_matrix(60, 2))
+        layer.update_precision_exact(fit, softmax(rng.normal_matrix(60, num_classes)))
+        phi = layer.rff_features(rng.normal_matrix(25, 2) * 2.0)
+        variances = layer.predictive_variance_batch(phi)
+        assert variances.shape == (25, num_classes)
+        for k in range(num_classes):
+            p = layer.precision[0 if layer.shared_precision else k]
+            expected = np.einsum("ij,ji->i", phi, np.linalg.solve(p, phi.T))
+            assert np.allclose(variances[:, k], expected, rtol=1e-10, atol=0.0)
+            assert np.isclose(layer.predictive_variance(phi[3], k), variances[3, k],
+                              rtol=1e-12, atol=0.0)
+        assert len(layer.precision) == (1 if shared or num_classes == 2 else num_classes)
+
 
 class TestMcSoftmax:
     def test_zero_variance_is_plain_softmax(self):
@@ -271,6 +305,16 @@ class TestMcSoftmax:
         a = mc_softmax(mean, var, 32, RngState(27))
         b = mc_softmax(mean, var, 32, RngState(27))
         assert np.array_equal(a, b)
+
+    def test_batch_rows_use_consecutive_draws(self):
+        mean = np.array([[0.1, 0.9, -0.3], [1.0, 0.0, 0.5]])
+        var = np.array([[0.5, 0.2, 1.0], [0.0, 0.3, 0.1]])
+        out = mc_softmax(mean, var, 6, RngState(28))
+        eps = RngState(28).normal(6 * mean.size).reshape(6, 2, 3)
+        assert out.shape == (2, 3)
+        assert np.array_equal(out, softmax(mean + np.sqrt(var) * eps).mean(axis=0))
+        single = mc_softmax(mean[0], var[0], 6, RngState(28))
+        assert np.array_equal(single, mc_softmax(mean[:1], var[:1], 6, RngState(28))[0])
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from sngp.gp_layer import softmax
+from sngp.gp_layer import mc_softmax, softmax
 from sngp.linalg import RngState
 from sngp.train import (TrainConfig, TrainReport, TrainingDivergedError,
                         build_sngp_model, load_checkpoint, loss_and_grads,
@@ -266,6 +268,19 @@ class TestPredict:
         with pytest.raises(ValueError):
             prob_margin_uncertainty(pred)
 
+    def test_mc_probs_bit_identical_to_one_block_of_draws(self):
+        # predict_batch draws one block of mc_samples * N * K normals, so a
+        # seed keeps giving the same probabilities for batch and single inputs.
+        model, x = self.trained_model()
+        means, variances, probs, _ = predict_batch(model, x[:7], mc_samples=5, rng=RngState(50))
+        assert np.all(variances > 0.0)
+        eps = RngState(50).normal(5 * means.size).reshape(5, *means.shape)
+        expected = softmax(means[None, :, :] + np.sqrt(variances)[None, :, :] * eps).mean(axis=0)
+        assert np.array_equal(probs, expected)
+        single = predict(model, x[0], mc_samples=5, rng=RngState(51))
+        assert np.array_equal(single.probs, mc_softmax(single.mean_logits, single.variance_logits,
+                                                       5, RngState(51)))
+
     def test_batch_matches_single(self):
         model, _ = self.trained_model()
         pts = np.array([[0.1, 0.2], [1.0, -0.5]])
@@ -324,6 +339,45 @@ class TestCheckpoint:
         assert np.array_equal(model.head.input_projection, back.head.input_projection)
         pts = np.array([[0.6, -0.2]])
         assert np.array_equal(model.eval_logits(pts), back.eval_logits(pts))
+
+    def test_binary_checkpoint_with_two_precisions_loads(self, tmp_path):
+        # Version-1 binary checkpoints may store one precision per class with
+        # shared_precision = false; they must still load and predict.
+        model = small_model(seed=48, use_layer_norm=False)
+        x, y = toy_batch(seed=49, n=24)
+        train(model, x, y, TrainConfig(epochs=2, batch_size=8, seed=50, precision_exact=True))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path, config_echo={"seed": 50})
+        raw = path.read_bytes()
+        header_len = int(np.frombuffer(raw[12:16], dtype="<u4")[0])
+        header = json.loads(raw[16:16 + header_len])
+        assert header["head"]["shared_precision"] is True
+        offset, arrays = 16 + header_len, []
+        for name, shape in header["arrays"]:
+            nbytes = 8 * int(np.prod(shape))
+            arrays.append((name, shape, raw[offset:offset + nbytes]))
+            offset += nbytes
+            if name == "head.precision0":
+                second = model.head.precision[0] + 0.5 * np.eye(32)
+                arrays.append(("head.precision1", shape, second.astype("<f8").tobytes()))
+        header["head"]["shared_precision"] = False
+        header["arrays"] = [[name, shape] for name, shape, _ in arrays]
+        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(raw[:12] + np.uint32(len(header_bytes)).tobytes() + header_bytes
+                        + b"".join(data for _, _, data in arrays))
+
+        back, _ = load_checkpoint(old)
+        assert not back.head.shared_precision and len(back.head.precision) == 2
+        assert np.array_equal(back.head.precision[1], second)
+        pts = np.array([[0.2, -0.3], [2.0, 1.0]])
+        _, variances, probs, _ = predict_batch(back, pts, mc_samples=4, rng=RngState(51))
+        phi = back.head.rff_features(back.hidden(pts)[0])
+        for k, p in enumerate(back.head.precision):
+            expected = np.einsum("ij,ji->i", phi, np.linalg.solve(p, phi.T))
+            assert np.allclose(variances[:, k], expected, rtol=1e-10, atol=0.0)
+        assert np.all(variances[:, 1] < variances[:, 0])
+        assert np.allclose(probs.sum(axis=1), 1.0)
 
     def test_save_twice_byte_identical(self, tmp_path):
         model = small_model(seed=43)
