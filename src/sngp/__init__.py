@@ -1,19 +1,13 @@
 """Distance-aware classification: a residual network with spectral-normalized
 hidden layers and a random-feature Gaussian-process output head, plus the
 uncertainty metrics, 2D benchmarks, baselines, and decision-theoretic oracles
-used to validate it."""
+used to validate it.  The names below are the public API; everything else
+is reached through its submodule."""
 
-from .baselines import EnsembleModel, VariantSpec, build_variant, ensemble_predict, train_ensemble
-from .data import Dataset2D, EvalGrid, gen_grid, gen_two_moons, gen_two_ovals
-from .gp_layer import GpPrediction, RffGpLayer, mc_softmax
-from .linalg import NotSpdError, RngState, matvec, power_iteration, solve_spd
-from .metrics import PredictionSet, accuracy, auroc, aupr, brier, dempster_shafer, ece, nll
-from .nn import DenseLayer, ResFfnNetwork, ResidualBlock, build_res_ffn, lipschitz_probe, spectral_normalize
-from .theory import (ScoringRule, SimplexGrid, bregman_entropy, bregman_score, brier_rule,
-                     l1_ece_bound_check, log_rule, max_entropy_oracle, minimax_oracle,
-                     mixture_predictive)
-from .train import (SngpModel, TrainConfig, TrainReport, TrainingDivergedError,
-                    build_sngp_model, load_checkpoint, loss_and_grads, predict,
-                    predict_batch, save_checkpoint, train)
+from .baselines import VariantSpec, build_variant, ensemble_predict, train_ensemble
+from .gp_layer import GpPrediction
+from .metrics import (auroc, aupr, brier, dempster_shafer, ece, margin_uncertainty, nll,
+                      variance_uncertainty)
+from .train import TrainConfig, load_checkpoint, predict_batch, save_checkpoint, train
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .gp_layer import softmax
+from .gp_layer import GpPrediction, softmax
 from .train import (SngpModel, TrainConfig, TrainReport, TrainingDivergedError,
                     build_sngp_model, train)
 
@@ -37,10 +37,6 @@ class EnsembleModel:
     @property
     def size(self) -> int:
         return len(self.members)
-
-    @property
-    def num_classes(self) -> int:
-        return self.members[0].num_classes
 
 
 @dataclass
@@ -115,27 +111,9 @@ def train_ensemble(spec: VariantSpec, ensemble_size: int, points: np.ndarray,
     return EnsembleModel(members=members, reports=reports)
 
 
-def ensemble_predict(ens: EnsembleModel, x: np.ndarray) -> np.ndarray:
-    """Arithmetic mean of the member softmax outputs for a (batch, d) input."""
-    x = np.asarray(x, dtype=np.float64)
-    total = np.zeros((x.shape[0], ens.num_classes))
-    for member in ens.members:
-        total += softmax(member.eval_logits(x))
-    return total / ens.size
-
-
-def ensemble_margin_uncertainty(ens: EnsembleModel, x: np.ndarray) -> np.ndarray:
-    """Native ensemble uncertainty 1 - 2 |p - 0.5| on the averaged probabilities."""
-    probs = ensemble_predict(ens, x)
-    if probs.shape[1] != 2:
-        raise ValueError("margin uncertainty is defined for K = 2 only")
-    return 1.0 - 2.0 * np.abs(probs[:, 0] - 0.5)
-
-
-def variance_uncertainty(model: SngpModel, x: np.ndarray) -> np.ndarray:
-    """Native GP-model uncertainty: mean posterior logit variance per input."""
-    if not model.has_gp_head:
-        raise ValueError("variance uncertainty requires a GP head")
-    h, _ = model.hidden(np.asarray(x, dtype=np.float64), train_mode=False)
-    phi = model.head.rff_features(h)
-    return model.head.predictive_variance_batch(phi).mean(axis=1)
+def ensemble_predict(ens: EnsembleModel, x: np.ndarray) -> GpPrediction:
+    """Member-averaged prediction for a (batch, d) input: the mean and variance
+    of the member logits and the arithmetic mean of the member softmax outputs."""
+    logits = np.stack([member.eval_logits(x) for member in ens.members])
+    return GpPrediction(mean_logits=logits.mean(axis=0), variance_logits=logits.var(axis=0),
+                        probs=softmax(logits).mean(axis=0))

@@ -27,13 +27,14 @@ import numpy as np
 from . import data as data_mod
 from . import theory
 from .baselines import (EnsembleModel, VariantSpec, build_variant, ensemble_predict,
-                        train_ensemble, variance_uncertainty, VARIANT_TAGS)
+                        train_ensemble, VARIANT_TAGS)
+from .gp_layer import GpPrediction
 from .linalg import RngState
-from .metrics import PredictionSet, auroc, aupr, brier, ece, metrics_report, nll
+from .metrics import (PredictionSet, auroc, aupr, brier, dempster_shafer, ece,
+                      margin_uncertainty, metrics_report, nll, variance_uncertainty)
 from .nn import build_res_ffn, lipschitz_probe, normalize_network, power_iteration
-from .train import (TrainConfig, TrainingDivergedError, load_checkpoint,
-                    margin_uncertainty_from_probs, predict_batch,
-                    save_checkpoint, train)
+from .train import (SngpModel, TrainConfig, TrainingDivergedError, load_checkpoint,
+                    predict_batch, save_checkpoint, train)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -155,63 +156,59 @@ def _train_config(cfg: RunConfig) -> TrainConfig:
                        precision_exact=cfg.precision_exact)
 
 
-# -- models loaded from checkpoints -------------------------------------------
+# -- models behind one prediction interface --------------------------------------
 
 
 class LoadedModel:
-    """One or several checkpoints presented behind a single scoring interface."""
+    """One model, or an ensemble of several, behind a single prediction interface."""
 
-    def __init__(self, paths: list[str]):
+    def __init__(self, models: list[SngpModel], variant: str, config: dict, mc_rng: RngState):
+        self.models = models
+        self.variant = variant
+        self.config = config
+        self.num_classes = models[0].num_classes
+        self.is_ensemble = len(models) > 1
+        self.mc_samples = int(config.get("mc_samples", 10))
+        self._mc_rng = mc_rng
+
+    @classmethod
+    def from_checkpoints(cls, paths: list[str]) -> "LoadedModel":
         loaded = [load_checkpoint(p) for p in paths]
-        self.models = [m for m, _ in loaded]
-        self.headers = [h for _, h in loaded]
-        self.variant = self.headers[0]["variant"]
-        self.num_classes = self.models[0].num_classes
-        self.is_ensemble = len(self.models) > 1
-        self.mc_samples = int(self.headers[0]["config"].get("mc_samples", 10))
-        self._mc_rng = RngState(0).derive("cli_mc")
+        header = loaded[0][1]
+        return cls([m for m, _ in loaded], header["variant"], header["config"],
+                   RngState(0).derive("cli_mc"))
 
     @property
     def has_gp_head(self) -> bool:
         return (not self.is_ensemble) and self.models[0].has_gp_head
 
-    def probs(self, x: np.ndarray) -> np.ndarray:
+    def predict(self, x: np.ndarray) -> GpPrediction:
         if self.is_ensemble:
-            ens = EnsembleModel(members=self.models)
-            return ensemble_predict(ens, x)
-        _, _, probs, _ = predict_batch(self.models[0], x, mc_samples=self.mc_samples,
-                                       rng=self._mc_rng)
-        return probs
-
-    def predicted_labels(self, x: np.ndarray) -> np.ndarray:
-        """Deterministic class decisions: argmax of the posterior-mean logits
-        (mean member probabilities for an ensemble), untouched by the Monte
-        Carlo shrinkage applied to the predictive probabilities."""
-        if self.is_ensemble:
-            return np.argmax(self.probs(x), axis=1)
-        return np.argmax(self.models[0].eval_logits(x), axis=1)
-
-    def uncertainty(self, x: np.ndarray, metric: str) -> np.ndarray:
-        if metric == "variance":
-            if not self.has_gp_head:
-                raise IncompatibleMetricError(
-                    "variance uncertainty requires a single GP-head checkpoint")
-            return variance_uncertainty(self.models[0], x)
-        if metric == "margin":
-            if self.num_classes != 2:
-                raise IncompatibleMetricError("margin uncertainty requires K = 2")
-            return margin_uncertainty_from_probs(self.probs(x))
-        if metric == "ds":
-            if self.is_ensemble:
-                raise IncompatibleMetricError(
-                    "logit-magnitude uncertainty needs a single model's logits")
-            means, _, _, ds = predict_batch(self.models[0], x, mc_samples=1,
-                                            rng=self._mc_rng)
-            return ds
-        raise IncompatibleMetricError(f"unknown metric {metric!r}")
+            return ensemble_predict(EnsembleModel(members=self.models), x)
+        return predict_batch(self.models[0], x, mc_samples=self.mc_samples, rng=self._mc_rng)
 
     def native_metric(self) -> str:
         return "variance" if self.has_gp_head else "margin"
+
+
+def _score_fn(loaded: LoadedModel, metric: str):
+    """The OOD score of a prediction for ``metric``, checked against the model
+    before anything is predicted."""
+    if metric == "variance":
+        if not loaded.has_gp_head:
+            raise IncompatibleMetricError(
+                "variance uncertainty requires a single GP-head checkpoint")
+        return variance_uncertainty
+    if metric == "margin":
+        if loaded.num_classes != 2:
+            raise IncompatibleMetricError("margin uncertainty requires K = 2")
+        return margin_uncertainty
+    if metric == "ds":
+        if loaded.is_ensemble:
+            raise IncompatibleMetricError(
+                "logit-magnitude uncertainty needs a single model's logits")
+        return lambda pred: dempster_shafer(pred.mean_logits)
+    raise IncompatibleMetricError(f"unknown metric {metric!r}")
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -276,13 +273,14 @@ def _parse_grid(spec: str) -> data_mod.EvalGrid:
 
 
 def cmd_surface(args) -> int:
-    loaded = LoadedModel(args.checkpoint)
+    loaded = LoadedModel.from_checkpoints(args.checkpoint)
     grid = _parse_grid(args.grid)
     points = grid.points()
-    values = loaded.uncertainty(points, args.metric)
+    score = _score_fn(loaded, args.metric)
+    values = score(loaded.predict(points))
     meta = {"format_version": FORMAT_VERSION, "metric": args.metric,
             "variant": loaded.variant, "grid": args.grid}
-    meta.update({f"config.{k}": v for k, v in loaded.headers[0]["config"].items()})
+    meta.update({f"config.{k}": v for k, v in loaded.config.items()})
     data_mod.surface_to_csv(points, values, args.out, meta=meta)
     if args.pgm:
         data_mod.surface_to_pgm(values, grid, args.pgm, meta={"metric": args.metric})
@@ -291,24 +289,31 @@ def cmd_surface(args) -> int:
 
 
 def _score_model(loaded: LoadedModel, ds: data_mod.Dataset2D, metric: str) -> dict:
+    """Accuracy, calibration and OOD ranking from one prediction of the
+    labelled rows and one of the OOD rows."""
     bad = ds.labels[(ds.labels < 0) | (ds.labels >= loaded.num_classes)]
     if bad.size:
         raise ValueError(f"label {int(bad[0])} is out of range for a checkpoint with "
                          f"{loaded.num_classes} classes")
-    probs = loaded.probs(ds.points)
-    preds = PredictionSet(probs=probs, labels=ds.labels)
+    has_ood = ds.ood_points is not None and len(ds.ood_points) > 0
+    if has_ood:
+        metric = loaded.native_metric() if metric == "auto" else metric
+        score = _score_fn(loaded, metric)
+    pred = loaded.predict(ds.points)
+    preds = PredictionSet(probs=pred.probs, labels=ds.labels)
+    # Class decisions are the MAP rule, untouched by the Monte Carlo shrinkage of
+    # the probabilities; an ensemble decides by its mean member probabilities.
+    hard_labels = np.argmax(pred.probs if loaded.is_ensemble else pred.mean_logits, axis=1)
     out = {
-        "accuracy": float(np.mean(loaded.predicted_labels(ds.points) == ds.labels)),
+        "accuracy": float(np.mean(hard_labels == ds.labels)),
         "ece": ece(preds),
         "nll": nll(preds),
         "brier": brier(preds),
     }
-    if ds.ood_points is not None and len(ds.ood_points) > 0:
-        metric = loaded.native_metric() if metric == "auto" else metric
-        all_points = np.vstack([ds.points, ds.ood_points])
+    if has_ood:
+        scores = np.concatenate([score(pred), score(loaded.predict(ds.ood_points))])
         flags = np.concatenate([np.zeros(len(ds.points), dtype=bool),
                                 np.ones(len(ds.ood_points), dtype=bool)])
-        scores = loaded.uncertainty(all_points, metric)
         out["auroc"] = auroc(scores, flags)
         out["aupr"] = aupr(scores, flags)
         out["ood_metric"] = metric
@@ -316,7 +321,7 @@ def _score_model(loaded: LoadedModel, ds: data_mod.Dataset2D, metric: str) -> di
 
 
 def cmd_eval(args) -> int:
-    loaded = LoadedModel(args.checkpoint)
+    loaded = LoadedModel.from_checkpoints(args.checkpoint)
     ds = data_mod.dataset_from_csv(args.data)
     if args.ood_data:
         ood_ds = data_mod.dataset_from_csv(args.ood_data)
@@ -325,7 +330,7 @@ def cmd_eval(args) -> int:
                                 ood_points=ood_points, name=ds.name, seed=ds.seed)
     values = _score_model(loaded, ds, args.uncertainty)
     lines = [f"format_version={FORMAT_VERSION}", f"variant={loaded.variant}"]
-    for k, v in loaded.headers[0]["config"].items():
+    for k, v in loaded.config.items():
         lines.append(f"config.{k}={v}")
     report = "\n".join(lines) + "\n" + metrics_report(
         {k: v for k, v in values.items() if isinstance(v, float)})
@@ -347,40 +352,17 @@ def cmd_compare(args) -> int:
     ds = _make_dataset(cfg)
     spec = _variant_spec(cfg)
     tcfg = _train_config(cfg)
-    mc_rng = RngState(cfg.seed).derive("compare_mc")
     columns = ["variant", "accuracy", "ece", "nll", "brier", "auroc", "aupr"]
     rows = []
     for tag in variants:
-        all_points = np.vstack([ds.points, ds.ood_points])
         if tag == "deep_ensemble":
-            ens = train_ensemble(spec, cfg.ensemble_size, ds.points, ds.labels, tcfg)
-            probs = ensemble_predict(ens, ds.points)
-            hard_labels = np.argmax(probs, axis=1)
-            scores = margin_uncertainty_from_probs(ensemble_predict(ens, all_points))
+            models = train_ensemble(spec, cfg.ensemble_size, ds.points, ds.labels, tcfg).members
         else:
-            model = build_variant(tag, spec)
-            train(model, ds.points, ds.labels, tcfg)
-            _, _, probs, _ = predict_batch(model, ds.points, mc_samples=cfg.mc_samples,
-                                           rng=mc_rng)
-            hard_labels = np.argmax(model.eval_logits(ds.points), axis=1)
-            if model.has_gp_head:
-                scores = variance_uncertainty(model, all_points)
-            else:
-                _, _, p_all, _ = predict_batch(model, all_points,
-                                               mc_samples=cfg.mc_samples, rng=mc_rng)
-                scores = margin_uncertainty_from_probs(p_all)
-        preds = PredictionSet(probs=probs, labels=ds.labels)
-        flags = np.concatenate([np.zeros(len(ds.points), dtype=bool),
-                                np.ones(len(ds.ood_points), dtype=bool)])
-        rows.append({
-            "variant": tag,
-            "accuracy": float(np.mean(hard_labels == ds.labels)),
-            "ece": ece(preds),
-            "nll": nll(preds),
-            "brier": brier(preds),
-            "auroc": auroc(scores, flags),
-            "aupr": aupr(scores, flags),
-        })
+            models = [build_variant(tag, spec)]
+            train(models[0], ds.points, ds.labels, tcfg)
+        # A fresh stream per variant keeps each row independent of the ones before it.
+        loaded = LoadedModel(models, tag, cfg.echo(), RngState(cfg.seed).derive("compare_mc"))
+        rows.append({"variant": tag, **_score_model(loaded, ds, "auto")})
     lines = [f"# format_version={FORMAT_VERSION}"]
     lines += [f"# config.{k}={v}" for k, v in cfg.echo().items()]
     lines.append(",".join(columns))

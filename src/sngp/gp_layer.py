@@ -42,13 +42,12 @@ LAYER_NORM_EPS = 1e-6
 
 @dataclass
 class GpPrediction:
-    """Posterior summary for one input: logits mean/variance, MC-averaged probs,
-    and the logit-magnitude uncertainty score K / (K + sum_k exp(logit_k))."""
+    """Posterior summary of a batch of N inputs, each field (N, K): the mean
+    logits, the logit variances and the Monte Carlo predictive probabilities."""
 
     mean_logits: np.ndarray
     variance_logits: np.ndarray
     probs: np.ndarray
-    uncertainty_ds: float
 
 
 class RffGpLayer:
@@ -118,9 +117,12 @@ class RffGpLayer:
             tape["ln_inv_sd"] = inv_sd
         if self.input_projection is not None:
             x = x @ self.input_projection.T
-        z = -(1.0 / self.length_scale) * (x @ self.w_fixed.T) + self.b_fixed
+        z = x @ self.w_fixed.T
+        z *= -(1.0 / self.length_scale)
+        z += self.b_fixed
         tape["z"] = z
-        phi = np.sqrt(2.0 / self.num_features) * np.cos(z)
+        phi = np.cos(z)
+        phi *= np.sqrt(2.0 / self.num_features)
         return phi, tape
 
     def backprop_features(self, tape: dict, grad_phi: np.ndarray) -> np.ndarray:

@@ -4,8 +4,9 @@ Everything downstream (network training, the Gaussian-process head, the
 benchmark generators) funnels its numerics through this module so that the
 core operations have a single, well-tested home:
 
-* ``matvec`` / ``solve_spd`` wrap NumPy/SciPy dense routines behind explicit
-  contracts (dimension checks, an SPD failure that raises ``NotSpdError``).
+* ``spd_factor`` / ``spd_solve_factored`` Cholesky-factor an SPD matrix once
+  and solve against the factor; a matrix that is not SPD raises
+  ``NotSpdError`` and a right-hand side of the wrong length ``ValueError``.
 * ``power_iteration`` estimates the largest singular value of a matrix and
   returns the left singular-vector estimate so callers can warm-start the
   next call with a single iteration per training step.
@@ -28,51 +29,6 @@ from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 class NotSpdError(ValueError):
     """Raised when a matrix expected to be SPD fails its Cholesky factorization."""
-
-
-def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product with an explicit dimension check.
-
-    Args:
-        m: (rows, cols) matrix.
-        v: (cols,) vector.
-
-    Returns:
-        (rows,) product vector.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if m.ndim != 2 or v.ndim != 1:
-        raise ValueError(f"matvec expects a 2-d matrix and 1-d vector, got {m.shape} and {v.shape}")
-    if m.shape[1] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix is {m.shape}, vector has length {v.shape[0]}")
-    return m @ v
-
-
-def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a @ x = b`` for symmetric positive definite ``a`` via Cholesky.
-
-    Args:
-        a: (n, n) symmetric positive definite matrix.
-        b: (n,) or (n, k) right-hand side.
-
-    Returns:
-        Solution with the same trailing shape as ``b``.
-
-    Raises:
-        NotSpdError: if the Cholesky factorization fails (matrix not SPD).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"solve_spd expects a square matrix, got {a.shape}")
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix is {a.shape}, rhs has leading dim {b.shape[0]}")
-    try:
-        factor = cho_factor(a, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        raise NotSpdError(f"matrix is not SPD: {exc}") from exc
-    return cho_solve(factor, b, check_finite=False)
 
 
 def spd_factor(a: np.ndarray):

@@ -10,8 +10,10 @@
 * ``aupr``: step integration of the precision-recall curve at the distinct
   score thresholds, OOD treated as the positive class (higher score = more
   OOD).
-* ``dempster_shafer``: K / (K + sum_k exp(logit_k)), a logit-magnitude
-  uncertainty in (0, 1) that decreases as any logit grows.
+* OOD scores of a batched ``GpPrediction``, higher meaning more OOD:
+  ``variance_uncertainty`` (mean logit variance), ``margin_uncertainty``
+  (1 - 2 |p - 0.5|, K = 2 only) and ``dempster_shafer`` of the mean logits,
+  K / (K + sum_k exp(logit_k)), in (0, 1) and decreasing as any logit grows.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logsumexp
 from scipy.stats import rankdata
+
+from .gp_layer import GpPrediction
 
 
 @dataclass
@@ -139,14 +143,28 @@ def aupr(scores: np.ndarray, ood_flags: np.ndarray) -> float:
     return float(np.sum((recall - prev_recall) * precision))
 
 
-def dempster_shafer(logits: np.ndarray) -> float:
-    """Uncertainty K / (K + sum_k exp(logit_k)), strictly decreasing in each logit."""
+def dempster_shafer(logits: np.ndarray) -> np.ndarray:
+    """Uncertainty K / (K + sum_k exp(logit_k)) per row of a (..., K) logit
+    array, strictly decreasing in each logit."""
     logits = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
         raise ValueError("logits must be finite")
     k = logits.shape[-1]
     # K/(K + e^lse) == sigmoid(log K - lse), stable for any logit magnitude.
-    return float(expit(np.log(k) - logsumexp(logits)))
+    return expit(np.log(k) - logsumexp(logits, axis=-1))
+
+
+def variance_uncertainty(pred: GpPrediction) -> np.ndarray:
+    """Native GP-head uncertainty: the mean posterior logit variance per row."""
+    return pred.variance_logits.mean(axis=1)
+
+
+def margin_uncertainty(pred: GpPrediction) -> np.ndarray:
+    """1 - 2 |p - 0.5| per row of a binary prediction: 1 at total ambivalence,
+    0 when sure."""
+    if pred.probs.shape[-1] != 2:
+        raise ValueError("margin uncertainty is defined for K = 2 only")
+    return 1.0 - 2.0 * np.abs(pred.probs[:, 0] - 0.5)
 
 
 def metrics_report(values: dict[str, float]) -> str:

@@ -31,14 +31,13 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, asdict
+from itertools import zip_longest
 
 import numpy as np
-from scipy.special import expit, logsumexp
 
 from .gp_layer import GpPrediction, RffGpLayer, mc_softmax, softmax
 from .linalg import RngState
-from .nn import (DenseLayer, ResFfnNetwork, SgdMomentum, build_res_ffn, clamp_network,
-                 normalize_network)
+from .nn import ResFfnNetwork, SgdMomentum, build_res_ffn, clamp_network, normalize_network
 
 CHECKPOINT_MAGIC = b"SNGPCKPT"
 CHECKPOINT_VERSION = 1
@@ -161,7 +160,7 @@ class SngpModel:
 
     def eval_logits(self, x: np.ndarray) -> np.ndarray:
         """Evaluation-mode mean logits for a (batch, d) input."""
-        h, _ = self.hidden(x, train_mode=False)
+        h = self.hidden(x, train_mode=False)[0]
         if self.has_gp_head:
             return self.head.logits(self.head.rff_features(h))
         return self.head.logits(h)
@@ -304,7 +303,7 @@ def train(model: SngpModel, points: np.ndarray, labels: np.ndarray, config: Trai
             if collect_precision:
                 if hooks:
                     hooks("precision_update", epoch, step)
-                h_eval, _ = model.hidden(bx, train_mode=False)
+                h_eval = model.hidden(bx, train_mode=False)[0]
                 phi = model.head.rff_features(h_eval)
                 probs = softmax(model.head.logits(phi))
                 model.head.update_precision_minibatch(phi, probs)
@@ -321,7 +320,7 @@ def train(model: SngpModel, points: np.ndarray, labels: np.ndarray, config: Trai
     if model.has_gp_head and config.precision_exact and config.epochs > 0:
         if hooks:
             hooks("precision_update", config.epochs - 1, step)
-        h_eval, _ = model.hidden(points, train_mode=False)
+        h_eval = model.hidden(points, train_mode=False)[0]
         phi = model.head.rff_features(h_eval)
         probs = softmax(model.head.logits(phi))
         model.head.update_precision_exact(phi, probs)
@@ -337,11 +336,10 @@ def train(model: SngpModel, points: np.ndarray, labels: np.ndarray, config: Trai
 
 
 def predict_batch(model: SngpModel, x: np.ndarray, mc_samples: int = 10,
-                  rng: RngState | None = None
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized prediction: (mean logits, logit variances, probs, ds scores)."""
-    x = np.asarray(x, dtype=np.float64)
-    h, _ = model.hidden(x, train_mode=False)
+                  rng: RngState | None = None) -> GpPrediction:
+    """Posterior prediction for an (N, d) batch: mean logits, logit variances
+    (zero for a dense head) and MC-averaged probabilities, each (N, K)."""
+    h = model.hidden(x, train_mode=False)[0]  # the network tape is not kept
     if model.has_gp_head:
         phi = model.head.rff_features(h)
         means = model.head.logits(phi)
@@ -352,39 +350,7 @@ def predict_batch(model: SngpModel, x: np.ndarray, mc_samples: int = 10,
     if rng is None and np.any(variances > 0.0):
         raise ValueError("Monte Carlo averaging over logit noise requires an rng")
     probs = mc_softmax(means, variances, mc_samples, rng)
-    ds = expit(np.log(model.num_classes) - logsumexp(means, axis=1))
-    return means, variances, probs, ds
-
-
-def predict(model: SngpModel, x: np.ndarray, mc_samples: int = 10,
-            rng: RngState | None = None) -> GpPrediction:
-    """Posterior prediction for a single input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("predict expects a single input vector")
-    means, variances, probs, ds = predict_batch(model, x[None, :], mc_samples=mc_samples, rng=rng)
-    return GpPrediction(mean_logits=means[0], variance_logits=variances[0],
-                        probs=probs[0], uncertainty_ds=float(ds[0]))
-
-
-def logit_variance_uncertainty(pred: GpPrediction) -> float:
-    """Posterior logit variance as the uncertainty score (binary-case metric)."""
-    return float(np.mean(pred.variance_logits))
-
-
-def prob_margin_uncertainty(pred: GpPrediction) -> float:
-    """1 - 2 |p - 0.5| for binary classifiers; 1 at total ambivalence, 0 when sure."""
-    if pred.probs.shape[0] != 2:
-        raise ValueError("probability-margin uncertainty is defined for K = 2 only")
-    return float(1.0 - 2.0 * abs(pred.probs[0] - 0.5))
-
-
-def margin_uncertainty_from_probs(probs: np.ndarray) -> np.ndarray:
-    """Vectorized 1 - 2 |p - 0.5| over (N, 2) probability rows."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape[-1] != 2:
-        raise ValueError("probability-margin uncertainty is defined for K = 2 only")
-    return 1.0 - 2.0 * np.abs(probs[..., 0] - 0.5)
+    return GpPrediction(mean_logits=means, variance_logits=variances, probs=probs)
 
 
 # -- checkpoints ---------------------------------------------------------------
@@ -465,7 +431,46 @@ def save_checkpoint(model: SngpModel, path: str, variant: str = "sngp",
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _model_from_header(header: dict) -> SngpModel:
+    """A model of the header's architecture, built through the constructors so
+    the header's hyperparameters pass the same checks as a new model's; its
+    arrays are placeholders for the payload."""
+    rng = RngState(0)
+    num_classes, input_dim = header["num_classes"], header["input_dim"]
+    net_desc = header["network"]
+    if net_desc is None:
+        network, spectral_norm, width = None, False, input_dim
+    else:
+        network = build_res_ffn(input_dim, net_desc["hidden_width"], net_desc["depth"],
+                                rng.derive("net"), activation=net_desc["activation"],
+                                dropout_rate=net_desc["dropout_rate"],
+                                sn_bound=net_desc["sn_bound"])
+        spectral_norm, width = net_desc["spectral_norm"], net_desc["hidden_width"]
+    head_desc = header["head"]
+    if head_desc["kind"] == "gp":
+        head = RffGpLayer(width, head_desc["num_features"], num_classes, rng.derive("head"),
+                          length_scale=head_desc["length_scale"], ridge_s=head_desc["ridge_s"],
+                          discount_m=head_desc["discount_m"],
+                          use_layer_norm=head_desc["use_layer_norm"],
+                          projection_dim=head_desc["projection_dim"],
+                          shared_precision=head_desc["shared_precision"])
+        if head.shared_precision != head_desc["shared_precision"]:
+            # Binary heads saved before K = 2 shared one precision keep one per class.
+            head.shared_precision = False
+            head.reset_precision()
+    else:
+        head = DenseHead(width, num_classes, rng.derive("head"))
+    return SngpModel(network=network, head=head, spectral_norm_enabled=spectral_norm,
+                     num_classes=num_classes, input_dim=input_dim)
+
+
 def load_checkpoint(path: str) -> tuple[SngpModel, dict]:
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    The payload must hold exactly the bytes its manifest names, and the
+    manifest must list the arrays of the architecture its header describes;
+    otherwise ``ValueError``.
+    """
     with open(path, "rb") as f:
         magic = f.read(8)
         if magic != CHECKPOINT_MAGIC:
@@ -475,61 +480,21 @@ def load_checkpoint(path: str) -> tuple[SngpModel, dict]:
             raise ValueError(f"unsupported checkpoint version {version}")
         header_len = int(np.frombuffer(f.read(4), dtype="<u4")[0])
         header = json.loads(f.read(header_len).decode("utf-8"))
-        arrays: dict[str, np.ndarray] = {}
-        for name, shape in header["arrays"]:
-            count = int(np.prod(shape)) if shape else 1
-            buf = f.read(count * 8)
-            arrays[name] = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
-
-    num_classes = header["num_classes"]
-    input_dim = header["input_dim"]
-    net_desc = header["network"]
-    if net_desc is not None:
-        from .nn import ResidualBlock
-        proj = DenseLayer(weight=arrays["net.proj.w"].copy(), bias=arrays["net.proj.b"].copy(),
-                          sn_u=arrays["net.proj.sn_u"].copy(), sn_bound=net_desc["sn_bound"])
-        blocks = []
-        for i in range(net_desc["depth"]):
-            layer = DenseLayer(weight=arrays[f"net.block{i}.w"].copy(),
-                               bias=arrays[f"net.block{i}.b"].copy(),
-                               sn_u=arrays[f"net.block{i}.sn_u"].copy(),
-                               sn_bound=net_desc["sn_bound"])
-            blocks.append(ResidualBlock(layer=layer, activation=net_desc["activation"],
-                                        dropout_rate=net_desc["dropout_rate"]))
-        network = ResFfnNetwork(proj, blocks)
-        spectral_norm = net_desc["spectral_norm"]
-        width = net_desc["hidden_width"]
-    else:
-        network = None
-        spectral_norm = False
-        width = input_dim
-
-    head_desc = header["head"]
-    if head_desc["kind"] == "gp":
-        head = RffGpLayer.__new__(RffGpLayer)
-        head.in_dim = width
-        head.num_features = head_desc["num_features"]
-        head.num_classes = num_classes
-        head.length_scale = head_desc["length_scale"]
-        head.ridge_s = head_desc["ridge_s"]
-        head.discount_m = head_desc["discount_m"]
-        head.use_layer_norm = head_desc["use_layer_norm"]
-        head.shared_precision = head_desc["shared_precision"]
-        head.input_projection = (arrays["head.input_projection"].copy()
-                                 if head_desc["projection_dim"] is not None else None)
-        head.w_fixed = arrays["head.w_fixed"].copy()
-        head.b_fixed = arrays["head.b_fixed"].copy()
-        head.beta = arrays["head.beta"].copy()
-        n_prec = 1 if head.shared_precision else num_classes
-        head.precision = [arrays[f"head.precision{k}"].copy() for k in range(n_prec)]
-        head._factors = None
-    else:
-        head = DenseHead.__new__(DenseHead)
-        head.weight = arrays["head.w"].copy()
-        head.bias = arrays["head.b"].copy()
-        head.num_classes = num_classes
-        head.in_dim = width
-
-    model = SngpModel(network=network, head=head, spectral_norm_enabled=spectral_norm,
-                      num_classes=num_classes, input_dim=input_dim)
+        payload = f.read()
+    expected = 8 * sum(int(np.prod(shape)) for _, shape in header["arrays"])
+    if len(payload) != expected:
+        raise ValueError(f"checkpoint payload is {len(payload)} bytes, "
+                         f"its manifest needs {expected}")
+    model = _model_from_header(header)
+    arrays = _array_manifest(model)
+    for want, got in zip_longest(([name, list(arr.shape)] for name, arr in arrays),
+                                 header["arrays"]):
+        if want != got:
+            raise ValueError(f"checkpoint array {got} does not match the header's "
+                             f"architecture, which expects {want}")
+    offset = 0
+    for _, arr in arrays:
+        arr[...] = np.frombuffer(payload, dtype="<f8", count=arr.size,
+                                 offset=offset).reshape(arr.shape)
+        offset += 8 * arr.size
     return model, header

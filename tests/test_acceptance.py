@@ -13,17 +13,16 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from sngp.baselines import (VariantSpec, build_variant, ensemble_margin_uncertainty,
-                            train_ensemble, variance_uncertainty)
+from sngp.baselines import VariantSpec, build_variant, ensemble_predict, train_ensemble
 from sngp.cli import main as cli_main
 from sngp.data import gen_grid, gen_two_moons, min_distance_to_set
 from sngp.gp_layer import RffGpLayer, softmax
 from sngp.linalg import RngState
-from sngp.metrics import PredictionSet, aupr, ece
+from sngp.metrics import PredictionSet, aupr, ece, margin_uncertainty, variance_uncertainty
 from sngp.nn import lipschitz_probe
 from sngp.theory import (brier_rule, l1_ece_bound_check, log_rule, max_entropy_oracle,
                          minimax_oracle, bregman_score)
-from sngp.train import TrainConfig, build_sngp_model, loss_and_grads, train
+from sngp.train import TrainConfig, build_sngp_model, loss_and_grads, predict_batch, train
 
 from oracles import finite_diff_gradients, max_relative_gradient_error, sigma_max_jacobi
 
@@ -31,6 +30,10 @@ BENCH_SPEC = VariantSpec(hidden_width=16, depth=3, num_features=256, dropout_rat
                          use_layer_norm=False, length_scale=2.0, sn_bound=0.9, seed=0)
 BENCH_TRAIN = TrainConfig(epochs=30, batch_size=32, learning_rate=0.05, momentum=0.9,
                           seed=0, precision_exact=True)
+
+
+def variance_of(model, x):
+    return variance_uncertainty(predict_batch(model, x, mc_samples=1, rng=RngState(0)))
 
 
 def check(name: str, passed: bool, detail: str = ""):
@@ -142,7 +145,7 @@ def test_criterion_5_distance_awareness(moons, trained_sngp):
     lo_b = moons.points.min(axis=0) - pad
     hi_b = moons.points.max(axis=0) + pad
     grid = gen_grid((lo_b[0], hi_b[0], lo_b[1], hi_b[1]), (100, 100)).points()
-    u_grid = variance_uncertainty(trained_sngp, grid)
+    u_grid = variance_of(trained_sngp, grid)
     dist = min_distance_to_set(grid, moons.points)
     rho = spearmanr(u_grid, dist).statistic
     check("criterion 5a: grid Spearman(variance, distance) >= 0.80",
@@ -150,8 +153,8 @@ def test_criterion_5_distance_awareness(moons, trained_sngp):
 
     # (b) held-out OOD cluster vs fresh in-domain test points
     ind_test = gen_two_moons(250, 0.1, seed=99)
-    u_ood = variance_uncertainty(trained_sngp, moons.ood_points).mean()
-    u_ind = variance_uncertainty(trained_sngp, ind_test.points).mean()
+    u_ood = variance_of(trained_sngp, moons.ood_points).mean()
+    u_ind = variance_of(trained_sngp, ind_test.points).mean()
     ratio = u_ood / u_ind
     check("criterion 5b: mean OOD uncertainty >= 3x mean IND uncertainty",
           ratio >= 3.0, f"ratio = {ratio:.1f}")
@@ -167,9 +170,9 @@ def test_criterion_5_distance_awareness(moons, trained_sngp):
                           seed=seed, precision_exact=True)
         model = build_variant("sngp", spec)
         train(model, moons.points, moons.labels, cfg)
-        sngp_auprs.append(aupr(variance_uncertainty(model, eval_pts), flags))
+        sngp_auprs.append(aupr(variance_of(model, eval_pts), flags))
         ens = train_ensemble(spec, 3, moons.points, moons.labels, cfg)
-        ens_auprs.append(aupr(ensemble_margin_uncertainty(ens, eval_pts), flags))
+        ens_auprs.append(aupr(margin_uncertainty(ensemble_predict(ens, eval_pts)), flags))
     elapsed = time.perf_counter() - start
     check("criterion 5c: SNGP AUPR(OOD) >= deep-ensemble AUPR(OOD) over 3 seeds",
           float(np.mean(sngp_auprs)) >= float(np.mean(ens_auprs)) and elapsed < 300.0,

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from sngp.baselines import (EnsembleModel, VariantSpec, build_variant,
-                            ensemble_margin_uncertainty, ensemble_predict,
-                            train_ensemble, variance_uncertainty)
+from sngp.baselines import EnsembleModel, VariantSpec, build_variant, ensemble_predict, train_ensemble
 from sngp.data import gen_two_moons, min_distance_to_set
 from sngp.gp_layer import softmax
 from sngp.linalg import RngState
-from sngp.train import TrainConfig, train
+from sngp.metrics import margin_uncertainty, variance_uncertainty
+from sngp.train import TrainConfig, predict_batch, train
+
+def variance_of(model, x):
+    return variance_uncertainty(predict_batch(model, x, mc_samples=1, rng=RngState(0)))
+
 
 SMALL_SPEC = VariantSpec(hidden_width=8, depth=2, num_features=64, dropout_rate=0.0,
                          use_layer_norm=False, length_scale=2.0, sn_bound=0.9, seed=5)
@@ -63,7 +66,7 @@ class TestEnsemble:
         solo = build_variant("deterministic", SMALL_SPEC, seed=11)
         train(solo, x, y, cfg)
         pts = np.array([[0.2, -0.1], [1.2, 0.4]])
-        assert np.array_equal(ensemble_predict(ens, pts), softmax(solo.eval_logits(pts)))
+        assert np.array_equal(ensemble_predict(ens, pts).probs, softmax(solo.eval_logits(pts)))
 
     def test_identical_members_average_to_member(self):
         x, y = toy_data(seed=3)
@@ -72,7 +75,7 @@ class TestEnsemble:
         train(member, x, y, cfg)
         ens = EnsembleModel(members=[member, member, member])
         pts = np.array([[0.3, 0.3]])
-        assert np.allclose(ensemble_predict(ens, pts), softmax(member.eval_logits(pts)))
+        assert np.allclose(ensemble_predict(ens, pts).probs, softmax(member.eval_logits(pts)))
 
     def test_three_member_hand_average(self):
         x, y = toy_data(seed=4)
@@ -80,8 +83,8 @@ class TestEnsemble:
         ens = train_ensemble(SMALL_SPEC, 3, x, y, cfg)
         pts = RngState(14).normal_matrix(5, 2)
         manual = sum(softmax(m.eval_logits(pts)) for m in ens.members) / 3.0
-        assert np.allclose(ensemble_predict(ens, pts), manual)
-        assert np.allclose(ensemble_predict(ens, pts).sum(axis=1), 1.0)
+        assert np.allclose(ensemble_predict(ens, pts).probs, manual)
+        assert np.allclose(ensemble_predict(ens, pts).probs.sum(axis=1), 1.0)
 
     def test_members_use_consecutive_seeds(self):
         x, y = toy_data(seed=6)
@@ -96,7 +99,7 @@ class TestEnsemble:
         x, y = toy_data(seed=7)
         cfg = TrainConfig(epochs=10, batch_size=10, learning_rate=0.1, momentum=0.9, seed=21)
         ens = train_ensemble(SMALL_SPEC, 3, x, y, cfg)
-        probs = ensemble_predict(ens, x)
+        probs = ensemble_predict(ens, x).probs
         assert np.mean(np.argmax(probs, axis=1) == y) == 1.0
 
     def test_member_divergence_names_the_member(self):
@@ -124,8 +127,8 @@ class TestDirectionalProperty:
         grid = np.column_stack([gx.ravel(), gy.ravel()])
         dist = min_distance_to_set(grid, ds.points)
 
-        rho_sngp = spearmanr(variance_uncertainty(sngp_model, grid), dist).statistic
-        rho_ens = spearmanr(ensemble_margin_uncertainty(ens, grid), dist).statistic
+        rho_sngp = spearmanr(variance_of(sngp_model, grid), dist).statistic
+        rho_ens = spearmanr(margin_uncertainty(ensemble_predict(ens, grid)), dist).statistic
         assert rho_sngp > rho_ens
 
     def test_shallow_gp_monotone_along_rays(self):
@@ -141,5 +144,5 @@ class TestDirectionalProperty:
         radii = np.linspace(0.5, 5.0, 20)
         for direction in ([1.0, 0.0], [0.0, -1.0], [-0.7071, 0.7071]):
             pts = radii[:, None] * np.asarray(direction)[None, :]
-            u = variance_uncertainty(model, pts)
+            u = variance_of(model, pts)
             assert spearmanr(u, radii).statistic >= 0.99

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -195,14 +197,48 @@ class TestEvalCommand:
         ckpt = tmp_path / "m.ckpt"
         assert main(["train", "--config", write_config(tmp_path, epochs=1, mc_samples=3),
                      "--out", str(ckpt)]) == EXIT_OK
-        loaded = LoadedModel([str(ckpt)])
+        loaded = LoadedModel.from_checkpoints([str(ckpt)])
         x = np.array([[0.1, 0.2], [3.0, 3.0]])
-        _, _, expected, _ = predict_batch(loaded.models[0], x, mc_samples=3,
-                                          rng=RngState(0).derive("cli_mc"))
-        assert np.array_equal(loaded.probs(x), expected)
+        expected = predict_batch(loaded.models[0], x, mc_samples=3,
+                                 rng=RngState(0).derive("cli_mc"))
+        assert np.array_equal(loaded.predict(x).probs, expected.probs)
         bare = tmp_path / "bare.ckpt"
         save_checkpoint(build_sngp_model(2, 8, 1, 2, seed=0, num_features=16), str(bare))
-        assert LoadedModel([str(bare)]).mc_samples == 10
+        assert LoadedModel.from_checkpoints([str(bare)]).mc_samples == 10
+
+    @pytest.fixture()
+    def eval_inputs(self, tmp_path):
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--config", write_config(tmp_path, epochs=1),
+                     "--out", str(ckpt)]) == EXIT_OK
+        data_csv = tmp_path / "data.csv"
+        assert main(["gen-data", "--dataset", "two_moons", "--n", "20",
+                     "--out", str(data_csv)]) == EXIT_OK
+        return ckpt, data_csv
+
+    @pytest.mark.parametrize("edit", ["trailing", "truncated"])
+    def test_payload_length_mismatch_exits_2(self, eval_inputs, edit, capsys):
+        ckpt, data_csv = eval_inputs
+        raw = ckpt.read_bytes()
+        ckpt.write_bytes(raw + bytes(8) if edit == "trailing" else raw[:-12])
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data_csv)]) == EXIT_USAGE
+        expected = len(raw) - 16 - int(np.frombuffer(raw[12:16], dtype="<u4")[0])
+        actual = expected + 8 if edit == "trailing" else expected - 12
+        assert f"payload is {actual} bytes, its manifest needs {expected}" in capsys.readouterr().err
+
+    def test_invalid_header_hyperparameter_exits_2(self, eval_inputs, capsys):
+        ckpt, data_csv = eval_inputs
+        raw = ckpt.read_bytes()
+        header_len = int(np.frombuffer(raw[12:16], dtype="<u4")[0])
+        header = json.loads(raw[16:16 + header_len])
+        header["head"]["length_scale"] = -1.0
+        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+        ckpt.write_bytes(raw[:12] + np.uint32(len(header_bytes)).tobytes() + header_bytes
+                         + raw[16 + header_len:])
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data_csv)]) == EXIT_USAGE
+        assert "length_scale must be positive" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_2(self, tmp_path):
         code = main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"),
@@ -238,6 +274,17 @@ class TestCompareCommand:
             assert cells[0] in ("sngp", "deep_ensemble")
             values = [float(c) for c in cells[1:]]
             assert all(np.isfinite(values))
+
+    def test_row_does_not_depend_on_earlier_variants(self, tmp_path):
+        cfg = write_config(tmp_path, epochs=3)
+        tables = []
+        for variants in ("sngp,dnn_gp", "dnn_gp"):
+            out = tmp_path / f"{variants}.csv"
+            assert main(["compare", "--variants", variants, "--config", cfg,
+                         "--out", str(out)]) == EXIT_OK
+            tables.append(out.read_text().splitlines())
+        assert tables[0][-1].startswith("dnn_gp,")
+        assert tables[0][-1] == tables[1][-1]
 
     def test_unknown_variant_exits_2(self, tmp_path):
         code = main(["compare", "--variants", "sngp,bogus", "--out",

@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from sngp.gp_layer import RffGpLayer, mc_softmax, softmax
-from sngp.linalg import NotSpdError, RngState, solve_spd
+from sngp.linalg import NotSpdError, RngState, spd_factor, spd_solve_factored
 
 
 def make_layer(in_dim=2, num_features=64, num_classes=2, seed=0, **kwargs):
@@ -124,7 +124,7 @@ class TestPrecision:
     def test_reset_is_spd(self):
         layer = make_layer()
         layer.reset_precision()
-        solve_spd(layer.precision[0], np.ones(64))
+        spd_solve_factored(spd_factor(layer.precision[0]), np.ones(64))
 
     def test_variance_after_reset(self):
         layer = make_layer(ridge_s=0.001)
@@ -205,7 +205,7 @@ class TestPrecision:
             layer.update_precision_minibatch(phi, probs)
         for p in layer.precision:
             assert np.max(np.abs(p - p.T)) <= 1e-12
-            solve_spd(p, np.ones(16))
+            spd_solve_factored(spd_factor(p), np.ones(16))
 
     def test_variance_shrinks_with_aligned_data(self):
         # Sherman-Morrison: absorbing data along phi must shrink phi's variance

@@ -1,26 +1,13 @@
 import numpy as np
 import pytest
 
-from sngp.linalg import NotSpdError, RngState, matvec, power_iteration, solve_spd
+from sngp.linalg import NotSpdError, RngState, power_iteration, spd_factor, spd_solve_factored
 
 from oracles import sigma_max_jacobi
 
 
-class TestMatvec:
-    def test_identity(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(matvec(np.eye(3), v), v)
-
-    def test_zero_matrix_annihilates(self):
-        assert np.array_equal(matvec(np.zeros((2, 2)), np.array([5.0, 7.0])), np.zeros(2))
-
-    def test_hand_case(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matvec(m, np.array([1.0, 1.0])), np.array([3.0, 7.0]))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            matvec(np.eye(3), np.ones(2))
+def solve_spd(a, b):
+    return spd_solve_factored(spd_factor(a), b)
 
 
 class TestSolveSpd:
@@ -31,6 +18,10 @@ class TestSolveSpd:
     def test_diagonal(self):
         a = np.diag([2.0, 4.0])
         assert np.allclose(solve_spd(a, np.array([2.0, 8.0])), [1.0, 2.0])
+
+    def test_hand_case(self):
+        a = np.array([[2.0, 1.0], [1.0, 3.0]])
+        assert np.allclose(solve_spd(a, np.array([3.0, 4.0])), [1.0, 1.0])
 
     def test_random_spd_multiply_back(self):
         rng = RngState(11)
@@ -43,7 +34,11 @@ class TestSolveSpd:
     def test_not_spd_raises(self):
         a = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         with pytest.raises(NotSpdError):
-            solve_spd(a, np.ones(2))
+            spd_factor(a)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            solve_spd(np.eye(3), np.ones(2))
 
     def test_conditioned_roundtrip(self):
         # condition number about 1e6 still meets the residual contract

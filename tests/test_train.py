@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from sngp.gp_layer import mc_softmax, softmax
+from sngp.gp_layer import GpPrediction, mc_softmax, softmax
 from sngp.linalg import RngState
+from sngp.metrics import dempster_shafer, margin_uncertainty, variance_uncertainty
 from sngp.train import (TrainConfig, TrainReport, TrainingDivergedError,
                         build_sngp_model, load_checkpoint, loss_and_grads,
-                        logit_variance_uncertainty, predict, predict_batch,
-                        prob_margin_uncertainty, save_checkpoint, train)
+                        predict_batch, save_checkpoint, train)
 
 from oracles import finite_diff_gradients, max_relative_gradient_error, sigma_max_jacobi
 
@@ -211,14 +211,14 @@ class TestPredict:
 
     def test_probs_sum_to_one(self):
         model, x = self.trained_model()
-        pred = predict(model, np.array([0.3, 0.3]), mc_samples=10, rng=RngState(31))
+        pred = predict_batch(model, np.array([[0.3, 0.3]]), mc_samples=10, rng=RngState(31))
         assert abs(pred.probs.sum() - 1.0) <= 1e-9
         assert np.all(pred.variance_logits >= 0.0)
 
     def test_zero_variance_head_is_plain_softmax(self):
         model = small_model(seed=32, gp_head=False)
-        pred = predict(model, np.array([0.1, -0.2]), mc_samples=1)
-        expected = softmax(model.eval_logits(np.array([[0.1, -0.2]])))[0]
+        pred = predict_batch(model, np.array([[0.1, -0.2]]), mc_samples=1)
+        expected = softmax(model.eval_logits(np.array([[0.1, -0.2]])))
         assert np.allclose(pred.probs, expected)
         assert np.all(pred.variance_logits == 0.0)
 
@@ -235,60 +235,61 @@ class TestPredict:
                           seed=35, precision_exact=True)
         train(model, x, y, cfg)
         far = np.array([100.0 * x.std(), 0.0])
-        pred = predict(model, far, mc_samples=4, rng=RngState(36))
+        pred = predict_batch(model, far[None, :], mc_samples=4, rng=RngState(36))
         phi = model.head.rff_features(far)
         prior = float(phi @ phi) / model.head.ridge_s
         assert abs(pred.variance_logits.mean() - prior) / prior <= 0.10
 
     def test_predict_deterministic_given_seed(self):
         model, _ = self.trained_model()
-        a = predict(model, np.array([0.2, 0.1]), mc_samples=10, rng=RngState(34))
-        b = predict(model, np.array([0.2, 0.1]), mc_samples=10, rng=RngState(34))
+        a = predict_batch(model, np.array([[0.2, 0.1]]), mc_samples=10, rng=RngState(34))
+        b = predict_batch(model, np.array([[0.2, 0.1]]), mc_samples=10, rng=RngState(34))
         assert np.array_equal(a.probs, b.probs)
 
     def test_uncertainty_summaries(self):
         model, _ = self.trained_model()
-        pred = predict(model, np.array([0.0, 0.0]), mc_samples=5, rng=RngState(35))
-        assert logit_variance_uncertainty(pred) == pytest.approx(pred.variance_logits.mean())
-        margin = prob_margin_uncertainty(pred)
+        pred = predict_batch(model, np.array([[0.0, 0.0]]), mc_samples=5, rng=RngState(35))
+        assert variance_uncertainty(pred)[0] == pytest.approx(pred.variance_logits.mean())
+        margin = margin_uncertainty(pred)[0]
         assert 0.0 <= margin <= 1.0
 
     def test_margin_values(self):
-        from sngp.gp_layer import GpPrediction
-        make = lambda p: GpPrediction(mean_logits=np.zeros(2), variance_logits=np.zeros(2),
-                                      probs=np.array([p, 1.0 - p]), uncertainty_ds=0.5)
-        assert prob_margin_uncertainty(make(0.5)) == pytest.approx(1.0)
-        assert prob_margin_uncertainty(make(1.0)) == pytest.approx(0.0)
-        assert prob_margin_uncertainty(make(0.75)) == pytest.approx(0.5)
+        make = lambda p: GpPrediction(mean_logits=np.zeros((1, 2)),
+                                      variance_logits=np.zeros((1, 2)),
+                                      probs=np.array([[p, 1.0 - p]]))
+        assert margin_uncertainty(make(0.5))[0] == pytest.approx(1.0)
+        assert margin_uncertainty(make(1.0))[0] == pytest.approx(0.0)
+        assert margin_uncertainty(make(0.75))[0] == pytest.approx(0.5)
 
     def test_margin_requires_binary(self):
-        from sngp.gp_layer import GpPrediction
-        pred = GpPrediction(mean_logits=np.zeros(3), variance_logits=np.zeros(3),
-                            probs=np.full(3, 1 / 3), uncertainty_ds=0.5)
+        pred = GpPrediction(mean_logits=np.zeros((1, 3)), variance_logits=np.zeros((1, 3)),
+                            probs=np.full((1, 3), 1 / 3))
         with pytest.raises(ValueError):
-            prob_margin_uncertainty(pred)
+            margin_uncertainty(pred)
 
     def test_mc_probs_bit_identical_to_one_block_of_draws(self):
         # predict_batch draws one block of mc_samples * N * K normals, so a
         # seed keeps giving the same probabilities for batch and single inputs.
         model, x = self.trained_model()
-        means, variances, probs, _ = predict_batch(model, x[:7], mc_samples=5, rng=RngState(50))
+        pred = predict_batch(model, x[:7], mc_samples=5, rng=RngState(50))
+        means, variances = pred.mean_logits, pred.variance_logits
         assert np.all(variances > 0.0)
         eps = RngState(50).normal(5 * means.size).reshape(5, *means.shape)
         expected = softmax(means[None, :, :] + np.sqrt(variances)[None, :, :] * eps).mean(axis=0)
-        assert np.array_equal(probs, expected)
-        single = predict(model, x[0], mc_samples=5, rng=RngState(51))
+        assert np.array_equal(pred.probs, expected)
+        single = predict_batch(model, x[:1], mc_samples=5, rng=RngState(51))
         assert np.array_equal(single.probs, mc_softmax(single.mean_logits, single.variance_logits,
                                                        5, RngState(51)))
 
     def test_batch_matches_single(self):
         model, _ = self.trained_model()
         pts = np.array([[0.1, 0.2], [1.0, -0.5]])
-        means, variances, _, ds = predict_batch(model, pts, mc_samples=3, rng=RngState(36))
-        single = predict(model, pts[1], mc_samples=3, rng=RngState(37))
-        assert np.allclose(means[1], single.mean_logits)
-        assert np.allclose(variances[1], single.variance_logits)
-        assert ds[1] == pytest.approx(single.uncertainty_ds)
+        batch = predict_batch(model, pts, mc_samples=3, rng=RngState(36))
+        single = predict_batch(model, pts[1:], mc_samples=3, rng=RngState(37))
+        assert np.allclose(batch.mean_logits[1], single.mean_logits[0])
+        assert np.allclose(batch.variance_logits[1], single.variance_logits[0])
+        assert (dempster_shafer(batch.mean_logits)[1]
+                == pytest.approx(dempster_shafer(single.mean_logits)[0]))
 
 
 class TestCheckpoint:
@@ -371,7 +372,8 @@ class TestCheckpoint:
         assert not back.head.shared_precision and len(back.head.precision) == 2
         assert np.array_equal(back.head.precision[1], second)
         pts = np.array([[0.2, -0.3], [2.0, 1.0]])
-        _, variances, probs, _ = predict_batch(back, pts, mc_samples=4, rng=RngState(51))
+        pred = predict_batch(back, pts, mc_samples=4, rng=RngState(51))
+        variances, probs = pred.variance_logits, pred.probs
         phi = back.head.rff_features(back.hidden(pts)[0])
         for k, p in enumerate(back.head.precision):
             expected = np.einsum("ij,ji->i", phi, np.linalg.solve(p, phi.T))
