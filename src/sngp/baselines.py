@@ -21,10 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .gp_layer import GpPrediction, softmax
-from .train import (SngpModel, TrainConfig, TrainReport, TrainingDivergedError,
+from .train import (ModelSpec, SngpModel, TrainConfig, TrainReport, TrainingDivergedError,
                     build_sngp_model, train)
-
-VARIANT_TAGS = ("deterministic", "deep_ensemble", "shallow_gp", "dnn_gp", "dnn_sn", "sngp")
 
 
 @dataclass
@@ -39,61 +37,36 @@ class EnsembleModel:
         return len(self.members)
 
 
-@dataclass
-class VariantSpec:
-    """Architecture and head hyperparameters shared across variants."""
-
-    input_dim: int = 2
-    hidden_width: int = 128
-    depth: int = 12
-    num_classes: int = 2
-    activation: str = "relu"
-    dropout_rate: float = 0.01
-    sn_bound: float = 0.9
-    num_features: int = 1024
-    length_scale: float = 2.0
-    ridge_s: float = 0.001
-    discount_m: float = 0.999
-    use_layer_norm: bool = True
-    ensemble_size: int = 10
-    seed: int = 0
+# The model switches each tag sets; every other ModelSpec field comes from the caller.
+_VARIANT_SWITCHES = {
+    "deterministic": dict(gp_head=False, spectral_norm=False, identity_hidden=False),
+    "deep_ensemble": dict(gp_head=False, spectral_norm=False, identity_hidden=False),
+    "shallow_gp": dict(gp_head=True, spectral_norm=False, identity_hidden=True),
+    "dnn_gp": dict(gp_head=True, spectral_norm=False, identity_hidden=False),
+    "dnn_sn": dict(gp_head=False, spectral_norm=True, identity_hidden=False),
+    "sngp": dict(gp_head=True, spectral_norm=True, identity_hidden=False),
+}
+VARIANT_TAGS = tuple(_VARIANT_SWITCHES)
 
 
-def build_variant(tag: str, spec: VariantSpec, seed: int | None = None) -> SngpModel:
-    """Instantiate a single model for the given variant tag.
+def build_variant(tag: str, spec: ModelSpec, seed: int | None = None) -> SngpModel:
+    """Instantiate a single model for the given variant tag (``seed``, when
+    given, replaces the spec's).
 
     ``deep_ensemble`` builds one member (a deterministic model); use
     ``train_ensemble`` for the full ensemble.
     """
     if tag not in VARIANT_TAGS:
         raise ValueError(f"unknown variant tag {tag!r}; expected one of {VARIANT_TAGS}")
-    seed = spec.seed if seed is None else seed
-    gp_head = tag in ("sngp", "dnn_gp", "shallow_gp")
-    spectral = tag in ("sngp", "dnn_sn")
-    identity = tag == "shallow_gp"
-    return build_sngp_model(
-        input_dim=spec.input_dim,
-        hidden_width=spec.hidden_width,
-        depth=spec.depth,
-        num_classes=spec.num_classes,
-        seed=seed,
-        activation=spec.activation,
-        dropout_rate=spec.dropout_rate,
-        sn_bound=spec.sn_bound,
-        spectral_norm=spectral,
-        gp_head=gp_head,
-        num_features=spec.num_features,
-        length_scale=spec.length_scale,
-        ridge_s=spec.ridge_s,
-        discount_m=spec.discount_m,
+    spec = replace(spec, **_VARIANT_SWITCHES[tag], seed=spec.seed if seed is None else seed)
+    if spec.identity_hidden:
         # The shallow variant consumes raw coordinates; normalizing them away
         # would destroy the radial distance signal it exists to demonstrate.
-        use_layer_norm=spec.use_layer_norm and not identity,
-        identity_hidden=identity,
-    )
+        spec = replace(spec, use_layer_norm=False)
+    return build_sngp_model(spec)
 
 
-def train_ensemble(spec: VariantSpec, ensemble_size: int, points: np.ndarray,
+def train_ensemble(spec: ModelSpec, ensemble_size: int, points: np.ndarray,
                    labels: np.ndarray, config: TrainConfig) -> EnsembleModel:
     """Train E deterministic members with seeds config.seed + 0 .. E - 1."""
     if ensemble_size < 1:

@@ -26,15 +26,15 @@ import numpy as np
 
 from . import data as data_mod
 from . import theory
-from .baselines import (EnsembleModel, VariantSpec, build_variant, ensemble_predict,
-                        train_ensemble, VARIANT_TAGS)
+from .baselines import (EnsembleModel, build_variant, ensemble_predict, train_ensemble,
+                        VARIANT_TAGS)
 from .gp_layer import GpPrediction
 from .linalg import RngState
 from .metrics import (PredictionSet, auroc, aupr, brier, dempster_shafer, ece,
                       margin_uncertainty, metrics_report, nll, variance_uncertainty)
 from .nn import build_res_ffn, lipschitz_probe, normalize_network, power_iteration
-from .train import (SngpModel, TrainConfig, TrainingDivergedError, load_checkpoint,
-                    predict_batch, save_checkpoint, train)
+from .train import (ModelSpec, SngpModel, TrainConfig, TrainingDivergedError,
+                    load_checkpoint, predict_batch, save_checkpoint, train)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -139,14 +139,11 @@ def _make_dataset(cfg: RunConfig) -> data_mod.Dataset2D:
     return data_mod.gen_two_ovals(cfg.n_per_class, cfg.data_seed)
 
 
-def _variant_spec(cfg: RunConfig) -> VariantSpec:
-    return VariantSpec(input_dim=2, hidden_width=cfg.hidden_width, depth=cfg.depth,
-                       num_classes=2, activation=cfg.activation,
-                       dropout_rate=cfg.dropout_rate, sn_bound=cfg.sn_bound,
-                       num_features=cfg.num_features, length_scale=cfg.length_scale,
-                       ridge_s=cfg.ridge_s, discount_m=cfg.discount_m,
-                       use_layer_norm=cfg.use_layer_norm,
-                       ensemble_size=cfg.ensemble_size, seed=cfg.seed)
+def _variant_spec(cfg: RunConfig) -> ModelSpec:
+    """The model the config describes on its 2-D, two-class data; the variant
+    tag sets the rest (``build_variant``)."""
+    return ModelSpec(**{f.name: getattr(cfg, f.name)
+                        for f in fields(ModelSpec) if hasattr(cfg, f.name)})
 
 
 def _train_config(cfg: RunConfig) -> TrainConfig:

@@ -32,13 +32,10 @@ class PredictionSet:
     """Aligned predictions for a batch of inputs.
 
     probs: (N, K) rows on the simplex.  labels: (N,) int class ids.
-    ood_flags / uncertainty_scores are optional companions for OOD ranking.
     """
 
     probs: np.ndarray
     labels: np.ndarray
-    ood_flags: np.ndarray | None = None
-    uncertainty_scores: np.ndarray | None = None
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)
@@ -55,28 +52,20 @@ def accuracy(preds: PredictionSet) -> float:
 
 
 def ece(preds: PredictionSet, num_bins: int = 15) -> float:
-    """Expected calibration error over equal-width confidence bins.
+    """Expected calibration error over equal-width confidence bins: the
+    count-weighted mean |accuracy - confidence| of the ``ece_bin_table`` rows."""
+    n = preds.labels.shape[0]
+    return float(sum((cnt / n) * abs(acc - conf)
+                     for _, conf, acc, cnt in ece_bin_table(preds, num_bins) if cnt))
+
+
+def ece_bin_table(preds: PredictionSet, num_bins: int = 15) -> list[tuple[float, float, float, int]]:
+    """Reliability table rows (bin_lo, confidence, accuracy, count); empty bins give zeros.
 
     Bin m covers [m/M, (m+1)/M); confidence exactly 1.0 falls in the last bin.
     """
     if num_bins < 1:
         raise ValueError("num_bins must be >= 1")
-    conf = preds.probs.max(axis=1)
-    correct = (np.argmax(preds.probs, axis=1) == preds.labels).astype(np.float64)
-    idx = np.minimum((conf * num_bins).astype(int), num_bins - 1)
-    n = conf.shape[0]
-    total = 0.0
-    for m in range(num_bins):
-        mask = idx == m
-        cnt = int(mask.sum())
-        if cnt == 0:
-            continue
-        total += (cnt / n) * abs(correct[mask].mean() - conf[mask].mean())
-    return float(total)
-
-
-def ece_bin_table(preds: PredictionSet, num_bins: int = 15) -> list[tuple[float, float, float, int]]:
-    """Reliability table rows (bin_lo, confidence, accuracy, count); empty bins give zeros."""
     conf = preds.probs.max(axis=1)
     correct = (np.argmax(preds.probs, axis=1) == preds.labels).astype(np.float64)
     idx = np.minimum((conf * num_bins).astype(int), num_bins - 1)
@@ -171,8 +160,3 @@ def metrics_report(values: dict[str, float]) -> str:
     """Flat ``metric=value`` text block (one pair per line)."""
     return "\n".join(f"{k}={v:.17g}" for k, v in values.items()) + "\n"
 
-
-def metrics_csv_row(values: dict[str, float], keys: list[str]) -> str:
-    """One CSV row with the requested keys, for sweep aggregation."""
-    return ",".join(f"{values[k]:.17g}" if isinstance(values[k], float) else str(values[k])
-                    for k in keys)

@@ -154,30 +154,31 @@ def _grids_for_game(num_classes: int, step: float) -> np.ndarray:
     return grid.points()
 
 
-def minimax_oracle(num_classes: int, step: float, rule: ScoringRule) -> np.ndarray:
-    """Brute-force argmin_p max_{p*} of the expected score over the grid squared.
-
-    The returned grid point is the minimax-optimal prediction; for every
-    Bregman rule it is the uniform distribution (up to one grid step).
-    """
+def _sup_scores(num_classes: int, step: float, rule: ScoringRule):
+    """The game grid and, per grid prediction p, its worst-case expected score
+    max_{p*} s(p, p*) over the same grid."""
     pts = _grids_for_game(num_classes, step)
     # s(p, p*) = p* . psi'(p) + sum_k [psi(p_k) - p_k psi'(p_k)]; enumerate the
     # p*-dependent part as a (num_p*, num_p) matrix and take column maxima.
     psi_p = rule.psi(pts)
     psi_prime_p = rule.psi_prime(pts)
     const = np.sum(psi_p - pts * psi_prime_p, axis=1)
-    sup_scores = (pts @ psi_prime_p.T).max(axis=0) + const
+    return pts, (pts @ psi_prime_p.T).max(axis=0) + const
+
+
+def minimax_oracle(num_classes: int, step: float, rule: ScoringRule) -> np.ndarray:
+    """Brute-force argmin_p max_{p*} of the expected score over the grid squared.
+
+    The returned grid point is the minimax-optimal prediction; for every
+    Bregman rule it is the uniform distribution (up to one grid step).
+    """
+    pts, sup_scores = _sup_scores(num_classes, step, rule)
     return pts[int(np.argmin(sup_scores))]
 
 
 def minimax_value(num_classes: int, step: float, rule: ScoringRule) -> float:
     """Value of the grid game at the minimax prediction."""
-    pts = _grids_for_game(num_classes, step)
-    psi_p = rule.psi(pts)
-    psi_prime_p = rule.psi_prime(pts)
-    const = np.sum(psi_p - pts * psi_prime_p, axis=1)
-    sup_scores = (pts @ psi_prime_p.T).max(axis=0) + const
-    return float(sup_scores.min())
+    return float(_sup_scores(num_classes, step, rule)[1].min())
 
 
 def max_entropy_oracle(num_classes: int, step: float, rule: ScoringRule) -> np.ndarray:

@@ -6,30 +6,36 @@ or a plain dense layer for ablations).  Each minibatch step runs, in order:
 
     1. SGD-with-momentum update of all trainable parameters,
     2. spectral normalization of every residual layer (when enabled),
-    3. during the precision-update epoch (default: the final one), the
-       moving-average precision update using evaluation-mode features and
-       the current model probabilities.
+    3. during the final epoch, the moving-average precision update using
+       evaluation-mode features and the current model probabilities.
 
 The step order is observable through the optional ``hooks`` callback.
 Training is bit-reproducible: shuffling, dropout, and initialisation all
 draw from independently derived streams of the config seed.
 
-Checkpoint format (binary, version 1, bit-exact round trip):
+Checkpoint format (binary, version 2, bit-exact round trip):
 
     bytes 0..7    magic ``SNGPCKPT``
     bytes 8..11   format version, uint32 little-endian
     bytes 12..15  header length in bytes, uint32 little-endian
-    header        UTF-8 JSON (sorted keys): variant tag, class count,
-                  config echo, architecture description, and the array
-                  manifest [name, shape] in write order
+    header        UTF-8 JSON (sorted keys): ``format_version``, ``variant``
+                  tag, ``config`` (the run-config echo), ``model`` (the
+                  ``ModelSpec`` fields), ``arrays`` (the manifest
+                  [name, shape] in write order) and ``payload_crc32`` (the
+                  zlib CRC-32 of the payload bytes)
     payload       the arrays from the manifest, concatenated raw
                   little-endian float64, C order
+
+Loading rebuilds the model from its ``ModelSpec`` and checks, in order, the
+magic, the version, the payload length against the manifest, the CRC, and
+the built model's array names and shapes against the manifest.
 """
 
 from __future__ import annotations
 
 import json
 import time
+import zlib
 from dataclasses import dataclass, field, asdict
 from itertools import zip_longest
 
@@ -37,10 +43,11 @@ import numpy as np
 
 from .gp_layer import GpPrediction, RffGpLayer, mc_softmax, softmax
 from .linalg import RngState
-from .nn import ResFfnNetwork, SgdMomentum, build_res_ffn, clamp_network, normalize_network
+from .nn import SgdMomentum, build_res_ffn, clamp_network, normalize_network
 
 CHECKPOINT_MAGIC = b"SNGPCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+CHECKPOINT_PREAMBLE_BYTES = 16  # magic, version, header length
 DIVERGENCE_LIMIT = 1e6
 
 
@@ -71,7 +78,6 @@ class TrainConfig:
     l2_beta: float = 0.0
     seed: int = 0
     mc_samples: int = 10
-    precision_update_epoch: int | None = None  # None -> final epoch
     precision_exact: bool = False
 
     def __post_init__(self):
@@ -106,34 +112,62 @@ class TrainReport:
         return "\n".join(lines) + "\n"
 
 
-class SngpModel:
-    """Hidden mapping plus output head, with the spectral-norm toggle."""
+@dataclass(frozen=True)
+class ModelSpec:
+    """Every hyperparameter of a model: the hidden mapping, the output head and
+    the seed of their initial draws.  ``identity_hidden`` replaces the network
+    by the identity (``hidden_width``, ``depth`` and the network settings are
+    then unused); ``gp_head = False`` puts a dense layer in place of the GP."""
 
-    def __init__(self, network: ResFfnNetwork | None, head, spectral_norm_enabled: bool,
-                 num_classes: int, input_dim: int | None = None):
-        if network is None and input_dim is None:
-            raise ValueError("identity hidden map requires an explicit input_dim")
-        if num_classes < 2:
+    input_dim: int = 2
+    hidden_width: int = 128
+    depth: int = 12
+    num_classes: int = 2
+    seed: int = 0
+    activation: str = "relu"
+    dropout_rate: float = 0.01
+    sn_bound: float = 0.9
+    spectral_norm: bool = True
+    gp_head: bool = True
+    num_features: int = 1024
+    length_scale: float = 2.0
+    ridge_s: float = 0.001
+    discount_m: float = 0.999
+    use_layer_norm: bool = True
+    gp_projection_dim: int | None = None
+    identity_hidden: bool = False
+
+
+class SngpModel:
+    """Hidden mapping plus output head, built from a ``ModelSpec``.
+
+    The arrays are freshly drawn from ``spec.seed``; ``build_sngp_model``
+    also moves a spectral-normalized network inside its bound.
+    """
+
+    def __init__(self, spec: ModelSpec):
+        if spec.num_classes < 2:
             raise ValueError("need at least two classes")
+        rng = RngState(spec.seed)
+        if spec.identity_hidden:
+            network, width = None, spec.input_dim
+        else:
+            network = build_res_ffn(spec.input_dim, spec.hidden_width, spec.depth,
+                                    rng.derive("net"), activation=spec.activation,
+                                    dropout_rate=spec.dropout_rate, sn_bound=spec.sn_bound)
+            width = spec.hidden_width
+        if spec.gp_head:
+            head = RffGpLayer(width, spec.num_features, spec.num_classes, rng.derive("head"),
+                              length_scale=spec.length_scale, ridge_s=spec.ridge_s,
+                              discount_m=spec.discount_m, use_layer_norm=spec.use_layer_norm,
+                              projection_dim=spec.gp_projection_dim)
+        else:
+            head = DenseHead(width, spec.num_classes, rng.derive("head"))
+        self.spec = spec
         self.network = network
         self.head = head
-        self.spectral_norm_enabled = spectral_norm_enabled
-        self.num_classes = num_classes
-        self._input_dim = input_dim if network is None else network.input_dim
-        width = self.hidden_width
-        head_in = head.in_dim
-        if head_in != width:
-            raise ValueError(f"head expects input dim {head_in}, hidden map produces {width}")
-        if head.num_classes != num_classes:
-            raise ValueError("head class count disagrees with the model")
-
-    @property
-    def input_dim(self) -> int:
-        return self._input_dim
-
-    @property
-    def hidden_width(self) -> int:
-        return self._input_dim if self.network is None else self.network.hidden_width
+        self.spectral_norm_enabled = spec.spectral_norm
+        self.num_classes = spec.num_classes
 
     @property
     def has_gp_head(self) -> bool:
@@ -166,39 +200,15 @@ class SngpModel:
         return self.head.logits(h)
 
 
-def build_sngp_model(input_dim: int, hidden_width: int, depth: int, num_classes: int,
-                     seed: int, activation: str = "relu", dropout_rate: float = 0.0,
-                     sn_bound: float = 0.9, spectral_norm: bool = True,
-                     gp_head: bool = True, num_features: int = 1024,
-                     length_scale: float = 2.0, ridge_s: float = 0.001,
-                     discount_m: float = 0.999, use_layer_norm: bool = True,
-                     gp_projection_dim: int | None = None,
-                     identity_hidden: bool = False) -> SngpModel:
-    """Convenience constructor covering the full model, its ablations, and the
-    shallow (identity hidden map) variant."""
-    rng = RngState(seed)
-    if identity_hidden:
-        network = None
-        width = input_dim
-    else:
-        network = build_res_ffn(input_dim, hidden_width, depth, rng.derive("net"),
-                                activation=activation, dropout_rate=dropout_rate,
-                                sn_bound=sn_bound)
-        if spectral_norm:
-            # Start inside the feasible region and warm up the persisted
-            # power-iteration vectors before the first training step.
-            clamp_network(network)
-            for _ in range(10):
-                normalize_network(network)
-        width = hidden_width
-    if gp_head:
-        head = RffGpLayer(width, num_features, num_classes, rng.derive("head"),
-                          length_scale=length_scale, ridge_s=ridge_s, discount_m=discount_m,
-                          use_layer_norm=use_layer_norm, projection_dim=gp_projection_dim)
-    else:
-        head = DenseHead(width, num_classes, rng.derive("head"))
-    return SngpModel(network=network, head=head, spectral_norm_enabled=spectral_norm,
-                     num_classes=num_classes, input_dim=input_dim)
+def build_sngp_model(spec: ModelSpec) -> SngpModel:
+    """A new model of the spec, ready to train: a spectral-normalized network
+    starts inside its bound with warmed-up power-iteration vectors."""
+    model = SngpModel(spec)
+    if spec.spectral_norm and model.network is not None:
+        clamp_network(model.network)
+        for _ in range(10):
+            normalize_network(model.network)
+    return model
 
 
 def loss_and_grads(model: SngpModel, batch_x: np.ndarray, batch_y: np.ndarray,
@@ -273,14 +283,12 @@ def train(model: SngpModel, points: np.ndarray, labels: np.ndarray, config: Trai
     shuffle_rng = root.derive("shuffle")
     dropout_rng = root.derive("dropout")
     optimizer = SgdMomentum(config.learning_rate, config.momentum)
-    precision_epoch = (config.epochs - 1 if config.precision_update_epoch is None
-                       else config.precision_update_epoch)
 
     report = TrainReport(seed=config.seed, config_echo=asdict(config))
     step = 0
     for epoch in range(config.epochs):
         collect_precision = (model.has_gp_head and not config.precision_exact
-                             and epoch == precision_epoch)
+                             and epoch == config.epochs - 1)
         if collect_precision:
             model.head.reset_precision()
         order = shuffle_rng.permutation(n)
@@ -385,113 +393,67 @@ def _array_manifest(model: SngpModel) -> list[tuple[str, np.ndarray]]:
 def save_checkpoint(model: SngpModel, path: str, variant: str = "sngp",
                     config_echo: dict | None = None) -> None:
     arrays = _array_manifest(model)
+    payload = [np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in arrays]
+    crc = 0
+    for chunk in payload:
+        crc = zlib.crc32(chunk, crc)
     header = {
         "format_version": CHECKPOINT_VERSION,
         "variant": variant,
-        "num_classes": model.num_classes,
-        "input_dim": model.input_dim,
         "config": config_echo or {},
+        "model": asdict(model.spec),
         "arrays": [[name, list(arr.shape)] for name, arr in arrays],
+        "payload_crc32": crc,
     }
-    if model.network is not None:
-        net = model.network
-        header["network"] = {
-            "hidden_width": net.hidden_width,
-            "depth": net.depth,
-            "activation": net.blocks[0].activation if net.blocks else "relu",
-            "dropout_rate": net.blocks[0].dropout_rate if net.blocks else 0.0,
-            "sn_bound": net.input_projection.sn_bound,
-            "spectral_norm": model.spectral_norm_enabled,
-        }
-    else:
-        header["network"] = None
-    if model.has_gp_head:
-        head = model.head
-        header["head"] = {
-            "kind": "gp",
-            "num_features": head.num_features,
-            "length_scale": head.length_scale,
-            "ridge_s": head.ridge_s,
-            "discount_m": head.discount_m,
-            "use_layer_norm": head.use_layer_norm,
-            "shared_precision": head.shared_precision,
-            "projection_dim": None if head.input_projection is None
-                              else head.input_projection.shape[0],
-        }
-    else:
-        header["head"] = {"kind": "dense"}
-
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(np.uint32(CHECKPOINT_VERSION).tobytes())
         f.write(np.uint32(len(header_bytes)).tobytes())
         f.write(header_bytes)
-        for _, arr in arrays:
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def _model_from_header(header: dict) -> SngpModel:
-    """A model of the header's architecture, built through the constructors so
-    the header's hyperparameters pass the same checks as a new model's; its
-    arrays are placeholders for the payload."""
-    rng = RngState(0)
-    num_classes, input_dim = header["num_classes"], header["input_dim"]
-    net_desc = header["network"]
-    if net_desc is None:
-        network, spectral_norm, width = None, False, input_dim
-    else:
-        network = build_res_ffn(input_dim, net_desc["hidden_width"], net_desc["depth"],
-                                rng.derive("net"), activation=net_desc["activation"],
-                                dropout_rate=net_desc["dropout_rate"],
-                                sn_bound=net_desc["sn_bound"])
-        spectral_norm, width = net_desc["spectral_norm"], net_desc["hidden_width"]
-    head_desc = header["head"]
-    if head_desc["kind"] == "gp":
-        head = RffGpLayer(width, head_desc["num_features"], num_classes, rng.derive("head"),
-                          length_scale=head_desc["length_scale"], ridge_s=head_desc["ridge_s"],
-                          discount_m=head_desc["discount_m"],
-                          use_layer_norm=head_desc["use_layer_norm"],
-                          projection_dim=head_desc["projection_dim"],
-                          shared_precision=head_desc["shared_precision"])
-        if head.shared_precision != head_desc["shared_precision"]:
-            # Binary heads saved before K = 2 shared one precision keep one per class.
-            head.shared_precision = False
-            head.reset_precision()
-    else:
-        head = DenseHead(width, num_classes, rng.derive("head"))
-    return SngpModel(network=network, head=head, spectral_norm_enabled=spectral_norm,
-                     num_classes=num_classes, input_dim=input_dim)
+        f.writelines(payload)
 
 
 def load_checkpoint(path: str) -> tuple[SngpModel, dict]:
     """Read a checkpoint written by ``save_checkpoint``.
 
-    The payload must hold exactly the bytes its manifest names, and the
-    manifest must list the arrays of the architecture its header describes;
-    otherwise ``ValueError``.
+    The model is built from the header's ``ModelSpec`` through the same
+    constructor as a new one, so its hyperparameters pass the same checks.
+    A file that is not a checkpoint, a header that is not a well-formed
+    version-2 header, a payload whose length or CRC-32 differs from the
+    header's, or a manifest that is not the built model's raises
+    ``ValueError``.
     """
     with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a checkpoint file (bad magic {magic!r})")
-        version = int(np.frombuffer(f.read(4), dtype="<u4")[0])
+        preamble = f.read(CHECKPOINT_PREAMBLE_BYTES)
+        if len(preamble) < CHECKPOINT_PREAMBLE_BYTES:
+            raise ValueError(f"not a checkpoint file ({len(preamble)} bytes, shorter than "
+                             f"the {CHECKPOINT_PREAMBLE_BYTES}-byte preamble)")
+        if preamble[:8] != CHECKPOINT_MAGIC:
+            raise ValueError(f"not a checkpoint file (bad magic {preamble[:8]!r})")
+        version, header_len = (int(v) for v in np.frombuffer(preamble[8:], dtype="<u4"))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        header_len = int(np.frombuffer(f.read(4), dtype="<u4")[0])
         header = json.loads(f.read(header_len).decode("utf-8"))
         payload = f.read()
-    expected = 8 * sum(int(np.prod(shape)) for _, shape in header["arrays"])
-    if len(payload) != expected:
-        raise ValueError(f"checkpoint payload is {len(payload)} bytes, "
-                         f"its manifest needs {expected}")
-    model = _model_from_header(header)
+    try:
+        expected = 8 * sum(int(np.prod(shape)) for _, shape in header["arrays"])
+        if len(payload) != expected:
+            raise ValueError(f"checkpoint payload is {len(payload)} bytes, "
+                             f"its manifest needs {expected}")
+        crc = zlib.crc32(payload)
+        if crc != header["payload_crc32"]:
+            raise ValueError(f"checkpoint payload CRC-32 is {crc}, its header "
+                             f"records {header['payload_crc32']!r}")
+        model = SngpModel(ModelSpec(**header["model"]))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed checkpoint header: {type(exc).__name__}: {exc}") from exc
     arrays = _array_manifest(model)
     for want, got in zip_longest(([name, list(arr.shape)] for name, arr in arrays),
                                  header["arrays"]):
         if want != got:
             raise ValueError(f"checkpoint array {got} does not match the header's "
-                             f"architecture, which expects {want}")
+                             f"model, which expects {want}")
     offset = 0
     for _, arr in arrays:
         arr[...] = np.frombuffer(payload, dtype="<f8", count=arr.size,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from sngp.baselines import VariantSpec, build_variant, ensemble_predict, train_ensemble
+from sngp.baselines import build_variant, ensemble_predict, train_ensemble
 from sngp.cli import main as cli_main
 from sngp.data import gen_grid, gen_two_moons, min_distance_to_set
 from sngp.gp_layer import RffGpLayer, softmax
@@ -22,11 +22,11 @@ from sngp.metrics import PredictionSet, aupr, ece, margin_uncertainty, variance_
 from sngp.nn import lipschitz_probe
 from sngp.theory import (brier_rule, l1_ece_bound_check, log_rule, max_entropy_oracle,
                          minimax_oracle, bregman_score)
-from sngp.train import TrainConfig, build_sngp_model, loss_and_grads, predict_batch, train
+from sngp.train import ModelSpec, TrainConfig, build_sngp_model, loss_and_grads, predict_batch, train
 
 from oracles import finite_diff_gradients, max_relative_gradient_error, sigma_max_jacobi
 
-BENCH_SPEC = VariantSpec(hidden_width=16, depth=3, num_features=256, dropout_rate=0.01,
+BENCH_SPEC = ModelSpec(hidden_width=16, depth=3, num_features=256, dropout_rate=0.01,
                          use_layer_norm=False, length_scale=2.0, sn_bound=0.9, seed=0)
 BENCH_TRAIN = TrainConfig(epochs=30, batch_size=32, learning_rate=0.05, momentum=0.9,
                           seed=0, precision_exact=True)
@@ -100,9 +100,10 @@ def test_criterion_2_laplace_posterior_equivalence():
 
 def test_criterion_3_gradient_correctness():
     start = time.perf_counter()
-    model = build_sngp_model(input_dim=2, hidden_width=8, depth=3, num_classes=2,
-                             seed=3, num_features=32, dropout_rate=0.0, sn_bound=0.9,
-                             spectral_norm=True, use_layer_norm=True, length_scale=2.0)
+    model = build_sngp_model(ModelSpec(input_dim=2, hidden_width=8, depth=3, num_classes=2,
+                                       seed=3, num_features=32, dropout_rate=0.0, sn_bound=0.9,
+                                       spectral_norm=True, use_layer_norm=True,
+                                       length_scale=2.0))
     model.head.beta[:] = 0.3 * RngState(4).normal_matrix(2, 32)
     rng = RngState(77)
     x = rng.normal(24).reshape(12, 2)
@@ -165,7 +166,7 @@ def test_criterion_5_distance_awareness(moons, trained_sngp):
     eval_pts = np.vstack([ind_test.points, moons.ood_points])
     sngp_auprs, ens_auprs = [], []
     for seed in (0, 1, 2):
-        spec = VariantSpec(**{**BENCH_SPEC.__dict__, "seed": seed})
+        spec = ModelSpec(**{**BENCH_SPEC.__dict__, "seed": seed})
         cfg = TrainConfig(epochs=30, batch_size=32, learning_rate=0.05, momentum=0.9,
                           seed=seed, precision_exact=True)
         model = build_variant("sngp", spec)
@@ -260,9 +261,10 @@ def test_criterion_8_reproducibility(tmp_path):
 
 def test_criterion_9_reversion_to_prior():
     rng = RngState(21)
-    model = build_sngp_model(input_dim=2, hidden_width=0, depth=0, num_classes=2,
-                             seed=34, num_features=2048, identity_hidden=True,
-                             use_layer_norm=False, length_scale=2.0, gp_head=True)
+    model = build_sngp_model(ModelSpec(input_dim=2, hidden_width=0, depth=0, num_classes=2,
+                                       seed=34, num_features=2048, identity_hidden=True,
+                                       use_layer_norm=False, length_scale=2.0, gp_head=True,
+                                       dropout_rate=0.0))
     cloud = rng.derive("cloud").normal(200).reshape(100, 2)  # sigma = 1 point cloud
     labels = (cloud[:, 0] > 0).astype(int)
     cfg = TrainConfig(epochs=5, batch_size=25, learning_rate=0.1, momentum=0.9,

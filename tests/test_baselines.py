@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from sngp.baselines import EnsembleModel, VariantSpec, build_variant, ensemble_predict, train_ensemble
+from sngp.baselines import EnsembleModel, build_variant, ensemble_predict, train_ensemble
 from sngp.data import gen_two_moons, min_distance_to_set
 from sngp.gp_layer import softmax
 from sngp.linalg import RngState
 from sngp.metrics import margin_uncertainty, variance_uncertainty
-from sngp.train import TrainConfig, predict_batch, train
+from sngp.train import ModelSpec, TrainConfig, predict_batch, train
 
 def variance_of(model, x):
     return variance_uncertainty(predict_batch(model, x, mc_samples=1, rng=RngState(0)))
 
 
-SMALL_SPEC = VariantSpec(hidden_width=8, depth=2, num_features=64, dropout_rate=0.0,
+SMALL_SPEC = ModelSpec(hidden_width=8, depth=2, num_features=64, dropout_rate=0.0,
                          use_layer_norm=False, length_scale=2.0, sn_bound=0.9, seed=5)
 
 
@@ -113,7 +113,7 @@ class TestEnsemble:
 class TestDirectionalProperty:
     def test_sngp_variance_tracks_distance_better_than_ensemble_margin(self):
         ds = gen_two_moons(200, 0.1, seed=8)
-        spec = VariantSpec(hidden_width=16, depth=3, num_features=256, dropout_rate=0.0,
+        spec = ModelSpec(hidden_width=16, depth=3, num_features=256, dropout_rate=0.0,
                            use_layer_norm=False, length_scale=2.0, sn_bound=0.9, seed=9)
         cfg = TrainConfig(epochs=20, batch_size=32, learning_rate=0.05, momentum=0.9,
                           seed=9, precision_exact=True)
@@ -135,7 +135,7 @@ class TestDirectionalProperty:
         rng = RngState(10)
         cloud = rng.normal_matrix(100, 2)
         labels = (cloud[:, 0] > 0).astype(int)
-        spec = VariantSpec(num_features=2048, use_layer_norm=True, length_scale=2.0, seed=11)
+        spec = ModelSpec(num_features=2048, use_layer_norm=True, length_scale=2.0, seed=11)
         model = build_variant("shallow_gp", spec)
         assert not model.head.use_layer_norm  # raw-input variant skips normalization
         cfg = TrainConfig(epochs=5, batch_size=25, learning_rate=0.1, momentum=0.9,

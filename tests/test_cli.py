@@ -162,6 +162,21 @@ class TestSurfaceCommand:
         assert code == EXIT_INCOMPATIBLE
 
 
+def rewrite_bytes(path, edit):
+    path.write_bytes(edit(path.read_bytes()))
+
+
+def rewrite_header(ckpt, edit):
+    """Apply ``edit`` to a checkpoint's JSON header, keeping its payload."""
+    raw = ckpt.read_bytes()
+    header_len = int(np.frombuffer(raw[12:16], dtype="<u4")[0])
+    header = json.loads(raw[16:16 + header_len])
+    edit(header)
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    ckpt.write_bytes(raw[:12] + np.uint32(len(header_bytes)).tobytes() + header_bytes
+                     + raw[16 + header_len:])
+
+
 class TestEvalCommand:
     def test_eval_reports_metrics(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -193,7 +208,7 @@ class TestEvalCommand:
     def test_mc_samples_read_from_checkpoint_config(self, tmp_path):
         from sngp.cli import LoadedModel
         from sngp.linalg import RngState
-        from sngp.train import build_sngp_model, predict_batch, save_checkpoint
+        from sngp.train import ModelSpec, build_sngp_model, predict_batch, save_checkpoint
         ckpt = tmp_path / "m.ckpt"
         assert main(["train", "--config", write_config(tmp_path, epochs=1, mc_samples=3),
                      "--out", str(ckpt)]) == EXIT_OK
@@ -203,7 +218,9 @@ class TestEvalCommand:
                                  rng=RngState(0).derive("cli_mc"))
         assert np.array_equal(loaded.predict(x).probs, expected.probs)
         bare = tmp_path / "bare.ckpt"
-        save_checkpoint(build_sngp_model(2, 8, 1, 2, seed=0, num_features=16), str(bare))
+        save_checkpoint(build_sngp_model(ModelSpec(input_dim=2, hidden_width=8, depth=1,
+                                                   num_classes=2, seed=0, num_features=16,
+                                                   dropout_rate=0.0)), str(bare))
         assert LoadedModel.from_checkpoints([str(bare)]).mc_samples == 10
 
     @pytest.fixture()
@@ -229,16 +246,27 @@ class TestEvalCommand:
 
     def test_invalid_header_hyperparameter_exits_2(self, eval_inputs, capsys):
         ckpt, data_csv = eval_inputs
-        raw = ckpt.read_bytes()
-        header_len = int(np.frombuffer(raw[12:16], dtype="<u4")[0])
-        header = json.loads(raw[16:16 + header_len])
-        header["head"]["length_scale"] = -1.0
-        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-        ckpt.write_bytes(raw[:12] + np.uint32(len(header_bytes)).tobytes() + header_bytes
-                         + raw[16 + header_len:])
+        rewrite_header(ckpt, lambda h: h["model"].update(length_scale=-1.0))
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data_csv)]) == EXIT_USAGE
         assert "length_scale must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda c: rewrite_header(c, lambda h: h.pop("model")), "malformed checkpoint header"),
+        (lambda c: rewrite_header(c, lambda h: h["model"].update(depth="12")),
+         "malformed checkpoint header"),
+        (lambda c: rewrite_bytes(c, lambda raw: raw[:10]), "not a checkpoint file (10 bytes"),
+        (lambda c: rewrite_bytes(c, lambda raw: raw[:-100] + bytes([raw[-100] ^ 1]) + raw[-99:]),
+         "payload CRC-32"),
+        (lambda c: rewrite_bytes(c, lambda raw: raw[:8] + np.uint32(1).tobytes() + raw[12:]),
+         "unsupported checkpoint version 1"),
+    ], ids=["no_model", "string_depth", "10_bytes", "flipped_payload_bit", "version_1"])
+    def test_damaged_checkpoint_exits_2(self, eval_inputs, damage, message, capsys):
+        ckpt, data_csv = eval_inputs
+        damage(ckpt)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data_csv)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_2(self, tmp_path):
         code = main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"),

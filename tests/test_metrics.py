@@ -170,9 +170,3 @@ def test_metrics_report_format():
     text = metrics_report({"accuracy": 0.5, "ece": 0.125})
     assert "accuracy=0.5\n" in text
     assert text.endswith("ece=0.125\n")
-
-
-def test_metrics_csv_row():
-    from sngp.metrics import metrics_csv_row
-    row = metrics_csv_row({"variant": "sngp", "accuracy": 0.5}, ["variant", "accuracy"])
-    assert row == "sngp,0.5"

@@ -1,4 +1,4 @@
-import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from sngp.gp_layer import GpPrediction, mc_softmax, softmax
 from sngp.linalg import RngState
 from sngp.metrics import dempster_shafer, margin_uncertainty, variance_uncertainty
-from sngp.train import (TrainConfig, TrainReport, TrainingDivergedError,
+from sngp.train import (ModelSpec, TrainConfig, TrainReport, TrainingDivergedError,
                         build_sngp_model, load_checkpoint, loss_and_grads,
                         predict_batch, save_checkpoint, train)
 
@@ -18,7 +18,7 @@ def small_model(seed=1, gp_head=True, **kwargs):
                     num_features=32, dropout_rate=0.0, sn_bound=0.9,
                     use_layer_norm=True, length_scale=2.0, gp_head=gp_head)
     defaults.update(kwargs)
-    return build_sngp_model(**defaults)
+    return build_sngp_model(ModelSpec(**defaults))
 
 
 def toy_batch(seed=2, n=12):
@@ -164,16 +164,6 @@ class TestTrainLoop:
         early_steps = [e for s, e in events if s < 2]
         assert early_steps == ["sgd_update", "spectral_norm"] * 2
 
-    def test_custom_precision_update_epoch(self):
-        x, y = toy_batch(seed=45, n=16)
-        model = small_model(seed=46)
-        events = []
-        cfg = TrainConfig(epochs=3, batch_size=8, learning_rate=0.05, seed=47,
-                          precision_update_epoch=0)
-        train(model, x, y, cfg, hooks=lambda e, ep, s: events.append((ep, e)))
-        precision_epochs = {ep for ep, e in events if e == "precision_update"}
-        assert precision_epochs == {0}
-
     def test_divergence_guard(self):
         x, y = toy_batch(seed=22, n=16)
         model = small_model(seed=23)
@@ -228,9 +218,10 @@ class TestPredict:
         rng = RngState(33)
         x = rng.normal_matrix(100, 2)
         y = (x[:, 0] > 0).astype(int)
-        model = build_sngp_model(input_dim=2, hidden_width=0, depth=0, num_classes=2,
-                                 seed=34, num_features=2048, identity_hidden=True,
-                                 use_layer_norm=False, length_scale=2.0, gp_head=True)
+        model = build_sngp_model(ModelSpec(input_dim=2, hidden_width=0, depth=0, num_classes=2,
+                                           seed=34, num_features=2048, identity_hidden=True,
+                                           use_layer_norm=False, length_scale=2.0,
+                                           gp_head=True, dropout_rate=0.0))
         cfg = TrainConfig(epochs=5, batch_size=25, learning_rate=0.1, momentum=0.9,
                           seed=35, precision_exact=True)
         train(model, x, y, cfg)
@@ -305,7 +296,7 @@ class TestCheckpoint:
                                        learning_rate=0.05))
         back, header = self.roundtrip(model, tmp_path)
         assert header["variant"] == "sngp"
-        assert header["format_version"] == 1
+        assert header["format_version"] == 2
         for (ka, va), (kb, vb) in zip(sorted(model.parameters().items()),
                                       sorted(back.parameters().items())):
             assert ka == kb and np.array_equal(va, vb)
@@ -325,9 +316,10 @@ class TestCheckpoint:
         assert np.array_equal(model.eval_logits(pts), back.eval_logits(pts))
 
     def test_identity_hidden_roundtrip(self, tmp_path):
-        model = build_sngp_model(input_dim=2, hidden_width=0, depth=0, num_classes=2,
-                                 seed=42, num_features=64, identity_hidden=True,
-                                 use_layer_norm=False, gp_head=True)
+        model = build_sngp_model(ModelSpec(input_dim=2, hidden_width=0, depth=0, num_classes=2,
+                                           seed=42, num_features=64, identity_hidden=True,
+                                           use_layer_norm=False, gp_head=True,
+                                           dropout_rate=0.0))
         back, _ = self.roundtrip(model, tmp_path, variant="shallow_gp")
         assert back.network is None
         pts = np.array([[0.3, 0.7]])
@@ -336,50 +328,16 @@ class TestCheckpoint:
     def test_head_projection_roundtrip(self, tmp_path):
         model = small_model(seed=44, gp_projection_dim=4)
         back, header = self.roundtrip(model, tmp_path)
-        assert header["head"]["projection_dim"] == 4
+        assert header["model"]["gp_projection_dim"] == 4
         assert np.array_equal(model.head.input_projection, back.head.input_projection)
         pts = np.array([[0.6, -0.2]])
         assert np.array_equal(model.eval_logits(pts), back.eval_logits(pts))
 
-    def test_binary_checkpoint_with_two_precisions_loads(self, tmp_path):
-        # Version-1 binary checkpoints may store one precision per class with
-        # shared_precision = false; they must still load and predict.
-        model = small_model(seed=48, use_layer_norm=False)
-        x, y = toy_batch(seed=49, n=24)
-        train(model, x, y, TrainConfig(epochs=2, batch_size=8, seed=50, precision_exact=True))
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path, config_echo={"seed": 50})
-        raw = path.read_bytes()
-        header_len = int(np.frombuffer(raw[12:16], dtype="<u4")[0])
-        header = json.loads(raw[16:16 + header_len])
-        assert header["head"]["shared_precision"] is True
-        offset, arrays = 16 + header_len, []
-        for name, shape in header["arrays"]:
-            nbytes = 8 * int(np.prod(shape))
-            arrays.append((name, shape, raw[offset:offset + nbytes]))
-            offset += nbytes
-            if name == "head.precision0":
-                second = model.head.precision[0] + 0.5 * np.eye(32)
-                arrays.append(("head.precision1", shape, second.astype("<f8").tobytes()))
-        header["head"]["shared_precision"] = False
-        header["arrays"] = [[name, shape] for name, shape, _ in arrays]
-        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-        old = tmp_path / "old.ckpt"
-        old.write_bytes(raw[:12] + np.uint32(len(header_bytes)).tobytes() + header_bytes
-                        + b"".join(data for _, _, data in arrays))
-
-        back, _ = load_checkpoint(old)
-        assert not back.head.shared_precision and len(back.head.precision) == 2
-        assert np.array_equal(back.head.precision[1], second)
-        pts = np.array([[0.2, -0.3], [2.0, 1.0]])
-        pred = predict_batch(back, pts, mc_samples=4, rng=RngState(51))
-        variances, probs = pred.variance_logits, pred.probs
-        phi = back.head.rff_features(back.hidden(pts)[0])
-        for k, p in enumerate(back.head.precision):
-            expected = np.einsum("ij,ji->i", phi, np.linalg.solve(p, phi.T))
-            assert np.allclose(variances[:, k], expected, rtol=1e-10, atol=0.0)
-        assert np.all(variances[:, 1] < variances[:, 0])
-        assert np.allclose(probs.sum(axis=1), 1.0)
+    def test_header_holds_the_spec(self, tmp_path):
+        model = small_model(seed=49, gp_projection_dim=4)
+        back, header = self.roundtrip(model, tmp_path)
+        assert back.spec == model.spec
+        assert header["model"] == asdict(model.spec)
 
     def test_save_twice_byte_identical(self, tmp_path):
         model = small_model(seed=43)
