@@ -26,18 +26,22 @@ Checkpoint format (binary, version 2, bit-exact round trip):
     payload       the arrays from the manifest, concatenated raw
                   little-endian float64, C order
 
-Loading rebuilds the model from its ``ModelSpec`` and checks, in order, the
-magic, the version, the payload length against the manifest, the CRC, and
-the built model's array names and shapes against the manifest.
+Loading checks, in order, the magic, the version, the payload length against
+the manifest, the CRC, the ``ModelSpec`` field types, and the manifest
+against the array names and shapes the spec implies; only then does it build
+the model from its spec, so a header cannot make loading allocate more than
+its payload holds.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 import zlib
-from dataclasses import dataclass, field, asdict
-from itertools import zip_longest
+from dataclasses import dataclass, field, fields, asdict
+from itertools import chain, zip_longest
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -49,6 +53,7 @@ CHECKPOINT_MAGIC = b"SNGPCKPT"
 CHECKPOINT_VERSION = 2
 CHECKPOINT_PREAMBLE_BYTES = 16  # magic, version, header length
 DIVERGENCE_LIMIT = 1e6
+PREDICT_BLOCK_ROWS = 1024  # rows per network/feature/variance pass at inference
 
 
 class TrainingDivergedError(RuntimeError):
@@ -117,7 +122,9 @@ class ModelSpec:
     """Every hyperparameter of a model: the hidden mapping, the output head and
     the seed of their initial draws.  ``identity_hidden`` replaces the network
     by the identity (``hidden_width``, ``depth`` and the network settings are
-    then unused); ``gp_head = False`` puts a dense layer in place of the GP."""
+    then unused); ``gp_head = False`` puts a dense layer in place of the GP.
+    Each field's type is checked on construction (``TypeError``), so a
+    checkpoint header cannot pass a string or a bool where a number belongs."""
 
     input_dim: int = 2
     hidden_width: int = 128
@@ -136,6 +143,28 @@ class ModelSpec:
     use_layer_norm: bool = True
     gp_projection_dim: int | None = None
     identity_hidden: bool = False
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _SPEC_TYPE_CHECKS[f.type](value):
+                raise TypeError(f"ModelSpec.{f.name} must be {f.type}, "
+                                f"got {type(value).__name__} {value!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Field annotation -> check.  A bool is never taken for a number, and every
+# accepted value is one that ``save_checkpoint`` can write as JSON.
+_SPEC_TYPE_CHECKS = {
+    "int": _is_int,
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "int | None": lambda v: v is None or _is_int(v),
+}
 
 
 class SngpModel:
@@ -193,11 +222,38 @@ class SngpModel:
         return params
 
     def eval_logits(self, x: np.ndarray) -> np.ndarray:
-        """Evaluation-mode mean logits for a (batch, d) input."""
-        h = self.hidden(x, train_mode=False)[0]
-        if self.has_gp_head:
-            return self.head.logits(self.head.rff_features(h))
-        return self.head.logits(h)
+        """Evaluation-mode mean logits for a (batch, d) input, computed in row
+        blocks like ``predict_batch``."""
+        return self._posterior(x, variance=False)[0]
+
+    def _posterior(self, x: np.ndarray, variance: bool = True
+                  ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Evaluation-mode mean logits and logit variances of an (N, d) input,
+        each (N, K); the variances are zero for a dense head and None when not
+        asked for.  Rows pass through the network, the random features and the
+        variance ``PREDICT_BLOCK_ROWS`` at a time into the preallocated outputs,
+        so the network tape and the (rows, D) features never exceed one block.
+        A row holding NaN or inf raises ``ValueError`` naming the first one."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2:
+            raise ValueError(f"expected an (N, d) input, got shape {x.shape}")
+        bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+        if bad.size:
+            raise ValueError(f"input row {int(bad[0])} is not finite: {x[bad[0]]}")
+        n = x.shape[0]
+        means = np.empty((n, self.num_classes))
+        variances = np.zeros((n, self.num_classes)) if variance else None
+        for lo in range(0, n, PREDICT_BLOCK_ROWS):
+            rows = slice(lo, lo + PREDICT_BLOCK_ROWS)
+            h = self.hidden(x[rows])[0]  # the block's network tape is dropped here
+            if not self.has_gp_head:
+                means[rows] = self.head.logits(h)
+                continue
+            phi = self.head.rff_features(h)
+            means[rows] = self.head.logits(phi)
+            if variance:
+                variances[rows] = self.head.predictive_variance_batch(phi)
+        return means, variances
 
 
 def build_sngp_model(spec: ModelSpec) -> SngpModel:
@@ -346,15 +402,15 @@ def train(model: SngpModel, points: np.ndarray, labels: np.ndarray, config: Trai
 def predict_batch(model: SngpModel, x: np.ndarray, mc_samples: int = 10,
                   rng: RngState | None = None) -> GpPrediction:
     """Posterior prediction for an (N, d) batch: mean logits, logit variances
-    (zero for a dense head) and MC-averaged probabilities, each (N, K)."""
-    h = model.hidden(x, train_mode=False)[0]  # the network tape is not kept
-    if model.has_gp_head:
-        phi = model.head.rff_features(h)
-        means = model.head.logits(phi)
-        variances = model.head.predictive_variance_batch(phi)
-    else:
-        means = model.head.logits(h)
-        variances = np.zeros_like(means)
+    (zero for a dense head) and MC-averaged probabilities, each (N, K).
+
+    The network, features and variances run ``PREDICT_BLOCK_ROWS`` rows at a
+    time (``SngpModel._posterior``), so memory is O(block) + O(N K) rather than
+    O(N D); the Monte Carlo draws are taken once over all N rows, so they do
+    not depend on the block size.  A row holding NaN or inf raises
+    ``ValueError`` naming the first such row before anything is computed.
+    """
+    means, variances = model._posterior(x)
     if rng is None and np.any(variances > 0.0):
         raise ValueError("Monte Carlo averaging over logit noise requires an rng")
     probs = mc_softmax(means, variances, mc_samples, rng)
@@ -364,30 +420,41 @@ def predict_batch(model: SngpModel, x: np.ndarray, mc_samples: int = 10,
 # -- checkpoints ---------------------------------------------------------------
 
 
+def _array_layout(spec: ModelSpec) -> Iterator[tuple[str, tuple[int, ...],
+                                                   Callable[[SngpModel], np.ndarray]]]:
+    """Every array a model of ``spec`` saves, in write order: its name, its
+    shape and where it sits on a built model.  The shapes come from the spec
+    alone, and lazily, so a header's manifest can be checked against them
+    before any model is built."""
+    in_dim = spec.input_dim
+    if not spec.identity_hidden:
+        width = spec.hidden_width
+        layers = chain([("net.proj", in_dim, lambda m: m.network.input_projection)],
+                       ((f"net.block{i}", width, lambda m, i=i: m.network.blocks[i].layer)
+                        for i in range(spec.depth)))
+        for prefix, layer_in, layer in layers:
+            yield f"{prefix}.w", (width, layer_in), lambda m, layer=layer: layer(m).weight
+            yield f"{prefix}.b", (width,), lambda m, layer=layer: layer(m).bias
+            yield f"{prefix}.sn_u", (width,), lambda m, layer=layer: layer(m).sn_u
+        in_dim = width
+    k = spec.num_classes
+    if not spec.gp_head:
+        yield "head.w", (k, in_dim), lambda m: m.head.weight
+        yield "head.b", (k,), lambda m: m.head.bias
+        return
+    d = spec.num_features
+    feat_in = in_dim if spec.gp_projection_dim is None else spec.gp_projection_dim
+    yield "head.w_fixed", (d, feat_in), lambda m: m.head.w_fixed
+    yield "head.b_fixed", (d,), lambda m: m.head.b_fixed
+    yield "head.beta", (k, d), lambda m: m.head.beta
+    for j in range(1 if k == 2 else k):  # a binary head shares one precision
+        yield f"head.precision{j}", (d, d), lambda m, j=j: m.head.precision[j]
+    if spec.gp_projection_dim is not None:
+        yield "head.input_projection", (feat_in, in_dim), lambda m: m.head.input_projection
+
+
 def _array_manifest(model: SngpModel) -> list[tuple[str, np.ndarray]]:
-    arrays: list[tuple[str, np.ndarray]] = []
-    if model.network is not None:
-        net = model.network
-        arrays.append(("net.proj.w", net.input_projection.weight))
-        arrays.append(("net.proj.b", net.input_projection.bias))
-        arrays.append(("net.proj.sn_u", net.input_projection.sn_u))
-        for i, blk in enumerate(net.blocks):
-            arrays.append((f"net.block{i}.w", blk.layer.weight))
-            arrays.append((f"net.block{i}.b", blk.layer.bias))
-            arrays.append((f"net.block{i}.sn_u", blk.layer.sn_u))
-    if model.has_gp_head:
-        head = model.head
-        arrays.append(("head.w_fixed", head.w_fixed))
-        arrays.append(("head.b_fixed", head.b_fixed))
-        arrays.append(("head.beta", head.beta))
-        for k, p in enumerate(head.precision):
-            arrays.append((f"head.precision{k}", p))
-        if head.input_projection is not None:
-            arrays.append(("head.input_projection", head.input_projection))
-    else:
-        arrays.append(("head.w", model.head.weight))
-        arrays.append(("head.b", model.head.bias))
-    return arrays
+    return [(name, get(model)) for name, _, get in _array_layout(model.spec)]
 
 
 def save_checkpoint(model: SngpModel, path: str, variant: str = "sngp",
@@ -418,11 +485,11 @@ def load_checkpoint(path: str) -> tuple[SngpModel, dict]:
     """Read a checkpoint written by ``save_checkpoint``.
 
     The model is built from the header's ``ModelSpec`` through the same
-    constructor as a new one, so its hyperparameters pass the same checks.
+    constructor as a new one, so its hyperparameters pass the same checks,
+    but only after the manifest has matched the arrays the spec implies.
     A file that is not a checkpoint, a header that is not a well-formed
     version-2 header, a payload whose length or CRC-32 differs from the
-    header's, or a manifest that is not the built model's raises
-    ``ValueError``.
+    header's, or a manifest that is not the spec's raises ``ValueError``.
     """
     with open(path, "rb") as f:
         preamble = f.read(CHECKPOINT_PREAMBLE_BYTES)
@@ -437,7 +504,7 @@ def load_checkpoint(path: str) -> tuple[SngpModel, dict]:
         header = json.loads(f.read(header_len).decode("utf-8"))
         payload = f.read()
     try:
-        expected = 8 * sum(int(np.prod(shape)) for _, shape in header["arrays"])
+        expected = 8 * sum(int(math.prod(shape)) for _, shape in header["arrays"])
         if len(payload) != expected:
             raise ValueError(f"checkpoint payload is {len(payload)} bytes, "
                              f"its manifest needs {expected}")
@@ -445,17 +512,17 @@ def load_checkpoint(path: str) -> tuple[SngpModel, dict]:
         if crc != header["payload_crc32"]:
             raise ValueError(f"checkpoint payload CRC-32 is {crc}, its header "
                              f"records {header['payload_crc32']!r}")
-        model = SngpModel(ModelSpec(**header["model"]))
+        spec = ModelSpec(**header["model"])
+        for want, got in zip_longest(([name, list(shape)] for name, shape, _
+                                      in _array_layout(spec)), header["arrays"]):
+            if want != got:
+                raise ValueError(f"checkpoint array {got} does not match the header's "
+                                 f"model, which expects {want}")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed checkpoint header: {type(exc).__name__}: {exc}") from exc
-    arrays = _array_manifest(model)
-    for want, got in zip_longest(([name, list(arr.shape)] for name, arr in arrays),
-                                 header["arrays"]):
-        if want != got:
-            raise ValueError(f"checkpoint array {got} does not match the header's "
-                             f"model, which expects {want}")
+    model = SngpModel(spec)
     offset = 0
-    for _, arr in arrays:
+    for _, arr in _array_manifest(model):
         arr[...] = np.frombuffer(payload, dtype="<f8", count=arr.size,
                                  offset=offset).reshape(arr.shape)
         offset += 8 * arr.size

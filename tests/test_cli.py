@@ -1,11 +1,11 @@
-import json
-
 import numpy as np
 import pytest
 
 from sngp.cli import (EXIT_DIVERGED, EXIT_INCOMPATIBLE, EXIT_OK, EXIT_USAGE,
                       RunConfig, main, parse_run_config)
 from sngp.data import dataset_from_csv, surface_from_csv
+
+from headers import rewrite_header
 
 FAST_CONFIG = """
 # fast two-moons run for tests
@@ -166,17 +166,6 @@ def rewrite_bytes(path, edit):
     path.write_bytes(edit(path.read_bytes()))
 
 
-def rewrite_header(ckpt, edit):
-    """Apply ``edit`` to a checkpoint's JSON header, keeping its payload."""
-    raw = ckpt.read_bytes()
-    header_len = int(np.frombuffer(raw[12:16], dtype="<u4")[0])
-    header = json.loads(raw[16:16 + header_len])
-    edit(header)
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    ckpt.write_bytes(raw[:12] + np.uint32(len(header_bytes)).tobytes() + header_bytes
-                     + raw[16 + header_len:])
-
-
 class TestEvalCommand:
     def test_eval_reports_metrics(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -255,12 +244,15 @@ class TestEvalCommand:
         (lambda c: rewrite_header(c, lambda h: h.pop("model")), "malformed checkpoint header"),
         (lambda c: rewrite_header(c, lambda h: h["model"].update(depth="12")),
          "malformed checkpoint header"),
+        (lambda c: rewrite_header(c, lambda h: h["model"].update(use_layer_norm="false")),
+         "ModelSpec.use_layer_norm must be bool"),
         (lambda c: rewrite_bytes(c, lambda raw: raw[:10]), "not a checkpoint file (10 bytes"),
         (lambda c: rewrite_bytes(c, lambda raw: raw[:-100] + bytes([raw[-100] ^ 1]) + raw[-99:]),
          "payload CRC-32"),
         (lambda c: rewrite_bytes(c, lambda raw: raw[:8] + np.uint32(1).tobytes() + raw[12:]),
          "unsupported checkpoint version 1"),
-    ], ids=["no_model", "string_depth", "10_bytes", "flipped_payload_bit", "version_1"])
+    ], ids=["no_model", "string_depth", "string_layer_norm", "10_bytes", "flipped_payload_bit",
+            "version_1"])
     def test_damaged_checkpoint_exits_2(self, eval_inputs, damage, message, capsys):
         ckpt, data_csv = eval_inputs
         damage(ckpt)

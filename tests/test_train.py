@@ -1,15 +1,19 @@
-from dataclasses import asdict
+import tracemalloc
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sngp.gp_layer import GpPrediction, mc_softmax, softmax
 from sngp.linalg import RngState
 from sngp.metrics import dempster_shafer, margin_uncertainty, variance_uncertainty
-from sngp.train import (ModelSpec, TrainConfig, TrainReport, TrainingDivergedError,
+from sngp.train import (PREDICT_BLOCK_ROWS, ModelSpec, TrainConfig, TrainReport,
+                        TrainingDivergedError, _array_layout, _array_manifest,
                         build_sngp_model, load_checkpoint, loss_and_grads,
                         predict_batch, save_checkpoint, train)
 
+from headers import rewrite_header
 from oracles import finite_diff_gradients, max_relative_gradient_error, sigma_max_jacobi
 
 
@@ -283,6 +287,113 @@ class TestPredict:
                 == pytest.approx(dempster_shafer(single.mean_logits)[0]))
 
 
+class TestPredictBlocks:
+    """predict_batch runs PREDICT_BLOCK_ROWS rows at a time; whatever N is
+    modulo the block, the result is the unblocked computation."""
+
+    @staticmethod
+    def fitted(kind):
+        if kind == "shallow_gp":
+            model = build_sngp_model(ModelSpec(input_dim=2, hidden_width=0, depth=0, seed=60,
+                                               num_features=32, identity_hidden=True,
+                                               use_layer_norm=False, dropout_rate=0.0))
+        else:
+            model = small_model(seed=60, gp_head=kind != "dense",
+                                num_classes=3 if kind == "per_class_k3" else 2)
+        if model.has_gp_head:
+            rng = RngState(61)
+            model.head.beta[:] = rng.normal_matrix(*model.head.beta.shape)
+            phi = model.head.rff_features(model.hidden(2.0 * rng.normal_matrix(40, 2))[0])
+            model.head.update_precision_exact(phi, softmax(model.head.logits(phi)))
+        return model
+
+    @pytest.mark.parametrize("kind", ["sngp", "per_class_k3", "shallow_gp", "dense"])
+    def test_matches_unblocked_reference(self, kind):
+        model = self.fitted(kind)
+        k = model.num_classes
+        b = PREDICT_BLOCK_ROWS
+        for n in (1, b - 1, b, b + 1, 2 * b + 3):
+            x = 3.0 * RngState(n).normal_matrix(n, 2)
+            pred = predict_batch(model, x, mc_samples=3, rng=RngState(62))
+            h = model.hidden(x)[0]
+            if model.has_gp_head:
+                phi = model.head.rff_features(h)
+                means = model.head.logits(phi)
+                columns = [np.einsum("ij,ji->i", phi, np.linalg.solve(p, phi.T))
+                           for p in model.head.precision]
+                variances = np.stack(columns * (k // len(columns)), axis=1)
+            else:
+                means, variances = model.head.logits(h), np.zeros((n, k))
+            assert pred.mean_logits.shape == pred.variance_logits.shape == (n, k)
+            # Each row's arithmetic is unchanged, but BLAS may pick another kernel
+            # for a short block, so the means may differ by a few ulps.
+            np.testing.assert_allclose(pred.mean_logits, means, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(pred.variance_logits, variances, rtol=1e-10, atol=0.0)
+            assert np.array_equal(pred.probs, mc_softmax(pred.mean_logits, pred.variance_logits,
+                                                         3, RngState(62)))
+            assert np.array_equal(model.eval_logits(x), pred.mean_logits)
+
+    def test_peak_memory_does_not_grow_with_rows(self):
+        # Only the (N, K) outputs and the Monte Carlo step grow with N; the
+        # network tape and the features are bounded by one block.
+        b = PREDICT_BLOCK_ROWS
+        model = build_sngp_model(ModelSpec(hidden_width=64, depth=8, num_features=128,
+                                           dropout_rate=0.0))
+        predict_batch(model, np.zeros((1, 2)), rng=RngState(0))  # caches the covariance
+
+        def peak_bytes(n):
+            x = RngState(n).normal_matrix(n, 2)
+            tracemalloc.start()
+            try:
+                predict_batch(model, x, rng=RngState(1))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        outputs = 3 * 8 * (8 * b) * model.num_classes
+        assert peak_bytes(8 * b) - peak_bytes(2 * b) < outputs + 8 * 2**20
+
+    def test_non_finite_row_is_named(self):
+        x = np.zeros((6, 2))
+        x[3, 1] = np.inf
+        x[5, 0] = np.nan
+        with pytest.raises(ValueError, match="input row 3 is not finite"):
+            predict_batch(small_model(seed=63), x, rng=RngState(0))
+
+
+class TestModelSpec:
+    @pytest.mark.parametrize("name, value", [
+        ("depth", 2.5), ("depth", True), ("num_features", "64"), ("length_scale", False),
+        ("use_layer_norm", "false"), ("use_layer_norm", 1), ("gp_projection_dim", 4.0),
+        ("activation", None)])
+    def test_wrong_field_type_raises(self, name, value):
+        with pytest.raises(TypeError, match=f"ModelSpec.{name} must be"):
+            ModelSpec(**{name: value})
+
+    def test_int_for_float_and_none_for_projection(self):
+        spec = ModelSpec(length_scale=2, gp_projection_dim=None)
+        assert spec.length_scale == 2 and spec.gp_projection_dim is None
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"gp_head": False}, {"num_classes": 3}, {"gp_projection_dim": 4},
+        {"identity_hidden": True, "use_layer_norm": False}])
+    def test_layout_shapes_are_the_built_arrays(self, kwargs):
+        model = small_model(seed=64, **kwargs)
+        assert ([(name, shape) for name, shape, _ in _array_layout(model.spec)]
+                == [(name, arr.shape) for name, arr in _array_manifest(model)])
+
+
+SPEC_FIELDS = [f.name for f in fields(ModelSpec)]
+ODD_VALUES = st.one_of(st.none(), st.booleans(), st.sampled_from([-1, 0, 3, 400, 10**9, 2**64]),
+                       st.integers(), st.floats(), st.text(max_size=5),
+                       st.lists(st.integers(0, 4), max_size=2))
+SPEC_EDITS = st.lists(st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(SPEC_FIELDS), ODD_VALUES),
+    st.tuples(st.just("drop"), st.sampled_from(SPEC_FIELDS), st.none()),
+    st.tuples(st.just("set"), st.text(min_size=1, max_size=8), ODD_VALUES)),
+    min_size=1, max_size=3)
+
+
 class TestCheckpoint:
     def roundtrip(self, model, tmp_path, variant="sngp"):
         path = tmp_path / "model.ckpt"
@@ -345,6 +456,41 @@ class TestCheckpoint:
         save_checkpoint(model, p1, config_echo={"seed": 43})
         save_checkpoint(model, p2, config_echo={"seed": 43})
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("claim", [{"depth": 400, "hidden_width": 256}, {"depth": 10**9}],
+                             ids=["wide_and_deep", "billion_blocks"])
+    def test_oversized_header_rejected_before_building(self, tmp_path, claim):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(small_model(seed=65, hidden_width=16), path)
+        rewrite_header(path, lambda h: h["model"].update(claim))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="does not match the header's model"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=SPEC_EDITS)
+    def test_fuzzed_spec_loads_or_raises_value_error(self, tmp_path, edits):
+        # The CRC covers the payload only, so the edited header keeps it valid.
+        def edit(header):
+            for op, key, value in edits:
+                if op == "drop":
+                    header["model"].pop(key, None)
+                else:
+                    header["model"][key] = value
+
+        path = tmp_path / "fuzz.ckpt"
+        save_checkpoint(small_model(seed=66, hidden_width=4, depth=1, num_features=8), path)
+        rewrite_header(path, edit)
+        try:
+            load_checkpoint(path)
+        except ValueError:
+            pass
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
