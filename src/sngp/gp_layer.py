@@ -58,9 +58,9 @@ class RffGpLayer:
                  length_scale: float = 2.0, ridge_s: float = 0.001, discount_m: float = 0.999,
                  use_layer_norm: bool = True, projection_dim: int | None = None,
                  shared_precision: bool = False):
-        if length_scale <= 0.0:
+        if not length_scale > 0.0:
             raise ValueError("length_scale must be positive")
-        if ridge_s <= 0.0:
+        if not ridge_s > 0.0:
             raise ValueError("ridge_s must be positive")
         if not 0.0 <= discount_m < 1.0:
             raise ValueError("discount_m must lie in [0, 1)")

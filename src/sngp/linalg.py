@@ -70,23 +70,23 @@ def power_iteration(w: np.ndarray, iters: int, u0: np.ndarray) -> tuple[float, n
         raise ValueError(f"power_iteration expects a matrix, got shape {w.shape}")
     if u.shape != (w.shape[0],):
         raise ValueError(f"u0 must have length {w.shape[0]}, got {u.shape}")
-    u_norm = np.linalg.norm(u)
+    # sqrt(x.dot(x)) is what np.linalg.norm computes for a real vector,
+    # without its dispatch overhead on this once-per-layer-per-step path.
+    u_norm = np.sqrt(u.dot(u))
     if u_norm == 0.0:
         raise ValueError("u0 must be nonzero")
     u /= u_norm
-    if not np.any(w):
-        return 0.0, u
 
     sigma = 0.0
     for _ in range(iters):
         v = w.T @ u
-        v_norm = np.linalg.norm(v)
+        v_norm = np.sqrt(v.dot(v))
         if v_norm == 0.0:
-            # u landed exactly in the left null space; the estimate stalls at 0.
+            # u is in the left null space (always so for a zero matrix).
             return 0.0, u
         v /= v_norm
         wu = w @ v
-        sigma = np.linalg.norm(wu)
+        sigma = np.sqrt(wu.dot(wu))
         if sigma == 0.0:
             return 0.0, u
         u = wu / sigma

@@ -6,7 +6,9 @@
 * ``nll`` / ``brier``: mean negative log-likelihood (probabilities clipped at
   1e-12) and the mean multiclass quadratic score sum_k (p_k - onehot_k)^2.
 * ``auroc``: rank statistic with average ranks across ties, equivalent to
-  pair counting with half credit for tied scores.
+  pair counting with half credit for tied scores.  The ranks are computed in
+  NumPy (a stable sort, then each tie group's mean rank); a NaN score makes
+  every rank, and so the AUROC, NaN.
 * ``aupr``: step integration of the precision-recall curve at the distinct
   score thresholds, OOD treated as the positive class (higher score = more
   OOD).
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, logsumexp
-from scipy.stats import rankdata
 
 from .gp_layer import GpPrediction
 
@@ -98,11 +99,27 @@ def _check_binary_flags(flags: np.ndarray) -> np.ndarray:
     return flags
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of the flattened ``x``, each tie group sharing its mean
+    rank; all NaN if any value is NaN."""
+    x = x.ravel()
+    if np.isnan(x).any():
+        return np.full(x.size, np.nan)
+    order = np.argsort(x, kind="mergesort")
+    sorted_x = x[order]
+    starts = np.flatnonzero(np.r_[True, sorted_x[1:] != sorted_x[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    # A group holding sorted positions [s, e) has 1-based ranks s+1 .. e.
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
 def auroc(scores: np.ndarray, ood_flags: np.ndarray) -> float:
     """Area under the ROC curve, ties given half credit via average ranks."""
     scores = np.asarray(scores, dtype=np.float64)
     flags = _check_binary_flags(ood_flags)
-    ranks = rankdata(scores)
+    ranks = _average_ranks(scores)
     n_pos = int(flags.sum())
     n_neg = flags.size - n_pos
     rank_sum = float(ranks[flags].sum())

@@ -179,7 +179,7 @@ def spectral_normalize(layer: DenseLayer) -> float:
     when ``c < sigma_hat``; otherwise the weight is left untouched.  Returns
     the sigma estimate from before any rescale.
     """
-    if layer.sn_bound <= 0.0:
+    if not layer.sn_bound > 0.0:
         raise ValueError("sn_bound must be positive")
     sigma, u = power_iteration(layer.weight, iters=1, u0=layer.sn_u)
     layer.sn_u = u

@@ -124,7 +124,10 @@ class ModelSpec:
     by the identity (``hidden_width``, ``depth`` and the network settings are
     then unused); ``gp_head = False`` puts a dense layer in place of the GP.
     Each field's type is checked on construction (``TypeError``), so a
-    checkpoint header cannot pass a string or a bool where a number belongs."""
+    checkpoint header cannot pass a string or a bool where a number belongs.
+    Then ``length_scale``, ``ridge_s`` and ``sn_bound`` must be > 0 and
+    ``dropout_rate`` and ``discount_m`` in [0, 1) (``ValueError``; NaN fails
+    both), so neither a config file nor a header can pass ``nan``."""
 
     input_dim: int = 2
     hidden_width: int = 128
@@ -150,6 +153,15 @@ class ModelSpec:
             if not _SPEC_TYPE_CHECKS[f.type](value):
                 raise TypeError(f"ModelSpec.{f.name} must be {f.type}, "
                                 f"got {type(value).__name__} {value!r}")
+        # Written as ``not x > 0`` so that NaN fails too.
+        for name in ("length_scale", "ridge_s", "sn_bound"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        for name in ("dropout_rate", "discount_m"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {value!r}")
 
 
 def _is_int(value) -> bool:

@@ -2,11 +2,13 @@
 
 These deliberately avoid the code paths they verify: the Jacobi rotation
 eigensolver checks power iteration and spectral normalization, the O(N^2)
-pair counter checks the rank-based AUROC, and the central-difference
-gradient checker checks manual backprop.
+pair counter and the rank sum over ``scipy.stats.rankdata`` ranks check the
+rank-based AUROC, and the central-difference gradient checker checks manual
+backprop.
 """
 
 import numpy as np
+from scipy.stats import rankdata
 
 
 def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 100) -> np.ndarray:
@@ -57,6 +59,15 @@ def auroc_pair_counting(scores: np.ndarray, flags: np.ndarray) -> float:
             elif p == q:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def auroc_scipy_ranks(scores: np.ndarray, flags: np.ndarray) -> float:
+    """Rank-sum (Mann-Whitney) AUROC over SciPy's average ranks; NaN if a
+    score is NaN, as SciPy propagates it."""
+    ranks = rankdata(scores)
+    n_pos = int(flags.sum())
+    n_neg = flags.size - n_pos
+    return (float(ranks[flags].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def finite_diff_gradients(loss_fn, params: dict[str, np.ndarray],

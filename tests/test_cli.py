@@ -113,6 +113,15 @@ class TestTrainCommand:
         model, _ = load_checkpoint(ckpt)
         assert np.array_equal(model.head.beta, np.zeros_like(model.head.beta))
 
+    @pytest.mark.parametrize("key", ["sn_bound", "length_scale"])
+    def test_nan_hyperparameter_exits_2(self, tmp_path, key, capsys):
+        cfg = write_config(tmp_path, **{key: "nan"})
+        ckpt = tmp_path / "m.ckpt"
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--out", str(ckpt)]) == EXIT_USAGE
+        assert f"{key} must be positive" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_divergence_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, learning_rate=1e9, epochs=3)
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "m.ckpt")]) \
@@ -246,13 +255,19 @@ class TestEvalCommand:
          "malformed checkpoint header"),
         (lambda c: rewrite_header(c, lambda h: h["model"].update(use_layer_norm="false")),
          "ModelSpec.use_layer_norm must be bool"),
+        (lambda c: rewrite_header(c, lambda h: h["model"].update(length_scale=float("nan"))),
+         "length_scale must be positive"),
+        (lambda c: rewrite_header(c, lambda h: h["model"].update(ridge_s=float("nan"))),
+         "ridge_s must be positive"),
+        (lambda c: rewrite_header(c, lambda h: h["model"].update(sn_bound=-1.0)),
+         "sn_bound must be positive"),
         (lambda c: rewrite_bytes(c, lambda raw: raw[:10]), "not a checkpoint file (10 bytes"),
         (lambda c: rewrite_bytes(c, lambda raw: raw[:-100] + bytes([raw[-100] ^ 1]) + raw[-99:]),
          "payload CRC-32"),
         (lambda c: rewrite_bytes(c, lambda raw: raw[:8] + np.uint32(1).tobytes() + raw[12:]),
          "unsupported checkpoint version 1"),
-    ], ids=["no_model", "string_depth", "string_layer_norm", "10_bytes", "flipped_payload_bit",
-            "version_1"])
+    ], ids=["no_model", "string_depth", "string_layer_norm", "nan_length_scale", "nan_ridge_s",
+            "negative_sn_bound", "10_bytes", "flipped_payload_bit", "version_1"])
     def test_damaged_checkpoint_exits_2(self, eval_inputs, damage, message, capsys):
         ckpt, data_csv = eval_inputs
         damage(ckpt)

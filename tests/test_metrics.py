@@ -7,7 +7,7 @@ from sngp.linalg import RngState
 from sngp.metrics import (PredictionSet, accuracy, auroc, aupr, brier, dempster_shafer,
                           ece, ece_bin_table, metrics_report, nll)
 
-from oracles import auroc_pair_counting
+from oracles import auroc_pair_counting, auroc_scipy_ranks
 
 
 def preds_from(probs, labels):
@@ -76,6 +76,17 @@ class TestProperScores:
         assert brier(preds_from(truth, labels)) < brier(preds_from(other, labels))
 
 
+# Score generators for the rank oracle: (rng, n) -> (n,) scores.
+RANK_CASES = {
+    "no_ties": lambda rng, n: rng.normal(n),
+    "heavy_ties": lambda rng, n: np.floor(rng.uniform(n, 0.0, 4.0)),
+    "all_tied": lambda rng, n: np.full(n, 0.3),
+    "infinite": lambda rng, n: np.where(rng.uniform(n, 0.0, 1.0) < 0.3,
+                                        np.sign(rng.normal(n)) * np.inf,
+                                        np.floor(rng.uniform(n, 0.0, 3.0))),
+}
+
+
 class TestRanking:
     def test_perfect_separation(self):
         scores = np.array([0.9, 0.8, 0.1, 0.2])
@@ -103,6 +114,28 @@ class TestRanking:
                 continue
             assert auroc(scores, flags) == pytest.approx(
                 auroc_pair_counting(scores, flags), abs=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(RANK_CASES))
+    def test_equals_rank_sum_over_scipy_ranks(self, case):
+        rng = RngState(46)
+        for _ in range(25):
+            scores = RANK_CASES[case](rng, 150)
+            flags = rng.uniform(150, 0.0, 1.0) > 0.6
+            if flags.all() or not flags.any():
+                continue
+            assert auroc(scores, flags) == auroc_scipy_ranks(scores, flags)
+
+    def test_all_tied_and_one_per_class(self):
+        flags = np.array([True, False])
+        for scores, expected in [([0.3, 0.3], 0.5), ([0.9, 0.1], 1.0), ([-np.inf, np.inf], 0.0)]:
+            scores = np.array(scores)
+            assert auroc(scores, flags) == auroc_scipy_ranks(scores, flags) == expected
+
+    def test_nan_score_gives_nan(self):
+        scores = np.array([0.1, np.nan, 0.7, 0.4])
+        flags = np.array([False, True, True, False])
+        assert np.isnan(auroc(scores, flags))
+        assert np.isnan(auroc_scipy_ranks(scores, flags))
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):

@@ -370,6 +370,15 @@ class TestModelSpec:
         with pytest.raises(TypeError, match=f"ModelSpec.{name} must be"):
             ModelSpec(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("length_scale", 0.0), ("length_scale", float("nan")), ("ridge_s", -1e-3),
+        ("ridge_s", float("nan")), ("sn_bound", float("nan")), ("sn_bound", -1.0),
+        ("dropout_rate", 1.0), ("dropout_rate", -0.1), ("dropout_rate", float("nan")),
+        ("discount_m", 1.0), ("discount_m", float("nan"))])
+    def test_out_of_range_hyperparameter_raises(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must"):
+            ModelSpec(**{name: value})
+
     def test_int_for_float_and_none_for_projection(self):
         spec = ModelSpec(length_scale=2, gp_projection_dim=None)
         assert spec.length_scale == 2 and spec.gp_projection_dim is None
