@@ -24,9 +24,15 @@ used, because ``p_0 (1 - p_0) = p_1 (1 - p_1)`` makes the two per-class
 matrices equal.
 
 Predictive variance for class k is ``phi^T Sigma_k phi`` with the covariance
-``Sigma_k = precision_k^{-1}``.  Each distinct covariance is built once from a
-Cholesky factor and cached until the precision changes, so a batch of
-variances costs one matrix product per stored precision.
+``Sigma_k = precision_k^{-1} = W_k^T W_k``, where ``W_k`` is the inverse
+Cholesky factor from ``linalg.spd_factor``.  Each distinct covariance is
+built once, in NumPy matrix products, and cached until the precision changes,
+so a batch of variances costs one matrix product per stored precision.
+
+A hidden row that is not finite, or so large that its layer-norm variance
+overflows, has no meaningful features: ``features_with_tape`` raises
+``NonFiniteRowError`` (a ``ValueError``) naming the first such row instead of
+returning NaN features.
 """
 
 from __future__ import annotations
@@ -38,6 +44,15 @@ import numpy as np
 from .linalg import RngState, NotSpdError, spd_factor, spd_solve_factored
 
 LAYER_NORM_EPS = 1e-6
+
+
+class NonFiniteRowError(ValueError):
+    """A row whose hidden features, or their layer-norm variance, are not finite."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"row {row}: {reason}")
+        self.row = row
+        self.reason = reason
 
 
 @dataclass
@@ -84,7 +99,7 @@ class RffGpLayer:
         self.b_fixed = rng.derive("gp_b").uniform(num_features, 0.0, 2.0 * np.pi)
         self.beta = np.zeros((num_classes, num_features))
         self.precision: list[np.ndarray] = []
-        self._factors: list | None = None  # cached covariances, see _covariances
+        self._factors: list | None = None  # cached covariances, see covariances
         self.reset_precision()
 
     # -- feature pipeline ---------------------------------------------------
@@ -102,19 +117,30 @@ class RffGpLayer:
         return phi[0] if single else phi
 
     def features_with_tape(self, h: np.ndarray) -> tuple[np.ndarray, dict]:
-        """Batch features plus the intermediates needed for backprop into h."""
+        """Batch features plus the intermediates needed for backprop into h.
+
+        Raises ``NonFiniteRowError`` for the first row of the (batch, in_dim)
+        ``h`` whose hidden features, or their layer-norm variance, are not
+        finite; the check itself warns about nothing.
+        """
         h = np.asarray(h, dtype=np.float64)
         if h.shape[-1] != self.in_dim:
             raise ValueError(f"expected hidden dim {self.in_dim}, got {h.shape[-1]}")
         tape: dict = {}
         x = h
         if self.use_layer_norm:
-            mu = x.mean(axis=-1, keepdims=True)
-            var = x.var(axis=-1, keepdims=True)
+            # A row that is not finite, or whose squares overflow, makes its
+            # var NaN or inf; the check below names it instead of warning.
+            with np.errstate(over="ignore", invalid="ignore"):
+                mu = x.mean(axis=-1, keepdims=True)
+                var = x.var(axis=-1, keepdims=True)
+            _check_rows(np.isfinite(var[:, 0]), h)
             inv_sd = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
             x = (x - mu) * inv_sd
             tape["ln_out"] = x
             tape["ln_inv_sd"] = inv_sd
+        else:
+            _check_rows(np.isfinite(h).all(axis=1), h)
         if self.input_projection is not None:
             x = x @ self.input_projection.T
         z = x @ self.w_fixed.T
@@ -208,9 +234,10 @@ class RffGpLayer:
             p += t
         self._factors = None
 
-    def _covariances(self) -> list[np.ndarray]:
+    def covariances(self) -> list[np.ndarray]:
         """Posterior covariance precision^{-1} for each stored precision, built
-        once from its Cholesky factor and cached until the precision changes."""
+        once from its inverse Cholesky factor and cached until the precision
+        changes."""
         if self._factors is None:
             eye = np.eye(self.num_features)
             try:
@@ -227,10 +254,20 @@ class RffGpLayer:
         """(batch, K) logit variances, one matrix product per stored precision."""
         phi_batch = np.asarray(phi_batch, dtype=np.float64)
         columns = [np.einsum("ij,ij->i", phi_batch @ cov, phi_batch)
-                   for cov in self._covariances()]
+                   for cov in self.covariances()]
         if self.shared_precision:
             columns *= self.num_classes
         return np.maximum(np.stack(columns, axis=1), 0.0)
+
+
+def _check_rows(finite: np.ndarray, h: np.ndarray) -> None:
+    """Raise ``NonFiniteRowError`` for the first row of ``h`` not marked finite."""
+    if finite.all():
+        return
+    row = int(np.flatnonzero(~finite)[0])
+    what = ("hidden features are" if not np.isfinite(h[row]).all()
+            else "layer-norm variance of the hidden features is")
+    raise NonFiniteRowError(row, f"{what} not finite")
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -4,9 +4,11 @@ Everything downstream (network training, the Gaussian-process head, the
 benchmark generators) funnels its numerics through this module so that the
 core operations have a single, well-tested home:
 
-* ``spd_factor`` / ``spd_solve_factored`` Cholesky-factor an SPD matrix once
-  and solve against the factor; a matrix that is not SPD raises
-  ``NotSpdError`` and a right-hand side of the wrong length ``ValueError``.
+* ``spd_factor`` / ``spd_solve_factored`` factor an SPD matrix ``a`` once
+  into its inverse Cholesky factor ``W = L^{-1}`` (so ``a^{-1} = W^T W``)
+  and solve against it with two matrix products; a matrix that is not SPD
+  raises ``NotSpdError`` and a right-hand side of the wrong length
+  ``ValueError``.
 * ``power_iteration`` estimates the largest singular value of a matrix and
   returns the left singular-vector estimate so callers can warm-start the
   next call with a single iteration per training step.
@@ -16,7 +18,8 @@ core operations have a single, well-tested home:
   from string labels, so e.g. weight initialisation and minibatch shuffling
   never share a stream.
 
-All arrays are 64-bit floats.
+All arrays are 64-bit floats.  Everything here is NumPy, so a process links
+one BLAS and runs one BLAS thread pool.
 """
 
 from __future__ import annotations
@@ -24,25 +27,53 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+
+# Diagonal blocks up to this size are inverted directly; larger ones split in two.
+LOWER_INVERSE_LEAF = 128
 
 
 class NotSpdError(ValueError):
     """Raised when a matrix expected to be SPD fails its Cholesky factorization."""
 
 
-def spd_factor(a: np.ndarray):
-    """Cholesky-factor an SPD matrix once for repeated ``spd_solve_factored`` calls."""
+def _lower_inverse(low: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix with a nonzero diagonal, exactly
+    lower triangular.  ``[[A, 0], [B, C]]^{-1} = [[A^{-1}, 0], [-C^{-1} B A^{-1},
+    C^{-1}]]`` recursively, so almost all the work is matrix products."""
+    n = low.shape[0]
+    if n <= LOWER_INVERSE_LEAF:
+        return np.tril(np.linalg.inv(low))
+    h = n // 2
+    a_inv = _lower_inverse(low[:h, :h])
+    c_inv = _lower_inverse(low[h:, h:])
+    out = np.zeros_like(low)
+    out[:h, :h] = a_inv
+    out[h:, h:] = c_inv
+    np.matmul(c_inv, low[h:, :h] @ a_inv, out=out[h:, :h])
+    out[h:, :h] *= -1.0
+    return out
+
+
+def spd_factor(a: np.ndarray) -> np.ndarray:
+    """Inverse Cholesky factor ``W = L^{-1}`` of an SPD matrix ``a = L L^T``,
+    lower triangular, so that ``a^{-1} = W^T W``; factor once for repeated
+    ``spd_solve_factored`` calls.  Only the lower triangle of ``a`` is read."""
     a = np.asarray(a, dtype=np.float64)
     try:
-        return cho_factor(a, lower=True, check_finite=False)
-    except LinAlgError as exc:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
         raise NotSpdError(f"matrix is not SPD: {exc}") from exc
+    # A NaN or inf in the lower triangle of a reaches the diagonal of L
+    # without making the factorization itself fail.
+    if not np.isfinite(low.diagonal()).all():
+        raise NotSpdError("matrix is not SPD: its Cholesky factor is not finite")
+    return _lower_inverse(low)
 
 
-def spd_solve_factored(factor, b: np.ndarray) -> np.ndarray:
-    """Solve against a factor produced by ``spd_factor``."""
-    return cho_solve(factor, np.asarray(b, dtype=np.float64), check_finite=False)
+def spd_solve_factored(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``a x = b`` for a vector or (n, m) matrix ``b``, given
+    ``factor = spd_factor(a)``: ``x = W^T (W b)``."""
+    return factor.T @ (factor @ np.asarray(b, dtype=np.float64))
 
 
 def power_iteration(w: np.ndarray, iters: int, u0: np.ndarray) -> tuple[float, np.ndarray]:

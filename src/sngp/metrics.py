@@ -15,7 +15,9 @@
 * OOD scores of a batched ``GpPrediction``, higher meaning more OOD:
   ``variance_uncertainty`` (mean logit variance), ``margin_uncertainty``
   (1 - 2 |p - 0.5|, K = 2 only) and ``dempster_shafer`` of the mean logits,
-  K / (K + sum_k exp(logit_k)), in (0, 1) and decreasing as any logit grows.
+  K / (K + sum_k exp(logit_k)), in (0, 1) and decreasing as any logit grows,
+  computed as a logistic of log K minus a max-shifted log-sum-exp, so no
+  finite logit overflows.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
 
 from .gp_layer import GpPrediction
 
@@ -44,7 +45,8 @@ class PredictionSet:
         if self.probs.ndim != 2 or self.probs.shape[0] != self.labels.shape[0]:
             raise ValueError("probs must be (N, K) aligned with labels")
         row_sums = self.probs.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > 1e-9) or np.any(self.probs < -1e-12):
+        # Written as "not <=" so that a NaN probability fails the check.
+        if not (np.all(np.abs(row_sums - 1.0) <= 1e-9) and np.all(self.probs >= -1e-12)):
             raise ValueError("probs rows must lie on the simplex")
 
 
@@ -157,7 +159,25 @@ def dempster_shafer(logits: np.ndarray) -> np.ndarray:
         raise ValueError("logits must be finite")
     k = logits.shape[-1]
     # K/(K + e^lse) == sigmoid(log K - lse), stable for any logit magnitude.
-    return expit(np.log(k) - logsumexp(logits, axis=-1))
+    return _logistic(np.log(k) - _log_sum_exp(logits))
+
+
+def _log_sum_exp(x: np.ndarray) -> np.ndarray:
+    """log sum_k exp(x_k) over the last axis as ``top + log1p(rest)``: ``top``
+    is the row maximum, so no exp overflows, and ``rest`` sums the shifted
+    exps of every other entry, so the max's own 1 costs no precision."""
+    top_at = x.argmax(axis=-1)[..., None]
+    top = np.take_along_axis(x, top_at, axis=-1)
+    with np.errstate(over="ignore"):  # x - top of -inf only feeds exp -> 0
+        rest = np.exp(x - top)
+    np.put_along_axis(rest, top_at, 0.0, axis=-1)
+    return top[..., 0] + np.log1p(rest.sum(axis=-1))
+
+
+def _logistic(t: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-t)), evaluated through exp(-|t|) <= 1 so it never overflows."""
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def variance_uncertainty(pred: GpPrediction) -> np.ndarray:

@@ -45,7 +45,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .gp_layer import GpPrediction, RffGpLayer, mc_softmax, softmax
+from .gp_layer import GpPrediction, NonFiniteRowError, RffGpLayer, mc_softmax, softmax
 from .linalg import RngState
 from .nn import SgdMomentum, build_res_ffn, clamp_network, normalize_network
 
@@ -245,7 +245,9 @@ class SngpModel:
         asked for.  Rows pass through the network, the random features and the
         variance ``PREDICT_BLOCK_ROWS`` at a time into the preallocated outputs,
         so the network tape and the (rows, D) features never exceed one block.
-        A row holding NaN or inf raises ``ValueError`` naming the first one."""
+        A row holding NaN or inf raises ``ValueError`` naming the first one, and
+        so, for a GP head, does a finite row whose hidden features or their
+        layer-norm variance overflow (``NonFiniteRowError``)."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError(f"expected an (N, d) input, got shape {x.shape}")
@@ -255,13 +257,18 @@ class SngpModel:
         n = x.shape[0]
         means = np.empty((n, self.num_classes))
         variances = np.zeros((n, self.num_classes)) if variance else None
+        if variance and self.has_gp_head:
+            self.head.covariances()  # built before any feature block is alive
         for lo in range(0, n, PREDICT_BLOCK_ROWS):
             rows = slice(lo, lo + PREDICT_BLOCK_ROWS)
             h = self.hidden(x[rows])[0]  # the block's network tape is dropped here
             if not self.has_gp_head:
                 means[rows] = self.head.logits(h)
                 continue
-            phi = self.head.rff_features(h)
+            try:
+                phi = self.head.rff_features(h)
+            except NonFiniteRowError as exc:
+                raise NonFiniteRowError(lo + exc.row, exc.reason) from None
             means[rows] = self.head.logits(phi)
             if variance:
                 variances[rows] = self.head.predictive_variance_batch(phi)
@@ -293,7 +300,11 @@ def loss_and_grads(model: SngpModel, batch_x: np.ndarray, batch_y: np.ndarray,
     h, tape = model.hidden(batch_x, train_mode=train_mode, rng=rng)
 
     if model.has_gp_head:
-        phi, gp_tape = model.head.features_with_tape(h)
+        try:
+            phi, gp_tape = model.head.features_with_tape(h)
+        except NonFiniteRowError as exc:  # would have made the loss NaN
+            raise TrainingDivergedError(f"non-finite features on a batch of {m} samples: "
+                                        f"{exc}") from None
         logits = model.head.logits(phi)
         head_weights = model.head.beta
     else:

@@ -3,11 +3,13 @@
 These deliberately avoid the code paths they verify: the Jacobi rotation
 eigensolver checks power iteration and spectral normalization, the O(N^2)
 pair counter and the rank sum over ``scipy.stats.rankdata`` ranks check the
-rank-based AUROC, and the central-difference gradient checker checks manual
-backprop.
+rank-based AUROC, ``scipy.special`` checks the Dempster-Shafer score, and the
+central-difference gradient checker checks manual backprop.  SciPy is a test
+dependency only; the package itself is NumPy.
 """
 
 import numpy as np
+from scipy.special import expit, logsumexp
 from scipy.stats import rankdata
 
 
@@ -68,6 +70,12 @@ def auroc_scipy_ranks(scores: np.ndarray, flags: np.ndarray) -> float:
     n_pos = int(flags.sum())
     n_neg = flags.size - n_pos
     return (float(ranks[flags].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def dempster_shafer_scipy(logits: np.ndarray) -> np.ndarray:
+    """K / (K + sum_k exp(logit_k)) per row, through SciPy's ``logsumexp`` and
+    ``expit``."""
+    return expit(np.log(logits.shape[-1]) - logsumexp(logits, axis=-1))
 
 
 def finite_diff_gradients(loss_fn, params: dict[str, np.ndarray],

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -274,6 +276,21 @@ class TestEvalCommand:
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data_csv)]) == EXIT_USAGE
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("magnitude", ["1e155", "1e300", "1e306"])
+    def test_overflowing_hidden_row_exits_2(self, tmp_path, magnitude, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        cfg = write_config(tmp_path, epochs=1, use_layer_norm="true")
+        assert main(["train", "--config", cfg, "--out", str(ckpt)]) == EXIT_OK
+        data_csv = tmp_path / "data.csv"
+        data_csv.write_text(f"x1,x2,label\n0.1,0.2,0\n{magnitude},{magnitude},1\n0.5,0.6,1\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data_csv)])
+        assert code == EXIT_USAGE
+        assert "row 1: layer-norm variance of the hidden features is not finite" in (
+            capsys.readouterr().err)
 
     def test_missing_checkpoint_exits_2(self, tmp_path):
         code = main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"),

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from sngp.gp_layer import RffGpLayer, mc_softmax, softmax
+from sngp.gp_layer import NonFiniteRowError, RffGpLayer, mc_softmax, softmax
 from sngp.linalg import NotSpdError, RngState, spd_factor, spd_solve_factored
 
 
@@ -84,6 +86,35 @@ class TestRffFeatures:
         phi = layer.rff_features(RngState(31).normal(16))
         assert phi.shape == (128,)
         assert np.all(np.abs(phi) <= np.sqrt(2.0 / 128) + 1e-15)
+
+    @pytest.mark.parametrize("use_layer_norm", [True, False])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_hidden_row_is_named(self, use_layer_norm, bad):
+        layer = make_layer(in_dim=4, use_layer_norm=use_layer_norm)
+        h = RngState(34).normal_matrix(5, 4)
+        h[2, 1] = bad
+        h[4, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteRowError, match="^row 2: hidden features are not finite"):
+                layer.features_with_tape(h)
+
+    @pytest.mark.parametrize("magnitude", [1e155, 1e300, 1.7e308])
+    def test_layer_norm_overflow_is_named(self, magnitude):
+        layer = make_layer(in_dim=4, use_layer_norm=True)
+        h = RngState(35).normal_matrix(3, 4)
+        h[1] = [magnitude, -magnitude, 0.0, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteRowError, match="^row 1: layer-norm variance") as info:
+                layer.features_with_tape(h)
+        assert info.value.row == 1
+        assert isinstance(info.value, ValueError)
+
+    def test_large_finite_rows_without_layer_norm_pass(self):
+        layer = make_layer(in_dim=4, use_layer_norm=False)
+        phi = layer.rff_features(np.full((2, 4), 1e155))
+        assert np.all(np.isfinite(phi))
 
     def test_feature_tape_matches_plain_features(self):
         for kwargs in ({"use_layer_norm": True}, {"projection_dim": 3},

@@ -51,6 +51,64 @@ class TestSolveSpd:
         assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) <= 1e-10
 
 
+def spd_with_condition(n, cond, seed):
+    """A symmetric matrix with eigenvalues log-spaced over [1, cond]."""
+    q, _ = np.linalg.qr(RngState(seed).normal_matrix(n, n))
+    a = (q * np.logspace(0.0, np.log10(cond), n)) @ q.T
+    return 0.5 * (a + a.T)
+
+
+SIZES = [1, 2, 127, 128, 129, 300, 1024]  # around and across the 128 leaf
+
+
+class TestInverseFactor:
+    @pytest.mark.parametrize("cond", [10.0, 1e8])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_solve_matches_numpy_solve(self, n, cond):
+        a = spd_with_condition(n, cond, seed=n)
+        b = RngState(n + 1).normal_matrix(n, 3)
+        x = solve_spd(a, b)
+        expected = np.linalg.solve(a, b)
+        # Both solves are accurate to about cond * eps in norm; measured
+        # ratios are at most 0.5 of that, so 4 * cond * eps leaves room.
+        rtol = 4.0 * cond * np.finfo(np.float64).eps
+        assert np.linalg.norm(x - expected) <= rtol * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_factor_is_exactly_lower_triangular(self, n):
+        w = spd_factor(spd_with_condition(n, 1e4, seed=n))
+        assert w.shape == (n, n)
+        assert np.all(np.triu(w, 1) == 0.0)
+        assert np.all(np.diag(w) > 0.0)
+
+    def test_factor_gives_the_inverse(self):
+        a = spd_with_condition(300, 1e3, seed=5)
+        w = spd_factor(a)
+        inv = np.linalg.inv(a)
+        assert np.abs(w.T @ w - inv).max() <= 1e-12 * np.abs(inv).max()
+
+    def test_solves_a_vector(self):
+        a = spd_with_condition(129, 100.0, seed=6)
+        b = RngState(7).normal(129)
+        x = solve_spd(a, b)
+        assert x.shape == (129,)
+        assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("a", [
+        -np.eye(200),
+        np.diag([1.0, 1.0, 0.0]),
+        np.full((3, 3), np.nan),
+        np.array([[1.0, np.nan], [np.nan, 1.0]]),
+        np.array([[1.0, 0.0], [0.0, np.nan]]),
+        np.array([[np.inf, 0.0], [0.0, 1.0]]),
+        np.array([[1.0, np.inf], [np.inf, 1.0]]),
+    ], ids=["indefinite_200", "singular", "all_nan", "nan_off_diagonal", "nan_diagonal",
+            "inf_diagonal", "inf_off_diagonal"])
+    def test_not_spd_or_not_finite_raises(self, a):
+        with pytest.raises(NotSpdError):
+            spd_factor(a)
+
+
 class TestPowerIteration:
     def test_identity_all_singular_values_equal(self):
         sigma, _ = power_iteration(np.eye(3), iters=1, u0=np.array([1.0, 2.0, 0.5]))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,7 @@ from sngp.linalg import RngState
 from sngp.metrics import (PredictionSet, accuracy, auroc, aupr, brier, dempster_shafer,
                           ece, ece_bin_table, metrics_report, nll)
 
-from oracles import auroc_pair_counting, auroc_scipy_ranks
+from oracles import auroc_pair_counting, auroc_scipy_ranks, dempster_shafer_scipy
 
 
 def preds_from(probs, labels):
@@ -188,11 +190,36 @@ class TestDempsterShafer:
         with pytest.raises(ValueError):
             dempster_shafer(np.array([np.nan, 0.0]))
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 10])
+    def test_matches_scipy_within_4_ulp(self, k):
+        rng = RngState(40 + k)
+        logits = np.concatenate([scale * rng.normal_matrix(2000, k)
+                                 for scale in (1e-3, 1.0, 10.0, 100.0)])
+        ours, oracle = dempster_shafer(logits), dempster_shafer_scipy(logits)
+        assert np.all(np.abs(ours - oracle) <= 4.0 * np.spacing(oracle))
+
+    def test_limits_at_huge_logits(self):
+        big = 1e300
+        logits = np.array([[big, big], [-big, -big], [big, -big], [0.0, big], [0.0, -big]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = dempster_shafer(logits)
+            ds3 = dempster_shafer(np.full((1, 3), -big))
+        assert ds.tolist() == [0.0, 1.0, 0.0, 0.0, 2.0 / 3.0]
+        assert ds3.tolist() == [1.0]
+
 
 class TestPredictionSet:
     def test_rejects_off_simplex(self):
         with pytest.raises(ValueError):
             PredictionSet(probs=np.array([[0.7, 0.7]]), labels=np.array([0]))
+
+    @pytest.mark.parametrize("probs", [[[np.nan, 0.5]], [[np.nan, np.nan]],
+                                       [[0.5, 0.5], [1.0, np.nan]]])
+    def test_rejects_nan_probabilities(self, probs):
+        probs = np.array(probs)
+        with pytest.raises(ValueError, match="simplex"):
+            PredictionSet(probs=probs, labels=np.zeros(len(probs), dtype=int))
 
     def test_accuracy(self):
         ps = preds_from([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]], [0, 1, 1])

@@ -1,11 +1,12 @@
 import tracemalloc
+import warnings
 from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sngp.gp_layer import GpPrediction, mc_softmax, softmax
+from sngp.gp_layer import GpPrediction, NonFiniteRowError, mc_softmax, softmax
 from sngp.linalg import RngState
 from sngp.metrics import dempster_shafer, margin_uncertainty, variance_uncertainty
 from sngp.train import (PREDICT_BLOCK_ROWS, ModelSpec, TrainConfig, TrainReport,
@@ -39,6 +40,16 @@ class TestLossAndGrads:
         x, y = toy_batch()
         loss, _ = loss_and_grads(model, x, y, train_mode=False)
         assert loss == pytest.approx(np.log(2.0))
+
+    def test_overflowing_features_count_as_divergence(self):
+        # Layer norm hides the scale from the loss, so the feature check is
+        # what reports a blown-up hidden row, as the non-finite-loss guard did.
+        x, y = toy_batch()
+        x[4] = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError, match="row 4: layer-norm variance"):
+                loss_and_grads(small_model(), x, y, train_mode=False)
 
     def test_saturated_ce_leaves_l2_term(self):
         model = small_model(gp_head=False)
@@ -359,6 +370,27 @@ class TestPredictBlocks:
         x[5, 0] = np.nan
         with pytest.raises(ValueError, match="input row 3 is not finite"):
             predict_batch(small_model(seed=63), x, rng=RngState(0))
+
+    @pytest.mark.parametrize("magnitude", [1e155, 1e300, 1e306])
+    def test_overflowing_row_is_named_across_blocks(self, magnitude):
+        # Past the first block, so the row number counts from the input's start.
+        b = PREDICT_BLOCK_ROWS
+        x = RngState(64).normal_matrix(2 * b + 3, 2)
+        x[b + 5] = magnitude
+        x[2 * b + 1] = -magnitude
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteRowError, match=f"^row {b + 5}: layer-norm variance"):
+                predict_batch(small_model(seed=63), x, rng=RngState(0))
+
+    def test_covariance_is_built_before_any_feature_block(self, monkeypatch):
+        model = self.fitted("sngp")
+        seen = []
+        features = model.head.rff_features
+        monkeypatch.setattr(model.head, "rff_features",
+                            lambda h: seen.append(model.head._factors is not None) or features(h))
+        predict_batch(model, np.zeros((3, 2)), rng=RngState(0))
+        assert seen == [True]
 
 
 class TestModelSpec:
