@@ -139,18 +139,11 @@ def _make_dataset(cfg: RunConfig) -> data_mod.Dataset2D:
     return data_mod.gen_two_ovals(cfg.n_per_class, cfg.data_seed)
 
 
-def _variant_spec(cfg: RunConfig) -> ModelSpec:
-    """The model the config describes on its 2-D, two-class data; the variant
-    tag sets the rest (``build_variant``)."""
-    return ModelSpec(**{f.name: getattr(cfg, f.name)
-                        for f in fields(ModelSpec) if hasattr(cfg, f.name)})
-
-
-def _train_config(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
-                       learning_rate=cfg.learning_rate, momentum=cfg.momentum,
-                       l2_beta=cfg.l2_beta, seed=cfg.seed, mc_samples=cfg.mc_samples,
-                       precision_exact=cfg.precision_exact)
+def _from_config(cls, cfg: RunConfig):
+    """A ``ModelSpec`` or ``TrainConfig`` taking each field the run config
+    has under the same name.  A model spec describes the config's 2-D,
+    two-class data; the variant tag sets the rest (``build_variant``)."""
+    return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls) if hasattr(cfg, f.name)})
 
 
 # -- models behind one prediction interface --------------------------------------
@@ -224,17 +217,11 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _echo_meta(cfg: RunConfig) -> dict:
-    meta = {"format_version": FORMAT_VERSION}
-    meta.update({f"config.{k}": v for k, v in cfg.echo().items()})
-    return meta
-
-
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
     ds = _make_dataset(cfg)
-    spec = _variant_spec(cfg)
-    tcfg = _train_config(cfg)
+    spec = _from_config(ModelSpec, cfg)
+    tcfg = _from_config(TrainConfig, cfg)
     reports = []
     if cfg.variant == "deep_ensemble":
         ens = train_ensemble(spec, cfg.ensemble_size, ds.points, ds.labels, tcfg)
@@ -347,8 +334,8 @@ def cmd_compare(args) -> int:
         if v not in VARIANT_TAGS:
             raise ValueError(f"unknown variant {v!r}")
     ds = _make_dataset(cfg)
-    spec = _variant_spec(cfg)
-    tcfg = _train_config(cfg)
+    spec = _from_config(ModelSpec, cfg)
+    tcfg = _from_config(TrainConfig, cfg)
     columns = ["variant", "accuracy", "ece", "nll", "brier", "auroc", "aupr"]
     rows = []
     for tag in variants:

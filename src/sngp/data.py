@@ -58,10 +58,6 @@ class Dataset2D:
         if not np.all(np.isfinite(self.points)):
             raise ValueError("non-finite coordinates")
 
-    @property
-    def num_classes(self) -> int:
-        return int(self.labels.max()) + 1
-
 
 @dataclass
 class EvalGrid:
@@ -96,7 +92,6 @@ def gen_two_ovals(n_per_class: int, seed: int, n_ood: int | None = None) -> Data
     if n_per_class < 1:
         raise ValueError("n_per_class must be >= 1")
     rng = RngState(seed).derive("two_ovals")
-    n_ood = n_per_class if n_ood is None else n_ood
     pts = []
     labels = []
     for cls, cx in enumerate((-OVAL_CENTER_X, OVAL_CENTER_X)):
@@ -104,12 +99,9 @@ def gen_two_ovals(n_per_class: int, seed: int, n_ood: int | None = None) -> Data
         y = OVAL_SD_FLAT * rng.normal(n_per_class)
         pts.append(np.column_stack([x, y]))
         labels.append(np.full(n_per_class, cls))
-    ood = np.column_stack([
-        OOD_CENTER[0] + OOD_SD * rng.normal(n_ood),
-        OOD_CENTER[1] + OOD_SD * rng.normal(n_ood),
-    ])
     return Dataset2D(points=np.vstack(pts), labels=np.concatenate(labels),
-                     ood_points=ood, name="two_ovals", seed=seed)
+                     ood_points=_ood_cluster(rng, n_per_class if n_ood is None else n_ood),
+                     name="two_ovals", seed=seed)
 
 
 def gen_two_moons(n_per_class: int, noise_sd: float = MOON_NOISE_DEFAULT, seed: int = 0,
@@ -122,10 +114,9 @@ def gen_two_moons(n_per_class: int, noise_sd: float = MOON_NOISE_DEFAULT, seed: 
     """
     if n_per_class < 1:
         raise ValueError("n_per_class must be >= 1")
-    if noise_sd < 0.0:
-        raise ValueError("noise_sd must be >= 0")
+    if not noise_sd >= 0.0:  # NaN fails too
+        raise ValueError(f"noise_sd must be >= 0, got {noise_sd!r}")
     rng = RngState(seed).derive("two_moons")
-    n_ood = n_per_class if n_ood is None else n_ood
     t = np.linspace(0.0, np.pi, n_per_class)
     upper = np.column_stack([np.cos(t), np.sin(t)])
     lower = np.column_stack([1.0 - np.cos(t), 0.5 - np.sin(t)])
@@ -133,11 +124,15 @@ def gen_two_moons(n_per_class: int, noise_sd: float = MOON_NOISE_DEFAULT, seed: 
     if noise_sd > 0.0:
         pts = pts + noise_sd * rng.normal(pts.size).reshape(pts.shape)
     labels = np.concatenate([np.zeros(n_per_class, dtype=int), np.ones(n_per_class, dtype=int)])
-    ood = np.column_stack([
-        OOD_CENTER[0] + OOD_SD * rng.normal(n_ood),
-        OOD_CENTER[1] + OOD_SD * rng.normal(n_ood),
-    ])
-    return Dataset2D(points=pts, labels=labels, ood_points=ood, name="two_moons", seed=seed)
+    return Dataset2D(points=pts, labels=labels,
+                     ood_points=_ood_cluster(rng, n_per_class if n_ood is None else n_ood),
+                     name="two_moons", seed=seed)
+
+
+def _ood_cluster(rng: RngState, n: int) -> np.ndarray:
+    """The held-out cluster both benchmarks share, drawn after their classes."""
+    return np.column_stack([OOD_CENTER[0] + OOD_SD * rng.normal(n),
+                            OOD_CENTER[1] + OOD_SD * rng.normal(n)])
 
 
 def gen_grid(bounds: tuple[float, float, float, float], resolution: tuple[int, int]) -> EvalGrid:
@@ -189,10 +184,12 @@ def dataset_to_csv(ds: Dataset2D, path: str, meta: dict | None = None) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def dataset_from_csv(path: str, name: str = "", seed: int = 0) -> Dataset2D:
-    points, labels, ood = [], [], []
+def _csv_rows(path: str, header: str, third: type):
+    """Yield ``(x1, x2, value)`` for each data row of a CSV with the given
+    header, the third column parsed by ``third``; comment and blank lines are
+    skipped, and a malformed row raises ``CsvFormatError`` naming its line."""
     with open(path, "r", encoding="ascii") as f:
-        start = _read_header(f, "x1,x2,label")
+        start = _read_header(f, header)
         for lineno, line in enumerate(f, start=start + 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -201,14 +198,20 @@ def dataset_from_csv(path: str, name: str = "", seed: int = 0) -> Dataset2D:
             if len(parts) != 3:
                 raise CsvFormatError(f"line {lineno}: expected 3 fields, got {len(parts)}")
             try:
-                x1, x2, lab = float(parts[0]), float(parts[1]), int(parts[2])
+                row = float(parts[0]), float(parts[1]), third(parts[2])
             except ValueError as exc:
                 raise CsvFormatError(f"line {lineno}: {exc}") from exc
-            if lab == -1:
-                ood.append((x1, x2))
-            else:
-                points.append((x1, x2))
-                labels.append(lab)
+            yield row
+
+
+def dataset_from_csv(path: str, name: str = "", seed: int = 0) -> Dataset2D:
+    points, labels, ood = [], [], []
+    for x1, x2, lab in _csv_rows(path, "x1,x2,label", int):
+        if lab == -1:
+            ood.append((x1, x2))
+        else:
+            points.append((x1, x2))
+            labels.append(lab)
     if not points:
         raise CsvFormatError("no labeled rows found")
     return Dataset2D(points=np.array(points, dtype=np.float64),
@@ -230,20 +233,9 @@ def surface_to_csv(points: np.ndarray, values: np.ndarray, path: str,
 
 def surface_from_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     pts, vals = [], []
-    with open(path, "r", encoding="ascii") as f:
-        start = _read_header(f, "x1,x2,value")
-        for lineno, line in enumerate(f, start=start + 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise CsvFormatError(f"line {lineno}: expected 3 fields, got {len(parts)}")
-            try:
-                pts.append((float(parts[0]), float(parts[1])))
-                vals.append(float(parts[2]))
-            except ValueError as exc:
-                raise CsvFormatError(f"line {lineno}: {exc}") from exc
+    for x1, x2, value in _csv_rows(path, "x1,x2,value", float):
+        pts.append((x1, x2))
+        vals.append(value)
     return np.array(pts, dtype=np.float64), np.array(vals, dtype=np.float64)
 
 

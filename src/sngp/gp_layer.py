@@ -18,10 +18,9 @@ posterior is Gaussian with a closed-form per-class precision
 accumulated over data (``update_precision_exact``), or tracked with a
 discounted moving average during the final training epoch
 (``update_precision_minibatch``; previous precision weighted ``m``, fresh
-minibatch term weighted ``1 - m``).  With ``shared_precision`` one matrix
-built from the class-mean weights serves every class; for K = 2 it is always
-used, because ``p_0 (1 - p_0) = p_1 (1 - p_1)`` makes the two per-class
-matrices equal.
+minibatch term weighted ``1 - m``).  A K = 2 head stores one matrix, built
+from the class-mean weights, because ``p_0 (1 - p_0) = p_1 (1 - p_1)`` makes
+the two per-class matrices equal (``num_precisions``).
 
 Predictive variance for class k is ``phi^T Sigma_k phi`` with the covariance
 ``Sigma_k = precision_k^{-1} = W_k^T W_k``, where ``W_k`` is the inverse
@@ -29,10 +28,10 @@ Cholesky factor from ``linalg.spd_factor``.  Each distinct covariance is
 built once, in NumPy matrix products, and cached until the precision changes,
 so a batch of variances costs one matrix product per stored precision.
 
-A hidden row that is not finite, or so large that its layer-norm variance
-overflows, has no meaningful features: ``features_with_tape`` raises
-``NonFiniteRowError`` (a ``ValueError``) naming the first such row instead of
-returning NaN features.
+The feature pipeline takes a (batch, in_dim) matrix of hidden rows.  A row
+that is not finite, or so large that its layer-norm variance overflows, has no
+meaningful features: ``features_with_tape`` raises ``NonFiniteRowError`` (a
+``ValueError``) naming the first such row instead of returning NaN features.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ LAYER_NORM_EPS = 1e-6
 
 
 class NonFiniteRowError(ValueError):
-    """A row whose hidden features, or their layer-norm variance, are not finite."""
+    """A row whose hidden features, or a quantity computed from them, are not finite."""
 
     def __init__(self, row: int, reason: str):
         super().__init__(f"row {row}: {reason}")
@@ -67,12 +66,11 @@ class GpPrediction:
 
 class RffGpLayer:
     """Frozen random-feature frontend plus trainable output weights and
-    Laplace precision matrices (one per class, or one shared)."""
+    Laplace precision matrices (``num_precisions`` of them)."""
 
     def __init__(self, in_dim: int, num_features: int, num_classes: int, rng: RngState,
                  length_scale: float = 2.0, ridge_s: float = 0.001, discount_m: float = 0.999,
-                 use_layer_norm: bool = True, projection_dim: int | None = None,
-                 shared_precision: bool = False):
+                 use_layer_norm: bool = True, projection_dim: int | None = None):
         if not length_scale > 0.0:
             raise ValueError("length_scale must be positive")
         if not ridge_s > 0.0:
@@ -86,8 +84,6 @@ class RffGpLayer:
         self.ridge_s = float(ridge_s)
         self.discount_m = float(discount_m)
         self.use_layer_norm = use_layer_norm
-        # For K = 2 the per-class Fisher weights coincide, so one matrix is exact.
-        self.shared_precision = shared_precision or num_classes == 2
 
         if projection_dim is not None:
             self.input_projection = rng.derive("gp_proj").normal_matrix(projection_dim, in_dim)
@@ -105,27 +101,22 @@ class RffGpLayer:
     # -- feature pipeline ---------------------------------------------------
 
     def rff_features(self, h: np.ndarray) -> np.ndarray:
-        """Cosine features of one hidden vector or a (batch, in_dim) matrix.
-
-        Every entry is bounded by sqrt(2 / num_features).
-        """
-        h = np.asarray(h, dtype=np.float64)
-        single = h.ndim == 1
-        if single:
-            h = h[None, :]
-        phi, _ = self.features_with_tape(h)
-        return phi[0] if single else phi
+        """(batch, num_features) cosine features of a (batch, in_dim) matrix,
+        every entry bounded by sqrt(2 / num_features)."""
+        return self.features_with_tape(h)[0]
 
     def features_with_tape(self, h: np.ndarray) -> tuple[np.ndarray, dict]:
         """Batch features plus the intermediates needed for backprop into h.
 
-        Raises ``NonFiniteRowError`` for the first row of the (batch, in_dim)
-        ``h`` whose hidden features, or their layer-norm variance, are not
-        finite; the check itself warns about nothing.
+        ``h`` must be (batch, in_dim); anything else raises ``ValueError``.
+        Raises ``NonFiniteRowError`` for the first row whose hidden features,
+        or their layer-norm variance, are not finite; the check itself warns
+        about nothing.
         """
         h = np.asarray(h, dtype=np.float64)
-        if h.shape[-1] != self.in_dim:
-            raise ValueError(f"expected hidden dim {self.in_dim}, got {h.shape[-1]}")
+        if h.ndim != 2 or h.shape[1] != self.in_dim:
+            raise ValueError(f"expected hidden features of shape (batch, {self.in_dim}), "
+                             f"got {h.shape}")
         tape: dict = {}
         x = h
         if self.use_layer_norm:
@@ -134,13 +125,13 @@ class RffGpLayer:
             with np.errstate(over="ignore", invalid="ignore"):
                 mu = x.mean(axis=-1, keepdims=True)
                 var = x.var(axis=-1, keepdims=True)
-            _check_rows(np.isfinite(var[:, 0]), h)
+            check_rows(np.isfinite(var[:, 0]), h, "layer-norm variance of the hidden features is")
             inv_sd = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
             x = (x - mu) * inv_sd
             tape["ln_out"] = x
             tape["ln_inv_sd"] = inv_sd
         else:
-            _check_rows(np.isfinite(h).all(axis=1), h)
+            check_rows(np.isfinite(h).all(axis=1), h, "hidden features are")
         if self.input_projection is not None:
             x = x @ self.input_projection.T
         z = x @ self.w_fixed.T
@@ -174,20 +165,18 @@ class RffGpLayer:
 
     # -- Laplace posterior precision -----------------------------------------
 
-    def _num_precision(self) -> int:
-        return 1 if self.shared_precision else self.num_classes
-
     def reset_precision(self) -> None:
         """Set every stored precision to ridge_s * I."""
         eye = np.eye(self.num_features)
-        self.precision = [self.ridge_s * eye.copy() for _ in range(self._num_precision())]
+        self.precision = [self.ridge_s * eye.copy()
+                          for _ in range(num_precisions(self.num_classes))]
         self._factors = None
 
     def _fisher_terms(self, phi_batch: np.ndarray, probs_batch: np.ndarray) -> list[np.ndarray]:
         """Sums w_i phi_i phi_i^T, symmetrized exactly, one per stored precision:
-        w_ik = p_ik (1 - p_ik) per class, or its class mean when shared."""
+        w_ik = p_ik (1 - p_ik) per class, or its class mean for one stored matrix."""
         weights = probs_batch * (1.0 - probs_batch)
-        if self.shared_precision:
+        if len(self.precision) == 1:
             weights = weights.mean(axis=1, keepdims=True)
         terms = []
         for k in range(weights.shape[1]):
@@ -209,11 +198,6 @@ class RffGpLayer:
         """
         phi_batch = np.asarray(phi_batch, dtype=np.float64)
         probs_batch = np.asarray(probs_batch, dtype=np.float64)
-        if phi_batch.shape[0] == 0:
-            for p in self.precision:
-                p *= self.discount_m
-            self._factors = None
-            return
         self._check_batch(phi_batch, probs_batch)
         terms = self._fisher_terms(phi_batch, probs_batch)
         for p, t in zip(self.precision, terms):
@@ -226,8 +210,6 @@ class RffGpLayer:
         self.reset_precision()
         phi_all = np.asarray(phi_all, dtype=np.float64)
         probs_all = np.asarray(probs_all, dtype=np.float64)
-        if phi_all.shape[0] == 0:
-            return
         self._check_batch(phi_all, probs_all)
         terms = self._fisher_terms(phi_all, probs_all)
         for p, t in zip(self.precision, terms):
@@ -246,27 +228,31 @@ class RffGpLayer:
                 raise NotSpdError(f"precision matrix lost positive definiteness: {exc}") from exc
         return self._factors
 
-    def predictive_variance(self, phi: np.ndarray, k: int) -> float:
-        """Posterior logit variance phi^T precision_k^{-1} phi (always >= 0)."""
-        return float(self.predictive_variance_batch(np.asarray(phi)[None, :])[0, k])
-
     def predictive_variance_batch(self, phi_batch: np.ndarray) -> np.ndarray:
-        """(batch, K) logit variances, one matrix product per stored precision."""
+        """(batch, K) logit variances phi^T precision_k^{-1} phi (each >= 0),
+        one matrix product per stored precision."""
         phi_batch = np.asarray(phi_batch, dtype=np.float64)
         columns = [np.einsum("ij,ij->i", phi_batch @ cov, phi_batch)
                    for cov in self.covariances()]
-        if self.shared_precision:
+        if len(columns) == 1:
             columns *= self.num_classes
         return np.maximum(np.stack(columns, axis=1), 0.0)
 
 
-def _check_rows(finite: np.ndarray, h: np.ndarray) -> None:
-    """Raise ``NonFiniteRowError`` for the first row of ``h`` not marked finite."""
+def num_precisions(num_classes: int) -> int:
+    """Precision matrices a head of ``num_classes`` classes stores: one per
+    class, but one for K = 2, whose two per-class Fisher weights coincide."""
+    return 1 if num_classes == 2 else num_classes
+
+
+def check_rows(finite: np.ndarray, h: np.ndarray, derived: str) -> None:
+    """Raise ``NonFiniteRowError`` for the first row not marked ``finite``:
+    its hidden features in ``h`` are not finite, or else ``derived`` (what was
+    computed from them) is not."""
     if finite.all():
         return
     row = int(np.flatnonzero(~finite)[0])
-    what = ("hidden features are" if not np.isfinite(h[row]).all()
-            else "layer-norm variance of the hidden features is")
+    what = "hidden features are" if not np.isfinite(h[row]).all() else derived
     raise NonFiniteRowError(row, f"{what} not finite")
 
 

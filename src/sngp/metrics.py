@@ -50,10 +50,6 @@ class PredictionSet:
             raise ValueError("probs rows must lie on the simplex")
 
 
-def accuracy(preds: PredictionSet) -> float:
-    return float(np.mean(np.argmax(preds.probs, axis=1) == preds.labels))
-
-
 def ece(preds: PredictionSet, num_bins: int = 15) -> float:
     """Expected calibration error over equal-width confidence bins: the
     count-weighted mean |accuracy - confidence| of the ``ece_bin_table`` rows."""

@@ -252,8 +252,8 @@ class SgdMomentum:
     """
 
     def __init__(self, learning_rate: float, momentum: float = 0.0):
-        if learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not learning_rate > 0.0:  # NaN fails too
+            raise ValueError(f"learning_rate must be positive, got {learning_rate!r}")
         if not 0.0 <= momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         self.learning_rate = learning_rate

@@ -45,7 +45,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .gp_layer import GpPrediction, NonFiniteRowError, RffGpLayer, mc_softmax, softmax
+from .gp_layer import (GpPrediction, NonFiniteRowError, RffGpLayer, check_rows, mc_softmax,
+                       num_precisions, softmax)
 from .linalg import RngState
 from .nn import SgdMomentum, build_res_ffn, clamp_network, normalize_network
 
@@ -67,8 +68,6 @@ class DenseHead:
         scale = np.sqrt(1.0 / in_dim)
         self.weight = scale * rng.normal_matrix(num_classes, in_dim)
         self.bias = np.zeros(num_classes)
-        self.num_classes = num_classes
-        self.in_dim = in_dim
 
     def logits(self, h: np.ndarray) -> np.ndarray:
         return h @ self.weight.T + self.bias
@@ -82,20 +81,20 @@ class TrainConfig:
     momentum: float = 0.9
     l2_beta: float = 0.0
     seed: int = 0
-    mc_samples: int = 10
     precision_exact: bool = False
 
     def __post_init__(self):
+        # Written as ``not x > 0`` and so on, so that NaN fails too.
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not self.learning_rate > 0.0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
         if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.mc_samples < 1:
-            raise ValueError("mc_samples must be >= 1")
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
+        if not self.l2_beta >= 0.0:
+            raise ValueError(f"l2_beta must be >= 0, got {self.l2_beta!r}")
 
 
 @dataclass
@@ -246,8 +245,10 @@ class SngpModel:
         variance ``PREDICT_BLOCK_ROWS`` at a time into the preallocated outputs,
         so the network tape and the (rows, D) features never exceed one block.
         A row holding NaN or inf raises ``ValueError`` naming the first one, and
-        so, for a GP head, does a finite row whose hidden features or their
-        layer-norm variance overflow (``NonFiniteRowError``)."""
+        so does a finite row whose hidden features, their layer-norm variance
+        or its mean logits overflow (``NonFiniteRowError``, counted from the
+        input's start); the network and head run under ``np.errstate`` so that
+        such a row warns about nothing."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError(f"expected an (N, d) input, got shape {x.shape}")
@@ -261,16 +262,15 @@ class SngpModel:
             self.head.covariances()  # built before any feature block is alive
         for lo in range(0, n, PREDICT_BLOCK_ROWS):
             rows = slice(lo, lo + PREDICT_BLOCK_ROWS)
-            h = self.hidden(x[rows])[0]  # the block's network tape is dropped here
-            if not self.has_gp_head:
-                means[rows] = self.head.logits(h)
-                continue
             try:
-                phi = self.head.rff_features(h)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    h = self.hidden(x[rows])[0]  # the block's network tape is dropped here
+                    phi = self.head.rff_features(h) if self.has_gp_head else h
+                    means[rows] = self.head.logits(phi)
+                check_rows(np.isfinite(means[rows]).all(axis=1), h, "mean logits are")
             except NonFiniteRowError as exc:
                 raise NonFiniteRowError(lo + exc.row, exc.reason) from None
-            means[rows] = self.head.logits(phi)
-            if variance:
+            if variance and self.has_gp_head:
                 variances[rows] = self.head.predictive_variance_batch(phi)
         return means, variances
 
@@ -390,10 +390,7 @@ def train(model: SngpModel, points: np.ndarray, labels: np.ndarray, config: Trai
             if collect_precision:
                 if hooks:
                     hooks("precision_update", epoch, step)
-                h_eval = model.hidden(bx, train_mode=False)[0]
-                phi = model.head.rff_features(h_eval)
-                probs = softmax(model.head.logits(phi))
-                model.head.update_precision_minibatch(phi, probs)
+                model.head.update_precision_minibatch(*_features_and_probs(model, bx))
             epoch_loss += loss
             num_batches += 1
             step += 1
@@ -407,16 +404,20 @@ def train(model: SngpModel, points: np.ndarray, labels: np.ndarray, config: Trai
     if model.has_gp_head and config.precision_exact and config.epochs > 0:
         if hooks:
             hooks("precision_update", config.epochs - 1, step)
-        h_eval = model.hidden(points, train_mode=False)[0]
-        phi = model.head.rff_features(h_eval)
-        probs = softmax(model.head.logits(phi))
-        model.head.update_precision_exact(phi, probs)
+        model.head.update_precision_exact(*_features_and_probs(model, points))
 
     if config.epochs > 0:
         logits = model.eval_logits(points)
         report.final_train_accuracy = float(np.mean(np.argmax(logits, axis=1) == labels))
     report.wall_clock_s = time.perf_counter() - start
     return report
+
+
+def _features_and_probs(model: SngpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluation-mode random features of ``x`` and the model's probabilities
+    on them: the inputs of a precision update."""
+    phi = model.head.rff_features(model.hidden(x, train_mode=False)[0])
+    return phi, softmax(model.head.logits(phi))
 
 
 # -- prediction ---------------------------------------------------------------
@@ -470,7 +471,7 @@ def _array_layout(spec: ModelSpec) -> Iterator[tuple[str, tuple[int, ...],
     yield "head.w_fixed", (d, feat_in), lambda m: m.head.w_fixed
     yield "head.b_fixed", (d,), lambda m: m.head.b_fixed
     yield "head.beta", (k, d), lambda m: m.head.beta
-    for j in range(1 if k == 2 else k):  # a binary head shares one precision
+    for j in range(num_precisions(k)):
         yield f"head.precision{j}", (d, d), lambda m, j=j: m.head.precision[j]
     if spec.gp_projection_dim is not None:
         yield "head.input_projection", (feat_in, in_dim), lambda m: m.head.input_projection

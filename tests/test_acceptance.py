@@ -270,10 +270,10 @@ def test_criterion_9_reversion_to_prior():
     cfg = TrainConfig(epochs=5, batch_size=25, learning_rate=0.1, momentum=0.9,
                       seed=35, precision_exact=True)
     train(model, cloud, labels, cfg)
-    far = np.array([100.0, 0.0])  # 100 data standard deviations out
+    far = np.array([[100.0, 0.0]])  # 100 data standard deviations out
     phi = model.head.rff_features(far)
-    variance = model.head.predictive_variance(phi, 0)
-    prior = float(phi @ phi) / model.head.ridge_s
+    variance = model.head.predictive_variance_batch(phi)[0, 0]
+    prior = float(phi[0] @ phi[0]) / model.head.ridge_s
     deviation = abs(variance - prior) / prior
     check("criterion 9: far-field variance within 10% of the prior",
           deviation <= 0.10, f"deviation {deviation:.1%} at 100 sigma")

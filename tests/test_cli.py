@@ -87,6 +87,14 @@ class TestGenData:
                      "/nonexistent-dir/x.csv"])
         assert code == EXIT_USAGE
 
+    def test_nan_noise_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        capsys.readouterr()
+        assert main(["gen-data", "--dataset", "two_moons", "--noise", "nan",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "noise_sd must be >= 0, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_train_writes_reproducible_checkpoint(self, tmp_path):
@@ -115,13 +123,23 @@ class TestTrainCommand:
         model, _ = load_checkpoint(ckpt)
         assert np.array_equal(model.head.beta, np.zeros_like(model.head.beta))
 
-    @pytest.mark.parametrize("key", ["sn_bound", "length_scale"])
+    @pytest.mark.parametrize("key", ["sn_bound", "length_scale", "learning_rate"])
     def test_nan_hyperparameter_exits_2(self, tmp_path, key, capsys):
         cfg = write_config(tmp_path, **{key: "nan"})
         ckpt = tmp_path / "m.ckpt"
         capsys.readouterr()
         assert main(["train", "--config", cfg, "--out", str(ckpt)]) == EXIT_USAGE
         assert f"{key} must be positive" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("key, value", [("l2_beta", "nan"), ("l2_beta", "-1"),
+                                            ("noise_sd", "nan")])
+    def test_negative_or_nan_nonnegative_value_exits_2(self, tmp_path, key, value, capsys):
+        cfg = write_config(tmp_path, **{key: value})
+        ckpt = tmp_path / "m.ckpt"
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--out", str(ckpt)]) == EXIT_USAGE
+        assert f"{key} must be >= 0, got {float(value)!r}" in capsys.readouterr().err
         assert not ckpt.exists()
 
     def test_divergence_exit_code(self, tmp_path):
@@ -291,6 +309,25 @@ class TestEvalCommand:
         assert code == EXIT_USAGE
         assert "row 1: layer-norm variance of the hidden features is not finite" in (
             capsys.readouterr().err)
+
+    @pytest.mark.parametrize("variant, magnitude, reason", [
+        ("sngp", "1e307", "mean logits are"), ("sngp", "1e308", "hidden features are"),
+        ("dnn_sn", "1e308", "hidden features are")])
+    def test_overflowing_network_row_exits_2(self, tmp_path, variant, magnitude, reason,
+                                             capsys):
+        # Without layer norm nothing bounds the features, so the overflow is
+        # caught in the network's output or in the logits, for either head.
+        ckpt = tmp_path / "m.ckpt"
+        cfg = write_config(tmp_path, epochs=1, variant=variant)
+        assert main(["train", "--config", cfg, "--out", str(ckpt)]) == EXIT_OK
+        data_csv = tmp_path / "data.csv"
+        data_csv.write_text(f"x1,x2,label\n0.1,0.2,0\n{magnitude},{magnitude},1\n0.5,0.6,1\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data_csv)])
+        assert code == EXIT_USAGE
+        assert f"row 1: {reason} not finite" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_2(self, tmp_path):
         code = main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"),

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -17,13 +18,13 @@ def make_layer(in_dim=2, num_features=64, num_classes=2, seed=0, **kwargs):
 class TestRffFeatures:
     def test_cosine_bound(self):
         layer = make_layer(num_features=128)
-        phi = layer.rff_features(RngState(1).normal(2))
+        phi = layer.rff_features(RngState(1).normal_matrix(1, 2))
         assert np.all(np.abs(phi) <= np.sqrt(2.0 / 128) + 1e-15)
 
     def test_self_kernel_near_one(self):
         layer = make_layer(num_features=4096, seed=2)
         h = RngState(3).uniform(2, -2.0, 2.0)
-        phi = layer.rff_features(h)
+        phi = layer.rff_features(h[None, :])[0]
         assert abs(phi @ phi - 1.0) <= 0.05
 
     def test_rbf_kernel_oracle(self):
@@ -63,28 +64,30 @@ class TestRffFeatures:
     def test_frozen_fields_are_stable(self):
         layer = make_layer(seed=10)
         w, b = layer.w_fixed.copy(), layer.b_fixed.copy()
-        layer.rff_features(RngState(11).normal(2))
+        layer.rff_features(RngState(11).normal_matrix(1, 2))
         layer.update_precision_minibatch(np.zeros((0, 64)), np.zeros((0, 2)))
         assert np.array_equal(layer.w_fixed, w)
         assert np.array_equal(layer.b_fixed, b)
 
     def test_dimension_mismatch(self):
+        # Only a (batch, in_dim) matrix passes, not even one row of the right width.
         layer = make_layer()
-        with pytest.raises(ValueError):
-            layer.rff_features(np.zeros(3))
+        for shape in [(2,), (3,), (1, 3)]:
+            with pytest.raises(ValueError, match=re.escape(f"(batch, 2), got {shape}")):
+                layer.rff_features(np.zeros(shape))
 
     def test_layer_norm_scale_invariance(self):
         # invariance holds up to the normalization epsilon
         layer = make_layer(in_dim=8, use_layer_norm=True)
-        h = RngState(12).normal(8)
+        h = RngState(12).normal_matrix(1, 8)
         assert np.allclose(layer.rff_features(h), layer.rff_features(3.0 * h), atol=1e-4)
 
     def test_frozen_projection_reduces_feature_input(self):
         layer = make_layer(in_dim=16, num_features=128, projection_dim=4, seed=30)
         assert layer.input_projection.shape == (4, 16)
         assert layer.w_fixed.shape == (128, 4)
-        phi = layer.rff_features(RngState(31).normal(16))
-        assert phi.shape == (128,)
+        phi = layer.rff_features(RngState(31).normal_matrix(1, 16))
+        assert phi.shape == (1, 128)
         assert np.all(np.abs(phi) <= np.sqrt(2.0 / 128) + 1e-15)
 
     @pytest.mark.parametrize("use_layer_norm", [True, False])
@@ -129,19 +132,19 @@ class TestRffFeatures:
 class TestLogits:
     def test_zero_beta(self):
         layer = make_layer()
-        phi = layer.rff_features(np.array([0.1, 0.2]))
+        phi = layer.rff_features(np.array([[0.1, 0.2]]))[0]
         assert np.array_equal(layer.logits(phi), np.zeros(2))
 
     def test_coordinate_pick(self):
         layer = make_layer(num_classes=2)
         layer.beta[0, 0] = 1.0
-        phi = layer.rff_features(np.array([0.3, -0.1]))
+        phi = layer.rff_features(np.array([[0.3, -0.1]]))[0]
         assert layer.logits(phi)[0] == phi[0]
 
     def test_matches_matvec(self):
         layer = make_layer(seed=13)
         layer.beta[:] = RngState(14).normal_matrix(2, 64)
-        phi = layer.rff_features(np.array([0.5, 0.5]))
+        phi = layer.rff_features(np.array([[0.5, 0.5]]))[0]
         assert np.allclose(layer.logits(phi), layer.beta @ phi)
 
 
@@ -159,9 +162,9 @@ class TestPrecision:
 
     def test_variance_after_reset(self):
         layer = make_layer(ridge_s=0.001)
-        phi = layer.rff_features(np.array([1.0, -1.0]))
-        v = layer.predictive_variance(phi, 0)
-        assert np.isclose(v, float(phi @ phi) / 0.001)
+        phi = layer.rff_features(np.array([[1.0, -1.0]]))
+        v = layer.predictive_variance_batch(phi)[0, 0]
+        assert np.isclose(v, float(phi[0] @ phi[0]) / 0.001)
 
     def test_empty_batch_scales_by_discount(self):
         layer = make_layer(num_features=4, discount_m=0.9)
@@ -241,50 +244,37 @@ class TestPrecision:
     def test_variance_shrinks_with_aligned_data(self):
         # Sherman-Morrison: absorbing data along phi must shrink phi's variance
         layer = make_layer(num_features=8, seed=21)
-        phi = layer.rff_features(np.array([0.4, -0.2]))
-        v_prev = layer.predictive_variance(phi, 0)
+        phi = layer.rff_features(np.array([[0.4, -0.2]]))
+        v_prev = layer.predictive_variance_batch(phi)[0, 0]
         probs = np.array([[0.5, 0.5]])
         for step in range(5):
             layer.update_precision_exact(np.tile(phi, (10 * (step + 1), 1)),
                                          np.tile(probs, (10 * (step + 1), 1)))
-            v = layer.predictive_variance(phi, 0)
+            v = layer.predictive_variance_batch(phi)[0, 0]
             assert v < v_prev
             # Sherman-Morrison closed form for rank-one updates of s I
             n = 10 * (step + 1)
             s = layer.ridge_s
-            norm2 = float(phi @ phi)
+            norm2 = float(phi[0] @ phi[0])
             expected = norm2 / s - (n * 0.25 * norm2**2 / s**2) / (1 + n * 0.25 * norm2 / s)
             assert np.isclose(v, expected, rtol=1e-8)
             v_prev = v
 
     def test_variance_nonnegative_and_requires_spd(self):
         layer = make_layer(num_features=4)
-        phi = np.ones(4)
-        assert layer.predictive_variance(phi, 1) >= 0.0
+        phi = np.ones((1, 4))
+        assert layer.predictive_variance_batch(phi)[0, 1] >= 0.0
         layer.precision[0] = -np.eye(4)
         layer._factors = None
         with pytest.raises(NotSpdError):
-            layer.predictive_variance(phi, 0)
-
-    def test_shared_precision_averages_classes(self):
-        rng = RngState(22)
-        phi = rng.normal_matrix(10, 4)
-        probs = softmax(rng.normal_matrix(10, 3))
-        shared = RffGpLayer(2, 4, 3, RngState(23), use_layer_norm=False, shared_precision=True)
-        shared.update_precision_exact(phi, probs)
-        per_class = RffGpLayer(2, 4, 3, RngState(23), use_layer_norm=False)
-        per_class.update_precision_exact(phi, probs)
-        ridge = shared.ridge_s * np.eye(4)
-        mean_fisher = sum(p - ridge for p in per_class.precision) / 3.0
-        assert len(shared.precision) == 1
-        assert np.allclose(shared.precision[0], ridge + mean_fisher)
+            layer.predictive_variance_batch(phi)
 
     def test_binary_layer_keeps_one_precision_equal_to_per_class(self):
         rng = RngState(40)
         phi = rng.normal_matrix(50, 16) * 0.3
         probs = softmax(rng.normal_matrix(50, 2))
         layer = make_layer(num_features=16, seed=41, discount_m=0.9)
-        assert layer.shared_precision and len(layer.precision) == 1
+        assert len(layer.precision) == 1
         for _ in range(3):
             layer.update_precision_minibatch(phi, probs)
         w0 = probs[:, 0] * (1.0 - probs[:, 0])
@@ -294,23 +284,22 @@ class TestPrecision:
             per_class = 0.9 * per_class + 0.1 * (0.5 * (t + t.T))
         assert np.allclose(layer.precision[0], per_class, rtol=0.0, atol=1e-15)
 
-    @pytest.mark.parametrize("num_classes,shared", [(2, False), (3, False), (3, True)])
-    def test_batch_variance_matches_dense_solve(self, num_classes, shared):
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_batch_variance_matches_dense_solve(self, num_classes):
         rng = RngState(42)
-        layer = make_layer(num_features=32, num_classes=num_classes, seed=43,
-                           shared_precision=shared)
+        layer = make_layer(num_features=32, num_classes=num_classes, seed=43)
         fit = layer.rff_features(rng.normal_matrix(60, 2))
         layer.update_precision_exact(fit, softmax(rng.normal_matrix(60, num_classes)))
         phi = layer.rff_features(rng.normal_matrix(25, 2) * 2.0)
         variances = layer.predictive_variance_batch(phi)
         assert variances.shape == (25, num_classes)
+        single = layer.predictive_variance_batch(phi[3:4])[0]
         for k in range(num_classes):
-            p = layer.precision[0 if layer.shared_precision else k]
+            p = layer.precision[0 if num_classes == 2 else k]
             expected = np.einsum("ij,ji->i", phi, np.linalg.solve(p, phi.T))
             assert np.allclose(variances[:, k], expected, rtol=1e-10, atol=0.0)
-            assert np.isclose(layer.predictive_variance(phi[3], k), variances[3, k],
-                              rtol=1e-12, atol=0.0)
-        assert len(layer.precision) == (1 if shared or num_classes == 2 else num_classes)
+            assert np.isclose(single[k], variances[3, k], rtol=1e-12, atol=0.0)
+        assert len(layer.precision) == (1 if num_classes == 2 else num_classes)
 
 
 class TestMcSoftmax:

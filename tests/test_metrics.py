@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sngp.gp_layer import softmax
 from sngp.linalg import RngState
-from sngp.metrics import (PredictionSet, accuracy, auroc, aupr, brier, dempster_shafer,
+from sngp.metrics import (PredictionSet, auroc, aupr, brier, dempster_shafer,
                           ece, ece_bin_table, metrics_report, nll)
 
 from oracles import auroc_pair_counting, auroc_scipy_ranks, dempster_shafer_scipy
@@ -220,10 +220,6 @@ class TestPredictionSet:
         probs = np.array(probs)
         with pytest.raises(ValueError, match="simplex"):
             PredictionSet(probs=probs, labels=np.zeros(len(probs), dtype=int))
-
-    def test_accuracy(self):
-        ps = preds_from([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]], [0, 1, 1])
-        assert accuracy(ps) == pytest.approx(2.0 / 3.0)
 
 
 def test_metrics_report_format():

@@ -199,6 +199,11 @@ class TestSgdMomentum:
         expected = 1.0 - lr * g - lr * (1.0 + mu) * g
         assert np.allclose(params["w"], [expected])
 
+    @pytest.mark.parametrize("lr", [0.0, float("nan")])
+    def test_rejects_learning_rate_that_is_not_positive(self, lr):
+        with pytest.raises(ValueError, match="learning_rate must be positive"):
+            SgdMomentum(lr, 0.9)
+
 
 def test_deterministic_construction():
     a = build_res_ffn(2, 8, 3, RngState(18))

@@ -240,9 +240,9 @@ class TestPredict:
         cfg = TrainConfig(epochs=5, batch_size=25, learning_rate=0.1, momentum=0.9,
                           seed=35, precision_exact=True)
         train(model, x, y, cfg)
-        far = np.array([100.0 * x.std(), 0.0])
-        pred = predict_batch(model, far[None, :], mc_samples=4, rng=RngState(36))
-        phi = model.head.rff_features(far)
+        far = np.array([[100.0 * x.std(), 0.0]])
+        pred = predict_batch(model, far, mc_samples=4, rng=RngState(36))
+        phi = model.head.rff_features(far)[0]
         prior = float(phi @ phi) / model.head.ridge_s
         assert abs(pred.variance_logits.mean() - prior) / prior <= 0.10
 
@@ -417,11 +417,15 @@ class TestModelSpec:
 
     @pytest.mark.parametrize("kwargs", [
         {}, {"gp_head": False}, {"num_classes": 3}, {"gp_projection_dim": 4},
-        {"identity_hidden": True, "use_layer_norm": False}])
+        {"identity_hidden": True, "use_layer_norm": False}, {"num_classes": 4}])
     def test_layout_shapes_are_the_built_arrays(self, kwargs):
         model = small_model(seed=64, **kwargs)
-        assert ([(name, shape) for name, shape, _ in _array_layout(model.spec)]
-                == [(name, arr.shape) for name, arr in _array_manifest(model)])
+        layout = [(name, shape) for name, shape, _ in _array_layout(model.spec)]
+        assert layout == [(name, arr.shape) for name, arr in _array_manifest(model)]
+        if model.has_gp_head:
+            # the spec-only layout and the built head agree on the precision count
+            assert (sum(name.startswith("head.precision") for name, _ in layout)
+                    == len(model.head.precision))
 
 
 SPEC_FIELDS = [f.name for f in fields(ModelSpec)]
