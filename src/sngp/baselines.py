@@ -32,10 +32,6 @@ class EnsembleModel:
     members: list[SngpModel]
     reports: list[TrainReport] = field(default_factory=list)
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
 
 # The model switches each tag sets; every other ModelSpec field comes from the caller.
 _VARIANT_SWITCHES = {
@@ -49,16 +45,15 @@ _VARIANT_SWITCHES = {
 VARIANT_TAGS = tuple(_VARIANT_SWITCHES)
 
 
-def build_variant(tag: str, spec: ModelSpec, seed: int | None = None) -> SngpModel:
-    """Instantiate a single model for the given variant tag (``seed``, when
-    given, replaces the spec's).
+def build_variant(tag: str, spec: ModelSpec) -> SngpModel:
+    """Instantiate a single model of the spec for the given variant tag.
 
     ``deep_ensemble`` builds one member (a deterministic model); use
     ``train_ensemble`` for the full ensemble.
     """
     if tag not in VARIANT_TAGS:
         raise ValueError(f"unknown variant tag {tag!r}; expected one of {VARIANT_TAGS}")
-    spec = replace(spec, **_VARIANT_SWITCHES[tag], seed=spec.seed if seed is None else seed)
+    spec = replace(spec, **_VARIANT_SWITCHES[tag])
     if spec.identity_hidden:
         # The shallow variant consumes raw coordinates; normalizing them away
         # would destroy the radial distance signal it exists to demonstrate.
@@ -74,7 +69,7 @@ def train_ensemble(spec: ModelSpec, ensemble_size: int, points: np.ndarray,
     members, reports = [], []
     for e in range(ensemble_size):
         member_seed = config.seed + e
-        model = build_variant("deterministic", spec, seed=member_seed)
+        model = build_variant("deterministic", replace(spec, seed=member_seed))
         member_config = replace(config, seed=member_seed)
         try:
             reports.append(train(model, points, labels, member_config))

@@ -33,7 +33,7 @@ from .linalg import RngState
 from .metrics import (PredictionSet, auroc, aupr, brier, dempster_shafer, ece,
                       margin_uncertainty, metrics_report, nll, variance_uncertainty)
 from .nn import build_res_ffn, lipschitz_probe, normalize_network, power_iteration
-from .train import (ModelSpec, SngpModel, TrainConfig, TrainingDivergedError,
+from .train import (ModelSpec, SngpModel, TrainConfig, TrainingDivergedError, TrainReport,
                     load_checkpoint, predict_batch, save_checkpoint, train)
 
 EXIT_OK = 0
@@ -123,6 +123,8 @@ def parse_run_config(text: str) -> RunConfig:
         raise ValueError(f"unknown variant {cfg.variant!r}; expected one of {VARIANT_TAGS}")
     if cfg.dataset not in ("two_moons", "two_ovals"):
         raise ValueError(f"unknown dataset {cfg.dataset!r}")
+    if cfg.mc_samples < 1:
+        raise ValueError(f"mc_samples must be >= 1, got {cfg.mc_samples!r}")
     return cfg
 
 
@@ -146,6 +148,18 @@ def _from_config(cls, cfg: RunConfig):
     return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls) if hasattr(cfg, f.name)})
 
 
+def _train_variant(tag: str, cfg: RunConfig, ds) -> tuple[list[SngpModel], list[TrainReport]]:
+    """The trained models of one variant tag (the members of a deep ensemble,
+    else one model) and their training reports."""
+    spec = _from_config(ModelSpec, cfg)
+    tcfg = _from_config(TrainConfig, cfg)
+    if tag == "deep_ensemble":
+        ens = train_ensemble(spec, cfg.ensemble_size, ds.points, ds.labels, tcfg)
+        return ens.members, ens.reports
+    model = build_variant(tag, spec)
+    return [model], [train(model, ds.points, ds.labels, tcfg)]
+
+
 # -- models behind one prediction interface --------------------------------------
 
 
@@ -158,15 +172,21 @@ class LoadedModel:
         self.config = config
         self.num_classes = models[0].num_classes
         self.is_ensemble = len(models) > 1
-        self.mc_samples = int(config.get("mc_samples", 10))
+        self.mc_samples = config.get("mc_samples", 10)
+        if type(self.mc_samples) is not int or self.mc_samples < 1:
+            raise ValueError(f"config mc_samples must be an int >= 1, got {self.mc_samples!r}")
         self._mc_rng = mc_rng
 
     @classmethod
     def from_checkpoints(cls, paths: list[str]) -> "LoadedModel":
         loaded = [load_checkpoint(p) for p in paths]
         header = loaded[0][1]
-        return cls([m for m, _ in loaded], header["variant"], header["config"],
-                   RngState(0).derive("cli_mc"))
+        variant, config = header.get("variant"), header.get("config")
+        if variant not in VARIANT_TAGS:
+            raise ValueError(f"checkpoint variant {variant!r} is not one of {VARIANT_TAGS}")
+        if not isinstance(config, dict):
+            raise ValueError(f"checkpoint config must be an object, got {config!r}")
+        return cls([m for m, _ in loaded], variant, config, RngState(0).derive("cli_mc"))
 
     @property
     def has_gp_head(self) -> bool:
@@ -205,10 +225,8 @@ def _score_fn(loaded: LoadedModel, metric: str):
 
 
 def cmd_gen_data(args) -> int:
-    if args.dataset == "two_moons":
-        ds = data_mod.gen_two_moons(args.n, args.noise, args.seed)
-    else:
-        ds = data_mod.gen_two_ovals(args.n, args.seed)
+    ds = _make_dataset(RunConfig(dataset=args.dataset, n_per_class=args.n,
+                                 noise_sd=args.noise, data_seed=args.seed))
     meta = {"format_version": FORMAT_VERSION, "dataset": args.dataset, "n_per_class": args.n,
             "noise_sd": args.noise, "seed": args.seed}
     data_mod.dataset_to_csv(ds, args.out, meta=meta)
@@ -219,22 +237,13 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
-    ds = _make_dataset(cfg)
-    spec = _from_config(ModelSpec, cfg)
-    tcfg = _from_config(TrainConfig, cfg)
-    reports = []
-    if cfg.variant == "deep_ensemble":
-        ens = train_ensemble(spec, cfg.ensemble_size, ds.points, ds.labels, tcfg)
-        for i, member in enumerate(ens.members):
-            save_checkpoint(member, f"{args.out}.member{i}", variant="deep_ensemble",
-                            config_echo=cfg.echo())
-        reports = ens.reports
-        print(f"wrote {ens.size} member checkpoints to {args.out}.member*")
-    else:
-        model = build_variant(cfg.variant, spec)
-        reports = [train(model, ds.points, ds.labels, tcfg)]
-        save_checkpoint(model, args.out, variant=cfg.variant, config_echo=cfg.echo())
-        print(f"wrote checkpoint to {args.out}")
+    models, reports = _train_variant(cfg.variant, cfg, _make_dataset(cfg))
+    ensemble = cfg.variant == "deep_ensemble"
+    for i, model in enumerate(models):
+        path = f"{args.out}.member{i}" if ensemble else args.out
+        save_checkpoint(model, path, variant=cfg.variant, config_echo=cfg.echo())
+    print(f"wrote {len(models)} member checkpoints to {args.out}.member*" if ensemble
+          else f"wrote checkpoint to {args.out}")
     if args.report:
         with open(args.report, "w", encoding="utf-8") as f:
             f.write(f"format_version={FORMAT_VERSION}\n")
@@ -334,16 +343,10 @@ def cmd_compare(args) -> int:
         if v not in VARIANT_TAGS:
             raise ValueError(f"unknown variant {v!r}")
     ds = _make_dataset(cfg)
-    spec = _from_config(ModelSpec, cfg)
-    tcfg = _from_config(TrainConfig, cfg)
     columns = ["variant", "accuracy", "ece", "nll", "brier", "auroc", "aupr"]
     rows = []
     for tag in variants:
-        if tag == "deep_ensemble":
-            models = train_ensemble(spec, cfg.ensemble_size, ds.points, ds.labels, tcfg).members
-        else:
-            models = [build_variant(tag, spec)]
-            train(models[0], ds.points, ds.labels, tcfg)
+        models, _ = _train_variant(tag, cfg, ds)
         # A fresh stream per variant keeps each row independent of the ones before it.
         loaded = LoadedModel(models, tag, cfg.echo(), RngState(cfg.seed).derive("compare_mc"))
         rows.append({"variant": tag, **_score_model(loaded, ds, "auto")})
@@ -465,9 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="write a benchmark dataset CSV")
     p.add_argument("--dataset", required=True, choices=["two_ovals", "two_moons"])
-    p.add_argument("--n", type=int, default=500, help="points per class")
-    p.add_argument("--noise", type=float, default=0.1, help="two-moons noise sd")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--n", type=int, default=RunConfig.n_per_class, help="points per class")
+    p.add_argument("--noise", type=float, default=RunConfig.noise_sd, help="two-moons noise sd")
+    p.add_argument("--seed", type=int, default=RunConfig.data_seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_data)
 

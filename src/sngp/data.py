@@ -204,9 +204,17 @@ def _csv_rows(path: str, header: str, third: type):
             yield row
 
 
+def _label(text: str) -> int:
+    """A dataset label: -1 for an OOD row, else a class id (an int64)."""
+    label = int(text)
+    if not -1 <= label < 2**63:
+        raise ValueError(f"label {label} is neither -1 nor a class id")
+    return label
+
+
 def dataset_from_csv(path: str, name: str = "", seed: int = 0) -> Dataset2D:
     points, labels, ood = [], [], []
-    for x1, x2, lab in _csv_rows(path, "x1,x2,label", int):
+    for x1, x2, lab in _csv_rows(path, "x1,x2,label", _label):
         if lab == -1:
             ood.append((x1, x2))
         else:

@@ -173,8 +173,14 @@ class RffGpLayer:
         self._factors = None
 
     def _fisher_terms(self, phi_batch: np.ndarray, probs_batch: np.ndarray) -> list[np.ndarray]:
-        """Sums w_i phi_i phi_i^T, symmetrized exactly, one per stored precision:
-        w_ik = p_ik (1 - p_ik) per class, or its class mean for one stored matrix."""
+        """Sums w_i phi_i phi_i^T over an (M, D) phi and (M, K) probs batch, symmetrized
+        exactly, one per stored precision: w_ik = p_ik (1 - p_ik), or its class mean."""
+        phi_batch = np.asarray(phi_batch, dtype=np.float64)
+        probs_batch = np.asarray(probs_batch, dtype=np.float64)
+        if phi_batch.ndim != 2 or phi_batch.shape[1] != self.num_features:
+            raise ValueError(f"phi batch must be (M, {self.num_features}), got {phi_batch.shape}")
+        if probs_batch.shape != (phi_batch.shape[0], self.num_classes):
+            raise ValueError(f"probs batch must be (M, {self.num_classes}), got {probs_batch.shape}")
         weights = probs_batch * (1.0 - probs_batch)
         if len(self.precision) == 1:
             weights = weights.mean(axis=1, keepdims=True)
@@ -184,37 +190,23 @@ class RffGpLayer:
             terms.append(0.5 * (t + t.T))
         return terms
 
-    def _check_batch(self, phi_batch: np.ndarray, probs_batch: np.ndarray) -> None:
-        if phi_batch.ndim != 2 or phi_batch.shape[1] != self.num_features:
-            raise ValueError(f"phi batch must be (M, {self.num_features}), got {phi_batch.shape}")
-        if probs_batch.shape != (phi_batch.shape[0], self.num_classes):
-            raise ValueError(f"probs batch must be (M, {self.num_classes}), got {probs_batch.shape}")
-
     def update_precision_minibatch(self, phi_batch: np.ndarray, probs_batch: np.ndarray) -> None:
         """Discounted moving-average update: m * previous + (1 - m) * batch term.
 
         An empty batch contributes a zero fresh term, i.e. it only scales the
         previous precision by m.
         """
-        phi_batch = np.asarray(phi_batch, dtype=np.float64)
-        probs_batch = np.asarray(probs_batch, dtype=np.float64)
-        self._check_batch(phi_batch, probs_batch)
-        terms = self._fisher_terms(phi_batch, probs_batch)
-        for p, t in zip(self.precision, terms):
+        for p, t in zip(self.precision, self._fisher_terms(phi_batch, probs_batch)):
             p *= self.discount_m
             p += (1.0 - self.discount_m) * t
         self._factors = None
 
     def update_precision_exact(self, phi_all: np.ndarray, probs_all: np.ndarray) -> None:
-        """One-pass exact precision: ridge_s * I plus the full-data Fisher term."""
+        """One-pass exact precision: ridge_s * I plus the full-data Fisher term,
+        computed after the reset so the old precision is not alive beside it."""
         self.reset_precision()
-        phi_all = np.asarray(phi_all, dtype=np.float64)
-        probs_all = np.asarray(probs_all, dtype=np.float64)
-        self._check_batch(phi_all, probs_all)
-        terms = self._fisher_terms(phi_all, probs_all)
-        for p, t in zip(self.precision, terms):
+        for p, t in zip(self.precision, self._fisher_terms(phi_all, probs_all)):
             p += t
-        self._factors = None
 
     def covariances(self) -> list[np.ndarray]:
         """Posterior covariance precision^{-1} for each stored precision, built

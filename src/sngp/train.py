@@ -26,11 +26,11 @@ Checkpoint format (binary, version 2, bit-exact round trip):
     payload       the arrays from the manifest, concatenated raw
                   little-endian float64, C order
 
-Loading checks, in order, the magic, the version, the payload length against
-the manifest, the CRC, the ``ModelSpec`` field types, and the manifest
-against the array names and shapes the spec implies; only then does it build
-the model from its spec, so a header cannot make loading allocate more than
-its payload holds.
+Loading checks, in order, the magic, the version, the header's JSON, the
+``ModelSpec`` field types, the manifest against the array names and shapes
+the spec implies, the payload length those shapes give, and the CRC; only
+then does it build the model from its spec, so a header cannot make loading
+allocate more than its payload holds, nor name a length the spec does not.
 """
 
 from __future__ import annotations
@@ -206,7 +206,6 @@ class SngpModel:
         self.spec = spec
         self.network = network
         self.head = head
-        self.spectral_norm_enabled = spec.spectral_norm
         self.num_classes = spec.num_classes
 
     @property
@@ -291,53 +290,47 @@ def loss_and_grads(model: SngpModel, batch_x: np.ndarray, batch_y: np.ndarray,
                    train_mode: bool = True, rng: RngState | None = None
                    ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy (plus the scaled L2 prior on the head weights) and
-    exact gradients for every trainable parameter."""
+    exact gradients for every trainable parameter.  A non-finite row or loss raises
+    ``TrainingDivergedError``, caused by a row's ``NonFiniteRowError``; nothing warns."""
     batch_x = np.asarray(batch_x, dtype=np.float64)
     batch_y = np.asarray(batch_y, dtype=int)
     if np.any(batch_y < 0) or np.any(batch_y >= model.num_classes):
         raise ValueError("labels out of range")
     m = batch_x.shape[0]
-    h, tape = model.hidden(batch_x, train_mode=train_mode, rng=rng)
-
-    if model.has_gp_head:
-        try:
-            phi, gp_tape = model.head.features_with_tape(h)
-        except NonFiniteRowError as exc:  # would have made the loss NaN
-            raise TrainingDivergedError(f"non-finite features on a batch of {m} samples: "
-                                        f"{exc}") from None
-        logits = model.head.logits(phi)
-        head_weights = model.head.beta
-    else:
-        logits = model.head.logits(h)
-        head_weights = model.head.weight
-
-    # log-softmax keeps the loss exact and unbounded so the divergence guard works
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-    probs = np.exp(log_probs)
-    loss = float(-np.mean(log_probs[np.arange(m), batch_y]))
-    if l2_beta > 0.0:
-        loss += l2_beta * 0.5 * float(np.sum(head_weights**2)) / l2_scale
+    gp = model.has_gp_head
+    # Both heads are linear in their input phi: the random features or h.
+    head_weights = model.head.beta if gp else model.head.weight
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            h, tape = model.hidden(batch_x, train_mode=train_mode, rng=rng)
+            phi, gp_tape = model.head.features_with_tape(h) if gp else (h, None)
+            logits = model.head.logits(phi)
+            check_rows(np.isfinite(logits).all(axis=1), h, "logits are")
+            # log-softmax keeps the loss exact and unbounded so the divergence guard works
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            log_probs = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+            loss = float(-np.mean(log_probs[np.arange(m), batch_y]))
+            if l2_beta > 0.0:
+                loss += l2_beta * 0.5 * float(np.sum(head_weights**2)) / l2_scale
+    except NonFiniteRowError as exc:  # would have made the loss NaN
+        raise TrainingDivergedError(f"non-finite row in a batch of {m} samples: "
+                                    f"{exc}") from exc
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"non-finite loss on a batch of {m} samples")
 
-    dlogits = probs.copy()
+    dlogits = np.exp(log_probs)
     dlogits[np.arange(m), batch_y] -= 1.0
     dlogits /= m
 
-    grads: dict[str, np.ndarray] = {}
-    if model.has_gp_head:
-        grads["head.beta"] = dlogits.T @ phi
-        if l2_beta > 0.0:
-            grads["head.beta"] += (l2_beta / l2_scale) * model.head.beta
-        dphi = dlogits @ model.head.beta
-        dh = model.head.backprop_features(gp_tape, dphi)
+    grad_weights = dlogits.T @ phi
+    if l2_beta > 0.0:
+        grad_weights += (l2_beta / l2_scale) * head_weights
+    dh = dlogits @ head_weights  # d loss / d phi, which is h for the dense head
+    if gp:
+        grads = {"head.beta": grad_weights}
+        dh = model.head.backprop_features(gp_tape, dh)
     else:
-        grads["head.w"] = dlogits.T @ h
-        if l2_beta > 0.0:
-            grads["head.w"] += (l2_beta / l2_scale) * model.head.weight
-        grads["head.b"] = dlogits.sum(axis=0)
-        dh = dlogits @ model.head.weight
+        grads = {"head.w": grad_weights, "head.b": dlogits.sum(axis=0)}
 
     if model.network is not None:
         for name, g in model.network.backward(tape, dh).items():
@@ -376,14 +369,20 @@ def train(model: SngpModel, points: np.ndarray, labels: np.ndarray, config: Trai
         for lo in range(0, n, config.batch_size):
             idx = order[lo:lo + config.batch_size]
             bx, by = points[idx], labels[idx]
-            loss, grads = loss_and_grads(model, bx, by, l2_beta=config.l2_beta,
-                                         l2_scale=float(n), train_mode=True, rng=dropout_rng)
-            if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
+            try:
+                loss, grads = loss_and_grads(model, bx, by, l2_beta=config.l2_beta,
+                                             l2_scale=float(n), rng=dropout_rng)
+            except TrainingDivergedError as exc:
+                bad = exc.__cause__  # names a row by its place in the shuffled batch
+                what = (f"dataset row {idx[bad.row]}: {bad.reason}"
+                        if isinstance(bad, NonFiniteRowError) else exc)
+                raise TrainingDivergedError(f"{what} at epoch {epoch} step {step}") from None
+            if loss > DIVERGENCE_LIMIT:
                 raise TrainingDivergedError(f"loss {loss} at epoch {epoch} step {step}")
             if hooks:
                 hooks("sgd_update", epoch, step)
             optimizer.step(model.parameters(), grads)
-            if model.spectral_norm_enabled and model.network is not None:
+            if model.spec.spectral_norm and model.network is not None:
                 if hooks:
                     hooks("spectral_norm", epoch, step)
                 normalize_network(model.network)
@@ -396,7 +395,7 @@ def train(model: SngpModel, points: np.ndarray, labels: np.ndarray, config: Trai
             step += 1
         report.epoch_losses.append(epoch_loss / num_batches)
 
-    if model.spectral_norm_enabled and model.network is not None and config.epochs > 0:
+    if model.spec.spectral_norm and model.network is not None and config.epochs > 0:
         # The single-iteration estimates lag the last SGD updates; finish with
         # an exact clamp so the spectral bound holds as a certificate.
         clamp_network(model.network)
@@ -512,8 +511,8 @@ def load_checkpoint(path: str) -> tuple[SngpModel, dict]:
     constructor as a new one, so its hyperparameters pass the same checks,
     but only after the manifest has matched the arrays the spec implies.
     A file that is not a checkpoint, a header that is not a well-formed
-    version-2 header, a payload whose length or CRC-32 differs from the
-    header's, or a manifest that is not the spec's raises ``ValueError``.
+    version-2 header, a manifest that is not the spec's, or a payload whose
+    length or CRC-32 differs from the header's raises ``ValueError``.
     """
     with open(path, "rb") as f:
         preamble = f.read(CHECKPOINT_PREAMBLE_BYTES)
@@ -525,10 +524,18 @@ def load_checkpoint(path: str) -> tuple[SngpModel, dict]:
         version, header_len = (int(v) for v in np.frombuffer(preamble[8:], dtype="<u4"))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        header = json.loads(f.read(header_len).decode("utf-8"))
+        header_bytes = f.read(header_len)
         payload = f.read()
     try:
-        expected = 8 * sum(int(math.prod(shape)) for _, shape in header["arrays"])
+        header = json.loads(header_bytes.decode("utf-8"))
+        spec = ModelSpec(**header["model"])
+        expected = 0  # payload bytes, counted from the spec's shapes once each matches
+        for want, got in zip_longest(([name, list(shape)] for name, shape, _
+                                      in _array_layout(spec)), header["arrays"]):
+            if want != got:
+                raise ValueError(f"checkpoint array {got} does not match the header's "
+                                 f"model, which expects {want}")
+            expected += 8 * math.prod(want[1])
         if len(payload) != expected:
             raise ValueError(f"checkpoint payload is {len(payload)} bytes, "
                              f"its manifest needs {expected}")
@@ -536,13 +543,7 @@ def load_checkpoint(path: str) -> tuple[SngpModel, dict]:
         if crc != header["payload_crc32"]:
             raise ValueError(f"checkpoint payload CRC-32 is {crc}, its header "
                              f"records {header['payload_crc32']!r}")
-        spec = ModelSpec(**header["model"])
-        for want, got in zip_longest(([name, list(shape)] for name, shape, _
-                                      in _array_layout(spec)), header["arrays"]):
-            if want != got:
-                raise ValueError(f"checkpoint array {got} does not match the header's "
-                                 f"model, which expects {want}")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"malformed checkpoint header: {type(exc).__name__}: {exc}") from exc
     model = SngpModel(spec)
     offset = 0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
@@ -28,17 +30,17 @@ def toy_data(seed=1, n=30):
 class TestVariants:
     def test_sngp_toggles(self):
         model = build_variant("sngp", SMALL_SPEC)
-        assert model.spectral_norm_enabled
+        assert model.spec.spectral_norm
         assert model.has_gp_head
 
     def test_dnn_gp_toggles(self):
         model = build_variant("dnn_gp", SMALL_SPEC)
-        assert not model.spectral_norm_enabled
+        assert not model.spec.spectral_norm
         assert model.has_gp_head
 
     def test_dnn_sn_toggles(self):
         model = build_variant("dnn_sn", SMALL_SPEC)
-        assert model.spectral_norm_enabled
+        assert model.spec.spectral_norm
         assert not model.has_gp_head
 
     def test_shallow_gp_is_identity_hidden(self):
@@ -63,7 +65,7 @@ class TestEnsemble:
         x, y = toy_data()
         cfg = TrainConfig(epochs=5, batch_size=10, learning_rate=0.05, momentum=0.9, seed=11)
         ens = train_ensemble(SMALL_SPEC, 1, x, y, cfg)
-        solo = build_variant("deterministic", SMALL_SPEC, seed=11)
+        solo = build_variant("deterministic", replace(SMALL_SPEC, seed=11))
         train(solo, x, y, cfg)
         pts = np.array([[0.2, -0.1], [1.2, 0.4]])
         assert np.array_equal(ensemble_predict(ens, pts).probs, softmax(solo.eval_logits(pts)))
@@ -71,7 +73,7 @@ class TestEnsemble:
     def test_identical_members_average_to_member(self):
         x, y = toy_data(seed=3)
         cfg = TrainConfig(epochs=3, batch_size=10, learning_rate=0.05, seed=12)
-        member = build_variant("deterministic", SMALL_SPEC, seed=12)
+        member = build_variant("deterministic", replace(SMALL_SPEC, seed=12))
         train(member, x, y, cfg)
         ens = EnsembleModel(members=[member, member, member])
         pts = np.array([[0.3, 0.3]])

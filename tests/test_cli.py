@@ -1,10 +1,12 @@
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sngp.cli import (EXIT_DIVERGED, EXIT_INCOMPATIBLE, EXIT_OK, EXIT_USAGE,
-                      RunConfig, main, parse_run_config)
+                      LoadedModel, RunConfig, main, parse_run_config)
 from sngp.data import dataset_from_csv, surface_from_csv
 
 from headers import rewrite_header
@@ -63,6 +65,19 @@ class TestConfigParsing:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):
             parse_run_config("variant = mc_dropout\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(st.text(max_size=60), st.lists(st.tuples(
+        st.sampled_from([f.name for f in fields(RunConfig)] + ["", "x"]),
+        st.sampled_from(["=", " = ", "==", ""]),
+        st.one_of(st.text(max_size=12), st.integers().map(str), st.floats().map(str),
+                  st.sampled_from(["true", "no", "sngp", "two_ovals", "nan", "-inf"]))),
+        max_size=4).map(lambda kv: "\n".join("".join(t) for t in kv))))
+    def test_random_config_text_parses_or_raises_value_error(self, text):
+        try:
+            assert isinstance(parse_run_config(text), RunConfig)
+        except ValueError:
+            pass
 
 
 class TestGenData:
@@ -142,6 +157,30 @@ class TestTrainCommand:
         assert f"{key} must be >= 0, got {float(value)!r}" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    def test_zero_mc_samples_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, mc_samples=0)
+        ckpt = tmp_path / "m.ckpt"
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--out", str(ckpt)]) == EXIT_USAGE
+        assert "mc_samples must be >= 1, got 0" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("variant, base", [("sngp", ""), ("sngp", FAST_CONFIG),
+                                               ("dnn_sn", FAST_CONFIG)],
+                             ids=["sngp-default", "sngp-fast", "dnn_sn-fast"])
+    def test_overflowing_training_rows_exit_3(self, tmp_path, variant, base, capsys):
+        # Every row overflows the network, so the first step diverges; the
+        # default size has layer norm, the fast config has none.
+        cfg = write_config(tmp_path, base, variant=variant, noise_sd="1e307")
+        ckpt = tmp_path / "m.ckpt"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["train", "--config", cfg, "--out", str(ckpt)])
+        assert code == EXIT_DIVERGED
+        assert "at epoch 0 step 0" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_divergence_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, learning_rate=1e9, epochs=3)
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "m.ckpt")]) \
@@ -193,6 +232,20 @@ class TestSurfaceCommand:
 
 def rewrite_bytes(path, edit):
     path.write_bytes(edit(path.read_bytes()))
+
+
+def with_header_bytes(raw, header_bytes):
+    """A checkpoint's bytes with its header replaced by ``header_bytes``."""
+    header_len = int(np.frombuffer(raw[12:16], dtype="<u4")[0])
+    return (raw[:12] + np.uint32(len(header_bytes)).tobytes() + header_bytes
+            + raw[16 + header_len:])
+
+
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=8), inner, max_size=3)),
+    max_leaves=8)
 
 
 class TestEvalCommand:
@@ -286,14 +339,47 @@ class TestEvalCommand:
          "payload CRC-32"),
         (lambda c: rewrite_bytes(c, lambda raw: raw[:8] + np.uint32(1).tobytes() + raw[12:]),
          "unsupported checkpoint version 1"),
+        (lambda c: rewrite_header(c, lambda h: h["arrays"][0].__setitem__(1, [1e308, 10])),
+         "does not match the header's model"),
+        (lambda c: rewrite_header(c, lambda h: h["arrays"][0].__setitem__(1, [float("inf")])),
+         "does not match the header's model"),
+        (lambda c: rewrite_bytes(c, lambda raw: with_header_bytes(raw, b"[" * 100_000)),
+         "malformed checkpoint header: RecursionError"),
+        (lambda c: rewrite_header(c, lambda h: h.pop("variant")),
+         "checkpoint variant None is not one of"),
+        (lambda c: rewrite_header(c, lambda h: h.pop("config")),
+         "checkpoint config must be an object"),
+        (lambda c: rewrite_header(c, lambda h: h.update(config=[1, 2])),
+         "checkpoint config must be an object"),
+        (lambda c: rewrite_header(c, lambda h: h["config"].update(mc_samples=[3])),
+         "config mc_samples must be an int >= 1"),
     ], ids=["no_model", "string_depth", "string_layer_norm", "nan_length_scale", "nan_ridge_s",
-            "negative_sn_bound", "10_bytes", "flipped_payload_bit", "version_1"])
+            "negative_sn_bound", "10_bytes", "flipped_payload_bit", "version_1",
+            "huge_manifest_shape", "infinite_manifest_shape", "deeply_nested_header",
+            "no_variant", "no_config", "list_config", "list_mc_samples"])
     def test_damaged_checkpoint_exits_2(self, eval_inputs, damage, message, capsys):
         ckpt, data_csv = eval_inputs
         damage(ckpt)
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data_csv)]) == EXIT_USAGE
         assert message in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=st.lists(st.one_of(
+        st.tuples(st.sampled_from(["arrays", "variant", "config"]), JSON_VALUES),
+        st.tuples(st.just("config"), st.dictionaries(st.just("mc_samples"), JSON_VALUES))),
+        min_size=1, max_size=3))
+    def test_fuzzed_header_loads_or_raises_value_error(self, eval_inputs, edits):
+        # The CRC covers the payload only, so the edited header keeps it valid.
+        ckpt, _ = eval_inputs
+        path = ckpt.parent / "fuzz.ckpt"
+        path.write_bytes(ckpt.read_bytes())
+        rewrite_header(path, lambda h: h.update(edits))
+        try:
+            LoadedModel.from_checkpoints([str(path)])
+        except ValueError:
+            pass
 
     @pytest.mark.parametrize("magnitude", ["1e155", "1e300", "1e306"])
     def test_overflowing_hidden_row_exits_2(self, tmp_path, magnitude, capsys):

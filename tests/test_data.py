@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sngp.data import (CsvFormatError, Dataset2D, dataset_from_csv, dataset_to_csv,
                        gen_grid, gen_two_moons, gen_two_ovals, min_distance_to_set,
@@ -123,6 +124,27 @@ class TestCsvRoundTrip:
         path.write_text("x1,x2,label\n1.0,2.0,0\nnot,a,row,extra\n")
         with pytest.raises(CsvFormatError, match="line 3"):
             dataset_from_csv(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(header=st.sampled_from(["x1,x2,label", "x1,x2,value"]),
+           rows=st.lists(st.one_of(st.text(max_size=20), st.lists(st.one_of(
+               st.integers().map(str), st.floats().map(str), st.text(max_size=4)),
+               min_size=1, max_size=4).map(",".join)), max_size=4))
+    def test_random_rows_parse_or_raise_value_error(self, tmp_path, header, rows):
+        path = tmp_path / "fuzz.csv"
+        path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+        try:
+            (dataset_from_csv if header.endswith("label") else surface_from_csv)(path)
+        except ValueError:
+            pass
+
+    def test_out_of_range_label_reports_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        for label in (-2, 2**63):
+            path.write_text(f"x1,x2,label\n1.0,2.0,0\n1.0,2.0,{label}\n")
+            with pytest.raises(CsvFormatError, match=f"line 3: label {label} is neither"):
+                dataset_from_csv(path)
 
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"

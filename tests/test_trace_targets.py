@@ -4,11 +4,12 @@ calling a wrapped function, must fail here and not only in the slow benchmark
 self-test."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
 
-from sngp.cli import EXIT_OK, main
+from sngp.cli import EXIT_OK, RunConfig, main, parse_run_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TINY = "hidden_width = 8\ndepth = 2\nnum_features = 32\nepochs = 1\nn_per_class = 20\n"
@@ -28,8 +29,8 @@ def test_every_trace_target_resolves():
         assert missing == []
 
 
-@pytest.mark.parametrize("workload", ["score", "compare"])
-def test_workload_records_every_expected_span(tmp_path, workload):
+def traced_calls(tmp_path, workload):
+    """Calls per span of one traced repeat of ``workload`` at the TINY size."""
     tracing, workloads = load_perfbench("tracing"), load_perfbench("workloads")
     (tmp_path / "run.cfg").write_text(workloads.config_text(workload, 1) + TINY)
     for argv in workloads.setup_calls(workload, 1, tmp_path):
@@ -38,5 +39,32 @@ def test_workload_records_every_expected_span(tmp_path, workload):
     with tracing.traced(tracer):
         for argv in workloads.timed_calls(workload, tmp_path, tmp_path):
             assert tracer.call("cli", main, argv) == EXIT_OK
-    calls = {name: row["calls"] for name, row in tracer.summary().items()}
+    return {name: row["calls"] for name, row in tracer.summary().items()}
+
+
+@pytest.mark.parametrize("workload", ["train", "score", "compare"])
+def test_workload_records_every_expected_span(tmp_path, workload):
+    calls = traced_calls(tmp_path, workload)
+    workloads = load_perfbench("workloads")
     assert [s for s in workloads.EXPECTED_SPANS[workload] if not calls.get(s)] == []
+
+
+def pinned_train_calls(cfg: RunConfig) -> dict[str, int]:
+    """The call counts ``train`` repeats on any seed: one loss per SGD step;
+    one power iteration per block and step plus 10 warm-up passes per block;
+    one precision update per step of the final epoch; one clamp at build and
+    one after training."""
+    per_epoch = math.ceil(2 * cfg.n_per_class / cfg.batch_size)
+    steps = cfg.epochs * per_epoch
+    return {"train.loss_and_grads": steps, "linalg.power_iteration": cfg.depth * (steps + 10),
+            "gp_layer.precision_minibatch": per_epoch, "nn.clamp_network": 2}
+
+
+def test_train_call_counts_follow_the_pinned_formula(tmp_path):
+    pinned = load_perfbench("workloads").PINNED_CALLS["train"]
+    assert pinned_train_calls(RunConfig()) == pinned
+    tiny = pinned_train_calls(parse_run_config(TINY))
+    assert tiny == {"train.loss_and_grads": 2, "linalg.power_iteration": 24,
+                    "gp_layer.precision_minibatch": 2, "nn.clamp_network": 2}
+    calls = traced_calls(tmp_path, "train")
+    assert {name: calls.get(name) for name in pinned} == tiny

@@ -186,6 +186,19 @@ class TestTrainLoop:
         with pytest.raises(TrainingDivergedError):
             train(model, x, y, cfg)
 
+    @pytest.mark.parametrize("gp_head", [True, False])
+    def test_divergence_names_the_dataset_row(self, gp_head):
+        # The shuffled batch holds row 17 at another position; the message
+        # names the row of the dataset, and the epoch and step.
+        x, y = toy_batch(seed=22, n=24)
+        x[17] = 1e300 if gp_head else 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError,
+                               match=r"^dataset row 17: .* not finite at epoch 0 step \d+$"):
+                train(small_model(seed=23, gp_head=gp_head), x, y,
+                      TrainConfig(epochs=1, batch_size=8, seed=24))
+
     def test_empty_dataset_rejected(self):
         model = small_model()
         with pytest.raises(ValueError):
@@ -467,7 +480,7 @@ class TestCheckpoint:
         model = small_model(seed=41, gp_head=False, spectral_norm=False)
         back, header = self.roundtrip(model, tmp_path, variant="deterministic")
         assert not back.has_gp_head
-        assert not back.spectral_norm_enabled
+        assert not back.spec.spectral_norm
         pts = np.array([[0.1, 0.9]])
         assert np.array_equal(model.eval_logits(pts), back.eval_logits(pts))
 
