@@ -343,13 +343,24 @@ def cmd_compare(args) -> int:
         if v not in VARIANT_TAGS:
             raise ValueError(f"unknown variant {v!r}")
     ds = _make_dataset(cfg)
-    columns = ["variant", "accuracy", "ece", "nll", "brier", "auroc", "aupr"]
     rows = []
     for tag in variants:
-        models, _ = _train_variant(tag, cfg, ds)
+        try:
+            models, _ = _train_variant(tag, cfg, ds)
+        except TrainingDivergedError as exc:
+            if rows:  # keep the rows of the variants that did train
+                _write_table(args.out, cfg, rows)
+            raise TrainingDivergedError(f"variant {tag}: {exc}") from None
         # A fresh stream per variant keeps each row independent of the ones before it.
         loaded = LoadedModel(models, tag, cfg.echo(), RngState(cfg.seed).derive("compare_mc"))
         rows.append({"variant": tag, **_score_model(loaded, ds, "auto")})
+    _write_table(args.out, cfg, rows)
+    return EXIT_OK
+
+
+def _write_table(path: str, cfg: RunConfig, rows: list[dict]) -> None:
+    """Write and print the ``compare`` table: the config echo, then one row per variant."""
+    columns = ["variant", "accuracy", "ece", "nll", "brier", "auroc", "aupr"]
     lines = [f"# format_version={FORMAT_VERSION}"]
     lines += [f"# config.{k}={v}" for k, v in cfg.echo().items()]
     lines.append(",".join(columns))
@@ -357,10 +368,9 @@ def cmd_compare(args) -> int:
         lines.append(",".join(
             row[c] if isinstance(row[c], str) else f"{row[c]:.17g}" for c in columns))
     text = "\n".join(lines) + "\n"
-    with open(args.out, "w", encoding="utf-8") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(text)
     print(text, end="")
-    return EXIT_OK
 
 
 # -- verification suites ---------------------------------------------------------

@@ -23,10 +23,11 @@ from the class-mean weights, because ``p_0 (1 - p_0) = p_1 (1 - p_1)`` makes
 the two per-class matrices equal (``num_precisions``).
 
 Predictive variance for class k is ``phi^T Sigma_k phi`` with the covariance
-``Sigma_k = precision_k^{-1} = W_k^T W_k``, where ``W_k`` is the inverse
-Cholesky factor from ``linalg.spd_factor``.  Each distinct covariance is
-built once, in NumPy matrix products, and cached until the precision changes,
-so a batch of variances costs one matrix product per stored precision.
+``Sigma_k = precision_k^{-1}``.  Each distinct covariance is built once, by
+one step of block elimination (``spd_inverse``) in NumPy matrix products, and
+cached until the precision changes, so a batch of variances costs one matrix
+product per stored precision.  Building it holds the (D, D) covariance plus
+at most about one more D x D matrix of temporaries, in (D/2, D/2) blocks.
 
 The feature pipeline takes a (batch, in_dim) matrix of hidden rows.  A row
 that is not finite, or so large that its layer-norm variance overflows, has no
@@ -210,12 +211,10 @@ class RffGpLayer:
 
     def covariances(self) -> list[np.ndarray]:
         """Posterior covariance precision^{-1} for each stored precision, built
-        once from its inverse Cholesky factor and cached until the precision
-        changes."""
+        once by ``spd_inverse`` and cached until the precision changes."""
         if self._factors is None:
-            eye = np.eye(self.num_features)
             try:
-                self._factors = [spd_solve_factored(spd_factor(p), eye) for p in self.precision]
+                self._factors = [spd_inverse(p) for p in self.precision]
             except NotSpdError as exc:
                 raise NotSpdError(f"precision matrix lost positive definiteness: {exc}") from exc
         return self._factors
@@ -229,6 +228,46 @@ class RffGpLayer:
         if len(columns) == 1:
             columns *= self.num_classes
         return np.maximum(np.stack(columns, axis=1), 0.0)
+
+
+def spd_inverse(p: np.ndarray) -> np.ndarray:
+    """Inverse of an SPD matrix by one step of block elimination.  Only the
+    lower triangle of ``p`` affects the result, and a ``p`` that is not SPD, or
+    holds NaN or inf there, raises ``NotSpdError`` without a warning.
+
+    With ``p = [[A, B^T], [B, C]]`` split at h = D // 2, ``X = A^{-1} B^T`` and
+    the Schur complement ``S = C - B X``, the inverse is
+
+        [[A^{-1} - X Sigma_21, Sigma_21^T],
+         [Sigma_21,            S^{-1}   ]],   Sigma_21 = -S^{-1} X^T,
+
+    with ``A^{-1}`` and ``S^{-1}`` from their inverse Cholesky factors.  Each
+    block is written into the result as it is computed, and ``S`` is formed
+    in the result's corner, so at most about one more D x D matrix of
+    temporaries is alive beside the result.
+    """
+    d = p.shape[0]
+    h = d // 2
+    cov = np.empty((d, d))
+    w_a = spd_factor(p[:h, :h])
+    b = p[h:, :h]
+    corner = cov[h:, h:]  # holds S, then Sigma_22
+    # A non-finite or huge B overflows here; S is then not finite and its
+    # factorization raises NotSpdError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = spd_solve_factored(w_a, b.T)
+        np.matmul(b, x, out=corner)
+        np.subtract(p[h:, h:], corner, out=corner)
+    np.matmul(w_a.T, w_a, out=cov[:h, :h])
+    del w_a
+    w_s = spd_factor(corner)
+    np.matmul(w_s.T, w_s, out=corner)
+    del w_s
+    s21 = np.matmul(corner, x.T, out=cov[h:, :h])
+    np.negative(s21, out=s21)
+    cov[:h, :h] -= x @ s21
+    cov[:h, h:] = s21.T
+    return cov
 
 
 def num_precisions(num_classes: int) -> int:

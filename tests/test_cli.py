@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from sngp import cli
 from sngp.cli import (EXIT_DIVERGED, EXIT_INCOMPATIBLE, EXIT_OK, EXIT_USAGE,
                       LoadedModel, RunConfig, main, parse_run_config)
 from sngp.data import dataset_from_csv, surface_from_csv
+from sngp.train import TrainingDivergedError, load_checkpoint, save_checkpoint
 
 from headers import rewrite_header
 
@@ -181,6 +183,21 @@ class TestTrainCommand:
         assert "at epoch 0 step 0" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("noise_sd", ["1e300", "1e200"])
+    def test_overflowing_spectral_norm_exits_3(self, tmp_path, noise_sd, capsys):
+        # Without layer norm the first step's logits are finite, but its
+        # gradients near the float64 limit make the next weight's norm overflow.
+        cfg = write_config(tmp_path, noise_sd=noise_sd)
+        ckpt = tmp_path / "m.ckpt"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["train", "--config", cfg, "--out", str(ckpt)])
+        assert code == EXIT_DIVERGED
+        assert ("spectral normalization: overflow encountered in dot at epoch 0 step 1"
+                in capsys.readouterr().err)
+        assert not ckpt.exists()
+
     def test_divergence_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, learning_rate=1e9, epochs=3)
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "m.ckpt")]) \
@@ -228,6 +245,22 @@ class TestSurfaceCommand:
         code = main(["surface", "--checkpoint", str(ckpt), "--grid=-1,1,-1,1,5,5",
                      "--metric", "variance", "--out", str(tmp_path / "v.csv")])
         assert code == EXIT_INCOMPATIBLE
+
+    @pytest.mark.parametrize("value", [np.inf, 1e300])
+    def test_precision_not_spd_exits_2(self, tmp_path, checkpoint, value, capsys):
+        # Saved again, so the payload CRC matches the damaged precision.
+        model, header = load_checkpoint(str(checkpoint))
+        precision = model.head.precision[0]
+        precision[40, 3] = precision[3, 40] = value  # in the off-diagonal block
+        save_checkpoint(model, str(checkpoint), variant=header["variant"],
+                        config_echo=header["config"])
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["surface", "--checkpoint", str(checkpoint), "--grid=-1,1,-1,1,5,5",
+                         "--metric", "variance", "--out", str(tmp_path / "v.csv")])
+        assert code == EXIT_USAGE
+        assert "precision matrix lost positive definiteness" in capsys.readouterr().err
 
 
 def rewrite_bytes(path, edit):
@@ -460,6 +493,30 @@ class TestCompareCommand:
             tables.append(out.read_text().splitlines())
         assert tables[0][-1].startswith("dnn_gp,")
         assert tables[0][-1] == tables[1][-1]
+
+    def test_divergence_keeps_the_rows_already_trained(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, epochs=3)
+        alone = tmp_path / "alone.csv"
+        assert main(["compare", "--variants", "sngp", "--config", cfg,
+                     "--out", str(alone)]) == EXIT_OK
+        train_variant = cli._train_variant
+
+        def diverge_dnn_gp(tag, cfg, ds):
+            if tag == "dnn_gp":
+                raise TrainingDivergedError("loss 1e9 at epoch 0 step 4")
+            return train_variant(tag, cfg, ds)
+
+        monkeypatch.setattr(cli, "_train_variant", diverge_dnn_gp)
+        out = tmp_path / "table.csv"
+        capsys.readouterr()
+        assert main(["compare", "--variants", "sngp,dnn_gp,dnn_sn", "--config", cfg,
+                     "--out", str(out)]) == EXIT_DIVERGED
+        assert "variant dnn_gp: loss 1e9 at epoch 0 step 4" in capsys.readouterr().err
+        assert out.read_text() == alone.read_text()
+        first = tmp_path / "first.csv"
+        assert main(["compare", "--variants", "dnn_gp,sngp", "--config", cfg,
+                     "--out", str(first)]) == EXIT_DIVERGED
+        assert not first.exists()  # no variant trained, so there is no table
 
     def test_unknown_variant_exits_2(self, tmp_path):
         code = main(["compare", "--variants", "sngp,bogus", "--out",

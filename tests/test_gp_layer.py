@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,8 @@ from scipy.stats import spearmanr
 
 from sngp.gp_layer import NonFiniteRowError, RffGpLayer, mc_softmax, softmax
 from sngp.linalg import NotSpdError, RngState, spd_factor, spd_solve_factored
+
+from test_linalg import spd_with_condition
 
 
 def make_layer(in_dim=2, num_features=64, num_classes=2, seed=0, **kwargs):
@@ -300,6 +303,64 @@ class TestPrecision:
             assert np.allclose(variances[:, k], expected, rtol=1e-10, atol=0.0)
             assert np.isclose(single[k], variances[3, k], rtol=1e-12, atol=0.0)
         assert len(layer.precision) == (1 if num_classes == 2 else num_classes)
+
+
+class TestCovariance:
+    """``covariances`` inverts each stored precision by one step of block
+    elimination, split at D // 2; D = 1 and odd D are the split's edges."""
+
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    @pytest.mark.parametrize("cond", [10.0, 1e8])
+    @pytest.mark.parametrize("d", [1, 2, 3, 127, 128, 129, 1024])
+    def test_matches_numpy_inverse(self, d, cond, num_classes):
+        layer = make_layer(num_features=d, num_classes=num_classes)
+        layer.precision = [spd_with_condition(d, cond, seed=d + j)
+                           for j in range(len(layer.precision))]
+        covariances = layer.covariances()
+        assert len(covariances) == (1 if num_classes == 2 else 3)
+        h = d // 2
+        for p, cov in zip(layer.precision, covariances):
+            inv = np.linalg.inv(p)
+            # Both inverses are accurate to about cond * eps in norm, as the
+            # solves of test_linalg are.
+            rtol = 4.0 * cond * np.finfo(np.float64).eps
+            assert np.linalg.norm(cov - inv) <= rtol * np.linalg.norm(inv)
+            assert np.array_equal(cov[:h, h:], cov[h:, :h].T)
+
+    def test_reads_only_the_lower_triangle(self):
+        layer = make_layer(num_features=9)
+        layer.precision = [spd_with_condition(9, 100.0, seed=3)]
+        expected = layer.covariances()[0].copy()
+        layer.precision[0][np.triu_indices(9, 1)] = np.nan
+        layer._factors = None
+        assert np.array_equal(layer.covariances()[0], expected)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 1e300])
+    @pytest.mark.parametrize("row, col", [(1, 0), (6, 1), (7, 5)], ids=["A", "B", "C"])
+    def test_bad_precision_raises_not_spd_silently(self, row, col, value):
+        # Rows 4-7 and columns 0-3 of the 8 x 8 precision are its B block.
+        layer = make_layer(num_features=8)
+        layer.precision[0][row, col] = layer.precision[0][col, row] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotSpdError, match="lost positive definiteness"):
+                layer.covariances()
+
+    def test_building_holds_at_most_one_and_a_half_more_matrices(self):
+        # A default-size head: 128 hidden features, D = 1024, K = 2.
+        layer = make_layer(in_dim=128, num_features=1024)
+        rng = RngState(5)
+        phi = layer.rff_features(rng.normal_matrix(200, 128))
+        layer.update_precision_exact(phi, softmax(rng.normal_matrix(200, 2)))
+        del phi
+        tracemalloc.start()
+        try:
+            layer.covariances()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix_bytes = 8 * 1024 * 1024
+        assert peak <= (1.0 + 1.5) * matrix_bytes  # the covariance plus 1.5 D x D
 
 
 class TestMcSoftmax:

@@ -377,6 +377,20 @@ class TestPredictBlocks:
         outputs = 3 * 8 * (8 * b) * model.num_classes
         assert peak_bytes(8 * b) - peak_bytes(2 * b) < outputs + 8 * 2**20
 
+    def test_default_model_predicts_10k_rows_within_12_mb(self):
+        # Beside the loaded model and its cached covariance: one block's
+        # network tape and features, the (N, K) outputs and the MC draws.
+        model = build_sngp_model(ModelSpec())
+        predict_batch(model, np.zeros((1, 2)), rng=RngState(0))  # caches the covariance
+        x = RngState(3).normal_matrix(10_000, 2)
+        tracemalloc.start()
+        try:
+            predict_batch(model, x, rng=RngState(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
+
     def test_non_finite_row_is_named(self):
         x = np.zeros((6, 2))
         x[3, 1] = np.inf
