@@ -15,12 +15,17 @@ posterior is Gaussian with a closed-form per-class precision
 
     precision_k = s * I + sum_i p_ik (1 - p_ik) phi_i phi_i^T
 
-accumulated over data (``update_precision_exact``), or tracked with a
-discounted moving average during the final training epoch
-(``update_precision_minibatch``; previous precision weighted ``m``, fresh
-minibatch term weighted ``1 - m``).  A K = 2 head stores one matrix, built
-from the class-mean weights, because ``p_0 (1 - p_0) = p_1 (1 - p_1)`` makes
-the two per-class matrices equal (``num_precisions``).
+accumulated over data after a ``reset_precision`` (``update_precision_exact``
+adds one block of rows' term, so ``train`` resets once and then streams the
+training rows through it in blocks), or tracked with a discounted moving
+average during the final training epoch (``update_precision_minibatch``;
+previous precision weighted ``m``, fresh minibatch term weighted ``1 - m``).
+Each term is one symmetric product ``A^T A`` with ``A = sqrt(w) * phi``,
+which NumPy hands to BLAS ``syrk``: half the flops of a general product, and
+exactly symmetric.  Both updates add it in place, so neither holds a D x D
+temporary beyond the one term.  A K = 2 head stores one matrix, built from
+the class-mean weights, because ``p_0 (1 - p_0) = p_1 (1 - p_1)`` makes the
+two per-class matrices equal (``num_precisions``).
 
 Predictive variance for class k is ``phi^T Sigma_k phi`` with the covariance
 ``Sigma_k = precision_k^{-1}``.  Each distinct covariance is built once, by
@@ -38,6 +43,7 @@ meaningful features: ``features_with_tape`` raises ``NonFiniteRowError`` (a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -173,9 +179,14 @@ class RffGpLayer:
                           for _ in range(num_precisions(self.num_classes))]
         self._factors = None
 
-    def _fisher_terms(self, phi_batch: np.ndarray, probs_batch: np.ndarray) -> list[np.ndarray]:
-        """Sums w_i phi_i phi_i^T over an (M, D) phi and (M, K) probs batch, symmetrized
-        exactly, one per stored precision: w_ik = p_ik (1 - p_ik), or its class mean."""
+    def _fisher_factors(self, phi_batch: np.ndarray, probs_batch: np.ndarray
+                        ) -> Iterator[np.ndarray]:
+        """For an (M, D) phi and (M, K) probs batch, one (M, D) matrix
+        ``A = sqrt(w) * phi`` per stored precision, whose ``A^T A`` is that
+        precision's term ``sum_i w_i phi_i phi_i^T``: w_ik = p_ik (1 - p_ik), or
+        its class mean.  NumPy sends ``A.T @ A`` to BLAS ``syrk``, so the term is
+        exactly symmetric at half the flops of a general product.  A generator:
+        the batch is checked before the first matrix is made."""
         phi_batch = np.asarray(phi_batch, dtype=np.float64)
         probs_batch = np.asarray(probs_batch, dtype=np.float64)
         if phi_batch.ndim != 2 or phi_batch.shape[1] != self.num_features:
@@ -183,13 +194,13 @@ class RffGpLayer:
         if probs_batch.shape != (phi_batch.shape[0], self.num_classes):
             raise ValueError(f"probs batch must be (M, {self.num_classes}), got {probs_batch.shape}")
         weights = probs_batch * (1.0 - probs_batch)
+        if not np.all(weights >= 0.0):  # NaN fails too
+            raise ValueError("probs batch must lie in [0, 1]")
         if len(self.precision) == 1:
             weights = weights.mean(axis=1, keepdims=True)
-        terms = []
-        for k in range(weights.shape[1]):
-            t = (phi_batch * weights[:, k:k + 1]).T @ phi_batch
-            terms.append(0.5 * (t + t.T))
-        return terms
+        root_w = np.sqrt(weights)
+        for k in range(root_w.shape[1]):
+            yield phi_batch * root_w[:, k:k + 1]
 
     def update_precision_minibatch(self, phi_batch: np.ndarray, probs_batch: np.ndarray) -> None:
         """Discounted moving-average update: m * previous + (1 - m) * batch term.
@@ -197,17 +208,25 @@ class RffGpLayer:
         An empty batch contributes a zero fresh term, i.e. it only scales the
         previous precision by m.
         """
-        for p, t in zip(self.precision, self._fisher_terms(phi_batch, probs_batch)):
+        for p, a in zip(self.precision, self._fisher_factors(phi_batch, probs_batch)):
+            t = a.T @ a
+            t *= 1.0 - self.discount_m
             p *= self.discount_m
-            p += (1.0 - self.discount_m) * t
+            p += t
+            del t  # so that the next class's term is not made beside this one
         self._factors = None
 
-    def update_precision_exact(self, phi_all: np.ndarray, probs_all: np.ndarray) -> None:
-        """One-pass exact precision: ridge_s * I plus the full-data Fisher term,
-        computed after the reset so the old precision is not alive beside it."""
-        self.reset_precision()
-        for p, t in zip(self.precision, self._fisher_terms(phi_all, probs_all)):
-            p += t
+    def update_precision_exact(self, phi: np.ndarray, probs: np.ndarray) -> None:
+        """Add the Fisher term of one block of rows to every stored precision.
+
+        The exact precision ``ridge_s * I + sum_i w_i phi_i phi_i^T`` over a
+        data set is ``reset_precision`` followed by this call on each block of
+        its rows, which is how ``train`` builds it; how the rows are split
+        changes the sum only by rounding.
+        """
+        for p, a in zip(self.precision, self._fisher_factors(phi, probs)):
+            p += a.T @ a
+        self._factors = None
 
     def covariances(self) -> list[np.ndarray]:
         """Posterior covariance precision^{-1} for each stored precision, built

@@ -57,7 +57,7 @@ CHECKPOINT_MAGIC = b"SNGPCKPT"
 CHECKPOINT_VERSION = 2
 CHECKPOINT_PREAMBLE_BYTES = 16  # magic, version, header length
 DIVERGENCE_LIMIT = 1e6
-PREDICT_BLOCK_ROWS = 256  # rows per network/feature/variance pass at inference
+PREDICT_BLOCK_ROWS = 256  # rows per network/feature pass: inference, exact precision
 
 
 class TrainingDivergedError(RuntimeError):
@@ -414,7 +414,12 @@ def train(model: SngpModel, points: np.ndarray, labels: np.ndarray, config: Trai
     if model.has_gp_head and config.precision_exact and config.epochs > 0:
         if hooks:
             hooks("precision_update", config.epochs - 1, step)
-        model.head.update_precision_exact(*_features_and_probs(model, points))
+        # The Fisher sum is D x D whatever N is, so the rows pass through the
+        # network and the features one block at a time.
+        model.head.reset_precision()
+        for lo in range(0, n, PREDICT_BLOCK_ROWS):
+            rows = slice(lo, lo + PREDICT_BLOCK_ROWS)
+            model.head.update_precision_exact(*_features_and_probs(model, points[rows]))
 
     if config.epochs > 0:
         logits = model.eval_logits(points)

@@ -414,6 +414,35 @@ class TestEvalCommand:
         except ValueError:
             pass
 
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fuzzed_checkpoint_bytes_exit_2(self, eval_inputs, data, capsys):
+        # Damage to the preamble or the payload; the header's JSON is fuzzed above.
+        ckpt, data_csv = eval_inputs
+        raw = ckpt.read_bytes()
+        payload_start = 16 + int(np.frombuffer(raw[12:16], dtype="<u4")[0])
+        damage = data.draw(st.sampled_from(["flip", "truncate", "extend"]))
+        if damage == "flip":
+            where = st.one_of(st.integers(0, 15), st.integers(payload_start, len(raw) - 1))
+            damaged = bytearray(raw)
+            for i, mask in data.draw(st.dictionaries(where, st.integers(1, 255),
+                                                     min_size=1, max_size=4)).items():
+                damaged[i] ^= mask
+        elif damage == "truncate":
+            damaged = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        else:
+            damaged = raw + data.draw(st.binary(min_size=1, max_size=64))
+        path = ckpt.parent / "fuzz.ckpt"
+        path.write_bytes(bytes(damaged))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["eval", "--checkpoint", str(path), "--data", str(data_csv)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE, err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("magnitude", ["1e155", "1e300", "1e306"])
     def test_overflowing_hidden_row_exits_2(self, tmp_path, magnitude, capsys):
         ckpt = tmp_path / "m.ckpt"

@@ -222,6 +222,19 @@ class TestPrecision:
         for pe, pm in zip(exact.precision, moving.precision):
             assert np.allclose(pe, pm + exact.ridge_s * np.eye(8), atol=1e-10)
 
+    @pytest.mark.parametrize("bad", [1.5, -0.5, np.nan])
+    def test_probs_outside_unit_interval_rejected_silently(self, bad):
+        layer = make_layer(num_features=4)
+        before = [p.copy() for p in layer.precision]
+        probs = np.array([[0.5, 0.5], [bad, 1.0 - bad]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for update in (layer.update_precision_exact, layer.update_precision_minibatch):
+                with pytest.raises(ValueError, match=re.escape("must lie in [0, 1]")):
+                    update(np.ones((2, 4)), probs)
+        for b, p in zip(before, layer.precision):
+            assert np.array_equal(p, b)
+
     def test_exact_two_samples_hand_accumulated(self):
         layer = make_layer(num_features=2, ridge_s=0.5)
         phi = np.array([[1.0, 0.0], [1.0, 1.0]])
@@ -242,6 +255,7 @@ class TestPrecision:
             layer.update_precision_minibatch(phi, probs)
         for p in layer.precision:
             assert np.max(np.abs(p - p.T)) <= 1e-12
+            assert np.array_equal(p, p.T)
             spd_solve_factored(spd_factor(p), np.ones(16))
 
     def test_variance_shrinks_with_aligned_data(self):
@@ -251,6 +265,7 @@ class TestPrecision:
         v_prev = layer.predictive_variance_batch(phi)[0, 0]
         probs = np.array([[0.5, 0.5]])
         for step in range(5):
+            layer.reset_precision()  # update_precision_exact adds to the precision
             layer.update_precision_exact(np.tile(phi, (10 * (step + 1), 1)),
                                          np.tile(probs, (10 * (step + 1), 1)))
             v = layer.predictive_variance_batch(phi)[0, 0]

@@ -420,6 +420,78 @@ class TestPredictBlocks:
         assert seen == [True]
 
 
+class TestExactPrecisionPass:
+    """``train`` builds the exact precision ``PREDICT_BLOCK_ROWS`` rows at a time."""
+
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_blocks_change_nothing_but_rounding(self, num_classes):
+        n = 2 * PREDICT_BLOCK_ROWS + 3
+        x = RngState(70).normal_matrix(n, 2)
+        y = np.digitize(x[:, 0], np.linspace(-1.0, 1.0, num_classes + 1)[1:-1])
+        model = small_model(seed=71, num_classes=num_classes)
+        train(model, x, y, TrainConfig(epochs=2, batch_size=32, seed=72, precision_exact=True))
+        head = model.head
+        phi = head.rff_features(model.hidden(x)[0])
+        probs = softmax(head.logits(phi))
+        weights = probs * (1.0 - probs)
+        if num_classes == 2:
+            weights = weights.mean(axis=1, keepdims=True)
+        assert len(head.precision) == weights.shape[1]
+        for k, p in enumerate(head.precision):
+            dense = head.ridge_s * np.eye(head.num_features) + (phi * weights[:, k:k + 1]).T @ phi
+            # An entry whose sum cancels near zero is held to the matrix's scale.
+            np.testing.assert_allclose(p, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
+            assert np.array_equal(p, p.T)
+
+    def test_peak_memory_does_not_grow_with_rows(self):
+        # The network tape and the (rows, D) features of the exact pass are
+        # bounded by one block; only the inputs and the (N, K) outputs grow.
+        def peak_bytes(n):
+            x = RngState(n).normal_matrix(n, 2)
+            y = (x[:, 0] > 0).astype(int)
+            model = small_model(seed=73, hidden_width=32, depth=2, num_features=1024)
+            tracemalloc.start()
+            try:
+                train(model, x, y, TrainConfig(epochs=1, batch_size=32, seed=74,
+                                               precision_exact=True))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        grown_rows = 8000 - 2000
+        inputs_and_outputs = 8 * grown_rows * (2 + 1 + 2)  # x, y and the (N, 2) logits
+        assert peak_bytes(8000) - peak_bytes(2000) < inputs_and_outputs + 4 * 2**20
+
+
+@pytest.fixture(scope="module")
+def far_field_fit():
+    """A shallow GP head without layer norm, its exact precision built in
+    three blocks, and the radius of its training cloud."""
+    x = RngState(75).normal_matrix(2 * PREDICT_BLOCK_ROWS + 3, 2)
+    model = build_sngp_model(ModelSpec(input_dim=2, hidden_width=0, depth=0, seed=76,
+                                       num_features=1024, identity_hidden=True,
+                                       use_layer_norm=False, dropout_rate=0.0))
+    train(model, x, (x[:, 0] > 0).astype(int),
+          TrainConfig(epochs=3, batch_size=32, seed=77, precision_exact=True))
+    return model, float(np.linalg.norm(x, axis=1).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(angle=st.floats(0.0, 2.0 * np.pi), length_scales=st.floats(10.0, 1000.0))
+def test_variance_far_from_the_data_reverts_to_the_prior(far_field_fit, angle, length_scales):
+    # At least 10 length-scales from every training row the kernel is ~0, so
+    # the variance is the prior ||phi||^2 / s, short only by the part of phi
+    # that the random features' finite D leaves in the data's span (under 5%
+    # at D = 1024 on this cloud); the data can never raise it above the prior.
+    model, radius = far_field_fit
+    head = model.head
+    x = (radius + length_scales * head.length_scale) * np.array([[np.cos(angle), np.sin(angle)]])
+    variance = predict_batch(model, x, mc_samples=1, rng=RngState(0)).variance_logits[0, 0]
+    phi = head.rff_features(x)[0]
+    prior = float(phi @ phi) / head.ridge_s
+    assert 0.9 * prior <= variance <= prior * (1.0 + 1e-9)
+
+
 class TestModelSpec:
     @pytest.mark.parametrize("name, value", [
         ("depth", 2.5), ("depth", True), ("num_features", "64"), ("length_scale", False),
