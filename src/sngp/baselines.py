@@ -16,21 +16,13 @@ normalization so its uncertainty stays a function of raw input distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .gp_layer import GpPrediction, softmax
 from .train import (ModelSpec, SngpModel, TrainConfig, TrainReport, TrainingDivergedError,
                     build_sngp_model, train)
-
-
-@dataclass
-class EnsembleModel:
-    """Independently trained dense-head members sharing one architecture."""
-
-    members: list[SngpModel]
-    reports: list[TrainReport] = field(default_factory=list)
 
 
 # The model switches each tag sets; every other ModelSpec field comes from the caller.
@@ -62,8 +54,9 @@ def build_variant(tag: str, spec: ModelSpec) -> SngpModel:
 
 
 def train_ensemble(spec: ModelSpec, ensemble_size: int, points: np.ndarray,
-                   labels: np.ndarray, config: TrainConfig) -> EnsembleModel:
-    """Train E deterministic members with seeds config.seed + 0 .. E - 1."""
+                   labels: np.ndarray, config: TrainConfig
+                   ) -> tuple[list[SngpModel], list[TrainReport]]:
+    """Train E deterministic members with seeds config.seed + 0 .. E - 1: (members, reports)."""
     if ensemble_size < 1:
         raise ValueError("ensemble size must be >= 1")
     members, reports = [], []
@@ -76,12 +69,12 @@ def train_ensemble(spec: ModelSpec, ensemble_size: int, points: np.ndarray,
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(f"ensemble member {e} diverged: {exc}") from exc
         members.append(model)
-    return EnsembleModel(members=members, reports=reports)
+    return members, reports
 
 
-def ensemble_predict(ens: EnsembleModel, x: np.ndarray) -> GpPrediction:
+def ensemble_predict(members: list[SngpModel], x: np.ndarray) -> GpPrediction:
     """Member-averaged prediction for a (batch, d) input: the mean and variance
     of the member logits and the arithmetic mean of the member softmax outputs."""
-    logits = np.stack([member.eval_logits(x) for member in ens.members])
+    logits = np.stack([member.eval_logits(x) for member in members])
     return GpPrediction(mean_logits=logits.mean(axis=0), variance_logits=logits.var(axis=0),
                         probs=softmax(logits).mean(axis=0))

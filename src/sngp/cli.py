@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import data as data_mod
 from . import theory
-from .baselines import (EnsembleModel, build_variant, ensemble_predict, train_ensemble,
-                        VARIANT_TAGS)
+from .baselines import build_variant, ensemble_predict, train_ensemble, VARIANT_TAGS
 from .gp_layer import GpPrediction
 from .linalg import RngState
 from .metrics import (PredictionSet, auroc, aupr, brier, dempster_shafer, ece,
@@ -53,55 +52,82 @@ class VerificationFailure(RuntimeError):
     """An oracle suite property failed; message names the first failure."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Flat experiment configuration with documented defaults."""
+    """The run-level keys, plus the model spec and the training settings that
+    declare every other config key.  A key reads flat (``cfg.epochs``) through
+    ``CONFIG_KEYS``; ``seed`` sets both sections, which must agree.  Each value
+    is checked by its owner when built (``ValueError`` naming the key)."""
 
     variant: str = "sngp"
     dataset: str = "two_moons"
     n_per_class: int = 500
     noise_sd: float = 0.1
     data_seed: int = 7
-    hidden_width: int = 128
-    depth: int = 12
-    activation: str = "relu"
-    dropout_rate: float = 0.01
-    sn_bound: float = 0.9
-    num_features: int = 1024
-    length_scale: float = 2.0
-    ridge_s: float = 0.001
-    discount_m: float = 0.999
-    use_layer_norm: bool = True
     ensemble_size: int = 10
-    epochs: int = 40
-    batch_size: int = 32
-    learning_rate: float = 0.05
-    momentum: float = 0.9
-    l2_beta: float = 0.0
-    seed: int = 0
     mc_samples: int = 10
-    precision_exact: bool = False
+    spec: ModelSpec = ModelSpec()
+    train: TrainConfig = TrainConfig()
+
+    def __post_init__(self):
+        if self.variant not in VARIANT_TAGS:
+            raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANT_TAGS}")
+        if self.dataset not in DATASETS:
+            raise ValueError(f"unknown dataset {self.dataset!r}")
+        for name in ("ensemble_size", "mc_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.spec.seed != self.train.seed:
+            raise ValueError(f"model seed {self.spec.seed} != training seed {self.train.seed}")
+
+    def __getattr__(self, name: str):
+        # Non-fields only; reads the key table before ``self``, so copies cannot recurse.
+        entry = CONFIG_KEYS.get(name)
+        if entry is None or entry[1][0] == "run":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return getattr(getattr(self, entry[1][0]), name)
 
     def echo(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        """Every config key and its effective value, in ``CONFIG_KEYS`` order."""
+        return {key: getattr(self, key) for key in CONFIG_KEYS}
 
 
-def _coerce(raw: str, target_type):
-    if target_type is bool:
+DATASETS = ("two_moons", "two_ovals")
+# Fields that are not config keys: the two sections, the switches the variant tag sets
+# (``build_variant``), the sizes of the 2-D, two-class data, and a Python-only projection.
+_NOT_KEYS = ("spec", "train", "spectral_norm", "gp_head", "identity_hidden", "input_dim",
+             "num_classes", "gp_projection_dim")
+_SECTIONS = (("run", RunConfig), ("spec", ModelSpec), ("train", TrainConfig))
+
+
+def _key_table() -> dict[str, tuple[str, tuple[str, ...]]]:
+    """Config key -> its type and the sections whose fields declare it."""
+    table = {}
+    for section, cls in _SECTIONS:
+        for f in fields(cls):
+            if f.name not in _NOT_KEYS:
+                kind, owners = table.get(f.name, (f.type, ()))
+                table[f.name] = (kind, owners + (section,))
+    return table
+
+
+CONFIG_KEYS = _key_table()
+
+
+def _coerce(raw: str, kind: str):
+    if kind == "bool":
         low = raw.lower()
         if low in ("true", "1", "yes"):
             return True
         if low in ("false", "0", "no"):
             return False
         raise ValueError(f"expected a boolean, got {raw!r}")
-    return target_type(raw)
+    return {"int": int, "float": float, "str": str}[kind](raw)
 
 
 def parse_run_config(text: str) -> RunConfig:
-    """Parse ``key = value`` lines into a RunConfig, rejecting unknown keys."""
-    known = {f.name: f.type for f in fields(RunConfig)}
-    type_map = {"int": int, "float": float, "str": str, "bool": bool}
-    values = {}
+    """Parse ``key = value`` lines into a RunConfig, each into its key's sections."""
+    values = {section: {} for section, _ in _SECTIONS}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -109,23 +135,17 @@ def parse_run_config(text: str) -> RunConfig:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key=value, got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in CONFIG_KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        target = known[key]
-        if isinstance(target, str):
-            target = type_map[target]
+        kind, sections = CONFIG_KEYS[key]
         try:
-            values[key] = _coerce(raw, target)
+            value = _coerce(raw, kind)
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: {exc}") from exc
-    cfg = RunConfig(**values)
-    if cfg.variant not in VARIANT_TAGS:
-        raise ValueError(f"unknown variant {cfg.variant!r}; expected one of {VARIANT_TAGS}")
-    if cfg.dataset not in ("two_moons", "two_ovals"):
-        raise ValueError(f"unknown dataset {cfg.dataset!r}")
-    if cfg.mc_samples < 1:
-        raise ValueError(f"mc_samples must be >= 1, got {cfg.mc_samples!r}")
-    return cfg
+        for section in sections:
+            values[section][key] = value
+    return RunConfig(**values["run"], spec=ModelSpec(**values["spec"]),
+                     train=TrainConfig(**values["train"]))
 
 
 def load_run_config(path: str | None) -> RunConfig:
@@ -141,32 +161,23 @@ def _make_dataset(cfg: RunConfig) -> data_mod.Dataset2D:
     return data_mod.gen_two_ovals(cfg.n_per_class, cfg.data_seed)
 
 
-def _from_config(cls, cfg: RunConfig):
-    """A ``ModelSpec`` or ``TrainConfig`` taking each field the run config
-    has under the same name.  A model spec describes the config's 2-D,
-    two-class data; the variant tag sets the rest (``build_variant``)."""
-    return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls) if hasattr(cfg, f.name)})
-
-
 def _train_variant(tag: str, cfg: RunConfig, ds) -> tuple[list[SngpModel], list[TrainReport]]:
     """The trained models of one variant tag (the members of a deep ensemble,
     else one model) and their training reports."""
-    spec = _from_config(ModelSpec, cfg)
-    tcfg = _from_config(TrainConfig, cfg)
     if tag == "deep_ensemble":
-        ens = train_ensemble(spec, cfg.ensemble_size, ds.points, ds.labels, tcfg)
-        return ens.members, ens.reports
-    model = build_variant(tag, spec)
-    return [model], [train(model, ds.points, ds.labels, tcfg)]
+        return train_ensemble(cfg.spec, cfg.ensemble_size, ds.points, ds.labels, cfg.train)
+    model = build_variant(tag, cfg.spec)
+    return [model], [train(model, ds.points, ds.labels, cfg.train)]
 
 
 # -- models behind one prediction interface --------------------------------------
 
 
 class LoadedModel:
-    """One model, or an ensemble of several, behind a single prediction interface."""
+    """One model, or an ensemble of several, behind a single prediction interface;
+    its Monte Carlo stream derives from the first model's seed, as at training."""
 
-    def __init__(self, models: list[SngpModel], variant: str, config: dict, mc_rng: RngState):
+    def __init__(self, models: list[SngpModel], variant: str, config: dict):
         self.models = models
         self.variant = variant
         self.config = config
@@ -175,7 +186,7 @@ class LoadedModel:
         self.mc_samples = config.get("mc_samples", 10)
         if type(self.mc_samples) is not int or self.mc_samples < 1:
             raise ValueError(f"config mc_samples must be an int >= 1, got {self.mc_samples!r}")
-        self._mc_rng = mc_rng
+        self._mc_rng = RngState(models[0].spec.seed).derive("mc")
 
     @classmethod
     def from_checkpoints(cls, paths: list[str]) -> "LoadedModel":
@@ -186,7 +197,7 @@ class LoadedModel:
             raise ValueError(f"checkpoint variant {variant!r} is not one of {VARIANT_TAGS}")
         if not isinstance(config, dict):
             raise ValueError(f"checkpoint config must be an object, got {config!r}")
-        return cls([m for m, _ in loaded], variant, config, RngState(0).derive("cli_mc"))
+        return cls([m for m, _ in loaded], variant, config)
 
     @property
     def has_gp_head(self) -> bool:
@@ -194,7 +205,7 @@ class LoadedModel:
 
     def predict(self, x: np.ndarray) -> GpPrediction:
         if self.is_ensemble:
-            return ensemble_predict(EnsembleModel(members=self.models), x)
+            return ensemble_predict(self.models, x)
         return predict_batch(self.models[0], x, mc_samples=self.mc_samples, rng=self._mc_rng)
 
     def native_metric(self) -> str:
@@ -247,9 +258,8 @@ def cmd_train(args) -> int:
     if args.report:
         with open(args.report, "w", encoding="utf-8") as f:
             f.write(f"format_version={FORMAT_VERSION}\n")
-            for r in reports:
-                r.config_echo = cfg.echo()  # the full run config, not just the loop knobs
-                f.write(r.as_text())
+            f.writelines(f"config.{k}={v}\n" for k, v in sorted(cfg.echo().items()))
+            f.writelines(r.as_text() for r in reports)
     for r in reports:
         print(f"seed {r.seed}: final train accuracy {r.final_train_accuracy:.4f} "
               f"in {r.wall_clock_s:.1f}s")
@@ -337,7 +347,7 @@ def cmd_eval(args) -> int:
 def cmd_compare(args) -> int:
     cfg = load_run_config(args.config)
     if args.dataset:
-        cfg.dataset = args.dataset
+        cfg = replace(cfg, dataset=args.dataset)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     for v in variants:
         if v not in VARIANT_TAGS:
@@ -352,7 +362,7 @@ def cmd_compare(args) -> int:
                 _write_table(args.out, cfg, rows)
             raise TrainingDivergedError(f"variant {tag}: {exc}") from None
         # A fresh stream per variant keeps each row independent of the ones before it.
-        loaded = LoadedModel(models, tag, cfg.echo(), RngState(cfg.seed).derive("compare_mc"))
+        loaded = LoadedModel(models, tag, cfg.echo())
         rows.append({"variant": tag, **_score_model(loaded, ds, "auto")})
     _write_table(args.out, cfg, rows)
     return EXIT_OK
@@ -477,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="write a benchmark dataset CSV")
-    p.add_argument("--dataset", required=True, choices=["two_ovals", "two_moons"])
+    p.add_argument("--dataset", required=True, choices=DATASETS)
     p.add_argument("--n", type=int, default=RunConfig.n_per_class, help="points per class")
     p.add_argument("--noise", type=float, default=RunConfig.noise_sd, help="two-moons noise sd")
     p.add_argument("--seed", type=int, default=RunConfig.data_seed)
@@ -514,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="train variants and emit a metrics CSV")
     p.add_argument("--variants", required=True, help="comma-separated variant tags")
-    p.add_argument("--dataset", choices=["two_moons", "two_ovals"])
+    p.add_argument("--dataset", choices=DATASETS)
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)

@@ -77,7 +77,7 @@ class DenseHead:
         return h @ self.weight.T + self.bias
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 40
     batch_size: int = 32
@@ -107,14 +107,11 @@ class TrainReport:
     final_train_accuracy: float = 0.0
     wall_clock_s: float = 0.0
     seed: int = 0
-    config_echo: dict = field(default_factory=dict)
 
     def as_text(self) -> str:
         lines = [f"seed={self.seed}",
                  f"final_train_accuracy={self.final_train_accuracy:.17g}",
                  f"wall_clock_s={self.wall_clock_s:.3f}"]
-        for key in sorted(self.config_echo):
-            lines.append(f"config.{key}={self.config_echo[key]}")
         for i, loss in enumerate(self.epoch_losses):
             lines.append(f"loss_epoch_{i}={loss:.17g}")
         return "\n".join(lines) + "\n"
@@ -360,7 +357,7 @@ def train(model: SngpModel, points: np.ndarray, labels: np.ndarray, config: Trai
     dropout_rng = root.derive("dropout")
     optimizer = SgdMomentum(config.learning_rate, config.momentum)
 
-    report = TrainReport(seed=config.seed, config_echo=asdict(config))
+    report = TrainReport(seed=config.seed)
     step = 0
     for epoch in range(config.epochs):
         collect_precision = (model.has_gp_head and not config.precision_exact

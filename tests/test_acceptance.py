@@ -172,8 +172,8 @@ def test_criterion_5_distance_awareness(moons, trained_sngp):
         model = build_variant("sngp", spec)
         train(model, moons.points, moons.labels, cfg)
         sngp_auprs.append(aupr(variance_of(model, eval_pts), flags))
-        ens = train_ensemble(spec, 3, moons.points, moons.labels, cfg)
-        ens_auprs.append(aupr(margin_uncertainty(ensemble_predict(ens, eval_pts)), flags))
+        members, _ = train_ensemble(spec, 3, moons.points, moons.labels, cfg)
+        ens_auprs.append(aupr(margin_uncertainty(ensemble_predict(members, eval_pts)), flags))
     elapsed = time.perf_counter() - start
     check("criterion 5c: SNGP AUPR(OOD) >= deep-ensemble AUPR(OOD) over 3 seeds",
           float(np.mean(sngp_auprs)) >= float(np.mean(ens_auprs)) and elapsed < 300.0,

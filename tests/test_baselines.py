@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from sngp.baselines import EnsembleModel, build_variant, ensemble_predict, train_ensemble
+from sngp.baselines import build_variant, ensemble_predict, train_ensemble
 from sngp.data import gen_two_moons, min_distance_to_set
 from sngp.gp_layer import softmax
 from sngp.linalg import RngState
@@ -64,44 +64,44 @@ class TestEnsemble:
     def test_single_member_matches_deterministic_model(self):
         x, y = toy_data()
         cfg = TrainConfig(epochs=5, batch_size=10, learning_rate=0.05, momentum=0.9, seed=11)
-        ens = train_ensemble(SMALL_SPEC, 1, x, y, cfg)
+        members, _ = train_ensemble(SMALL_SPEC, 1, x, y, cfg)
         solo = build_variant("deterministic", replace(SMALL_SPEC, seed=11))
         train(solo, x, y, cfg)
         pts = np.array([[0.2, -0.1], [1.2, 0.4]])
-        assert np.array_equal(ensemble_predict(ens, pts).probs, softmax(solo.eval_logits(pts)))
+        assert np.array_equal(ensemble_predict(members, pts).probs,
+                              softmax(solo.eval_logits(pts)))
 
     def test_identical_members_average_to_member(self):
         x, y = toy_data(seed=3)
         cfg = TrainConfig(epochs=3, batch_size=10, learning_rate=0.05, seed=12)
         member = build_variant("deterministic", replace(SMALL_SPEC, seed=12))
         train(member, x, y, cfg)
-        ens = EnsembleModel(members=[member, member, member])
         pts = np.array([[0.3, 0.3]])
-        assert np.allclose(ensemble_predict(ens, pts).probs, softmax(member.eval_logits(pts)))
+        assert np.allclose(ensemble_predict([member, member, member], pts).probs, softmax(member.eval_logits(pts)))
 
     def test_three_member_hand_average(self):
         x, y = toy_data(seed=4)
         cfg = TrainConfig(epochs=4, batch_size=10, learning_rate=0.05, seed=13)
-        ens = train_ensemble(SMALL_SPEC, 3, x, y, cfg)
+        members, _ = train_ensemble(SMALL_SPEC, 3, x, y, cfg)
         pts = RngState(14).normal_matrix(5, 2)
-        manual = sum(softmax(m.eval_logits(pts)) for m in ens.members) / 3.0
-        assert np.allclose(ensemble_predict(ens, pts).probs, manual)
-        assert np.allclose(ensemble_predict(ens, pts).probs.sum(axis=1), 1.0)
+        manual = sum(softmax(m.eval_logits(pts)) for m in members) / 3.0
+        assert np.allclose(ensemble_predict(members, pts).probs, manual)
+        assert np.allclose(ensemble_predict(members, pts).probs.sum(axis=1), 1.0)
 
     def test_members_use_consecutive_seeds(self):
         x, y = toy_data(seed=6)
         cfg = TrainConfig(epochs=1, batch_size=10, learning_rate=0.05, seed=20)
-        ens = train_ensemble(SMALL_SPEC, 3, x, y, cfg)
-        assert [r.seed for r in ens.reports] == [20, 21, 22]
-        p0 = ens.members[0].parameters()["net.proj.w"]
-        p1 = ens.members[1].parameters()["net.proj.w"]
+        members, reports = train_ensemble(SMALL_SPEC, 3, x, y, cfg)
+        assert [r.seed for r in reports] == [20, 21, 22]
+        p0 = members[0].parameters()["net.proj.w"]
+        p1 = members[1].parameters()["net.proj.w"]
         assert not np.allclose(p0, p1)
 
     def test_ensemble_accuracy_on_separable_toy(self):
         x, y = toy_data(seed=7)
         cfg = TrainConfig(epochs=10, batch_size=10, learning_rate=0.1, momentum=0.9, seed=21)
-        ens = train_ensemble(SMALL_SPEC, 3, x, y, cfg)
-        probs = ensemble_predict(ens, x).probs
+        members, _ = train_ensemble(SMALL_SPEC, 3, x, y, cfg)
+        probs = ensemble_predict(members, x).probs
         assert np.mean(np.argmax(probs, axis=1) == y) == 1.0
 
     def test_member_divergence_names_the_member(self):
@@ -121,7 +121,7 @@ class TestDirectionalProperty:
                           seed=9, precision_exact=True)
         sngp_model = build_variant("sngp", spec)
         train(sngp_model, ds.points, ds.labels, cfg)
-        ens = train_ensemble(spec, 3, ds.points, ds.labels, cfg)
+        members, _ = train_ensemble(spec, 3, ds.points, ds.labels, cfg)
 
         lo = ds.points.min(axis=0) - 1.0
         hi = ds.points.max(axis=0) + 1.0
@@ -130,7 +130,8 @@ class TestDirectionalProperty:
         dist = min_distance_to_set(grid, ds.points)
 
         rho_sngp = spearmanr(variance_of(sngp_model, grid), dist).statistic
-        rho_ens = spearmanr(margin_uncertainty(ensemble_predict(ens, grid)), dist).statistic
+        rho_ens = spearmanr(margin_uncertainty(ensemble_predict(members, grid)),
+                            dist).statistic
         assert rho_sngp > rho_ens
 
     def test_shallow_gp_monotone_along_rays(self):

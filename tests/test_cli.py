@@ -1,5 +1,4 @@
 import warnings
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from sngp import cli
 from sngp.cli import (EXIT_DIVERGED, EXIT_INCOMPATIBLE, EXIT_OK, EXIT_USAGE,
                       LoadedModel, RunConfig, main, parse_run_config)
 from sngp.data import dataset_from_csv, surface_from_csv
-from sngp.train import TrainingDivergedError, load_checkpoint, save_checkpoint
+from sngp.train import ModelSpec, TrainingDivergedError, load_checkpoint, save_checkpoint
 
 from headers import rewrite_header
 
@@ -68,9 +67,41 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="variant"):
             parse_run_config("variant = mc_dropout\n")
 
+    @pytest.mark.parametrize("key", ["spectral_norm", "gp_head", "identity_hidden",
+                                     "input_dim", "num_classes", "gp_projection_dim"])
+    def test_model_fields_set_elsewhere_are_not_keys(self, key):
+        # The variant tag, the data or a Python caller sets these.
+        with pytest.raises(ValueError, match=f"line 1: unknown key '{key}'"):
+            parse_run_config(f"{key} = 1\n")
+
+    def test_echo_keys_are_the_file_format(self):
+        assert list(RunConfig().echo()) == [
+            "variant", "dataset", "n_per_class", "noise_sd", "data_seed", "ensemble_size",
+            "mc_samples", "hidden_width", "depth", "seed", "activation", "dropout_rate",
+            "sn_bound", "num_features", "length_scale", "ridge_s", "discount_m",
+            "use_layer_norm", "epochs", "batch_size", "learning_rate", "momentum", "l2_beta",
+            "precision_exact"]
+
+    def test_seed_sets_both_sections(self):
+        cfg = parse_run_config("seed = 9\n")
+        assert (cfg.spec.seed, cfg.train.seed, cfg.echo()["seed"]) == (9, 9, 9)
+
+    def test_differing_seeds_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            RunConfig(spec=ModelSpec(seed=1))
+
+    @pytest.mark.parametrize("line, message", [
+        ("sn_bound = nan", "sn_bound must be positive, got nan"),
+        ("momentum = 1", "momentum must lie in [0, 1), got 1.0"),
+        ("ensemble_size = 0", "ensemble_size must be >= 1, got 0")])
+    def test_out_of_range_value_rejected_when_read(self, line, message):
+        with pytest.raises(ValueError) as exc:
+            parse_run_config(line + "\n")
+        assert message in str(exc.value)
+
     @settings(max_examples=300, deadline=None)
     @given(text=st.one_of(st.text(max_size=60), st.lists(st.tuples(
-        st.sampled_from([f.name for f in fields(RunConfig)] + ["", "x"]),
+        st.sampled_from(list(RunConfig().echo()) + ["", "x"]),
         st.sampled_from(["=", " = ", "==", ""]),
         st.one_of(st.text(max_size=12), st.integers().map(str), st.floats().map(str),
                   st.sampled_from(["true", "no", "sngp", "two_ovals", "nan", "-inf"]))),
@@ -131,6 +162,17 @@ class TestTrainCommand:
         for key in RunConfig().echo():
             assert f"config.{key}=" in text
         assert "final_train_accuracy=" in text
+
+    def test_ensemble_report_echoes_config_once(self, tmp_path):
+        cfg = write_config(tmp_path, variant="deep_ensemble", ensemble_size=2, epochs=2)
+        report = tmp_path / "report.txt"
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "m.ckpt"),
+                     "--report", str(report)]) == EXIT_OK
+        lines = report.read_text().splitlines()
+        echo = sorted(parse_run_config((tmp_path / "run.cfg").read_text()).echo().items())
+        assert [l for l in lines if l.startswith("config.")] == [f"config.{k}={v}"
+                                                                for k, v in echo]
+        assert [l for l in lines if l.startswith("seed=")] == ["seed=3", "seed=4"]
 
     def test_epochs_zero_keeps_initial_weights(self, tmp_path):
         cfg = write_config(tmp_path, epochs=0)
@@ -312,14 +354,14 @@ class TestEvalCommand:
     def test_mc_samples_read_from_checkpoint_config(self, tmp_path):
         from sngp.cli import LoadedModel
         from sngp.linalg import RngState
-        from sngp.train import ModelSpec, build_sngp_model, predict_batch, save_checkpoint
+        from sngp.train import build_sngp_model, predict_batch
         ckpt = tmp_path / "m.ckpt"
         assert main(["train", "--config", write_config(tmp_path, epochs=1, mc_samples=3),
                      "--out", str(ckpt)]) == EXIT_OK
         loaded = LoadedModel.from_checkpoints([str(ckpt)])
         x = np.array([[0.1, 0.2], [3.0, 3.0]])
         expected = predict_batch(loaded.models[0], x, mc_samples=3,
-                                 rng=RngState(0).derive("cli_mc"))
+                                 rng=RngState(3).derive("mc"))  # FAST_CONFIG's seed
         assert np.array_equal(loaded.predict(x).probs, expected.probs)
         bare = tmp_path / "bare.ckpt"
         save_checkpoint(build_sngp_model(ModelSpec(input_dim=2, hidden_width=8, depth=1,
@@ -551,3 +593,30 @@ class TestCompareCommand:
         code = main(["compare", "--variants", "sngp,bogus", "--out",
                      str(tmp_path / "t.csv")])
         assert code == EXIT_USAGE
+
+    def test_empty_ensemble_exits_2_before_training(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, ensemble_size=0)
+        monkeypatch.setattr(cli, "_train_variant", None)  # nothing may train
+        out = tmp_path / "table.csv"
+        capsys.readouterr()
+        assert main(["compare", "--variants", "sngp,deep_ensemble", "--config", cfg,
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "ensemble_size must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_of_trained_checkpoint_reproduces_compare_row(self, tmp_path):
+        # One Monte Carlo stream, seeded by the run's seed, serves both paths.
+        cfg = write_config(tmp_path, epochs=5)
+        table, ckpt = tmp_path / "table.csv", tmp_path / "m.ckpt"
+        data_csv, report = tmp_path / "data.csv", tmp_path / "eval.txt"
+        assert main(["compare", "--variants", "sngp", "--config", cfg,
+                     "--out", str(table)]) == EXIT_OK
+        assert main(["train", "--config", cfg, "--out", str(ckpt)]) == EXIT_OK
+        assert main(["gen-data", "--dataset", "two_moons", "--n", "60", "--noise", "0.05",
+                     "--seed", "7", "--out", str(data_csv)]) == EXIT_OK
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data_csv),
+                     "--out", str(report)]) == EXIT_OK
+        header, row = [l.split(",") for l in table.read_text().splitlines()
+                       if not l.startswith("#")]
+        evaluated = dict(l.split("=", 1) for l in report.read_text().splitlines())
+        assert {c: evaluated[c] for c in header[1:]} == dict(zip(header[1:], row[1:]))

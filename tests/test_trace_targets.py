@@ -68,3 +68,9 @@ def test_train_call_counts_follow_the_pinned_formula(tmp_path):
                     "gp_layer.precision_minibatch": 2, "nn.clamp_network": 2}
     calls = traced_calls(tmp_path, "train")
     assert {name: calls.get(name) for name in pinned} == tiny
+
+
+def test_rows_of_work_reads_the_default_config():
+    # The harness reads RunConfig() for its throughput after the timed phase.
+    rows_of_work = load_perfbench("workloads").rows_of_work
+    assert [rows_of_work(w) for w in ("train", "score", "compare")] == [40_000, 12_500, 85_000]
