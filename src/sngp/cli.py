@@ -77,6 +77,8 @@ class RunConfig:
         for name in ("ensemble_size", "mc_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if not self.noise_sd >= 0.0:  # NaN fails too
+            raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd!r}")
         if self.spec.seed != self.train.seed:
             raise ValueError(f"model seed {self.spec.seed} != training seed {self.train.seed}")
 
@@ -90,6 +92,10 @@ class RunConfig:
     def echo(self) -> dict:
         """Every config key and its effective value, in ``CONFIG_KEYS`` order."""
         return {key: getattr(self, key) for key in CONFIG_KEYS}
+
+    def text(self) -> str:
+        """The echo as the ``key = value`` lines that ``parse_run_config`` reads back."""
+        return "".join(f"{key} = {value}\n" for key, value in self.echo().items())
 
 
 DATASETS = ("two_moons", "two_ovals")
@@ -174,30 +180,23 @@ def _train_variant(tag: str, cfg: RunConfig, ds) -> tuple[list[SngpModel], list[
 
 
 class LoadedModel:
-    """One model, or an ensemble of several, behind a single prediction interface;
-    its Monte Carlo stream derives from the first model's seed, as at training."""
+    """One model or an ensemble, and the run config that trained it, behind one prediction
+    interface; its Monte Carlo stream derives from the first model's seed, as at training."""
 
-    def __init__(self, models: list[SngpModel], variant: str, config: dict):
+    def __init__(self, models: list[SngpModel], cfg: RunConfig):
         self.models = models
-        self.variant = variant
-        self.config = config
+        self.cfg = cfg
         self.num_classes = models[0].num_classes
         self.is_ensemble = len(models) > 1
-        self.mc_samples = config.get("mc_samples", 10)
-        if type(self.mc_samples) is not int or self.mc_samples < 1:
-            raise ValueError(f"config mc_samples must be an int >= 1, got {self.mc_samples!r}")
         self._mc_rng = RngState(models[0].spec.seed).derive("mc")
 
     @classmethod
     def from_checkpoints(cls, paths: list[str]) -> "LoadedModel":
         loaded = [load_checkpoint(p) for p in paths]
-        header = loaded[0][1]
-        variant, config = header.get("variant"), header.get("config")
-        if variant not in VARIANT_TAGS:
-            raise ValueError(f"checkpoint variant {variant!r} is not one of {VARIANT_TAGS}")
-        if not isinstance(config, dict):
-            raise ValueError(f"checkpoint config must be an object, got {config!r}")
-        return cls([m for m, _ in loaded], variant, config)
+        config = loaded[0][1].get("config")
+        if not isinstance(config, str):
+            raise ValueError(f"checkpoint config must be text, got {type(config).__name__}")
+        return cls([m for m, _ in loaded], parse_run_config(config))
 
     @property
     def has_gp_head(self) -> bool:
@@ -206,7 +205,7 @@ class LoadedModel:
     def predict(self, x: np.ndarray) -> GpPrediction:
         if self.is_ensemble:
             return ensemble_predict(self.models, x)
-        return predict_batch(self.models[0], x, mc_samples=self.mc_samples, rng=self._mc_rng)
+        return predict_batch(self.models[0], x, mc_samples=self.cfg.mc_samples, rng=self._mc_rng)
 
     def native_metric(self) -> str:
         return "variance" if self.has_gp_head else "margin"
@@ -235,6 +234,13 @@ def _score_fn(loaded: LoadedModel, metric: str):
 # -- subcommands ----------------------------------------------------------------
 
 
+def _echo(cfg: RunConfig, **output) -> dict:
+    """What every output writes first, as ``key=value`` lines: the format version,
+    the ``output`` entries, then each config key as ``config.<key>`` in key order."""
+    return {"format_version": FORMAT_VERSION, **output,
+            **{f"config.{k}": v for k, v in cfg.echo().items()}}
+
+
 def cmd_gen_data(args) -> int:
     ds = _make_dataset(RunConfig(dataset=args.dataset, n_per_class=args.n,
                                  noise_sd=args.noise, data_seed=args.seed))
@@ -252,13 +258,12 @@ def cmd_train(args) -> int:
     ensemble = cfg.variant == "deep_ensemble"
     for i, model in enumerate(models):
         path = f"{args.out}.member{i}" if ensemble else args.out
-        save_checkpoint(model, path, variant=cfg.variant, config_echo=cfg.echo())
+        save_checkpoint(model, path, cfg.text())
     print(f"wrote {len(models)} member checkpoints to {args.out}.member*" if ensemble
           else f"wrote checkpoint to {args.out}")
     if args.report:
         with open(args.report, "w", encoding="utf-8") as f:
-            f.write(f"format_version={FORMAT_VERSION}\n")
-            f.writelines(f"config.{k}={v}\n" for k, v in sorted(cfg.echo().items()))
+            f.writelines(f"{k}={v}\n" for k, v in _echo(cfg).items())
             f.writelines(r.as_text() for r in reports)
     for r in reports:
         print(f"seed {r.seed}: final train accuracy {r.final_train_accuracy:.4f} "
@@ -281,10 +286,8 @@ def cmd_surface(args) -> int:
     points = grid.points()
     score = _score_fn(loaded, args.metric)
     values = score(loaded.predict(points))
-    meta = {"format_version": FORMAT_VERSION, "metric": args.metric,
-            "variant": loaded.variant, "grid": args.grid}
-    meta.update({f"config.{k}": v for k, v in loaded.config.items()})
-    data_mod.surface_to_csv(points, values, args.out, meta=meta)
+    data_mod.surface_to_csv(points, values, args.out,
+                            meta=_echo(loaded.cfg, metric=args.metric, grid=args.grid))
     if args.pgm:
         data_mod.surface_to_pgm(values, grid, args.pgm, meta={"metric": args.metric})
     print(f"wrote {len(values)} surface rows to {args.out}")
@@ -332,9 +335,7 @@ def cmd_eval(args) -> int:
         ds = data_mod.Dataset2D(points=ds.points, labels=ds.labels,
                                 ood_points=ood_points, name=ds.name, seed=ds.seed)
     values = _score_model(loaded, ds, args.uncertainty)
-    lines = [f"format_version={FORMAT_VERSION}", f"variant={loaded.variant}"]
-    for k, v in loaded.config.items():
-        lines.append(f"config.{k}={v}")
+    lines = [f"{k}={v}" for k, v in _echo(loaded.cfg).items()]
     report = "\n".join(lines) + "\n" + metrics_report(
         {k: v for k, v in values.items() if isinstance(v, float)})
     if args.out:
@@ -362,7 +363,7 @@ def cmd_compare(args) -> int:
                 _write_table(args.out, cfg, rows)
             raise TrainingDivergedError(f"variant {tag}: {exc}") from None
         # A fresh stream per variant keeps each row independent of the ones before it.
-        loaded = LoadedModel(models, tag, cfg.echo())
+        loaded = LoadedModel(models, cfg)
         rows.append({"variant": tag, **_score_model(loaded, ds, "auto")})
     _write_table(args.out, cfg, rows)
     return EXIT_OK
@@ -371,8 +372,7 @@ def cmd_compare(args) -> int:
 def _write_table(path: str, cfg: RunConfig, rows: list[dict]) -> None:
     """Write and print the ``compare`` table: the config echo, then one row per variant."""
     columns = ["variant", "accuracy", "ece", "nll", "brier", "auroc", "aupr"]
-    lines = [f"# format_version={FORMAT_VERSION}"]
-    lines += [f"# config.{k}={v}" for k, v in cfg.echo().items()]
+    lines = [f"# {k}={v}" for k, v in _echo(cfg).items()]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(

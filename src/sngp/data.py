@@ -23,6 +23,7 @@ written as a plain P2 (ASCII) PGM image with values mapped linearly onto
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,11 @@ class EvalGrid:
             raise ValueError("grid resolution must be >= 2 per axis")
         if not (self.x1_min < self.x1_max and self.x2_min < self.x2_max):
             raise ValueError("grid bounds must be well ordered")
+        for axis, lo, hi in (("x1", self.x1_min, self.x1_max), ("x2", self.x2_min, self.x2_max)):
+            # An infinite bound or an overflowing span would make np.linspace warn.
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"grid {axis} bounds must be finite and span a finite "
+                                 f"range, got {lo!r} to {hi!r}")
 
     def points(self) -> np.ndarray:
         xs = np.linspace(self.x1_min, self.x1_max, self.nx)

@@ -102,7 +102,7 @@ class RffGpLayer:
         self.b_fixed = rng.derive("gp_b").uniform(num_features, 0.0, 2.0 * np.pi)
         self.beta = np.zeros((num_classes, num_features))
         self.precision: list[np.ndarray] = []
-        self._factors: list | None = None  # cached covariances, see covariances
+        self._covariances: list | None = None  # cached by covariances()
         self.reset_precision()
 
     # -- feature pipeline ---------------------------------------------------
@@ -177,7 +177,7 @@ class RffGpLayer:
         eye = np.eye(self.num_features)
         self.precision = [self.ridge_s * eye.copy()
                           for _ in range(num_precisions(self.num_classes))]
-        self._factors = None
+        self._covariances = None
 
     def _fisher_factors(self, phi_batch: np.ndarray, probs_batch: np.ndarray
                         ) -> Iterator[np.ndarray]:
@@ -214,7 +214,7 @@ class RffGpLayer:
             p *= self.discount_m
             p += t
             del t  # so that the next class's term is not made beside this one
-        self._factors = None
+        self._covariances = None
 
     def update_precision_exact(self, phi: np.ndarray, probs: np.ndarray) -> None:
         """Add the Fisher term of one block of rows to every stored precision.
@@ -226,17 +226,17 @@ class RffGpLayer:
         """
         for p, a in zip(self.precision, self._fisher_factors(phi, probs)):
             p += a.T @ a
-        self._factors = None
+        self._covariances = None
 
     def covariances(self) -> list[np.ndarray]:
         """Posterior covariance precision^{-1} for each stored precision, built
         once by ``spd_inverse`` and cached until the precision changes."""
-        if self._factors is None:
+        if self._covariances is None:
             try:
-                self._factors = [spd_inverse(p) for p in self.precision]
+                self._covariances = [spd_inverse(p) for p in self.precision]
             except NotSpdError as exc:
                 raise NotSpdError(f"precision matrix lost positive definiteness: {exc}") from exc
-        return self._factors
+        return self._covariances
 
     def predictive_variance_batch(self, phi_batch: np.ndarray) -> np.ndarray:
         """(batch, K) logit variances phi^T precision_k^{-1} phi (each >= 0),

@@ -16,14 +16,14 @@ The step order is observable through the optional ``hooks`` callback.
 Training is bit-reproducible: shuffling, dropout, and initialisation all
 draw from independently derived streams of the config seed.
 
-Checkpoint format (binary, version 2, bit-exact round trip):
+Checkpoint format (binary, version 3, bit-exact round trip):
 
     bytes 0..7    magic ``SNGPCKPT``
     bytes 8..11   format version, uint32 little-endian
     bytes 12..15  header length in bytes, uint32 little-endian
-    header        UTF-8 JSON (sorted keys): ``format_version``, ``variant``
-                  tag, ``config`` (the run-config echo), ``model`` (the
-                  ``ModelSpec`` fields), ``arrays`` (the manifest
+    header        UTF-8 JSON (sorted keys): ``config`` (the run config as
+                  the ``key = value`` text a config file holds), ``model``
+                  (the ``ModelSpec`` fields), ``arrays`` (the manifest
                   [name, shape] in write order) and ``payload_crc32`` (the
                   zlib CRC-32 of the payload bytes)
     payload       the arrays from the manifest, concatenated raw
@@ -51,10 +51,10 @@ import numpy as np
 from .gp_layer import (GpPrediction, NonFiniteRowError, RffGpLayer, check_rows, mc_softmax,
                        num_precisions, softmax)
 from .linalg import RngState
-from .nn import SgdMomentum, build_res_ffn, clamp_network, normalize_network
+from .nn import ACTIVATIONS, SgdMomentum, build_res_ffn, clamp_network, normalize_network
 
 CHECKPOINT_MAGIC = b"SNGPCKPT"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 CHECKPOINT_PREAMBLE_BYTES = 16  # magic, version, header length
 DIVERGENCE_LIMIT = 1e6
 PREDICT_BLOCK_ROWS = 256  # rows per network/feature pass: inference, exact precision
@@ -127,7 +127,10 @@ class ModelSpec:
     checkpoint header cannot pass a string or a bool where a number belongs.
     Then ``length_scale``, ``ridge_s`` and ``sn_bound`` must be > 0 and
     ``dropout_rate`` and ``discount_m`` in [0, 1) (``ValueError``; NaN fails
-    both), so neither a config file nor a header can pass ``nan``."""
+    both), so neither a config file nor a header can pass ``nan``.  Every size
+    the spec uses must be one a model can be built with, and ``activation``
+    one of ``nn.ACTIVATIONS`` when there is a network.  Each ``ValueError``
+    names its field."""
 
     input_dim: int = 2
     hidden_width: int = 128
@@ -162,6 +165,19 @@ class ModelSpec:
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {value!r}")
+        sizes = [("input_dim", 1), ("num_classes", 2)]
+        if not self.identity_hidden:
+            sizes += [("hidden_width", 1), ("depth", 0)]
+            if self.activation not in ACTIVATIONS:
+                raise ValueError(f"activation must be one of {sorted(ACTIVATIONS)}, "
+                                 f"got {self.activation!r}")
+        if self.gp_head:
+            sizes.append(("num_features", 1))
+        if self.gp_projection_dim is not None:
+            sizes.append(("gp_projection_dim", 1))
+        for name, low in sizes:
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
 
 
 def _is_int(value) -> bool:
@@ -187,8 +203,6 @@ class SngpModel:
     """
 
     def __init__(self, spec: ModelSpec):
-        if spec.num_classes < 2:
-            raise ValueError("need at least two classes")
         rng = RngState(spec.seed)
         if spec.identity_hidden:
             network, width = None, spec.input_dim
@@ -495,17 +509,15 @@ def _array_manifest(model: SngpModel) -> list[tuple[str, np.ndarray]]:
     return [(name, get(model)) for name, _, get in _array_layout(model.spec)]
 
 
-def save_checkpoint(model: SngpModel, path: str, variant: str = "sngp",
-                    config_echo: dict | None = None) -> None:
+def save_checkpoint(model: SngpModel, path: str, config: str = "") -> None:
+    """Write ``model`` to ``path`` with ``config``, the text of its run config."""
     arrays = _array_manifest(model)
     payload = [np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in arrays]
     crc = 0
     for chunk in payload:
         crc = zlib.crc32(chunk, crc)
     header = {
-        "format_version": CHECKPOINT_VERSION,
-        "variant": variant,
-        "config": config_echo or {},
+        "config": config,
         "model": asdict(model.spec),
         "arrays": [[name, list(arr.shape)] for name, arr in arrays],
         "payload_crc32": crc,
@@ -526,7 +538,7 @@ def load_checkpoint(path: str) -> tuple[SngpModel, dict]:
     constructor as a new one, so its hyperparameters pass the same checks,
     but only after the manifest has matched the arrays the spec implies.
     A file that is not a checkpoint, a header that is not a well-formed
-    version-2 header, a manifest that is not the spec's, or a payload whose
+    version-3 header, a manifest that is not the spec's, or a payload whose
     length or CRC-32 differs from the header's raises ``ValueError``.
     """
     with open(path, "rb") as f:

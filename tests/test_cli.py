@@ -5,10 +5,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sngp import cli
+from sngp.baselines import build_variant
 from sngp.cli import (EXIT_DIVERGED, EXIT_INCOMPATIBLE, EXIT_OK, EXIT_USAGE,
                       LoadedModel, RunConfig, main, parse_run_config)
 from sngp.data import dataset_from_csv, surface_from_csv
-from sngp.train import ModelSpec, TrainingDivergedError, load_checkpoint, save_checkpoint
+from sngp.train import (ModelSpec, TrainingDivergedError, TrainReport, load_checkpoint,
+                        save_checkpoint)
 
 from headers import rewrite_header
 
@@ -33,6 +35,15 @@ precision_exact = true
 """
 
 
+# Config text: arbitrary text, or up to four lines of known keys and odd values.
+CONFIG_TEXT = st.one_of(st.text(max_size=60), st.lists(st.tuples(
+    st.sampled_from(list(RunConfig().echo()) + ["", "x"]),
+    st.sampled_from(["=", " = ", "==", ""]),
+    st.one_of(st.text(max_size=12), st.integers().map(str), st.floats().map(str),
+              st.sampled_from(["true", "no", "sngp", "two_ovals", "nan", "-inf"]))),
+    max_size=4).map(lambda kv: "\n".join("".join(t) for t in kv)))
+
+
 def write_config(tmp_path, text=FAST_CONFIG, **overrides):
     for key, value in overrides.items():
         text += f"\n{key} = {value}\n"
@@ -44,7 +55,7 @@ def write_config(tmp_path, text=FAST_CONFIG, **overrides):
 class TestConfigParsing:
     def test_defaults_when_empty(self):
         cfg = parse_run_config("")
-        assert cfg == RunConfig()
+        assert cfg == RunConfig() == parse_run_config(RunConfig().text())
 
     def test_comments_and_values(self):
         cfg = parse_run_config("epochs = 3  # quick\n# full-line comment\nseed=9\n")
@@ -93,24 +104,25 @@ class TestConfigParsing:
     @pytest.mark.parametrize("line, message", [
         ("sn_bound = nan", "sn_bound must be positive, got nan"),
         ("momentum = 1", "momentum must lie in [0, 1), got 1.0"),
-        ("ensemble_size = 0", "ensemble_size must be >= 1, got 0")])
+        ("ensemble_size = 0", "ensemble_size must be >= 1, got 0"),
+        ("noise_sd = nan", "noise_sd must be >= 0, got nan"),
+        ("num_features = 0", "num_features must be >= 1, got 0"),
+        ("hidden_width = 0", "hidden_width must be >= 1, got 0"),
+        ("depth = -1", "depth must be >= 0, got -1"),
+        ("activation = foo", "activation must be one of ['linear', 'relu', 'tanh'], got 'foo'")])
     def test_out_of_range_value_rejected_when_read(self, line, message):
         with pytest.raises(ValueError) as exc:
             parse_run_config(line + "\n")
         assert message in str(exc.value)
 
     @settings(max_examples=300, deadline=None)
-    @given(text=st.one_of(st.text(max_size=60), st.lists(st.tuples(
-        st.sampled_from(list(RunConfig().echo()) + ["", "x"]),
-        st.sampled_from(["=", " = ", "==", ""]),
-        st.one_of(st.text(max_size=12), st.integers().map(str), st.floats().map(str),
-                  st.sampled_from(["true", "no", "sngp", "two_ovals", "nan", "-inf"]))),
-        max_size=4).map(lambda kv: "\n".join("".join(t) for t in kv))))
+    @given(text=CONFIG_TEXT)
     def test_random_config_text_parses_or_raises_value_error(self, text):
         try:
-            assert isinstance(parse_run_config(text), RunConfig)
+            cfg = parse_run_config(text)
         except ValueError:
-            pass
+            return
+        assert parse_run_config(cfg.text()) == cfg  # as a checkpoint header stores it
 
 
 class TestGenData:
@@ -169,10 +181,32 @@ class TestTrainCommand:
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "m.ckpt"),
                      "--report", str(report)]) == EXIT_OK
         lines = report.read_text().splitlines()
-        echo = sorted(parse_run_config((tmp_path / "run.cfg").read_text()).echo().items())
+        echo = parse_run_config((tmp_path / "run.cfg").read_text()).echo().items()
         assert [l for l in lines if l.startswith("config.")] == [f"config.{k}={v}"
                                                                 for k, v in echo]
         assert [l for l in lines if l.startswith("seed=")] == ["seed=3", "seed=4"]
+
+    @staticmethod
+    def assert_header_holds(path, cfg):
+        assert path.read_bytes()[8:12] == np.uint32(3).tobytes()  # the format version
+        _, header = load_checkpoint(str(path))
+        assert sorted(header) == ["arrays", "config", "model", "payload_crc32"]
+        assert parse_run_config(header["config"]) == cfg
+
+    def test_default_checkpoint_header_holds_the_config_text(self, tmp_path, monkeypatch):
+        # Saved untrained: the header is under test here, not the fit.
+        monkeypatch.setattr(cli, "_train_variant", lambda tag, cfg, ds: (
+            [build_variant(tag, cfg.spec)], [TrainReport()]))
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--out", str(ckpt)]) == EXIT_OK
+        self.assert_header_holds(ckpt, RunConfig())
+
+    def test_ensemble_member_headers_hold_the_config_text(self, tmp_path):
+        cfg = write_config(tmp_path, variant="deep_ensemble", ensemble_size=2, epochs=2)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "m.ckpt")]) == EXIT_OK
+        for i in range(2):
+            self.assert_header_holds(tmp_path / f"m.ckpt.member{i}",
+                                     parse_run_config((tmp_path / "run.cfg").read_text()))
 
     def test_epochs_zero_keeps_initial_weights(self, tmp_path):
         cfg = write_config(tmp_path, epochs=0)
@@ -288,14 +322,26 @@ class TestSurfaceCommand:
                      "--metric", "variance", "--out", str(tmp_path / "v.csv")])
         assert code == EXIT_INCOMPATIBLE
 
+    @pytest.mark.parametrize("grid, axis", [("-inf,inf,0,1,5,5", "x1"),
+                                            ("-1e308,1e308,0,1,5,5", "x1"),
+                                            ("0,1,-inf,0,5,5", "x2")])
+    def test_unbounded_grid_exits_2_naming_the_axis(self, tmp_path, checkpoint, grid, axis,
+                                                   capsys):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["surface", "--checkpoint", str(checkpoint), f"--grid={grid}",
+                         "--metric", "variance", "--out", str(tmp_path / "v.csv")])
+        assert code == EXIT_USAGE
+        assert f"grid {axis} bounds must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", [np.inf, 1e300])
     def test_precision_not_spd_exits_2(self, tmp_path, checkpoint, value, capsys):
         # Saved again, so the payload CRC matches the damaged precision.
         model, header = load_checkpoint(str(checkpoint))
         precision = model.head.precision[0]
         precision[40, 3] = precision[3, 40] = value  # in the off-diagonal block
-        save_checkpoint(model, str(checkpoint), variant=header["variant"],
-                        config_echo=header["config"])
+        save_checkpoint(model, str(checkpoint), header["config"])
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -367,7 +413,7 @@ class TestEvalCommand:
         save_checkpoint(build_sngp_model(ModelSpec(input_dim=2, hidden_width=8, depth=1,
                                                    num_classes=2, seed=0, num_features=16,
                                                    dropout_rate=0.0)), str(bare))
-        assert LoadedModel.from_checkpoints([str(bare)]).mc_samples == 10
+        assert LoadedModel.from_checkpoints([str(bare)]).cfg == RunConfig()  # mc_samples 10
 
     @pytest.fixture()
     def eval_inputs(self, tmp_path):
@@ -414,24 +460,27 @@ class TestEvalCommand:
          "payload CRC-32"),
         (lambda c: rewrite_bytes(c, lambda raw: raw[:8] + np.uint32(1).tobytes() + raw[12:]),
          "unsupported checkpoint version 1"),
+        (lambda c: rewrite_bytes(c, lambda raw: raw[:8] + np.uint32(2).tobytes() + raw[12:]),
+         "unsupported checkpoint version 2"),
         (lambda c: rewrite_header(c, lambda h: h["arrays"][0].__setitem__(1, [1e308, 10])),
          "does not match the header's model"),
         (lambda c: rewrite_header(c, lambda h: h["arrays"][0].__setitem__(1, [float("inf")])),
          "does not match the header's model"),
         (lambda c: rewrite_bytes(c, lambda raw: with_header_bytes(raw, b"[" * 100_000)),
          "malformed checkpoint header: RecursionError"),
-        (lambda c: rewrite_header(c, lambda h: h.pop("variant")),
-         "checkpoint variant None is not one of"),
         (lambda c: rewrite_header(c, lambda h: h.pop("config")),
-         "checkpoint config must be an object"),
+         "checkpoint config must be text, got NoneType"),
         (lambda c: rewrite_header(c, lambda h: h.update(config=[1, 2])),
-         "checkpoint config must be an object"),
-        (lambda c: rewrite_header(c, lambda h: h["config"].update(mc_samples=[3])),
-         "config mc_samples must be an int >= 1"),
+         "checkpoint config must be text, got list"),
+        (lambda c: rewrite_header(c, lambda h: h.update(
+            config={"seed": "x\naccuracy=1.0", "no_such_key": 5})),
+         "checkpoint config must be text, got dict"),
+        (lambda c: rewrite_header(c, lambda h: h.update(config="mc_samples = [3]\n")),
+         "config line 1: invalid literal for int() with base 10: '[3]'"),
     ], ids=["no_model", "string_depth", "string_layer_norm", "nan_length_scale", "nan_ridge_s",
-            "negative_sn_bound", "10_bytes", "flipped_payload_bit", "version_1",
+            "negative_sn_bound", "10_bytes", "flipped_payload_bit", "version_1", "version_2",
             "huge_manifest_shape", "infinite_manifest_shape", "deeply_nested_header",
-            "no_variant", "no_config", "list_config", "list_mc_samples"])
+            "no_config", "list_config", "forged_object_config", "list_mc_samples"])
     def test_damaged_checkpoint_exits_2(self, eval_inputs, damage, message, capsys):
         ckpt, data_csv = eval_inputs
         damage(ckpt)
@@ -439,11 +488,32 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data_csv)]) == EXIT_USAGE
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", [
+        "mc_samples = 0\n", "variant = foo\n", "seed = 3\nno_such_key = 5\n",
+        "variant = sngp\naccuracy=1.0\n"],
+        ids=["zero_mc_samples", "unknown_variant", "unknown_key", "forged_accuracy_line"])
+    def test_header_config_is_read_as_a_config_file(self, eval_inputs, config, capsys):
+        # The same text in a config file and in a checkpoint header fails alike,
+        # so no header value reaches a report unchecked.
+        ckpt, data_csv = eval_inputs
+        (ckpt.parent / "bad.cfg").write_text(config)
+        capsys.readouterr()
+        assert main(["train", "--config", str(ckpt.parent / "bad.cfg"),
+                     "--out", str(ckpt.parent / "unused.ckpt")]) == EXIT_USAGE
+        from_file = capsys.readouterr().err
+        rewrite_header(ckpt, lambda h: h.update(config=config))
+        report = ckpt.parent / "eval.txt"
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data_csv),
+                     "--out", str(report)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == from_file and from_file.startswith("error: ")
+        assert captured.out == "" and not report.exists()
+
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(edits=st.lists(st.one_of(
-        st.tuples(st.sampled_from(["arrays", "variant", "config"]), JSON_VALUES),
-        st.tuples(st.just("config"), st.dictionaries(st.just("mc_samples"), JSON_VALUES))),
+        st.tuples(st.sampled_from(["arrays", "config"]), JSON_VALUES),
+        st.tuples(st.just("config"), CONFIG_TEXT)),
         min_size=1, max_size=3))
     def test_fuzzed_header_loads_or_raises_value_error(self, eval_inputs, edits):
         # The CRC covers the payload only, so the edited header keeps it valid.
@@ -602,6 +672,16 @@ class TestCompareCommand:
         assert main(["compare", "--variants", "sngp,deep_ensemble", "--config", cfg,
                      "--out", str(out)]) == EXIT_USAGE
         assert "ensemble_size must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_activation_exits_2_without_a_network(self, tmp_path, capsys):
+        # shallow_gp builds no network, yet its row would echo the config's activation.
+        cfg = write_config(tmp_path, activation="foo")
+        out = tmp_path / "table.csv"
+        capsys.readouterr()
+        assert main(["compare", "--variants", "shallow_gp", "--config", cfg,
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "activation must be one of" in capsys.readouterr().err
         assert not out.exists()
 
     def test_eval_of_trained_checkpoint_reproduces_compare_row(self, tmp_path):

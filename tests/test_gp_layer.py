@@ -283,7 +283,7 @@ class TestPrecision:
         phi = np.ones((1, 4))
         assert layer.predictive_variance_batch(phi)[0, 1] >= 0.0
         layer.precision[0] = -np.eye(4)
-        layer._factors = None
+        layer._covariances = None
         with pytest.raises(NotSpdError):
             layer.predictive_variance_batch(phi)
 
@@ -347,7 +347,7 @@ class TestCovariance:
         layer.precision = [spd_with_condition(9, 100.0, seed=3)]
         expected = layer.covariances()[0].copy()
         layer.precision[0][np.triu_indices(9, 1)] = np.nan
-        layer._factors = None
+        layer._covariances = None
         assert np.array_equal(layer.covariances()[0], expected)
 
     @pytest.mark.parametrize("value", [np.inf, np.nan, 1e300])

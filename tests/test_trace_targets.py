@@ -1,7 +1,8 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps package functions by
-the names its callers look them up under.  A rename, or a path that stops
-calling a wrapped function, must fail here and not only in the slow benchmark
-self-test."""
+the names its callers look them up under, and its output checks
+(perfbench/workloads.py) read the checkpoints and reports.  A rename, a path
+that stops calling a wrapped function, or an output the checks cannot read
+must fail here and not only in the slow benchmark self-test."""
 
 import importlib.util
 import math
@@ -47,6 +48,17 @@ def test_workload_records_every_expected_span(tmp_path, workload):
     calls = traced_calls(tmp_path, workload)
     workloads = load_perfbench("workloads")
     assert [s for s in workloads.EXPECTED_SPANS[workload] if not calls.get(s)] == []
+
+
+@pytest.mark.parametrize("workload", ["train", "score", "compare"])
+def test_workload_outputs_pass_the_benchmark_checks(tmp_path, workload):
+    workloads = load_perfbench("workloads")
+    (tmp_path / "run.cfg").write_text(workloads.config_text(workload, 1) + TINY)
+    for argv in workloads.setup_calls(workload, 1, tmp_path) + workloads.timed_calls(
+            workload, tmp_path, tmp_path):
+        assert main(argv) == EXIT_OK
+    checks, _ = workloads.check_outputs(workload, tmp_path, tmp_path, 1)
+    assert [name for name, ok in checks if not ok] == []
 
 
 def pinned_train_calls(cfg: RunConfig) -> dict[str, int]:

@@ -414,8 +414,9 @@ class TestPredictBlocks:
         model = self.fitted("sngp")
         seen = []
         features = model.head.rff_features
-        monkeypatch.setattr(model.head, "rff_features",
-                            lambda h: seen.append(model.head._factors is not None) or features(h))
+        monkeypatch.setattr(
+            model.head, "rff_features",
+            lambda h: seen.append(model.head._covariances is not None) or features(h))
         predict_batch(model, np.zeros((3, 2)), rng=RngState(0))
         assert seen == [True]
 
@@ -505,10 +506,20 @@ class TestModelSpec:
         ("length_scale", 0.0), ("length_scale", float("nan")), ("ridge_s", -1e-3),
         ("ridge_s", float("nan")), ("sn_bound", float("nan")), ("sn_bound", -1.0),
         ("dropout_rate", 1.0), ("dropout_rate", -0.1), ("dropout_rate", float("nan")),
-        ("discount_m", 1.0), ("discount_m", float("nan"))])
+        ("discount_m", 1.0), ("discount_m", float("nan")), ("input_dim", 0),
+        ("num_classes", 1), ("hidden_width", 0), ("depth", -1), ("activation", "foo"),
+        ("num_features", 0), ("gp_projection_dim", 0)])
     def test_out_of_range_hyperparameter_raises(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must"):
             ModelSpec(**{name: value})
+
+    def test_sizes_the_spec_does_not_use_are_not_checked(self):
+        # The identity stands in for the network; a dense head has no random features.
+        assert build_sngp_model(ModelSpec(identity_hidden=True, hidden_width=0, depth=-1,
+                                          activation="foo", use_layer_norm=False,
+                                          num_features=8)).network is None
+        assert not build_sngp_model(ModelSpec(gp_head=False, num_features=0, hidden_width=4,
+                                              depth=1)).has_gp_head
 
     def test_int_for_float_and_none_for_projection(self):
         spec = ModelSpec(length_scale=2, gp_projection_dim=None)
@@ -539,9 +550,9 @@ SPEC_EDITS = st.lists(st.one_of(
 
 
 class TestCheckpoint:
-    def roundtrip(self, model, tmp_path, variant="sngp"):
+    def roundtrip(self, model, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path, variant=variant, config_echo={"seed": 1})
+        save_checkpoint(model, path, "seed = 1\n")
         return load_checkpoint(path)
 
     def test_gp_model_bit_exact(self, tmp_path):
@@ -550,8 +561,9 @@ class TestCheckpoint:
         train(model, x, y, TrainConfig(epochs=3, batch_size=8, seed=40,
                                        learning_rate=0.05))
         back, header = self.roundtrip(model, tmp_path)
-        assert header["variant"] == "sngp"
-        assert header["format_version"] == 2
+        assert (tmp_path / "model.ckpt").read_bytes()[8:12] == np.uint32(3).tobytes()
+        assert sorted(header) == ["arrays", "config", "model", "payload_crc32"]
+        assert header["config"] == "seed = 1\n"
         for (ka, va), (kb, vb) in zip(sorted(model.parameters().items()),
                                       sorted(back.parameters().items())):
             assert ka == kb and np.array_equal(va, vb)
@@ -564,7 +576,7 @@ class TestCheckpoint:
 
     def test_dense_model_roundtrip(self, tmp_path):
         model = small_model(seed=41, gp_head=False, spectral_norm=False)
-        back, header = self.roundtrip(model, tmp_path, variant="deterministic")
+        back, header = self.roundtrip(model, tmp_path)
         assert not back.has_gp_head
         assert not back.spec.spectral_norm
         pts = np.array([[0.1, 0.9]])
@@ -575,7 +587,7 @@ class TestCheckpoint:
                                            seed=42, num_features=64, identity_hidden=True,
                                            use_layer_norm=False, gp_head=True,
                                            dropout_rate=0.0))
-        back, _ = self.roundtrip(model, tmp_path, variant="shallow_gp")
+        back, _ = self.roundtrip(model, tmp_path)
         assert back.network is None
         pts = np.array([[0.3, 0.7]])
         assert np.array_equal(model.eval_logits(pts), back.eval_logits(pts))
@@ -597,8 +609,8 @@ class TestCheckpoint:
     def test_save_twice_byte_identical(self, tmp_path):
         model = small_model(seed=43)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(model, p1, config_echo={"seed": 43})
-        save_checkpoint(model, p2, config_echo={"seed": 43})
+        save_checkpoint(model, p1, "seed = 43\n")
+        save_checkpoint(model, p2, "seed = 43\n")
         assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize("claim", [{"depth": 400, "hidden_width": 256}, {"depth": 10**9}],
