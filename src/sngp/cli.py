@@ -196,7 +196,11 @@ class LoadedModel:
         config = loaded[0][1].get("config")
         if not isinstance(config, str):
             raise ValueError(f"checkpoint config must be text, got {type(config).__name__}")
-        return cls([m for m, _ in loaded], parse_run_config(config))
+        try:
+            cfg = parse_run_config(config)
+        except ValueError as exc:  # say which file holds the config
+            raise ValueError(f"{paths[0]}: {exc}") from exc
+        return cls([m for m, _ in loaded], cfg)
 
     @property
     def has_gp_head(self) -> bool:

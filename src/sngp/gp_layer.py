@@ -20,12 +20,13 @@ adds one block of rows' term, so ``train`` resets once and then streams the
 training rows through it in blocks), or tracked with a discounted moving
 average during the final training epoch (``update_precision_minibatch``;
 previous precision weighted ``m``, fresh minibatch term weighted ``1 - m``).
-Each term is one symmetric product ``A^T A`` with ``A = sqrt(w) * phi``,
-which NumPy hands to BLAS ``syrk``: half the flops of a general product, and
-exactly symmetric.  Both updates add it in place, so neither holds a D x D
-temporary beyond the one term.  A K = 2 head stores one matrix, built from
-the class-mean weights, because ``p_0 (1 - p_0) = p_1 (1 - p_1)`` makes the
-two per-class matrices equal (``num_precisions``).
+Each term is the symmetric product ``A^T A`` with ``A = sqrt(w) * phi``,
+added in place one slab of ``PANEL`` columns at a time (``add_gram``), so
+neither update holds a D x D temporary and the precision stays exactly
+symmetric; ``reset_precision`` refills the matrices it already holds.  A
+K = 2 head stores one matrix, built from the class-mean weights, because
+``p_0 (1 - p_0) = p_1 (1 - p_1)`` makes the two per-class matrices equal
+(``num_precisions``).
 
 Predictive variance for class k is ``phi^T Sigma_k phi`` with the covariance
 ``Sigma_k = precision_k^{-1}``.  Each distinct covariance is built once, by
@@ -50,6 +51,7 @@ import numpy as np
 from .linalg import RngState, NotSpdError, spd_factor, spd_solve_factored
 
 LAYER_NORM_EPS = 1e-6
+PANEL = 256  # columns of each Fisher-term slab added into a precision
 
 
 class NonFiniteRowError(ValueError):
@@ -101,9 +103,16 @@ class RffGpLayer:
         self.w_fixed = rng.derive("gp_w").normal_matrix(num_features, feat_in)
         self.b_fixed = rng.derive("gp_b").uniform(num_features, 0.0, 2.0 * np.pi)
         self.beta = np.zeros((num_classes, num_features))
-        self.precision: list[np.ndarray] = []
+        # Built through a transient identity, not filled in place: freeing its
+        # D x D block early raises glibc's mmap threshold, so the smaller
+        # temporaries of every later step are served from the heap instead of
+        # each being mapped and unmapped.  A fresh default ``sngp train`` took
+        # ≈10k minor page faults this way and ≈76k with ``ridge_s * np.eye(d)``,
+        # whose temporary NumPy reuses in place, so that no block is freed
+        # (2-vCPU x86-64 host, glibc malloc, NumPy 2.4).
+        eye = np.eye(num_features)
+        self.precision = [self.ridge_s * eye.copy() for _ in range(num_precisions(num_classes))]
         self._covariances: list | None = None  # cached by covariances()
-        self.reset_precision()
 
     # -- feature pipeline ---------------------------------------------------
 
@@ -173,10 +182,10 @@ class RffGpLayer:
     # -- Laplace posterior precision -----------------------------------------
 
     def reset_precision(self) -> None:
-        """Set every stored precision to ridge_s * I."""
-        eye = np.eye(self.num_features)
-        self.precision = [self.ridge_s * eye.copy()
-                          for _ in range(num_precisions(self.num_classes))]
+        """Set every stored precision to ridge_s * I, in the arrays it already holds."""
+        for p in self.precision:
+            p.fill(0.0)
+            np.fill_diagonal(p, self.ridge_s)
         self._covariances = None
 
     def _fisher_factors(self, phi_batch: np.ndarray, probs_batch: np.ndarray
@@ -184,9 +193,8 @@ class RffGpLayer:
         """For an (M, D) phi and (M, K) probs batch, one (M, D) matrix
         ``A = sqrt(w) * phi`` per stored precision, whose ``A^T A`` is that
         precision's term ``sum_i w_i phi_i phi_i^T``: w_ik = p_ik (1 - p_ik), or
-        its class mean.  NumPy sends ``A.T @ A`` to BLAS ``syrk``, so the term is
-        exactly symmetric at half the flops of a general product.  A generator:
-        the batch is checked before the first matrix is made."""
+        its class mean.  A generator: the batch is checked before the first
+        matrix is made."""
         phi_batch = np.asarray(phi_batch, dtype=np.float64)
         probs_batch = np.asarray(probs_batch, dtype=np.float64)
         if phi_batch.ndim != 2 or phi_batch.shape[1] != self.num_features:
@@ -209,11 +217,8 @@ class RffGpLayer:
         previous precision by m.
         """
         for p, a in zip(self.precision, self._fisher_factors(phi_batch, probs_batch)):
-            t = a.T @ a
-            t *= 1.0 - self.discount_m
             p *= self.discount_m
-            p += t
-            del t  # so that the next class's term is not made beside this one
+            add_gram(p, a, 1.0 - self.discount_m)
         self._covariances = None
 
     def update_precision_exact(self, phi: np.ndarray, probs: np.ndarray) -> None:
@@ -225,7 +230,7 @@ class RffGpLayer:
         changes the sum only by rounding.
         """
         for p, a in zip(self.precision, self._fisher_factors(phi, probs)):
-            p += a.T @ a
+            add_gram(p, a)
         self._covariances = None
 
     def covariances(self) -> list[np.ndarray]:
@@ -247,6 +252,26 @@ class RffGpLayer:
         if len(columns) == 1:
             columns *= self.num_classes
         return np.maximum(np.stack(columns, axis=1), 0.0)
+
+
+def add_gram(p: np.ndarray, a: np.ndarray, scale: float = 1.0) -> None:
+    """``p += scale * a.T @ a`` for a symmetric (D, D) ``p`` and an (M, D)
+    ``a``, one slab of ``PANEL`` columns at a time, so no temporary is larger
+    than (D, ``PANEL``).  Each slab's diagonal block is one ``syrk`` product
+    and its part below that block is added to both triangles, so ``p`` stays
+    exactly symmetric, at half the flops of a general product."""
+    d = p.shape[1]
+    for j in range(0, d, PANEL):
+        cols, below = slice(j, j + PANEL), slice(j + PANEL, d)
+        block = a[:, cols].T @ a[:, cols]
+        t = a[:, below].T @ a[:, cols]
+        if scale != 1.0:
+            block *= scale
+            t *= scale
+        p[cols, cols] += block
+        p[below, cols] += t
+        p[cols, below] += t.T
+        del block, t  # so that the next slab is not made beside this one
 
 
 def spd_inverse(p: np.ndarray) -> np.ndarray:

@@ -119,18 +119,20 @@ class ResFfnNetwork:
             params[f"block{i}.b"] = blk.layer.bias
         return params
 
-    def forward(self, x: np.ndarray, train_mode: bool = False,
-                rng: RngState | None = None) -> tuple[np.ndarray, ForwardTape]:
+    def forward(self, x: np.ndarray, train_mode: bool = False, rng: RngState | None = None,
+                keep_tape: bool = True) -> tuple[np.ndarray, ForwardTape | None]:
         """Map a (batch, input_dim) matrix to (batch, width) hidden features.
 
         Dropout masks (inverted dropout on the residual branch) are drawn from
         ``rng`` only when ``train_mode`` is set and a block has a nonzero rate.
+        With ``keep_tape = False`` the tape is None and each block's
+        intermediates are freed as soon as the next block has used them.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ValueError(f"expected input of shape (batch, {self.input_dim}), got {x.shape}")
-        tape = ForwardTape(x_in=x, proj_out=self.input_projection.apply(x))
-        h = tape.proj_out
+        h = self.input_projection.apply(x)
+        tape = ForwardTape(x_in=x, proj_out=h) if keep_tape else None
         for blk in self.blocks:
             act, _ = ACTIVATIONS[blk.activation]
             z = blk.layer.apply(h)
@@ -142,9 +144,10 @@ class ResFfnNetwork:
                 keep = 1.0 - blk.dropout_rate
                 mask = rng.bernoulli_mask(z.shape, keep) / keep
                 branch = branch * mask
-            tape.block_inputs.append(h)
-            tape.pre_activations.append(z)
-            tape.dropout_masks.append(mask)
+            if tape is not None:
+                tape.block_inputs.append(h)
+                tape.pre_activations.append(z)
+                tape.dropout_masks.append(mask)
             h = h + branch
         return h, tape
 

@@ -31,15 +31,19 @@ Checkpoint format (binary, version 3, bit-exact round trip):
 
 Loading checks, in order, the magic, the version, the header's JSON, the
 ``ModelSpec`` field types, the manifest against the array names and shapes
-the spec implies, the payload length those shapes give, and the CRC; only
-then does it build the model from its spec, so a header cannot make loading
-allocate more than its payload holds, nor name a length the spec does not.
+the spec implies, and the payload length those shapes give (from the file's
+size); only then does it build the model from its spec, so a header cannot
+make loading allocate more than its payload holds, nor name a length the
+spec does not.  The payload is read straight into the model's arrays, and
+its CRC is checked before the model is returned.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import sys
 import time
 import zlib
 from dataclasses import dataclass, field, fields, asdict
@@ -227,12 +231,14 @@ class SngpModel:
     def has_gp_head(self) -> bool:
         return isinstance(self.head, RffGpLayer)
 
-    def hidden(self, x: np.ndarray, train_mode: bool = False, rng: RngState | None = None):
-        """Hidden features (batch, width) and the network tape (None for identity)."""
+    def hidden(self, x: np.ndarray, train_mode: bool = False, rng: RngState | None = None,
+               keep_tape: bool = True):
+        """Hidden features (batch, width) and the network tape (None for
+        identity, or when ``keep_tape`` is off because nothing runs backward)."""
         x = np.asarray(x, dtype=np.float64)
         if self.network is None:
             return x, None
-        return self.network.forward(x, train_mode=train_mode, rng=rng)
+        return self.network.forward(x, train_mode=train_mode, rng=rng, keep_tape=keep_tape)
 
     def parameters(self) -> dict[str, np.ndarray]:
         params: dict[str, np.ndarray] = {}
@@ -257,7 +263,7 @@ class SngpModel:
         each (N, K); the variances are zero for a dense head and None when not
         asked for.  Rows pass through the network, the random features and the
         variance ``PREDICT_BLOCK_ROWS`` at a time into the preallocated outputs,
-        so the network tape and the (rows, D) features never exceed one block.
+        with no network tape, so the (rows, D) features never exceed one block.
         A row holding NaN or inf raises ``ValueError`` naming the first one, and
         so does a finite row whose hidden features, their layer-norm variance
         or its mean logits overflow (``NonFiniteRowError``, counted from the
@@ -278,7 +284,7 @@ class SngpModel:
             rows = slice(lo, lo + PREDICT_BLOCK_ROWS)
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    h = self.hidden(x[rows])[0]  # the block's network tape is dropped here
+                    h = self.hidden(x[rows], keep_tape=False)[0]
                     phi = self.head.rff_features(h) if self.has_gp_head else h
                     means[rows] = self.head.logits(phi)
                 check_rows(np.isfinite(means[rows]).all(axis=1), h, "mean logits are")
@@ -442,7 +448,7 @@ def train(model: SngpModel, points: np.ndarray, labels: np.ndarray, config: Trai
 def _features_and_probs(model: SngpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evaluation-mode random features of ``x`` and the model's probabilities
     on them: the inputs of a precision update."""
-    phi = model.head.rff_features(model.hidden(x, train_mode=False)[0])
+    phi = model.head.rff_features(model.hidden(x, keep_tape=False)[0])
     return phi, softmax(model.head.logits(phi))
 
 
@@ -512,7 +518,9 @@ def _array_manifest(model: SngpModel) -> list[tuple[str, np.ndarray]]:
 def save_checkpoint(model: SngpModel, path: str, config: str = "") -> None:
     """Write ``model`` to ``path`` with ``config``, the text of its run config."""
     arrays = _array_manifest(model)
-    payload = [np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in arrays]
+    # The model's own arrays (copied only on a host that is not little-endian),
+    # so the payload is never held as a second copy in memory.
+    payload = [np.ascontiguousarray(arr, dtype="<f8") for _, arr in arrays]
     crc = 0
     for chunk in payload:
         crc = zlib.crc32(chunk, crc)
@@ -536,10 +544,13 @@ def load_checkpoint(path: str) -> tuple[SngpModel, dict]:
 
     The model is built from the header's ``ModelSpec`` through the same
     constructor as a new one, so its hyperparameters pass the same checks,
-    but only after the manifest has matched the arrays the spec implies.
-    A file that is not a checkpoint, a header that is not a well-formed
-    version-3 header, a manifest that is not the spec's, or a payload whose
-    length or CRC-32 differs from the header's raises ``ValueError``.
+    but only after the manifest has matched the arrays the spec implies and
+    the file's length has matched the manifest.  The payload is then read
+    straight into the model's arrays and its CRC-32 checked before the model
+    is returned.  A file that is not a checkpoint, a header that is not a
+    well-formed version-3 header, a manifest that is not the spec's, or a
+    payload whose length or CRC-32 differs from the header's raises
+    ``ValueError``.
     """
     with open(path, "rb") as f:
         preamble = f.read(CHECKPOINT_PREAMBLE_BYTES)
@@ -552,30 +563,32 @@ def load_checkpoint(path: str) -> tuple[SngpModel, dict]:
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         header_bytes = f.read(header_len)
-        payload = f.read()
-    try:
-        header = json.loads(header_bytes.decode("utf-8"))
-        spec = ModelSpec(**header["model"])
-        expected = 0  # payload bytes, counted from the spec's shapes once each matches
-        for want, got in zip_longest(([name, list(shape)] for name, shape, _
-                                      in _array_layout(spec)), header["arrays"]):
-            if want != got:
-                raise ValueError(f"checkpoint array {got} does not match the header's "
-                                 f"model, which expects {want}")
-            expected += 8 * math.prod(want[1])
-        if len(payload) != expected:
-            raise ValueError(f"checkpoint payload is {len(payload)} bytes, "
-                             f"its manifest needs {expected}")
-        crc = zlib.crc32(payload)
-        if crc != header["payload_crc32"]:
-            raise ValueError(f"checkpoint payload CRC-32 is {crc}, its header "
-                             f"records {header['payload_crc32']!r}")
-    except (KeyError, TypeError, RecursionError) as exc:
-        raise ValueError(f"malformed checkpoint header: {type(exc).__name__}: {exc}") from exc
-    model = SngpModel(spec)
-    offset = 0
-    for _, arr in _array_manifest(model):
-        arr[...] = np.frombuffer(payload, dtype="<f8", count=arr.size,
-                                 offset=offset).reshape(arr.shape)
-        offset += 8 * arr.size
+        payload_len = os.fstat(f.fileno()).st_size - f.tell()
+        try:
+            header = json.loads(header_bytes.decode("utf-8"))
+            spec = ModelSpec(**header["model"])
+            expected = 0  # payload bytes, counted from the spec's shapes once each matches
+            for want, got in zip_longest(([name, list(shape)] for name, shape, _
+                                          in _array_layout(spec)), header["arrays"]):
+                if want != got:
+                    raise ValueError(f"checkpoint array {got} does not match the header's "
+                                     f"model, which expects {want}")
+                expected += 8 * math.prod(want[1])
+            if payload_len != expected:
+                raise ValueError(f"checkpoint payload is {payload_len} bytes, "
+                                 f"its manifest needs {expected}")
+            recorded_crc = header["payload_crc32"]
+        except (KeyError, TypeError, RecursionError) as exc:
+            raise ValueError(f"malformed checkpoint header: {type(exc).__name__}: {exc}") from exc
+        model = SngpModel(spec)
+        crc = 0
+        for _, arr in _array_manifest(model):
+            if f.readinto(arr) != arr.nbytes:
+                raise ValueError("checkpoint payload ended before its manifest's arrays")
+            crc = zlib.crc32(arr, crc)
+            if sys.byteorder != "little":
+                arr.byteswap(inplace=True)
+    if crc != recorded_crc:
+        raise ValueError(f"checkpoint payload CRC-32 is {crc}, its header "
+                         f"records {recorded_crc!r}")
     return model, header

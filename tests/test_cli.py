@@ -494,7 +494,8 @@ class TestEvalCommand:
         ids=["zero_mc_samples", "unknown_variant", "unknown_key", "forged_accuracy_line"])
     def test_header_config_is_read_as_a_config_file(self, eval_inputs, config, capsys):
         # The same text in a config file and in a checkpoint header fails alike,
-        # so no header value reaches a report unchecked.
+        # so no header value reaches a report unchecked; the header's error
+        # also names the checkpoint.
         ckpt, data_csv = eval_inputs
         (ckpt.parent / "bad.cfg").write_text(config)
         capsys.readouterr()
@@ -506,7 +507,8 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data_csv),
                      "--out", str(report)]) == EXIT_USAGE
         captured = capsys.readouterr()
-        assert captured.err == from_file and from_file.startswith("error: ")
+        assert from_file.startswith("error: ")
+        assert captured.err == f"error: {ckpt}: " + from_file[len("error: "):]
         assert captured.out == "" and not report.exists()
 
     @settings(max_examples=60, deadline=None,

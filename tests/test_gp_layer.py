@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from sngp.gp_layer import NonFiniteRowError, RffGpLayer, mc_softmax, softmax
+from sngp.gp_layer import PANEL, NonFiniteRowError, RffGpLayer, mc_softmax, softmax
 from sngp.linalg import NotSpdError, RngState, spd_factor, spd_solve_factored
 
 from test_linalg import spd_with_condition
@@ -16,6 +16,16 @@ def make_layer(in_dim=2, num_features=64, num_classes=2, seed=0, **kwargs):
     defaults = dict(length_scale=1.0, ridge_s=0.001, discount_m=0.999, use_layer_norm=False)
     defaults.update(kwargs)
     return RffGpLayer(in_dim, num_features, num_classes, RngState(seed), **defaults)
+
+
+def peak_bytes(fn) -> int:
+    """The tracemalloc peak of ``fn()`` above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestRffFeatures:
@@ -257,6 +267,58 @@ class TestPrecision:
             assert np.max(np.abs(p - p.T)) <= 1e-12
             assert np.array_equal(p, p.T)
             spd_solve_factored(spd_factor(p), np.ones(16))
+
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    @pytest.mark.parametrize("rows", [0, 1, 32, 256])
+    def test_panelled_terms_match_the_dense_term(self, rows, num_classes):
+        # D = 300 is not a multiple of the panel width, so the last slab is narrow.
+        d = 300
+        assert d % PANEL != 0
+        rng = RngState(22)
+        phi = rng.normal_matrix(256, d)[:rows] * 0.05
+        probs = softmax(rng.normal_matrix(256, num_classes)[:rows])
+        weights = probs * (1.0 - probs)
+        if num_classes == 2:
+            weights = weights.mean(axis=1, keepdims=True)
+        exact = make_layer(num_features=d, num_classes=num_classes, ridge_s=0.01)
+        moving = make_layer(num_features=d, num_classes=num_classes, ridge_s=0.01,
+                            discount_m=0.9)
+        exact.update_precision_exact(phi, probs)
+        moving.update_precision_minibatch(phi, probs)
+        for k, (pe, pm) in enumerate(zip(exact.precision, moving.precision)):
+            a = phi * np.sqrt(weights[:, k:k + 1])
+            term = a.T @ a
+            for p, dense in ((pe, 0.01 * np.eye(d) + term),
+                             (pm, 0.9 * (0.01 * np.eye(d)) + 0.1 * term)):
+                np.testing.assert_allclose(p, dense, rtol=1e-12,
+                                           atol=1e-12 * np.abs(dense).max())
+                assert np.array_equal(p, p.T)
+
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_reset_refills_the_same_arrays(self, num_classes):
+        layer = make_layer(num_features=40, num_classes=num_classes, ridge_s=0.25)
+        held = list(layer.precision)
+        rng = RngState(23)
+        layer.update_precision_exact(rng.normal_matrix(10, 40),
+                                     softmax(rng.normal_matrix(10, num_classes)))
+        layer.covariances()
+        layer.reset_precision()
+        assert layer._covariances is None
+        assert len(layer.precision) == len(held)
+        for p, q in zip(layer.precision, held):
+            assert p is q
+            assert np.array_equal(p, 0.25 * np.eye(40))
+
+    def test_default_size_reset_and_updates_hold_no_d_by_d_temporary(self):
+        # D = 1024: a D x D matrix is 8 MB, a (D, PANEL) slab 2 MB.
+        layer = make_layer(in_dim=128, num_features=1024)
+        rng = RngState(24)
+        phi = layer.rff_features(rng.normal_matrix(256, 128))
+        probs = softmax(rng.normal_matrix(256, 2))
+        assert peak_bytes(lambda: layer.update_precision_minibatch(phi[:32], probs[:32])) \
+            < 5 * 2**20
+        assert peak_bytes(lambda: layer.update_precision_exact(phi, probs)) < 5 * 2**20
+        assert peak_bytes(layer.reset_precision) < 2**20
 
     def test_variance_shrinks_with_aligned_data(self):
         # Sherman-Morrison: absorbing data along phi must shrink phi's variance

@@ -58,6 +58,15 @@ class TestForward:
         h_train, _ = net.forward(x, train_mode=True, rng=RngState(6))
         assert not np.allclose(h_train, h_eval1)
 
+    @pytest.mark.parametrize("train_mode", [False, True])
+    def test_forward_without_tape_gives_the_same_bits(self, train_mode):
+        net = build_res_ffn(2, 16, 4, RngState(7), dropout_rate=0.3)
+        x = RngState(8).normal_matrix(6, 2)
+        h_tape, tape = net.forward(x, train_mode=train_mode, rng=RngState(9))
+        h_bare, bare = net.forward(x, train_mode=train_mode, rng=RngState(9), keep_tape=False)
+        assert len(tape.block_inputs) == 4 and bare is None
+        assert np.array_equal(h_tape, h_bare)
+
 
 class TestBackward:
     def test_zero_upstream(self):

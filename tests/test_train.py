@@ -9,13 +9,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from sngp.gp_layer import GpPrediction, NonFiniteRowError, mc_softmax, softmax
 from sngp.linalg import RngState
 from sngp.metrics import dempster_shafer, margin_uncertainty, variance_uncertainty
-from sngp.train import (PREDICT_BLOCK_ROWS, ModelSpec, TrainConfig, TrainReport,
+from sngp.train import (PREDICT_BLOCK_ROWS, ModelSpec, SngpModel, TrainConfig, TrainReport,
                         TrainingDivergedError, _array_layout, _array_manifest,
                         build_sngp_model, load_checkpoint, loss_and_grads,
                         predict_batch, save_checkpoint, train)
 
 from headers import rewrite_header
 from oracles import finite_diff_gradients, max_relative_gradient_error, sigma_max_jacobi
+from test_gp_layer import peak_bytes
 
 
 def small_model(seed=1, gp_head=True, **kwargs):
@@ -573,6 +574,15 @@ class TestCheckpoint:
         assert np.array_equal(model.head.b_fixed, back.head.b_fixed)
         pts = np.array([[0.4, -0.4]])
         assert np.array_equal(model.eval_logits(pts), back.eval_logits(pts))
+
+    def test_save_and_load_hold_no_copy_of_the_payload(self, tmp_path):
+        # A default model's payload is ≈11 MB, its precision 8 MB of it.
+        path = tmp_path / "model.ckpt"
+        model = build_sngp_model(ModelSpec())
+        assert peak_bytes(lambda: save_checkpoint(model, path, "seed = 1\n")) < 2 * 2**20
+        # Loading builds the model; beyond that it holds no more than 2 MB.
+        building = peak_bytes(lambda: SngpModel(model.spec))
+        assert peak_bytes(lambda: load_checkpoint(path)) < building + 2 * 2**20
 
     def test_dense_model_roundtrip(self, tmp_path):
         model = small_model(seed=41, gp_head=False, spectral_norm=False)
