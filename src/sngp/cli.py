@@ -12,8 +12,8 @@ Subcommands:
 Config files are plain ``key = value`` lines; ``#`` starts a comment.
 Unknown keys are rejected; every effective value is echoed into outputs.
 
-Exit codes: 0 ok, 2 usage or input error, 3 training divergence,
-4 metric/model incompatibility, 5 verification failure.
+Exit codes: 0 ok, 2 usage or input error (running out of memory included),
+3 training divergence, 4 metric/model incompatibility, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -454,7 +454,7 @@ def _verify_lipschitz(println) -> None:
 
 
 def _verify_kernel(println) -> None:
-    from .gp_layer import RffGpLayer
+    from .gp_layer import KERNEL_ABS_ERROR, RffGpLayer, half_angle_cos_sin
     rng = RngState(4242)
     layer = RffGpLayer(in_dim=2, num_features=4096, num_classes=2, rng=rng.derive("gp"),
                        length_scale=1.0, use_layer_norm=False)
@@ -470,6 +470,17 @@ def _verify_kernel(println) -> None:
     println(f"kernel.rbf_fidelity within 0.05 on {frac:.0%} of pairs", ok)
     if not ok:
         raise VerificationFailure(f"kernel fidelity only on {frac:.0%} of pairs")
+    # The features' cosine and sine against libm, |z| log-spread over [1, 1e12].
+    z_rng = rng.derive("half_angle")
+    z = np.copysign(10.0 ** z_rng.uniform(4096, 0.0, 12.0), z_rng.uniform(4096, -1.0, 1.0))
+    cos_z, sin_z = half_angle_cos_sin(0.5 * z)
+    err = max(np.max(np.abs(cos_z - np.cos(z))), np.max(np.abs(sin_z - np.sin(z))))
+    ok = err <= KERNEL_ABS_ERROR
+    println(f"kernel.half_angle_cos_sin max abs error {err:.2e} <= {KERNEL_ABS_ERROR:.0e} "
+            f"for |z| up to 1e12", ok)
+    if not ok:
+        raise VerificationFailure(f"half-angle cos/sin off libm by {err:.3g} "
+                                  f"(> {KERNEL_ABS_ERROR:g})")
 
 
 def cmd_verify(args) -> int:
@@ -551,6 +562,9 @@ def main(argv=None) -> int:
         return EXIT_VERIFY_FAILED
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a size too large for this machine
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

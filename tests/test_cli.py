@@ -1,18 +1,24 @@
+import os
+import resource
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sngp import cli
+from sngp import cli, gp_layer
 from sngp.baselines import build_variant
 from sngp.cli import (EXIT_DIVERGED, EXIT_INCOMPATIBLE, EXIT_OK, EXIT_USAGE,
-                      LoadedModel, RunConfig, main, parse_run_config)
+                      EXIT_VERIFY_FAILED, LoadedModel, RunConfig, main, parse_run_config)
 from sngp.data import dataset_from_csv, surface_from_csv
 from sngp.train import (ModelSpec, TrainingDivergedError, TrainReport, load_checkpoint,
                         save_checkpoint)
 
 from headers import rewrite_header
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 FAST_CONFIG = """
 # fast two-moons run for tests
@@ -272,6 +278,22 @@ class TestTrainCommand:
         assert code == EXIT_DIVERGED
         assert ("spectral normalization: overflow encountered in dot at epoch 0 step 1"
                 in capsys.readouterr().err)
+        assert not ckpt.exists()
+
+    def test_out_of_memory_exits_2(self, tmp_path):
+        # A ridge of 3e6 x 3e6 floats cannot be allocated; the child's address
+        # space is capped, so the allocation fails at once instead of paging.
+        cfg = write_config(tmp_path, "variant = shallow_gp\nnum_features = 3000000\nepochs = 1\n")
+        ckpt = tmp_path / "m.ckpt"
+        env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
+        limit = 3 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "sngp.cli", "train", "--config", cfg, "--out", str(ckpt)],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("error: out of memory: ")
+        assert "Traceback" not in proc.stderr
         assert not ckpt.exists()
 
     def test_divergence_exit_code(self, tmp_path):
@@ -607,8 +629,20 @@ class TestVerifyCommand:
     def test_lipschitz_suite_passes(self):
         assert main(["verify", "--suite", "lipschitz"]) == EXIT_OK
 
-    def test_kernel_suite_passes(self):
+    def test_kernel_suite_passes(self, capsys):
         assert main(["verify", "--suite", "kernel"]) == EXIT_OK
+        assert "[PASS] kernel.half_angle_cos_sin" in capsys.readouterr().out
+
+    def test_kernel_suite_fails_on_an_inaccurate_cos_sin(self, monkeypatch, capsys):
+        # Single-precision cosine and sine pass the RBF check but not the libm one.
+        def single(half_z):
+            z = 2.0 * half_z
+            return tuple(f(z).astype(np.float32).astype(np.float64) for f in (np.cos, np.sin))
+        monkeypatch.setattr(gp_layer, "half_angle_cos_sin", single)
+        assert main(["verify", "--suite", "kernel"]) == EXIT_VERIFY_FAILED
+        captured = capsys.readouterr()
+        assert "[FAIL] kernel.half_angle_cos_sin" in captured.out
+        assert "error: verification failed: half-angle cos/sin off libm" in captured.err
 
 
 class TestCompareCommand:

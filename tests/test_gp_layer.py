@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import spearmanr
 
 from sngp.gp_layer import PANEL, NonFiniteRowError, RffGpLayer, mc_softmax, softmax
@@ -140,6 +142,33 @@ class TestRffFeatures:
             phi_plain = layer.rff_features(h)
             phi_tape, _ = layer.features_with_tape(h)
             assert np.array_equal(phi_plain, phi_tape)
+
+    def test_features_and_tape_sine_match_libm_from_1_to_1e12(self):
+        # Hidden rows scaled from 1 to 1e12 put |z| over the same range; the
+        # oracle computes z itself, with the layer's products, and calls libm.
+        layer = make_layer(num_features=1024, seed=36)
+        directions = RngState(37).normal_matrix(8, 2)
+        h = np.concatenate([directions * s for s in np.logspace(0, 12, 25)])
+        phi, tape = layer.features_with_tape(h)
+        z = (h @ layer.w_fixed.T) * -(1.0 / layer.length_scale) + layer.b_fixed
+        assert np.abs(z).max() > 1e12
+        scale = np.sqrt(2.0 / 1024)
+        assert np.abs(phi / scale - np.cos(z)).max() <= 5e-16
+        assert np.abs(tape["sin_z"] - np.sin(z)).max() <= 5e-16
+
+    @settings(max_examples=200, deadline=None)
+    @given(h=arrays(np.float64, st.tuples(st.integers(1, 4), st.just(4)),
+                    elements=st.floats(-1e300, 1e300)),
+           use_layer_norm=st.booleans())
+    def test_finite_rows_never_exceed_the_cosine_bound(self, h, use_layer_norm):
+        # r - 1 lies in [-1, 1] by construction, so the bound holds exactly.
+        layer = make_layer(in_dim=4, num_features=128, use_layer_norm=use_layer_norm)
+        try:
+            phi = layer.rff_features(h)
+        except NonFiniteRowError:  # a layer-norm variance that overflows
+            assert use_layer_norm
+            return
+        assert np.all(np.abs(phi) <= np.sqrt(2.0 / 128))
 
 
 class TestLogits:

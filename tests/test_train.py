@@ -84,6 +84,28 @@ class TestLossAndGrads:
         worst, name = max_relative_gradient_error(analytic, numeric)
         assert worst <= 1e-4, f"gradient mismatch at {name}: {worst}"
 
+    def test_gradient_check_across_many_feature_periods(self):
+        # A short length scale spreads z = -(1/l) W h' + b over at least ten
+        # periods, so the sine kept in the feature tape is checked far beyond
+        # the first one.
+        model = small_model(seed=3, length_scale=0.05)
+        model.head.beta[:] = 0.3 * RngState(4).normal_matrix(2, 32)
+        x, y = toy_batch(seed=5)
+        h, _ = model.hidden(x)
+        _, tape = model.head.features_with_tape(h)
+        z = -(tape["ln_out"] @ model.head.w_fixed.T) / 0.05 + model.head.b_fixed
+        assert np.ptp(z) >= 10 * 2.0 * np.pi
+
+        def loss_fn():
+            return loss_and_grads(model, x, y, l2_beta=0.1, l2_scale=10.0,
+                                  train_mode=False)[0]
+
+        _, analytic = loss_and_grads(model, x, y, l2_beta=0.1, l2_scale=10.0,
+                                     train_mode=False)
+        numeric = finite_diff_gradients(loss_fn, model.parameters())
+        worst, name = max_relative_gradient_error(analytic, numeric)
+        assert worst <= 1e-4, f"gradient mismatch at {name}: {worst}"
+
     def test_dense_head_gradient_check(self):
         model = small_model(seed=6, gp_head=False)
         x, y = toy_batch(seed=7)
