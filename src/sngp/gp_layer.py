@@ -43,9 +43,12 @@ K = 2 head stores one matrix, built from the class-mean weights, because
 Predictive variance for class k is ``phi^T Sigma_k phi`` with the covariance
 ``Sigma_k = precision_k^{-1}``.  Each distinct covariance is built once, by
 one step of block elimination (``spd_inverse``) in NumPy matrix products, and
-cached until the precision changes, so a batch of variances costs one matrix
-product per stored precision.  Building it holds the (D, D) covariance plus
-at most about one more D x D matrix of temporaries, in (D/2, D/2) blocks.
+cached until the precision changes.  Building it holds the (D, D) covariance
+plus at most about one more D x D matrix of temporaries, in (D/2, D/2)
+blocks.  A batch of variances is then one ``quadratic_form`` per stored
+precision: one matrix product per slab of ``PANEL`` columns against the lower
+block triangle of ``Sigma_k``, which is symmetric, at about 5/8 of the flops
+of the full ``phi @ Sigma_k``.
 
 The feature pipeline takes a (batch, in_dim) matrix of hidden rows.  A row
 that is not finite, or so large that its layer-norm variance overflows, has no
@@ -63,7 +66,7 @@ import numpy as np
 from .linalg import RngState, NotSpdError, spd_factor, spd_solve_factored
 
 LAYER_NORM_EPS = 1e-6
-PANEL = 256  # columns of each Fisher-term slab added into a precision
+PANEL = 256  # columns of each slab of a Fisher term or of a variance product
 KERNEL_ABS_ERROR = 5e-16  # bound on |half_angle_cos_sin - (np.cos, np.sin)|
 
 
@@ -258,10 +261,9 @@ class RffGpLayer:
 
     def predictive_variance_batch(self, phi_batch: np.ndarray) -> np.ndarray:
         """(batch, K) logit variances phi^T precision_k^{-1} phi (each >= 0),
-        one matrix product per stored precision."""
+        one ``quadratic_form`` per stored precision."""
         phi_batch = np.asarray(phi_batch, dtype=np.float64)
-        columns = [np.einsum("ij,ij->i", phi_batch @ cov, phi_batch)
-                   for cov in self.covariances()]
+        columns = [quadratic_form(cov, phi_batch) for cov in self.covariances()]
         if len(columns) == 1:
             columns *= self.num_classes
         return np.maximum(np.stack(columns, axis=1), 0.0)
@@ -301,6 +303,30 @@ def add_gram(p: np.ndarray, a: np.ndarray, scale: float = 1.0) -> None:
         p[below, cols] += t
         p[cols, below] += t.T
         del block, t  # so that the next slab is not made beside this one
+
+
+def quadratic_form(cov: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """``phi_i^T cov phi_i`` for each row of an (N, D) ``phi`` and a symmetric
+    (D, D) ``cov``, reading only ``cov``'s lower block triangle.
+
+    Per slab ``J`` of ``PANEL`` columns, ``t = phi_J cov_JJ + 2 sum_{I > J}
+    phi_I cov_IJ`` is one matrix product and ``phi_J . t`` adds slab J's
+    share, so the off-diagonal blocks are read once instead of twice: at
+    D = 1024 that is 5/8 of the flops of ``phi @ cov``.  ``2 phi`` is copied
+    once and each slab is halved back in place just before it is used
+    (doubling and halving are exact), so no temporary is larger than that
+    (N, D) copy and one (N, ``PANEL``) product.
+    """
+    d = cov.shape[0]
+    scaled = 2.0 * phi
+    out = np.zeros(phi.shape[0])
+    for j in range(0, d, PANEL):
+        cols = slice(j, j + PANEL)
+        scaled[:, cols] *= 0.5
+        t = scaled[:, j:] @ cov[j:, cols]
+        out += np.einsum("ij,ij->i", t, phi[:, cols])
+        del t  # so that the next slab's product is not made beside this one
+    return out
 
 
 def spd_inverse(p: np.ndarray) -> np.ndarray:

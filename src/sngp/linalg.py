@@ -8,7 +8,10 @@ core operations have a single, well-tested home:
   into its inverse Cholesky factor ``W = L^{-1}`` (so ``a^{-1} = W^T W``)
   and solve against it with two matrix products; a matrix that is not SPD
   raises ``NotSpdError`` and a right-hand side of the wrong length
-  ``ValueError``.
+  ``ValueError``.  The factor comes from one 2 x 2 block recursion whose
+  work is matrix products; only diagonal blocks of at most
+  ``LOWER_INVERSE_LEAF`` rows go to NumPy's Cholesky, which runs far below
+  the matrix-product rate at larger sizes.
 * ``power_iteration`` estimates the largest singular value of a matrix and
   returns the left singular-vector estimate so callers can warm-start the
   next call with a single iteration per training step.
@@ -28,46 +31,60 @@ import hashlib
 
 import numpy as np
 
-# Diagonal blocks up to this size are inverted directly; larger ones split in two.
-LOWER_INVERSE_LEAF = 128
+# Diagonal blocks up to this size are factored directly; larger ones split in two.
+LOWER_INVERSE_LEAF = 64
 
 
 class NotSpdError(ValueError):
     """Raised when a matrix expected to be SPD fails its Cholesky factorization."""
 
 
-def _lower_inverse(low: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular matrix with a nonzero diagonal, exactly
-    lower triangular.  ``[[A, 0], [B, C]]^{-1} = [[A^{-1}, 0], [-C^{-1} B A^{-1},
-    C^{-1}]]`` recursively, so almost all the work is matrix products."""
-    n = low.shape[0]
-    if n <= LOWER_INVERSE_LEAF:
-        return np.tril(np.linalg.inv(low))
-    h = n // 2
-    a_inv = _lower_inverse(low[:h, :h])
-    c_inv = _lower_inverse(low[h:, h:])
-    out = np.zeros_like(low)
-    out[:h, :h] = a_inv
-    out[h:, h:] = c_inv
-    np.matmul(c_inv, low[h:, :h] @ a_inv, out=out[h:, :h])
-    out[h:, :h] *= -1.0
-    return out
-
-
 def spd_factor(a: np.ndarray) -> np.ndarray:
     """Inverse Cholesky factor ``W = L^{-1}`` of an SPD matrix ``a = L L^T``,
     lower triangular, so that ``a^{-1} = W^T W``; factor once for repeated
-    ``spd_solve_factored`` calls.  Only the lower triangle of ``a`` is read."""
-    a = np.asarray(a, dtype=np.float64)
-    try:
-        low = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotSpdError(f"matrix is not SPD: {exc}") from exc
-    # A NaN or inf in the lower triangle of a reaches the diagonal of L
-    # without making the factorization itself fail.
-    if not np.isfinite(low.diagonal()).all():
-        raise NotSpdError("matrix is not SPD: its Cholesky factor is not finite")
-    return _lower_inverse(low)
+    ``spd_solve_factored`` calls.  Only the lower triangle of ``a`` is read,
+    and an ``a`` that is not SPD, or holds NaN or inf there, raises
+    ``NotSpdError`` without a warning.
+
+    ``W`` is built by one recursion that never forms ``L``.  With ``a =
+    [[A, B^T], [B, C]]`` split at h = n // 2 and ``W_11`` the factor of
+    ``A``, ``L_21 = B W_11^T`` and the Schur complement ``S = C - L_21
+    L_21^T`` has the factor ``W_22``, and ``W_21 = -W_22 L_21 W_11``.  Only
+    blocks of at most ``LOWER_INVERSE_LEAF`` rows reach NumPy's Cholesky and
+    inverse, so almost all the work is matrix products.  Each lower-triangle
+    entry of ``S`` depends only on lower-triangle entries of ``a``.
+    """
+    return _inverse_factor(np.asarray(a, dtype=np.float64))
+
+
+def _inverse_factor(a: np.ndarray) -> np.ndarray:
+    n = a.shape[0]
+    if n <= LOWER_INVERSE_LEAF:
+        try:
+            low = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError as exc:
+            raise NotSpdError(f"matrix is not SPD: {exc}") from exc
+        # A NaN or inf in the lower triangle of a reaches the diagonal of L
+        # without making the factorization itself fail.
+        if not np.isfinite(low.diagonal()).all():
+            raise NotSpdError("matrix is not SPD: its Cholesky factor is not finite")
+        return np.tril(np.linalg.inv(low))
+    h = n // 2
+    w11 = _inverse_factor(a[:h, :h])
+    # A non-finite or huge B overflows here; S is then not finite and a leaf
+    # of its factorization raises NotSpdError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        l21 = a[h:, :h] @ w11.T
+        s = l21 @ l21.T
+        np.subtract(a[h:, h:], s, out=s)
+    w22 = _inverse_factor(s)
+    del s
+    w = np.zeros((n, n))
+    w[:h, :h] = w11
+    w[h:, h:] = w22
+    w21 = np.matmul(w22, l21 @ w11, out=w[h:, :h])
+    np.negative(w21, out=w21)
+    return w
 
 
 def spd_solve_factored(factor: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -21,10 +21,12 @@ import numpy as np
 
 from .linalg import RngState, power_iteration
 
+# name -> (activation, its derivative); an activation given ``out=z`` works in place.
 ACTIVATIONS = {
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(np.float64)),
+    "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out),
+             lambda z: (z > 0.0).astype(np.float64)),
     "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
-    "linear": (lambda z: z, lambda z: np.ones_like(z)),
+    "linear": (lambda z, out=None: z, lambda z: np.ones_like(z)),
 }
 
 
@@ -51,7 +53,9 @@ class DenseLayer:
         return self.weight.shape[1]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.weight.T + self.bias
+        out = x @ self.weight.T
+        out += self.bias
+        return out
 
 
 def make_dense_layer(in_dim: int, out_dim: int, rng: RngState, sn_bound: float = 1.0) -> DenseLayer:
@@ -125,8 +129,9 @@ class ResFfnNetwork:
 
         Dropout masks (inverted dropout on the residual branch) are drawn from
         ``rng`` only when ``train_mode`` is set and a block has a nonzero rate.
-        With ``keep_tape = False`` the tape is None and each block's
-        intermediates are freed as soon as the next block has used them.
+        With ``keep_tape = False`` the tape is None, and since nothing else
+        holds a block's intermediates, its activation, dropout and residual
+        sum are computed in place; the result has the same bits.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
@@ -136,19 +141,22 @@ class ResFfnNetwork:
         for blk in self.blocks:
             act, _ = ACTIVATIONS[blk.activation]
             z = blk.layer.apply(h)
-            branch = act(z)
+            out = z if tape is None else None  # without a tape, z is nobody else's
+            branch = act(z, out=out)
             mask = None
             if train_mode and blk.dropout_rate > 0.0:
                 if rng is None:
                     raise ValueError("train-mode forward with dropout requires an rng")
                 keep = 1.0 - blk.dropout_rate
                 mask = rng.bernoulli_mask(z.shape, keep) / keep
-                branch = branch * mask
+                branch = np.multiply(branch, mask, out=out)
             if tape is not None:
                 tape.block_inputs.append(h)
                 tape.pre_activations.append(z)
                 tape.dropout_masks.append(mask)
-            h = h + branch
+                h = h + branch
+            else:
+                h += branch
         return h, tape
 
     def backward(self, tape: ForwardTape, grad_h: np.ndarray) -> dict[str, np.ndarray]:

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import spearmanr
 
-from sngp.gp_layer import PANEL, NonFiniteRowError, RffGpLayer, mc_softmax, softmax
+from sngp.gp_layer import (PANEL, NonFiniteRowError, RffGpLayer, mc_softmax, quadratic_form,
+                           softmax)
 from sngp.linalg import NotSpdError, RngState, spd_factor, spd_solve_factored
 
 from test_linalg import spd_with_condition
@@ -467,6 +468,39 @@ class TestCovariance:
             tracemalloc.stop()
         matrix_bytes = 8 * 1024 * 1024
         assert peak <= (1.0 + 1.5) * matrix_bytes  # the covariance plus 1.5 D x D
+
+
+class TestQuadraticForm:
+    """``quadratic_form`` reads only the lower block triangle of the
+    covariance, one slab of ``PANEL`` columns at a time; D = 1 and the
+    sizes around one and two slabs are its edges."""
+
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 255, 256, 257, 300, 1024])
+    def test_variance_matches_the_full_product(self, d, num_classes):
+        rng = RngState(d)
+        layer = make_layer(num_features=d, num_classes=num_classes, seed=d)
+        fit = layer.rff_features(rng.normal_matrix(300, 2))
+        layer.update_precision_exact(fit, softmax(rng.normal_matrix(300, num_classes)))
+        # Rows on the training data and far from it.
+        phi = layer.rff_features(rng.normal_matrix(40, 2) * np.linspace(0.5, 4.0, 40)[:, None])
+        variances = layer.predictive_variance_batch(phi)
+        covariances = layer.covariances()
+        for k in range(num_classes):
+            cov = covariances[k % len(covariances)]
+            expected = np.einsum("ij,ij->i", phi @ cov, phi)
+            # On the data the variance is a small difference of terms near
+            # the prior ||phi||^2 / s, so both sums round relative to the
+            # terms' magnitudes, |phi|^T |cov| |phi|; measured at most 4e-16.
+            scale = np.einsum("ij,ij->i", np.abs(phi) @ np.abs(cov), np.abs(phi))
+            assert np.all(np.abs(variances[:, k] - expected) <= 1e-13 * scale)
+
+    def test_a_block_holds_one_more_block_and_one_slab(self):
+        # A default-size block: 256 rows of D = 1024 features, 2 MB.
+        cov = spd_with_condition(1024, 100.0, seed=6)
+        phi = RngState(7).normal_matrix(256, 1024)
+        peak = peak_bytes(lambda: quadratic_form(cov, phi))
+        assert peak <= phi.nbytes + 8 * 256 * PANEL + 2**16
 
 
 class TestMcSoftmax:

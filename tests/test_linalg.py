@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from sngp.linalg import NotSpdError, RngState, power_iteration, spd_factor, spd_solve_factored
+from sngp.linalg import (LOWER_INVERSE_LEAF, NotSpdError, RngState, power_iteration, spd_factor,
+                         spd_solve_factored)
 
 from oracles import sigma_max_jacobi
 
@@ -58,7 +61,8 @@ def spd_with_condition(n, cond, seed):
     return 0.5 * (a + a.T)
 
 
-SIZES = [1, 2, 127, 128, 129, 300, 1024]  # around and across the 128 leaf
+# Around and across the 64-row leaf and the splits above it.
+SIZES = [1, 2, 63, 64, 65, 127, 128, 129, 300, 1024]
 
 
 class TestInverseFactor:
@@ -107,6 +111,49 @@ class TestInverseFactor:
     def test_not_spd_or_not_finite_raises(self, a):
         with pytest.raises(NotSpdError):
             spd_factor(a)
+
+
+class TestFactorRecursion:
+    """``spd_factor`` splits in two until a block has at most
+    ``LOWER_INVERSE_LEAF`` rows; only those leaves reach NumPy."""
+
+    def test_only_leaves_reach_numpy_cholesky_and_inverse(self, monkeypatch):
+        a = spd_with_condition(1024, 100.0, seed=9)
+        shapes = {"cholesky": [], "inv": []}
+        for name, seen in shapes.items():
+            def record(m, _fn=getattr(np.linalg, name), _seen=seen):
+                _seen.append(m.shape)
+                return _fn(m)
+            monkeypatch.setattr(np.linalg, name, record)
+        spd_factor(a)
+        for name, seen in shapes.items():
+            assert seen and max(max(shape) for shape in seen) <= LOWER_INVERSE_LEAF, name
+        # The leaves tile the diagonal: each row is factored once.
+        assert sum(rows for rows, _ in shapes["cholesky"]) == 1024
+        assert shapes["inv"] == shapes["cholesky"]
+
+    def test_a_deep_schur_complement_that_is_not_spd_raises_silently(self):
+        # Rows 150 and 299 couple too strongly, so the matrix is not SPD,
+        # but every diagonal block of 75 rows is.  Only a Schur complement
+        # formed inside the factorization of the top-level one fails, at the
+        # last leaf.
+        a = np.eye(300)
+        a[299, 150] = a[150, 299] = 2.0
+        assert np.linalg.eigvalsh(a).min() < 0.0
+        assert all(np.linalg.eigvalsh(a[i:i + 75, i:i + 75]).min() > 0.0
+                   for i in range(0, 300, 75))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotSpdError):
+                spd_factor(a)
+
+    def test_reads_only_the_lower_triangle(self):
+        a = spd_with_condition(300, 1e3, seed=8)
+        expected = spd_factor(a)
+        a[np.triu_indices(300, 1)] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(spd_factor(a), expected)
 
 
 class TestPowerIteration:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from sngp.linalg import RngState
-from sngp.nn import (DenseLayer, ResidualBlock, ResFfnNetwork, SgdMomentum, build_res_ffn,
-                     lipschitz_probe, make_dense_layer, normalize_network, spectral_normalize)
+from sngp.nn import (ACTIVATIONS, DenseLayer, ResidualBlock, ResFfnNetwork, SgdMomentum,
+                     build_res_ffn, lipschitz_probe, make_dense_layer, normalize_network,
+                     spectral_normalize)
 
 from oracles import finite_diff_gradients, max_relative_gradient_error, sigma_max_jacobi
 
@@ -60,12 +61,19 @@ class TestForward:
 
     @pytest.mark.parametrize("train_mode", [False, True])
     def test_forward_without_tape_gives_the_same_bits(self, train_mode):
-        net = build_res_ffn(2, 16, 4, RngState(7), dropout_rate=0.3)
+        # Without a tape the activation, dropout and residual sum run in place.
         x = RngState(8).normal_matrix(6, 2)
-        h_tape, tape = net.forward(x, train_mode=train_mode, rng=RngState(9))
-        h_bare, bare = net.forward(x, train_mode=train_mode, rng=RngState(9), keep_tape=False)
-        assert len(tape.block_inputs) == 4 and bare is None
-        assert np.array_equal(h_tape, h_bare)
+        x_before = x.copy()
+        for activation in ACTIVATIONS:
+            for dropout_rate in (0.0, 0.3):
+                net = build_res_ffn(2, 16, 4, RngState(7), activation=activation,
+                                    dropout_rate=dropout_rate)
+                h_tape, tape = net.forward(x, train_mode=train_mode, rng=RngState(9))
+                h_bare, bare = net.forward(x, train_mode=train_mode, rng=RngState(9),
+                                           keep_tape=False)
+                assert len(tape.block_inputs) == 4 and bare is None
+                assert np.array_equal(h_tape, h_bare), (activation, dropout_rate)
+        assert np.array_equal(x, x_before)
 
 
 class TestBackward:

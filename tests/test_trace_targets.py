@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import sngp.gp_layer
+import sngp.linalg
 from sngp.cli import EXIT_OK, RunConfig, main, parse_run_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -30,10 +32,10 @@ def test_every_trace_target_resolves():
         assert missing == []
 
 
-def traced_calls(tmp_path, workload):
-    """Calls per span of one traced repeat of ``workload`` at the TINY size."""
+def traced_calls(tmp_path, workload, size=TINY):
+    """Calls per span of one traced repeat of ``workload`` at the ``size`` config."""
     tracing, workloads = load_perfbench("tracing"), load_perfbench("workloads")
-    (tmp_path / "run.cfg").write_text(workloads.config_text(workload, 1) + TINY)
+    (tmp_path / "run.cfg").write_text(workloads.config_text(workload, 1) + size)
     for argv in workloads.setup_calls(workload, 1, tmp_path):
         assert main(argv) == EXIT_OK
     tracer = tracing.Tracer()
@@ -59,6 +61,29 @@ def test_workload_outputs_pass_the_benchmark_checks(tmp_path, workload):
         assert main(argv) == EXIT_OK
     checks, _ = workloads.check_outputs(workload, tmp_path, tmp_path, 1)
     assert [name for name, ok in checks if not ok] == []
+
+
+def test_score_factors_each_covariance_twice(tmp_path, monkeypatch):
+    # spd_inverse factors one diagonal block and one Schur complement.  At
+    # 300 features both have 150 rows, above the factor's 64-row leaf, so
+    # spd_factor recurses; a recursion through the public name would add
+    # spans, or calls the tracer cannot see.
+    counts = {"spd_inverse": 0, "public spd_factor": 0}
+
+    def counted(key, fn):
+        def call(*args):
+            counts[key] += 1
+            return fn(*args)
+        return call
+    monkeypatch.setattr(sngp.gp_layer, "spd_inverse",
+                        counted("spd_inverse", sngp.gp_layer.spd_inverse))
+    monkeypatch.setattr(sngp.linalg, "spd_factor",
+                        counted("public spd_factor", sngp.linalg.spd_factor))
+    wide = TINY.replace("num_features = 32", "num_features = 300")
+    calls = traced_calls(tmp_path, "score", wide)
+    # surface and eval each build the one covariance of a binary head.
+    assert counts == {"spd_inverse": 2, "public spd_factor": 0}
+    assert calls["linalg.spd_factor"] == 2 * counts["spd_inverse"]
 
 
 def pinned_train_calls(cfg: RunConfig) -> dict[str, int]:
