@@ -29,7 +29,8 @@ from .train import (ModelSpec, SngpModel, TrainConfig, TrainReport, TrainingDive
 _VARIANT_SWITCHES = {
     "deterministic": dict(gp_head=False, spectral_norm=False, identity_hidden=False),
     "deep_ensemble": dict(gp_head=False, spectral_norm=False, identity_hidden=False),
-    "shallow_gp": dict(gp_head=True, spectral_norm=False, identity_hidden=True),
+    "shallow_gp": dict(gp_head=True, spectral_norm=False, identity_hidden=True,
+                       use_layer_norm=False),
     "dnn_gp": dict(gp_head=True, spectral_norm=False, identity_hidden=False),
     "dnn_sn": dict(gp_head=False, spectral_norm=True, identity_hidden=False),
     "sngp": dict(gp_head=True, spectral_norm=True, identity_hidden=False),
@@ -45,27 +46,20 @@ def build_variant(tag: str, spec: ModelSpec) -> SngpModel:
     """
     if tag not in VARIANT_TAGS:
         raise ValueError(f"unknown variant tag {tag!r}; expected one of {VARIANT_TAGS}")
-    spec = replace(spec, **_VARIANT_SWITCHES[tag])
-    if spec.identity_hidden:
-        # The shallow variant consumes raw coordinates; normalizing them away
-        # would destroy the radial distance signal it exists to demonstrate.
-        spec = replace(spec, use_layer_norm=False)
-    return build_sngp_model(spec)
+    return build_sngp_model(replace(spec, **_VARIANT_SWITCHES[tag]))
 
 
 def train_ensemble(spec: ModelSpec, ensemble_size: int, points: np.ndarray,
                    labels: np.ndarray, config: TrainConfig
                    ) -> tuple[list[SngpModel], list[TrainReport]]:
-    """Train E deterministic members with seeds config.seed + 0 .. E - 1: (members, reports)."""
+    """Train E deterministic members with seeds spec.seed + 0 .. E - 1: (members, reports)."""
     if ensemble_size < 1:
         raise ValueError("ensemble size must be >= 1")
     members, reports = [], []
     for e in range(ensemble_size):
-        member_seed = config.seed + e
-        model = build_variant("deterministic", replace(spec, seed=member_seed))
-        member_config = replace(config, seed=member_seed)
+        model = build_variant("deterministic", replace(spec, seed=spec.seed + e))
         try:
-            reports.append(train(model, points, labels, member_config))
+            reports.append(train(model, points, labels, config))
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(f"ensemble member {e} diverged: {exc}") from exc
         members.append(model)

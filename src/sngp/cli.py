@@ -55,9 +55,9 @@ class VerificationFailure(RuntimeError):
 @dataclass(frozen=True)
 class RunConfig:
     """The run-level keys, plus the model spec and the training settings that
-    declare every other config key.  A key reads flat (``cfg.epochs``) through
-    ``CONFIG_KEYS``; ``seed`` sets both sections, which must agree.  Each value
-    is checked by its owner when built (``ValueError`` naming the key)."""
+    declare every other config key, each in one section.  A key reads flat
+    (``cfg.epochs``) through ``CONFIG_KEYS``.  Each value is checked by its
+    owner when built (``ValueError`` naming the key)."""
 
     variant: str = "sngp"
     dataset: str = "two_moons"
@@ -74,20 +74,18 @@ class RunConfig:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANT_TAGS}")
         if self.dataset not in DATASETS:
             raise ValueError(f"unknown dataset {self.dataset!r}")
-        for name in ("ensemble_size", "mc_samples"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        for name, low in (("data_seed", 0), ("ensemble_size", 1), ("mc_samples", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
         if not self.noise_sd >= 0.0:  # NaN fails too
             raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd!r}")
-        if self.spec.seed != self.train.seed:
-            raise ValueError(f"model seed {self.spec.seed} != training seed {self.train.seed}")
 
     def __getattr__(self, name: str):
         # Non-fields only; reads the key table before ``self``, so copies cannot recurse.
         entry = CONFIG_KEYS.get(name)
-        if entry is None or entry[1][0] == "run":
+        if entry is None or entry[1] == "run":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        return getattr(getattr(self, entry[1][0]), name)
+        return getattr(getattr(self, entry[1]), name)
 
     def echo(self) -> dict:
         """Every config key and its effective value, in ``CONFIG_KEYS`` order."""
@@ -104,20 +102,9 @@ DATASETS = ("two_moons", "two_ovals")
 _NOT_KEYS = ("spec", "train", "spectral_norm", "gp_head", "identity_hidden", "input_dim",
              "num_classes", "gp_projection_dim")
 _SECTIONS = (("run", RunConfig), ("spec", ModelSpec), ("train", TrainConfig))
-
-
-def _key_table() -> dict[str, tuple[str, tuple[str, ...]]]:
-    """Config key -> its type and the sections whose fields declare it."""
-    table = {}
-    for section, cls in _SECTIONS:
-        for f in fields(cls):
-            if f.name not in _NOT_KEYS:
-                kind, owners = table.get(f.name, (f.type, ()))
-                table[f.name] = (kind, owners + (section,))
-    return table
-
-
-CONFIG_KEYS = _key_table()
+# Config key -> its type and the one section whose fields declare it.
+CONFIG_KEYS = {f.name: (f.type, section) for section, cls in _SECTIONS
+               for f in fields(cls) if f.name not in _NOT_KEYS}
 
 
 def _coerce(raw: str, kind: str):
@@ -132,8 +119,10 @@ def _coerce(raw: str, kind: str):
 
 
 def parse_run_config(text: str) -> RunConfig:
-    """Parse ``key = value`` lines into a RunConfig, each into its key's sections."""
+    """Parse ``key = value`` lines into a RunConfig, each into its key's section.
+    A key may appear once."""
     values = {section: {} for section, _ in _SECTIONS}
+    key_lines = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -143,13 +132,15 @@ def parse_run_config(text: str) -> RunConfig:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        kind, sections = CONFIG_KEYS[key]
+        if key in key_lines:
+            raise ValueError(f"config line {lineno}: key {key!r} is already set "
+                             f"on line {key_lines[key]}")
+        key_lines[key] = lineno
+        kind, section = CONFIG_KEYS[key]
         try:
-            value = _coerce(raw, kind)
+            values[section][key] = _coerce(raw, kind)
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: {exc}") from exc
-        for section in sections:
-            values[section][key] = value
     return RunConfig(**values["run"], spec=ModelSpec(**values["spec"]),
                      train=TrainConfig(**values["train"]))
 
@@ -336,8 +327,7 @@ def cmd_eval(args) -> int:
     if args.ood_data:
         ood_ds = data_mod.dataset_from_csv(args.ood_data)
         ood_points = ood_ds.points if ood_ds.ood_points is None else ood_ds.ood_points
-        ds = data_mod.Dataset2D(points=ds.points, labels=ds.labels,
-                                ood_points=ood_points, name=ds.name, seed=ds.seed)
+        ds = data_mod.Dataset2D(points=ds.points, labels=ds.labels, ood_points=ood_points)
     values = _score_model(loaded, ds, args.uncertainty)
     lines = [f"{k}={v}" for k, v in _echo(loaded.cfg).items()]
     report = "\n".join(lines) + "\n" + metrics_report(

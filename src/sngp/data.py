@@ -50,8 +50,6 @@ class Dataset2D:
     points: np.ndarray
     labels: np.ndarray
     ood_points: np.ndarray | None
-    name: str
-    seed: int
 
     def __post_init__(self):
         if self.points.shape[0] != self.labels.shape[0]:
@@ -93,7 +91,7 @@ class EvalGrid:
         return np.column_stack([xx.ravel(), yy.ravel()])
 
 
-def gen_two_ovals(n_per_class: int, seed: int, n_ood: int | None = None) -> Dataset2D:
+def gen_two_ovals(n_per_class: int, seed: int) -> Dataset2D:
     """Two mirrored anisotropic Gaussian clusters plus a displaced OOD cluster."""
     if n_per_class < 1:
         raise ValueError("n_per_class must be >= 1")
@@ -106,12 +104,11 @@ def gen_two_ovals(n_per_class: int, seed: int, n_ood: int | None = None) -> Data
         pts.append(np.column_stack([x, y]))
         labels.append(np.full(n_per_class, cls))
     return Dataset2D(points=np.vstack(pts), labels=np.concatenate(labels),
-                     ood_points=_ood_cluster(rng, n_per_class if n_ood is None else n_ood),
-                     name="two_ovals", seed=seed)
+                     ood_points=_ood_cluster(rng, n_per_class))
 
 
-def gen_two_moons(n_per_class: int, noise_sd: float = MOON_NOISE_DEFAULT, seed: int = 0,
-                  n_ood: int | None = None) -> Dataset2D:
+def gen_two_moons(n_per_class: int, noise_sd: float = MOON_NOISE_DEFAULT,
+                  seed: int = 0) -> Dataset2D:
     """Interleaved half-circle classes plus a displaced OOD cluster.
 
     Class 0 is the upper moon (cos t, sin t), class 1 the lower moon
@@ -130,9 +127,7 @@ def gen_two_moons(n_per_class: int, noise_sd: float = MOON_NOISE_DEFAULT, seed: 
     if noise_sd > 0.0:
         pts = pts + noise_sd * rng.normal(pts.size).reshape(pts.shape)
     labels = np.concatenate([np.zeros(n_per_class, dtype=int), np.ones(n_per_class, dtype=int)])
-    return Dataset2D(points=pts, labels=labels,
-                     ood_points=_ood_cluster(rng, n_per_class if n_ood is None else n_ood),
-                     name="two_moons", seed=seed)
+    return Dataset2D(points=pts, labels=labels, ood_points=_ood_cluster(rng, n_per_class))
 
 
 def _ood_cluster(rng: RngState, n: int) -> np.ndarray:
@@ -218,7 +213,7 @@ def _label(text: str) -> int:
     return label
 
 
-def dataset_from_csv(path: str, name: str = "", seed: int = 0) -> Dataset2D:
+def dataset_from_csv(path: str) -> Dataset2D:
     points, labels, ood = [], [], []
     for x1, x2, lab in _csv_rows(path, "x1,x2,label", _label):
         if lab == -1:
@@ -230,8 +225,7 @@ def dataset_from_csv(path: str, name: str = "", seed: int = 0) -> Dataset2D:
         raise CsvFormatError("no labeled rows found")
     return Dataset2D(points=np.array(points, dtype=np.float64),
                      labels=np.array(labels, dtype=int),
-                     ood_points=np.array(ood, dtype=np.float64) if ood else None,
-                     name=name, seed=seed)
+                     ood_points=np.array(ood, dtype=np.float64) if ood else None)
 
 
 def surface_to_csv(points: np.ndarray, values: np.ndarray, path: str,

@@ -13,8 +13,8 @@ A step whose loss passes ``DIVERGENCE_LIMIT``, whose batch holds a row with
 non-finite features or logits, or whose spectral normalization overflows
 ends training with ``TrainingDivergedError`` naming the epoch and the step.
 The step order is observable through the optional ``hooks`` callback.
-Training is bit-reproducible: shuffling, dropout, and initialisation all
-draw from independently derived streams of the config seed.
+Training is bit-reproducible: initialisation, shuffling and dropout all
+draw from independently derived streams of the model's seed, ``spec.seed``.
 
 Checkpoint format (binary, version 3, bit-exact round trip):
 
@@ -88,7 +88,6 @@ class TrainConfig:
     learning_rate: float = 0.05
     momentum: float = 0.9
     l2_beta: float = 0.0
-    seed: int = 0
     precision_exact: bool = False
 
     def __post_init__(self):
@@ -124,17 +123,17 @@ class TrainReport:
 @dataclass(frozen=True)
 class ModelSpec:
     """Every hyperparameter of a model: the hidden mapping, the output head and
-    the seed of their initial draws.  ``identity_hidden`` replaces the network
-    by the identity (``hidden_width``, ``depth`` and the network settings are
-    then unused); ``gp_head = False`` puts a dense layer in place of the GP.
-    Each field's type is checked on construction (``TypeError``), so a
-    checkpoint header cannot pass a string or a bool where a number belongs.
-    Then ``length_scale``, ``ridge_s`` and ``sn_bound`` must be > 0 and
-    ``dropout_rate`` and ``discount_m`` in [0, 1) (``ValueError``; NaN fails
-    both), so neither a config file nor a header can pass ``nan``.  Every size
-    the spec uses must be one a model can be built with, and ``activation``
-    one of ``nn.ACTIVATIONS`` when there is a network.  Each ``ValueError``
-    names its field."""
+    the seed of their initial draws and of the training's shuffle and dropout.
+    ``identity_hidden`` replaces the network by the identity (``hidden_width``,
+    ``depth`` and the network settings are then unused); ``gp_head = False``
+    puts a dense layer in place of the GP.  Each field's type is checked on
+    construction (``TypeError``), so a checkpoint header cannot pass a string
+    or a bool where a number belongs.  Then ``length_scale``, ``ridge_s`` and
+    ``sn_bound`` must be > 0 and ``dropout_rate`` and ``discount_m`` in [0, 1)
+    (``ValueError``; NaN fails both), so neither a config file nor a header
+    can pass ``nan``.  ``seed`` must be >= 0, every size the spec uses one a
+    model can be built with, and ``activation`` one of ``nn.ACTIVATIONS`` when
+    there is a network.  Each ``ValueError`` names its field."""
 
     input_dim: int = 2
     hidden_width: int = 128
@@ -169,17 +168,17 @@ class ModelSpec:
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {value!r}")
-        sizes = [("input_dim", 1), ("num_classes", 2)]
+        lows = [("seed", 0), ("input_dim", 1), ("num_classes", 2)]
         if not self.identity_hidden:
-            sizes += [("hidden_width", 1), ("depth", 0)]
+            lows += [("hidden_width", 1), ("depth", 0)]
             if self.activation not in ACTIVATIONS:
                 raise ValueError(f"activation must be one of {sorted(ACTIVATIONS)}, "
                                  f"got {self.activation!r}")
         if self.gp_head:
-            sizes.append(("num_features", 1))
+            lows.append(("num_features", 1))
         if self.gp_projection_dim is not None:
-            sizes.append(("gp_projection_dim", 1))
-        for name, low in sizes:
+            lows.append(("gp_projection_dim", 1))
+        for name, low in lows:
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
 
@@ -362,6 +361,7 @@ def loss_and_grads(model: SngpModel, batch_x: np.ndarray, batch_y: np.ndarray,
 def train(model: SngpModel, points: np.ndarray, labels: np.ndarray, config: TrainConfig,
           hooks=None) -> TrainReport:
     """Run the two-phase training loop; returns the report, model updated in place.
+    The shuffle and the dropout draw from streams of ``model.spec.seed``.
 
     ``hooks(event, epoch, step)`` is invoked with events ``sgd_update``,
     ``spectral_norm`` and ``precision_update`` in the order they execute.
@@ -372,12 +372,12 @@ def train(model: SngpModel, points: np.ndarray, labels: np.ndarray, config: Trai
     if n == 0:
         raise ValueError("dataset must be non-empty")
     start = time.perf_counter()
-    root = RngState(config.seed)
+    root = RngState(model.spec.seed)
     shuffle_rng = root.derive("shuffle")
     dropout_rng = root.derive("dropout")
     optimizer = SgdMomentum(config.learning_rate, config.momentum)
 
-    report = TrainReport(seed=config.seed)
+    report = TrainReport(seed=model.spec.seed)
     step = 0
     for epoch in range(config.epochs):
         collect_precision = (model.has_gp_head and not config.precision_exact

@@ -29,7 +29,7 @@ from oracles import finite_diff_gradients, max_relative_gradient_error, sigma_ma
 BENCH_SPEC = ModelSpec(hidden_width=16, depth=3, num_features=256, dropout_rate=0.01,
                          use_layer_norm=False, length_scale=2.0, sn_bound=0.9, seed=0)
 BENCH_TRAIN = TrainConfig(epochs=30, batch_size=32, learning_rate=0.05, momentum=0.9,
-                          seed=0, precision_exact=True)
+                          precision_exact=True)
 
 
 def variance_of(model, x):
@@ -167,12 +167,10 @@ def test_criterion_5_distance_awareness(moons, trained_sngp):
     sngp_auprs, ens_auprs = [], []
     for seed in (0, 1, 2):
         spec = ModelSpec(**{**BENCH_SPEC.__dict__, "seed": seed})
-        cfg = TrainConfig(epochs=30, batch_size=32, learning_rate=0.05, momentum=0.9,
-                          seed=seed, precision_exact=True)
         model = build_variant("sngp", spec)
-        train(model, moons.points, moons.labels, cfg)
+        train(model, moons.points, moons.labels, BENCH_TRAIN)
         sngp_auprs.append(aupr(variance_of(model, eval_pts), flags))
-        members, _ = train_ensemble(spec, 3, moons.points, moons.labels, cfg)
+        members, _ = train_ensemble(spec, 3, moons.points, moons.labels, BENCH_TRAIN)
         ens_auprs.append(aupr(margin_uncertainty(ensemble_predict(members, eval_pts)), flags))
     elapsed = time.perf_counter() - start
     check("criterion 5c: SNGP AUPR(OOD) >= deep-ensemble AUPR(OOD) over 3 seeds",
@@ -268,7 +266,7 @@ def test_criterion_9_reversion_to_prior():
     cloud = rng.derive("cloud").normal(200).reshape(100, 2)  # sigma = 1 point cloud
     labels = (cloud[:, 0] > 0).astype(int)
     cfg = TrainConfig(epochs=5, batch_size=25, learning_rate=0.1, momentum=0.9,
-                      seed=35, precision_exact=True)
+                      precision_exact=True)
     train(model, cloud, labels, cfg)
     far = np.array([[100.0, 0.0]])  # 100 data standard deviations out
     phi = model.head.rff_features(far)

@@ -63,9 +63,10 @@ class TestVariants:
 class TestEnsemble:
     def test_single_member_matches_deterministic_model(self):
         x, y = toy_data()
-        cfg = TrainConfig(epochs=5, batch_size=10, learning_rate=0.05, momentum=0.9, seed=11)
-        members, _ = train_ensemble(SMALL_SPEC, 1, x, y, cfg)
-        solo = build_variant("deterministic", replace(SMALL_SPEC, seed=11))
+        cfg = TrainConfig(epochs=5, batch_size=10, learning_rate=0.05, momentum=0.9)
+        spec = replace(SMALL_SPEC, seed=11)
+        members, _ = train_ensemble(spec, 1, x, y, cfg)
+        solo = build_variant("deterministic", spec)
         train(solo, x, y, cfg)
         pts = np.array([[0.2, -0.1], [1.2, 0.4]])
         assert np.array_equal(ensemble_predict(members, pts).probs,
@@ -73,7 +74,7 @@ class TestEnsemble:
 
     def test_identical_members_average_to_member(self):
         x, y = toy_data(seed=3)
-        cfg = TrainConfig(epochs=3, batch_size=10, learning_rate=0.05, seed=12)
+        cfg = TrainConfig(epochs=3, batch_size=10, learning_rate=0.05)
         member = build_variant("deterministic", replace(SMALL_SPEC, seed=12))
         train(member, x, y, cfg)
         pts = np.array([[0.3, 0.3]])
@@ -81,8 +82,8 @@ class TestEnsemble:
 
     def test_three_member_hand_average(self):
         x, y = toy_data(seed=4)
-        cfg = TrainConfig(epochs=4, batch_size=10, learning_rate=0.05, seed=13)
-        members, _ = train_ensemble(SMALL_SPEC, 3, x, y, cfg)
+        cfg = TrainConfig(epochs=4, batch_size=10, learning_rate=0.05)
+        members, _ = train_ensemble(replace(SMALL_SPEC, seed=13), 3, x, y, cfg)
         pts = RngState(14).normal_matrix(5, 2)
         manual = sum(softmax(m.eval_logits(pts)) for m in members) / 3.0
         assert np.allclose(ensemble_predict(members, pts).probs, manual)
@@ -90,8 +91,8 @@ class TestEnsemble:
 
     def test_members_use_consecutive_seeds(self):
         x, y = toy_data(seed=6)
-        cfg = TrainConfig(epochs=1, batch_size=10, learning_rate=0.05, seed=20)
-        members, reports = train_ensemble(SMALL_SPEC, 3, x, y, cfg)
+        cfg = TrainConfig(epochs=1, batch_size=10, learning_rate=0.05)
+        members, reports = train_ensemble(replace(SMALL_SPEC, seed=20), 3, x, y, cfg)
         assert [r.seed for r in reports] == [20, 21, 22]
         p0 = members[0].parameters()["net.proj.w"]
         p1 = members[1].parameters()["net.proj.w"]
@@ -99,17 +100,17 @@ class TestEnsemble:
 
     def test_ensemble_accuracy_on_separable_toy(self):
         x, y = toy_data(seed=7)
-        cfg = TrainConfig(epochs=10, batch_size=10, learning_rate=0.1, momentum=0.9, seed=21)
-        members, _ = train_ensemble(SMALL_SPEC, 3, x, y, cfg)
+        cfg = TrainConfig(epochs=10, batch_size=10, learning_rate=0.1, momentum=0.9)
+        members, _ = train_ensemble(replace(SMALL_SPEC, seed=21), 3, x, y, cfg)
         probs = ensemble_predict(members, x).probs
         assert np.mean(np.argmax(probs, axis=1) == y) == 1.0
 
     def test_member_divergence_names_the_member(self):
         from sngp.train import TrainingDivergedError
         x, y = toy_data(seed=8)
-        cfg = TrainConfig(epochs=2, batch_size=10, learning_rate=1e9, seed=22)
+        cfg = TrainConfig(epochs=2, batch_size=10, learning_rate=1e9)
         with pytest.raises(TrainingDivergedError, match="member 0"):
-            train_ensemble(SMALL_SPEC, 2, x, y, cfg)
+            train_ensemble(replace(SMALL_SPEC, seed=22), 2, x, y, cfg)
 
 
 class TestDirectionalProperty:
@@ -118,7 +119,7 @@ class TestDirectionalProperty:
         spec = ModelSpec(hidden_width=16, depth=3, num_features=256, dropout_rate=0.0,
                            use_layer_norm=False, length_scale=2.0, sn_bound=0.9, seed=9)
         cfg = TrainConfig(epochs=20, batch_size=32, learning_rate=0.05, momentum=0.9,
-                          seed=9, precision_exact=True)
+                          precision_exact=True)
         sngp_model = build_variant("sngp", spec)
         train(sngp_model, ds.points, ds.labels, cfg)
         members, _ = train_ensemble(spec, 3, ds.points, ds.labels, cfg)
@@ -142,7 +143,7 @@ class TestDirectionalProperty:
         model = build_variant("shallow_gp", spec)
         assert not model.head.use_layer_norm  # raw-input variant skips normalization
         cfg = TrainConfig(epochs=5, batch_size=25, learning_rate=0.1, momentum=0.9,
-                          seed=11, precision_exact=True)
+                          precision_exact=True)
         train(model, cloud, labels, cfg)
         radii = np.linspace(0.5, 5.0, 20)
         for direction in ([1.0, 0.0], [0.0, -1.0], [-0.7071, 0.7071]):

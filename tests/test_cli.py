@@ -3,6 +3,7 @@ import resource
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from sngp.baselines import build_variant
 from sngp.cli import (EXIT_DIVERGED, EXIT_INCOMPATIBLE, EXIT_OK, EXIT_USAGE,
                       EXIT_VERIFY_FAILED, LoadedModel, RunConfig, main, parse_run_config)
 from sngp.data import dataset_from_csv, surface_from_csv
-from sngp.train import (ModelSpec, TrainingDivergedError, TrainReport, load_checkpoint,
-                        save_checkpoint)
+from sngp.train import (ModelSpec, TrainConfig, TrainingDivergedError, TrainReport,
+                        load_checkpoint, save_checkpoint)
 
 from headers import rewrite_header
 
@@ -51,8 +52,10 @@ CONFIG_TEXT = st.one_of(st.text(max_size=60), st.lists(st.tuples(
 
 
 def write_config(tmp_path, text=FAST_CONFIG, **overrides):
-    for key, value in overrides.items():
-        text += f"\n{key} = {value}\n"
+    # Each override replaces the key's line, since a config sets a key once.
+    lines = [line for line in text.splitlines()
+             if line.split("=", 1)[0].strip() not in overrides]
+    text = "\n".join(lines + [f"{key} = {value}" for key, value in overrides.items()]) + "\n"
     path = tmp_path / "run.cfg"
     path.write_text(text)
     return str(path)
@@ -99,13 +102,21 @@ class TestConfigParsing:
             "use_layer_norm", "epochs", "batch_size", "learning_rate", "momentum", "l2_beta",
             "precision_exact"]
 
-    def test_seed_sets_both_sections(self):
+    def test_seed_sets_the_model_seed(self):
         cfg = parse_run_config("seed = 9\n")
-        assert (cfg.spec.seed, cfg.train.seed, cfg.echo()["seed"]) == (9, 9, 9)
+        assert cfg.spec.seed == cfg.seed == cfg.echo()["seed"] == 9
 
-    def test_differing_seeds_rejected(self):
-        with pytest.raises(ValueError, match="seed"):
-            RunConfig(spec=ModelSpec(seed=1))
+    def test_each_key_has_one_owning_section(self):
+        # A second declaration of a key, as the training seed once was, would
+        # give one value two owners that could disagree.
+        assert all(section in ("run", "spec", "train") for _, section in cli.CONFIG_KEYS.values())
+        declared = [f.name for cls in (RunConfig, ModelSpec, TrainConfig) for f in fields(cls)
+                    if f.name not in cli._NOT_KEYS]
+        assert len(declared) == len(set(declared)) == len(cli.CONFIG_KEYS) == 24
+
+    def test_repeated_key_rejected_naming_both_lines(self):
+        with pytest.raises(ValueError, match="config line 3: key 'seed' is already set on line 1"):
+            parse_run_config("seed = 1\nepochs = 2\nseed = 2\n")
 
     @pytest.mark.parametrize("line, message", [
         ("sn_bound = nan", "sn_bound must be positive, got nan"),
@@ -115,6 +126,8 @@ class TestConfigParsing:
         ("num_features = 0", "num_features must be >= 1, got 0"),
         ("hidden_width = 0", "hidden_width must be >= 1, got 0"),
         ("depth = -1", "depth must be >= 0, got -1"),
+        ("seed = -1", "seed must be >= 0, got -1"),
+        ("data_seed = -1", "data_seed must be >= 0, got -1"),
         ("activation = foo", "activation must be one of ['linear', 'relu', 'tanh'], got 'foo'")])
     def test_out_of_range_value_rejected_when_read(self, line, message):
         with pytest.raises(ValueError) as exc:
@@ -159,6 +172,14 @@ class TestGenData:
         assert main(["gen-data", "--dataset", "two_moons", "--noise", "nan",
                      "--out", str(out)]) == EXIT_USAGE
         assert "noise_sd must be >= 0, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        capsys.readouterr()
+        assert main(["gen-data", "--dataset", "two_moons", "--seed", "-1",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "data_seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -477,6 +498,8 @@ class TestEvalCommand:
          "ridge_s must be positive"),
         (lambda c: rewrite_header(c, lambda h: h["model"].update(sn_bound=-1.0)),
          "sn_bound must be positive"),
+        (lambda c: rewrite_header(c, lambda h: h["model"].update(seed=-1)),
+         "seed must be >= 0, got -1"),
         (lambda c: rewrite_bytes(c, lambda raw: raw[:10]), "not a checkpoint file (10 bytes"),
         (lambda c: rewrite_bytes(c, lambda raw: raw[:-100] + bytes([raw[-100] ^ 1]) + raw[-99:]),
          "payload CRC-32"),
@@ -500,8 +523,8 @@ class TestEvalCommand:
         (lambda c: rewrite_header(c, lambda h: h.update(config="mc_samples = [3]\n")),
          "config line 1: invalid literal for int() with base 10: '[3]'"),
     ], ids=["no_model", "string_depth", "string_layer_norm", "nan_length_scale", "nan_ridge_s",
-            "negative_sn_bound", "10_bytes", "flipped_payload_bit", "version_1", "version_2",
-            "huge_manifest_shape", "infinite_manifest_shape", "deeply_nested_header",
+            "negative_sn_bound", "negative_seed", "10_bytes", "flipped_payload_bit", "version_1",
+            "version_2", "huge_manifest_shape", "infinite_manifest_shape", "deeply_nested_header",
             "no_config", "list_config", "forged_object_config", "list_mc_samples"])
     def test_damaged_checkpoint_exits_2(self, eval_inputs, damage, message, capsys):
         ckpt, data_csv = eval_inputs
@@ -512,8 +535,9 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("config", [
         "mc_samples = 0\n", "variant = foo\n", "seed = 3\nno_such_key = 5\n",
-        "variant = sngp\naccuracy=1.0\n"],
-        ids=["zero_mc_samples", "unknown_variant", "unknown_key", "forged_accuracy_line"])
+        "variant = sngp\naccuracy=1.0\n", "seed = 3\nseed = 4\n"],
+        ids=["zero_mc_samples", "unknown_variant", "unknown_key", "forged_accuracy_line",
+             "repeated_key"])
     def test_header_config_is_read_as_a_config_file(self, eval_inputs, config, capsys):
         # The same text in a config file and in a checkpoint header fails alike,
         # so no header value reaches a report unchecked; the header's error

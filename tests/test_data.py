@@ -100,7 +100,7 @@ class TestCsvRoundTrip:
         ds = gen_two_moons(50, seed=11)
         path = tmp_path / "ds.csv"
         dataset_to_csv(ds, path)
-        back = dataset_from_csv(path, name=ds.name, seed=ds.seed)
+        back = dataset_from_csv(path)
         assert np.array_equal(back.points, ds.points)
         assert np.array_equal(back.labels, ds.labels)
         assert np.array_equal(back.ood_points, ds.ood_points)
@@ -186,7 +186,7 @@ class TestPgm:
 def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset2D(points=np.zeros((3, 2)), labels=np.zeros(2, dtype=int),
-                  ood_points=None, name="bad", seed=0)
+                  ood_points=None)
     with pytest.raises(ValueError):
         Dataset2D(points=np.array([[np.inf, 0.0]]), labels=np.zeros(1, dtype=int),
-                  ood_points=None, name="bad", seed=0)
+                  ood_points=None)

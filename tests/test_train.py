@@ -145,7 +145,7 @@ class TestTrainLoop:
                        rng.normal_matrix(20, 2) * 0.2 + np.array([2.0, 0.0])])
         y = np.array([0] * 20 + [1] * 20)
         model = small_model(seed=9)
-        cfg = TrainConfig(epochs=20, batch_size=8, learning_rate=0.1, momentum=0.9, seed=10)
+        cfg = TrainConfig(epochs=20, batch_size=8, learning_rate=0.1, momentum=0.9)
         report = train(model, x, y, cfg)
         assert report.final_train_accuracy == 1.0
 
@@ -153,7 +153,7 @@ class TestTrainLoop:
         model = small_model(seed=11)
         before = {k: v.copy() for k, v in model.parameters().items()}
         x, y = toy_batch()
-        cfg = TrainConfig(epochs=0, seed=12)
+        cfg = TrainConfig(epochs=0)
         train(model, x, y, cfg)
         for k, v in model.parameters().items():
             assert np.array_equal(v, before[k])
@@ -163,7 +163,7 @@ class TestTrainLoop:
     def test_spectral_bound_after_training(self):
         x, y = toy_batch(seed=13, n=64)
         model = small_model(seed=14)
-        cfg = TrainConfig(epochs=10, batch_size=16, learning_rate=0.1, momentum=0.9, seed=15)
+        cfg = TrainConfig(epochs=10, batch_size=16, learning_rate=0.1, momentum=0.9)
         train(model, x, y, cfg)
         for blk in model.network.blocks:
             assert sigma_max_jacobi(blk.layer.weight) <= 0.9 + 1e-6
@@ -173,8 +173,7 @@ class TestTrainLoop:
 
         def run():
             model = small_model(seed=17, dropout_rate=0.1)
-            cfg = TrainConfig(epochs=5, batch_size=8, learning_rate=0.05,
-                              momentum=0.9, seed=18)
+            cfg = TrainConfig(epochs=5, batch_size=8, learning_rate=0.05, momentum=0.9)
             train(model, x, y, cfg)
             return model
 
@@ -186,6 +185,33 @@ class TestTrainLoop:
         for pa, pb in zip(a.head.precision, b.head.precision):
             assert np.array_equal(pa, pb)
 
+    def test_model_seed_drives_the_training_streams(self, monkeypatch):
+        # Training reads no seed of its own: one spec trains alike, and
+        # another spec seed shuffles the rows differently.
+        x, y = toy_batch(seed=16, n=40)
+        orders = []
+        permutation = RngState.permutation
+
+        def record(rng, n):
+            orders.append(permutation(rng, n))
+            return orders[-1]
+
+        monkeypatch.setattr(RngState, "permutation", record)
+
+        def run(seed):
+            model = small_model(seed=seed, dropout_rate=0.1)
+            report = train(model, x, y, TrainConfig())
+            assert report.seed == seed
+            return model, orders[-TrainConfig().epochs:]
+
+        (a, order_a), (b, order_b), (_, order_c) = run(17), run(17), run(18)
+        for (ka, va), (kb, vb) in zip(sorted(a.parameters().items()),
+                                      sorted(b.parameters().items())):
+            assert ka == kb
+            assert np.array_equal(va, vb)
+        assert all(np.array_equal(p, q) for p, q in zip(order_a, order_b))
+        assert not all(np.array_equal(p, q) for p, q in zip(order_a, order_c))
+
     def test_substep_order_observable(self):
         x, y = toy_batch(seed=19, n=16)
         model = small_model(seed=20)
@@ -194,7 +220,7 @@ class TestTrainLoop:
         def hooks(event, epoch, step):
             events.append((step, event))
 
-        cfg = TrainConfig(epochs=2, batch_size=8, learning_rate=0.05, seed=21)
+        cfg = TrainConfig(epochs=2, batch_size=8, learning_rate=0.05)
         train(model, x, y, cfg, hooks=hooks)
         # final epoch steps must run sgd -> spectral_norm -> precision_update
         final_epoch_steps = [e for s, e in events if s >= 2]
@@ -205,7 +231,7 @@ class TestTrainLoop:
     def test_divergence_guard(self):
         x, y = toy_batch(seed=22, n=16)
         model = small_model(seed=23)
-        cfg = TrainConfig(epochs=3, batch_size=8, learning_rate=1e9, seed=24)
+        cfg = TrainConfig(epochs=3, batch_size=8, learning_rate=1e9)
         with pytest.raises(TrainingDivergedError):
             train(model, x, y, cfg)
 
@@ -220,7 +246,7 @@ class TestTrainLoop:
             with pytest.raises(TrainingDivergedError,
                                match=r"^dataset row 17: .* not finite at epoch 0 step \d+$"):
                 train(small_model(seed=23, gp_head=gp_head), x, y,
-                      TrainConfig(epochs=1, batch_size=8, seed=24))
+                      TrainConfig(epochs=1, batch_size=8))
 
     def test_empty_dataset_rejected(self):
         model = small_model()
@@ -231,7 +257,7 @@ class TestTrainLoop:
         from sngp.data import gen_two_moons
         ds = gen_two_moons(100, 0.1, seed=25)
         model = small_model(seed=26, hidden_width=16, num_features=128)
-        cfg = TrainConfig(epochs=15, batch_size=20, learning_rate=0.05, momentum=0.9, seed=27)
+        cfg = TrainConfig(epochs=15, batch_size=20, learning_rate=0.05, momentum=0.9)
         report = train(model, ds.points, ds.labels, cfg)
         losses = np.array(report.epoch_losses)
         smoothed = np.convolve(losses, np.ones(3) / 3.0, mode="valid")
@@ -246,7 +272,7 @@ class TestPredict:
         y = np.array([0] * 30 + [1] * 30)
         model = small_model(seed=29, use_layer_norm=False)
         cfg = TrainConfig(epochs=15, batch_size=10, learning_rate=0.1, momentum=0.9,
-                          seed=30, precision_exact=True)
+                          precision_exact=True)
         train(model, x, y, cfg)
         return model, x
 
@@ -274,7 +300,7 @@ class TestPredict:
                                            use_layer_norm=False, length_scale=2.0,
                                            gp_head=True, dropout_rate=0.0))
         cfg = TrainConfig(epochs=5, batch_size=25, learning_rate=0.1, momentum=0.9,
-                          seed=35, precision_exact=True)
+                          precision_exact=True)
         train(model, x, y, cfg)
         far = np.array([[100.0 * x.std(), 0.0]])
         pred = predict_batch(model, far, mc_samples=4, rng=RngState(36))
@@ -453,7 +479,7 @@ class TestExactPrecisionPass:
         x = RngState(70).normal_matrix(n, 2)
         y = np.digitize(x[:, 0], np.linspace(-1.0, 1.0, num_classes + 1)[1:-1])
         model = small_model(seed=71, num_classes=num_classes)
-        train(model, x, y, TrainConfig(epochs=2, batch_size=32, seed=72, precision_exact=True))
+        train(model, x, y, TrainConfig(epochs=2, batch_size=32, precision_exact=True))
         head = model.head
         phi = head.rff_features(model.hidden(x)[0])
         probs = softmax(head.logits(phi))
@@ -476,8 +502,7 @@ class TestExactPrecisionPass:
             model = small_model(seed=73, hidden_width=32, depth=2, num_features=1024)
             tracemalloc.start()
             try:
-                train(model, x, y, TrainConfig(epochs=1, batch_size=32, seed=74,
-                                               precision_exact=True))
+                train(model, x, y, TrainConfig(epochs=1, batch_size=32, precision_exact=True))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -496,7 +521,7 @@ def far_field_fit():
                                        num_features=1024, identity_hidden=True,
                                        use_layer_norm=False, dropout_rate=0.0))
     train(model, x, (x[:, 0] > 0).astype(int),
-          TrainConfig(epochs=3, batch_size=32, seed=77, precision_exact=True))
+          TrainConfig(epochs=3, batch_size=32, precision_exact=True))
     return model, float(np.linalg.norm(x, axis=1).max())
 
 
@@ -531,7 +556,7 @@ class TestModelSpec:
         ("dropout_rate", 1.0), ("dropout_rate", -0.1), ("dropout_rate", float("nan")),
         ("discount_m", 1.0), ("discount_m", float("nan")), ("input_dim", 0),
         ("num_classes", 1), ("hidden_width", 0), ("depth", -1), ("activation", "foo"),
-        ("num_features", 0), ("gp_projection_dim", 0)])
+        ("num_features", 0), ("gp_projection_dim", 0), ("seed", -1)])
     def test_out_of_range_hyperparameter_raises(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must"):
             ModelSpec(**{name: value})
@@ -581,8 +606,7 @@ class TestCheckpoint:
     def test_gp_model_bit_exact(self, tmp_path):
         model = small_model(seed=38)
         x, y = toy_batch(seed=39, n=24)
-        train(model, x, y, TrainConfig(epochs=3, batch_size=8, seed=40,
-                                       learning_rate=0.05))
+        train(model, x, y, TrainConfig(epochs=3, batch_size=8, learning_rate=0.05))
         back, header = self.roundtrip(model, tmp_path)
         assert (tmp_path / "model.ckpt").read_bytes()[8:12] == np.uint32(3).tobytes()
         assert sorted(header) == ["arrays", "config", "model", "payload_crc32"]
