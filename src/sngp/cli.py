@@ -19,6 +19,7 @@ Exit codes: 0 ok, 2 usage or input error (running out of memory included),
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -56,8 +57,9 @@ class VerificationFailure(RuntimeError):
 class RunConfig:
     """The run-level keys, plus the model spec and the training settings that
     declare every other config key, each in one section.  A key reads flat
-    (``cfg.epochs``) through ``CONFIG_KEYS``.  Each value is checked by its
-    owner when built (``ValueError`` naming the key)."""
+    (``cfg.epochs``) through ``CONFIG_KEYS``.  Each value gets its default
+    and its check from its owner alone, when built (``ValueError`` naming the
+    key); the layers and data generators it feeds take the values as given."""
 
     variant: str = "sngp"
     dataset: str = "two_moons"
@@ -74,11 +76,14 @@ class RunConfig:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANT_TAGS}")
         if self.dataset not in DATASETS:
             raise ValueError(f"unknown dataset {self.dataset!r}")
-        for name, low in (("data_seed", 0), ("ensemble_size", 1), ("mc_samples", 1)):
+        for name, low in (("n_per_class", 1), ("data_seed", 0), ("ensemble_size", 1),
+                          ("mc_samples", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
         if not self.noise_sd >= 0.0:  # NaN fails too
             raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd!r}")
+        if math.isinf(self.noise_sd):
+            raise ValueError(f"noise_sd must be finite, got {self.noise_sd!r}")
 
     def __getattr__(self, name: str):
         # Non-fields only; reads the key table before ``self``, so copies cannot recurse.
@@ -344,6 +349,8 @@ def cmd_compare(args) -> int:
     if args.dataset:
         cfg = replace(cfg, dataset=args.dataset)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    if not variants:
+        raise ValueError(f"--variants names no variant, got {args.variants!r}")
     for v in variants:
         if v not in VARIANT_TAGS:
             raise ValueError(f"unknown variant {v!r}")
@@ -447,7 +454,8 @@ def _verify_kernel(println) -> None:
     from .gp_layer import KERNEL_ABS_ERROR, RffGpLayer, half_angle_cos_sin
     rng = RngState(4242)
     layer = RffGpLayer(in_dim=2, num_features=4096, num_classes=2, rng=rng.derive("gp"),
-                       length_scale=1.0, use_layer_norm=False)
+                       length_scale=1.0, ridge_s=0.001, discount_m=0.999,
+                       use_layer_norm=False, projection_dim=None)
     pair_rng = rng.derive("pairs")
     xs = pair_rng.uniform(200, -2.0, 2.0).reshape(100, 2)
     ys = pair_rng.uniform(200, -2.0, 2.0).reshape(100, 2)

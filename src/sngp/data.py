@@ -8,8 +8,9 @@ out-of-domain points the model never trains on:
 * two moons: the usual interleaved half circles (unit radius, second moon
   shifted right and down) with isotropic Gaussian noise.
 
-Both generators are pure functions of their parameters and seed.  The OOD
-cluster is displaced well away from the labeled data (see the module
+Both generators are pure functions of their parameters and seed, taken as
+given: the CLI's ``RunConfig`` checks ``n_per_class`` and ``noise_sd``.  The
+OOD cluster is displaced well away from the labeled data (see the module
 constants) so "far from the data" is true by construction.
 
 CSV formats (version-stable, 17 significant digits so round-trips are exact):
@@ -39,8 +40,6 @@ OVAL_SD_FLAT = 0.08
 # classes, several cluster widths away from any labeled point).
 OOD_CENTER = (0.25, 2.6)
 OOD_SD = 0.12
-
-MOON_NOISE_DEFAULT = 0.1
 
 
 @dataclass
@@ -93,8 +92,6 @@ class EvalGrid:
 
 def gen_two_ovals(n_per_class: int, seed: int) -> Dataset2D:
     """Two mirrored anisotropic Gaussian clusters plus a displaced OOD cluster."""
-    if n_per_class < 1:
-        raise ValueError("n_per_class must be >= 1")
     rng = RngState(seed).derive("two_ovals")
     pts = []
     labels = []
@@ -107,18 +104,13 @@ def gen_two_ovals(n_per_class: int, seed: int) -> Dataset2D:
                      ood_points=_ood_cluster(rng, n_per_class))
 
 
-def gen_two_moons(n_per_class: int, noise_sd: float = MOON_NOISE_DEFAULT,
-                  seed: int = 0) -> Dataset2D:
+def gen_two_moons(n_per_class: int, noise_sd: float, seed: int) -> Dataset2D:
     """Interleaved half-circle classes plus a displaced OOD cluster.
 
     Class 0 is the upper moon (cos t, sin t), class 1 the lower moon
     (1 - cos t, 0.5 - sin t), t evenly spaced on [0, pi], then Gaussian noise
     of scale ``noise_sd`` is added to both coordinates.
     """
-    if n_per_class < 1:
-        raise ValueError("n_per_class must be >= 1")
-    if not noise_sd >= 0.0:  # NaN fails too
-        raise ValueError(f"noise_sd must be >= 0, got {noise_sd!r}")
     rng = RngState(seed).derive("two_moons")
     t = np.linspace(0.0, np.pi, n_per_class)
     upper = np.column_stack([np.cos(t), np.sin(t)])

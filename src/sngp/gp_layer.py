@@ -91,17 +91,16 @@ class GpPrediction:
 
 class RffGpLayer:
     """Frozen random-feature frontend plus trainable output weights and
-    Laplace precision matrices (``num_precisions`` of them)."""
+    Laplace precision matrices (``num_precisions`` of them).
 
-    def __init__(self, in_dim: int, num_features: int, num_classes: int, rng: RngState,
-                 length_scale: float = 2.0, ridge_s: float = 0.001, discount_m: float = 0.999,
-                 use_layer_norm: bool = True, projection_dim: int | None = None):
-        if not length_scale > 0.0:
-            raise ValueError("length_scale must be positive")
-        if not ridge_s > 0.0:
-            raise ValueError("ridge_s must be positive")
-        if not 0.0 <= discount_m < 1.0:
-            raise ValueError("discount_m must lie in [0, 1)")
+    The hyperparameters are taken as given: ``ModelSpec`` checks that
+    ``length_scale`` and ``ridge_s`` are positive and finite and that
+    ``discount_m`` lies in [0, 1).  ``projection_dim = None`` means no
+    down-projection."""
+
+    def __init__(self, in_dim: int, num_features: int, num_classes: int, rng: RngState, *,
+                 length_scale: float, ridge_s: float, discount_m: float,
+                 use_layer_norm: bool, projection_dim: int | None):
         self.in_dim = in_dim
         self.num_features = num_features
         self.num_classes = num_classes

@@ -35,14 +35,15 @@ class DenseLayer:
     """Affine layer with persisted spectral-normalization state.
 
     weight is (out, in); sn_u is the persisted left singular-vector estimate
-    used to warm-start power iteration; sn_bound is the spectral-norm cap c.
-    Biases are never normalized.
+    used to warm-start power iteration; sn_bound is the spectral-norm cap c,
+    taken as given (``ModelSpec`` checks it is positive and finite).  Biases
+    are never normalized.
     """
 
     weight: np.ndarray
     bias: np.ndarray
     sn_u: np.ndarray
-    sn_bound: float = 1.0
+    sn_bound: float
 
     @property
     def out_dim(self) -> int:
@@ -58,7 +59,7 @@ class DenseLayer:
         return out
 
 
-def make_dense_layer(in_dim: int, out_dim: int, rng: RngState, sn_bound: float = 1.0) -> DenseLayer:
+def make_dense_layer(in_dim: int, out_dim: int, rng: RngState, *, sn_bound: float) -> DenseLayer:
     """He-scaled normal init for the weight, zero bias, random unit sn_u."""
     scale = np.sqrt(2.0 / in_dim)
     weight = scale * rng.normal_matrix(out_dim, in_dim)
@@ -69,17 +70,13 @@ def make_dense_layer(in_dim: int, out_dim: int, rng: RngState, sn_bound: float =
 
 @dataclass
 class ResidualBlock:
-    layer: DenseLayer
-    activation: str = "relu"
-    dropout_rate: float = 0.0
+    """A square layer, a name in ``ACTIVATIONS`` and a dropout rate in [0, 1),
+    taken as given: ``ModelSpec`` checks the values and ``build_res_ffn``
+    makes the layer square."""
 
-    def __post_init__(self):
-        if self.layer.out_dim != self.layer.in_dim:
-            raise ValueError("residual blocks require equal input and output dimension")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must lie in [0, 1)")
+    layer: DenseLayer
+    activation: str
+    dropout_rate: float
 
 
 @dataclass
@@ -94,13 +91,9 @@ class ForwardTape:
 
 
 class ResFfnNetwork:
-    """Input projection plus a stack of equal-width residual blocks."""
+    """Input projection plus a stack of residual blocks of its output width."""
 
     def __init__(self, input_projection: DenseLayer, blocks: list[ResidualBlock]):
-        width = input_projection.out_dim
-        for blk in blocks:
-            if blk.layer.out_dim != width:
-                raise ValueError("all residual blocks must match the projection width")
         self.input_projection = input_projection
         self.blocks = blocks
 
@@ -190,8 +183,6 @@ def spectral_normalize(layer: DenseLayer) -> float:
     when ``c < sigma_hat``; otherwise the weight is left untouched.  Returns
     the sigma estimate from before any rescale.
     """
-    if not layer.sn_bound > 0.0:
-        raise ValueError("sn_bound must be positive")
     sigma, u = power_iteration(layer.weight, iters=1, u0=layer.sn_u)
     layer.sn_u = u
     if sigma > 0.0 and layer.sn_bound < sigma:
@@ -260,13 +251,11 @@ class SgdMomentum:
     Update rule (documented so tests can hand-unroll it):
         v <- momentum * v + grad
         p <- p - learning_rate * v
+
+    Both values are taken as given; ``TrainConfig`` checks them.
     """
 
-    def __init__(self, learning_rate: float, momentum: float = 0.0):
-        if not learning_rate > 0.0:  # NaN fails too
-            raise ValueError(f"learning_rate must be positive, got {learning_rate!r}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
+    def __init__(self, learning_rate: float, momentum: float):
         self.learning_rate = learning_rate
         self.momentum = momentum
         self._velocity: dict[str, np.ndarray] = {}
@@ -285,10 +274,10 @@ class SgdMomentum:
             p -= self.learning_rate * v
 
 
-def build_res_ffn(input_dim: int, hidden_width: int, depth: int, rng: RngState,
-                  activation: str = "relu", dropout_rate: float = 0.0,
-                  sn_bound: float = 1.0) -> ResFfnNetwork:
-    """Construct a randomly initialized residual feed-forward network."""
+def build_res_ffn(input_dim: int, hidden_width: int, depth: int, rng: RngState, *,
+                  activation: str, dropout_rate: float, sn_bound: float) -> ResFfnNetwork:
+    """Construct a randomly initialized residual feed-forward network of square
+    blocks.  The values are taken as given; ``ModelSpec`` checks them."""
     proj = make_dense_layer(input_dim, hidden_width, rng.derive("proj"), sn_bound=sn_bound)
     blocks = [
         ResidualBlock(

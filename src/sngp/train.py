@@ -102,6 +102,9 @@ class TrainConfig:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
         if not self.l2_beta >= 0.0:
             raise ValueError(f"l2_beta must be >= 0, got {self.l2_beta!r}")
+        for name in ("learning_rate", "l2_beta"):  # only +inf is left to reject
+            if math.isinf(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -129,11 +132,13 @@ class ModelSpec:
     puts a dense layer in place of the GP.  Each field's type is checked on
     construction (``TypeError``), so a checkpoint header cannot pass a string
     or a bool where a number belongs.  Then ``length_scale``, ``ridge_s`` and
-    ``sn_bound`` must be > 0 and ``dropout_rate`` and ``discount_m`` in [0, 1)
-    (``ValueError``; NaN fails both), so neither a config file nor a header
-    can pass ``nan``.  ``seed`` must be >= 0, every size the spec uses one a
-    model can be built with, and ``activation`` one of ``nn.ACTIVATIONS`` when
-    there is a network.  Each ``ValueError`` names its field."""
+    ``sn_bound`` must be > 0 and finite and ``dropout_rate`` and ``discount_m``
+    in [0, 1) (``ValueError``; NaN fails both), so neither a config file nor a
+    header can pass ``nan`` or ``inf``.  ``seed`` must be >= 0, every size the
+    spec uses one a model can be built with, and ``activation`` one of
+    ``nn.ACTIVATIONS`` when there is a network.  Each ``ValueError`` names its
+    field.  These are the only checks: the layers built from the spec take
+    each value as given."""
 
     input_dim: int = 2
     hidden_width: int = 128
@@ -164,6 +169,8 @@ class ModelSpec:
             value = getattr(self, name)
             if not value > 0.0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
+            if not value <= sys.float_info.max:  # inf, or a header's int too large for a float
+                raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("dropout_rate", "discount_m"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:

@@ -57,7 +57,8 @@ def test_criterion_1_kernel_fidelity():
     start = time.perf_counter()
     rng = RngState(4242)
     layer = RffGpLayer(in_dim=2, num_features=4096, num_classes=2, rng=rng.derive("gp"),
-                       length_scale=1.0, use_layer_norm=False)
+                       length_scale=1.0, ridge_s=0.001, discount_m=0.999,
+                       use_layer_norm=False, projection_dim=None)
     pair_rng = rng.derive("pairs")
     xs = pair_rng.uniform(200, -2.0, 2.0).reshape(100, 2)
     ys = pair_rng.uniform(200, -2.0, 2.0).reshape(100, 2)
@@ -77,7 +78,7 @@ def test_criterion_2_laplace_posterior_equivalence():
     # comparison isolates the data term both paths must agree on
     ridge = 1e-9
     kwargs = dict(in_dim=2, num_features=16, num_classes=2, length_scale=2.0,
-                  ridge_s=ridge, discount_m=0.999, use_layer_norm=False)
+                  ridge_s=ridge, discount_m=0.999, use_layer_norm=False, projection_dim=None)
     layer = RffGpLayer(rng=RngState(13).derive("gp"), **kwargs)
     pts = rng.derive("data").normal(400).reshape(200, 2)
     layer.beta[:] = 0.5 * rng.derive("beta").normal_matrix(2, 16)

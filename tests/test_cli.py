@@ -1,3 +1,4 @@
+import inspect
 import os
 import resource
 import subprocess
@@ -13,7 +14,9 @@ from sngp import cli, gp_layer
 from sngp.baselines import build_variant
 from sngp.cli import (EXIT_DIVERGED, EXIT_INCOMPATIBLE, EXIT_OK, EXIT_USAGE,
                       EXIT_VERIFY_FAILED, LoadedModel, RunConfig, main, parse_run_config)
-from sngp.data import dataset_from_csv, surface_from_csv
+from sngp.data import dataset_from_csv, gen_two_moons, gen_two_ovals, surface_from_csv
+from sngp.gp_layer import RffGpLayer
+from sngp.nn import DenseLayer, ResidualBlock, SgdMomentum, build_res_ffn, make_dense_layer
 from sngp.train import (ModelSpec, TrainConfig, TrainingDivergedError, TrainReport,
                         load_checkpoint, save_checkpoint)
 
@@ -114,6 +117,17 @@ class TestConfigParsing:
                     if f.name not in cli._NOT_KEYS]
         assert len(declared) == len(set(declared)) == len(cli.CONFIG_KEYS) == 24
 
+    def test_layers_take_hyperparameters_without_defaults(self):
+        # A default in a constructor would be a second owner of the value, one
+        # that can disagree with the config section's default and skip its check.
+        owned = set(cli.CONFIG_KEYS) | {"projection_dim"}
+        defaulted = [f"{fn.__name__}.{p.name}"
+                     for fn in (RffGpLayer, build_res_ffn, make_dense_layer, DenseLayer,
+                                ResidualBlock, SgdMomentum, gen_two_moons, gen_two_ovals)
+                     for p in inspect.signature(fn).parameters.values()
+                     if p.name in owned and p.default is not p.empty]
+        assert defaulted == []
+
     def test_repeated_key_rejected_naming_both_lines(self):
         with pytest.raises(ValueError, match="config line 3: key 'seed' is already set on line 1"):
             parse_run_config("seed = 1\nepochs = 2\nseed = 2\n")
@@ -128,7 +142,14 @@ class TestConfigParsing:
         ("depth = -1", "depth must be >= 0, got -1"),
         ("seed = -1", "seed must be >= 0, got -1"),
         ("data_seed = -1", "data_seed must be >= 0, got -1"),
-        ("activation = foo", "activation must be one of ['linear', 'relu', 'tanh'], got 'foo'")])
+        ("activation = foo", "activation must be one of ['linear', 'relu', 'tanh'], got 'foo'"),
+        ("n_per_class = 0", "n_per_class must be >= 1, got 0"),
+        ("length_scale = inf", "length_scale must be finite, got inf"),
+        ("ridge_s = inf", "ridge_s must be finite, got inf"),
+        ("sn_bound = inf", "sn_bound must be finite, got inf"),
+        ("learning_rate = inf", "learning_rate must be finite, got inf"),
+        ("l2_beta = inf", "l2_beta must be finite, got inf"),
+        ("noise_sd = inf", "noise_sd must be finite, got inf")])
     def test_out_of_range_value_rejected_when_read(self, line, message):
         with pytest.raises(ValueError) as exc:
             parse_run_config(line + "\n")
@@ -496,6 +517,10 @@ class TestEvalCommand:
          "length_scale must be positive"),
         (lambda c: rewrite_header(c, lambda h: h["model"].update(ridge_s=float("nan"))),
          "ridge_s must be positive"),
+        (lambda c: rewrite_header(c, lambda h: h["model"].update(ridge_s=float("inf"))),
+         "ridge_s must be finite, got inf"),
+        (lambda c: rewrite_header(c, lambda h: h["model"].update(length_scale=10**400)),
+         "length_scale must be finite, got 1000"),
         (lambda c: rewrite_header(c, lambda h: h["model"].update(sn_bound=-1.0)),
          "sn_bound must be positive"),
         (lambda c: rewrite_header(c, lambda h: h["model"].update(seed=-1)),
@@ -523,9 +548,10 @@ class TestEvalCommand:
         (lambda c: rewrite_header(c, lambda h: h.update(config="mc_samples = [3]\n")),
          "config line 1: invalid literal for int() with base 10: '[3]'"),
     ], ids=["no_model", "string_depth", "string_layer_norm", "nan_length_scale", "nan_ridge_s",
-            "negative_sn_bound", "negative_seed", "10_bytes", "flipped_payload_bit", "version_1",
-            "version_2", "huge_manifest_shape", "infinite_manifest_shape", "deeply_nested_header",
-            "no_config", "list_config", "forged_object_config", "list_mc_samples"])
+            "infinite_ridge_s", "huge_int_length_scale", "negative_sn_bound", "negative_seed",
+            "10_bytes", "flipped_payload_bit", "version_1", "version_2", "huge_manifest_shape",
+            "infinite_manifest_shape", "deeply_nested_header", "no_config", "list_config",
+            "forged_object_config", "list_mc_samples"])
     def test_damaged_checkpoint_exits_2(self, eval_inputs, damage, message, capsys):
         ckpt, data_csv = eval_inputs
         damage(ckpt)
@@ -535,9 +561,10 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("config", [
         "mc_samples = 0\n", "variant = foo\n", "seed = 3\nno_such_key = 5\n",
-        "variant = sngp\naccuracy=1.0\n", "seed = 3\nseed = 4\n"],
+        "variant = sngp\naccuracy=1.0\n", "seed = 3\nseed = 4\n", "n_per_class = 0\n",
+        "sn_bound = inf\n"],
         ids=["zero_mc_samples", "unknown_variant", "unknown_key", "forged_accuracy_line",
-             "repeated_key"])
+             "repeated_key", "zero_n_per_class", "infinite_sn_bound"])
     def test_header_config_is_read_as_a_config_file(self, eval_inputs, config, capsys):
         # The same text in a config file and in a checkpoint header fails alike,
         # so no header value reaches a report unchecked; the header's error
@@ -723,6 +750,16 @@ class TestCompareCommand:
         code = main(["compare", "--variants", "sngp,bogus", "--out",
                      str(tmp_path / "t.csv")])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("variants", ["", " , "])
+    def test_no_variant_exits_2_before_any_data(self, tmp_path, monkeypatch, variants, capsys):
+        monkeypatch.setattr(cli, "_make_dataset", None)  # no data may be made
+        monkeypatch.setattr(cli, "_train_variant", None)
+        out = tmp_path / "table.csv"
+        capsys.readouterr()
+        assert main(["compare", "--variants", variants, "--out", str(out)]) == EXIT_USAGE
+        assert f"--variants names no variant, got {variants!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_ensemble_exits_2_before_training(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path, ensemble_size=0)

