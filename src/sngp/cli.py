@@ -177,7 +177,11 @@ def _train_variant(tag: str, cfg: RunConfig, ds) -> tuple[list[SngpModel], list[
 
 class LoadedModel:
     """One model or an ensemble, and the run config that trained it, behind one prediction
-    interface; its Monte Carlo stream derives from the first model's seed, as at training."""
+    interface; its Monte Carlo stream derives from the first model's seed, as at training.
+
+    Its models only predict: before the first prediction, a single GP-head model's
+    precision is inverted in place (``RffGpLayer.release_precision``), so the head holds
+    its covariance only and can no longer be trained or saved."""
 
     def __init__(self, models: list[SngpModel], cfg: RunConfig):
         self.models = models
@@ -205,6 +209,8 @@ class LoadedModel:
     def predict(self, x: np.ndarray) -> GpPrediction:
         if self.is_ensemble:
             return ensemble_predict(self.models, x)
+        if self.has_gp_head:  # prediction needs only the covariance
+            self.models[0].head.release_precision()
         return predict_batch(self.models[0], x, mc_samples=self.cfg.mc_samples, rng=self._mc_rng)
 
     def native_metric(self) -> str:

@@ -42,13 +42,17 @@ K = 2 head stores one matrix, built from the class-mean weights, because
 
 Predictive variance for class k is ``phi^T Sigma_k phi`` with the covariance
 ``Sigma_k = precision_k^{-1}``.  Each distinct covariance is built once, by
-one step of block elimination (``spd_inverse``) in NumPy matrix products, and
-cached until the precision changes.  Building it holds the (D, D) covariance
-plus at most about one more D x D matrix of temporaries, in (D/2, D/2)
-blocks.  A batch of variances is then one ``quadratic_form`` per stored
-precision: one matrix product per slab of ``PANEL`` columns against the lower
-block triangle of ``Sigma_k``, which is symmetric, at about 5/8 of the flops
-of the full ``phi @ Sigma_k``.
+one step of block elimination (``spd_inverse``) in NumPy matrix products
+written over the matrix it is given, and cached until the precision changes.
+``covariances`` hands it a copy, so a head that may still train keeps its
+precision beside the covariance; ``release_precision`` hands it the
+precision itself, for a head that only predicts, which then holds the
+covariance alone and refuses to update, reset or save its precision.
+Either way no D x D temporary is made: beside the matrix being inverted,
+at most three (D/2, D/2) blocks are alive.  A batch of variances is then one
+``quadratic_form`` per stored precision: one matrix product per slab of
+``PANEL`` columns against the lower block triangle of ``Sigma_k``, which is
+symmetric, at about 5/8 of the flops of the full ``phi @ Sigma_k``.
 
 The feature pipeline takes a (batch, in_dim) matrix of hidden rows.  A row
 that is not finite, or so large that its layer-norm variance overflows, has no
@@ -59,7 +63,7 @@ meaningful features: ``features_with_tape`` raises ``NonFiniteRowError`` (a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -126,8 +130,7 @@ class RffGpLayer:
         # whose temporary NumPy reuses in place, so that no block is freed
         # (2-vCPU x86-64 host, glibc malloc, NumPy 2.4).
         eye = np.eye(num_features)
-        self.precision = [self.ridge_s * eye.copy() for _ in range(num_precisions(num_classes))]
-        self._covariances: list | None = None  # cached by covariances()
+        self.precision = [self.ridge_s * eye for _ in range(num_precisions(num_classes))]
 
     # -- feature pipeline ---------------------------------------------------
 
@@ -196,6 +199,20 @@ class RffGpLayer:
 
     # -- Laplace posterior precision -----------------------------------------
 
+    @property
+    def precision(self) -> list[np.ndarray]:
+        """The stored precision matrices; ``ValueError`` once
+        ``release_precision`` has inverted them into the covariances."""
+        if self._precision is None:
+            raise ValueError("this GP head holds only its posterior covariance: its precision "
+                             "was inverted in place for prediction")
+        return self._precision
+
+    @precision.setter
+    def precision(self, matrices: list[np.ndarray]) -> None:
+        self._precision = matrices
+        self._covariances: list | None = None  # cached by covariances()
+
     def reset_precision(self) -> None:
         """Set every stored precision to ridge_s * I, in the arrays it already holds."""
         for p in self.precision:
@@ -250,13 +267,22 @@ class RffGpLayer:
 
     def covariances(self) -> list[np.ndarray]:
         """Posterior covariance precision^{-1} for each stored precision, built
-        once by ``spd_inverse`` and cached until the precision changes."""
+        once by ``spd_inverse`` on a copy and cached until the precision changes."""
         if self._covariances is None:
-            try:
-                self._covariances = [spd_inverse(p) for p in self.precision]
-            except NotSpdError as exc:
-                raise NotSpdError(f"precision matrix lost positive definiteness: {exc}") from exc
+            self._covariances = _inverted(p.copy() for p in self.precision)
         return self._covariances
+
+    def release_precision(self) -> None:
+        """Keep only the covariances, for a head that will predict but not
+        train again: a precision not yet inverted is inverted in place, with
+        no D x D temporary.  The precision is gone afterwards, even if this
+        raises, so the updates, ``reset_precision`` and saving a checkpoint
+        raise ``ValueError``; a second call does nothing."""
+        if self._precision is None:
+            return
+        precision, self._precision = self._precision, None
+        if self._covariances is None:
+            self._covariances = _inverted(precision)
 
     def predictive_variance_batch(self, phi_batch: np.ndarray) -> np.ndarray:
         """(batch, K) logit variances phi^T precision_k^{-1} phi (each >= 0),
@@ -266,6 +292,14 @@ class RffGpLayer:
         if len(columns) == 1:
             columns *= self.num_classes
         return np.maximum(np.stack(columns, axis=1), 0.0)
+
+
+def _inverted(precisions: Iterable[np.ndarray]) -> list[np.ndarray]:
+    """``spd_inverse`` of each matrix, in place, with its failure named as the precision's."""
+    try:
+        return [spd_inverse(p) for p in precisions]
+    except NotSpdError as exc:
+        raise NotSpdError(f"precision matrix lost positive definiteness: {exc}") from exc
 
 
 def half_angle_cos_sin(half_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -329,9 +363,11 @@ def quadratic_form(cov: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def spd_inverse(p: np.ndarray) -> np.ndarray:
-    """Inverse of an SPD matrix by one step of block elimination.  Only the
-    lower triangle of ``p`` affects the result, and a ``p`` that is not SPD, or
-    holds NaN or inf there, raises ``NotSpdError`` without a warning.
+    """Inverse of an SPD (D, D) matrix by one step of block elimination,
+    written over ``p``, which it returns.  Only the lower triangle of ``p``
+    affects the result, and a ``p`` that is not SPD, or holds NaN or inf
+    there, raises ``NotSpdError`` without a warning, with ``p`` partly
+    overwritten.
 
     With ``p = [[A, B^T], [B, C]]`` split at h = D // 2, ``X = A^{-1} B^T`` and
     the Schur complement ``S = C - B X``, the inverse is
@@ -340,32 +376,32 @@ def spd_inverse(p: np.ndarray) -> np.ndarray:
          [Sigma_21,            S^{-1}   ]],   Sigma_21 = -S^{-1} X^T,
 
     with ``A^{-1}`` and ``S^{-1}`` from their inverse Cholesky factors.  Each
-    block is written into the result as it is computed, and ``S`` is formed
-    in the result's corner, so at most about one more D x D matrix of
-    temporaries is alive beside the result.
+    block goes into ``p`` once the block it replaces has been read for the
+    last time: ``A^{-1}`` over ``A``, ``S`` and then ``S^{-1}`` over ``C``,
+    ``Sigma_21`` over ``B``.  So beside ``p`` at most three (D/2, D/2) blocks
+    are alive: ``X`` and two temporaries (``A``'s factor and the solve's inner
+    product, then ``B X``, then ``S``'s factor, then ``X Sigma_21``).
     """
     d = p.shape[0]
     h = d // 2
-    cov = np.empty((d, d))
     w_a = spd_factor(p[:h, :h])
-    b = p[h:, :h]
-    corner = cov[h:, h:]  # holds S, then Sigma_22
+    b = p[h:, :h]  # holds B, then Sigma_21
+    corner = p[h:, h:]  # holds C, then S, then Sigma_22
     # A non-finite or huge B overflows here; S is then not finite and its
     # factorization raises NotSpdError.
     with np.errstate(over="ignore", invalid="ignore"):
         x = spd_solve_factored(w_a, b.T)
-        np.matmul(b, x, out=corner)
-        np.subtract(p[h:, h:], corner, out=corner)
-    np.matmul(w_a.T, w_a, out=cov[:h, :h])
-    del w_a
+        np.matmul(w_a.T, w_a, out=p[:h, :h])
+        del w_a
+        np.subtract(corner, b @ x, out=corner)
     w_s = spd_factor(corner)
     np.matmul(w_s.T, w_s, out=corner)
     del w_s
-    s21 = np.matmul(corner, x.T, out=cov[h:, :h])
+    s21 = np.matmul(corner, x.T, out=b)
     np.negative(s21, out=s21)
-    cov[:h, :h] -= x @ s21
-    cov[:h, h:] = s21.T
-    return cov
+    p[:h, :h] -= x @ s21
+    p[:h, h:] = s21.T
+    return p
 
 
 def num_precisions(num_classes: int) -> int:

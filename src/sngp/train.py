@@ -312,13 +312,15 @@ def build_sngp_model(spec: ModelSpec) -> SngpModel:
     return model
 
 
-def loss_and_grads(model: SngpModel, batch_x: np.ndarray, batch_y: np.ndarray,
-                   l2_beta: float = 0.0, l2_scale: float = 1.0,
+def loss_and_grads(model: SngpModel, batch_x: np.ndarray, batch_y: np.ndarray, *,
+                   l2_beta: float, l2_scale: float,
                    train_mode: bool = True, rng: RngState | None = None
                    ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean cross-entropy (plus the scaled L2 prior on the head weights) and
-    exact gradients for every trainable parameter.  A non-finite row or loss raises
-    ``TrainingDivergedError``, caused by a row's ``NonFiniteRowError``; nothing warns."""
+    """Mean cross-entropy (plus the L2 prior ``l2_beta / l2_scale`` on the head
+    weights; ``TrainConfig`` owns ``l2_beta`` and ``train`` passes the data
+    size as ``l2_scale``) and exact gradients for every trainable parameter.
+    A non-finite row or loss raises ``TrainingDivergedError``, caused by a
+    row's ``NonFiniteRowError``; nothing warns."""
     batch_x = np.asarray(batch_x, dtype=np.float64)
     batch_y = np.asarray(batch_y, dtype=int)
     if np.any(batch_y < 0) or np.any(batch_y >= model.num_classes):
@@ -523,7 +525,9 @@ def _array_manifest(model: SngpModel) -> list[tuple[str, np.ndarray]]:
 
 
 def save_checkpoint(model: SngpModel, path: str, config: str = "") -> None:
-    """Write ``model`` to ``path`` with ``config``, the text of its run config."""
+    """Write ``model`` to ``path`` with ``config``, the text of its run config.
+    A GP head that holds only its covariance (``RffGpLayer.release_precision``)
+    raises ``ValueError`` before the file is opened."""
     arrays = _array_manifest(model)
     # The model's own arrays (copied only on a host that is not little-endian),
     # so the payload is never held as a second copy in memory.

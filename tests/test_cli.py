@@ -3,8 +3,9 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from sngp.data import dataset_from_csv, gen_two_moons, gen_two_ovals, surface_fr
 from sngp.gp_layer import RffGpLayer
 from sngp.nn import DenseLayer, ResidualBlock, SgdMomentum, build_res_ffn, make_dense_layer
 from sngp.train import (ModelSpec, TrainConfig, TrainingDivergedError, TrainReport,
-                        load_checkpoint, save_checkpoint)
+                        load_checkpoint, loss_and_grads, save_checkpoint)
 
 from headers import rewrite_header
 
@@ -120,10 +121,12 @@ class TestConfigParsing:
     def test_layers_take_hyperparameters_without_defaults(self):
         # A default in a constructor would be a second owner of the value, one
         # that can disagree with the config section's default and skip its check.
-        owned = set(cli.CONFIG_KEYS) | {"projection_dim"}
+        # The loss takes the L2 prior's data-size scale as given too.
+        owned = set(cli.CONFIG_KEYS) | {"projection_dim", "l2_scale"}
         defaulted = [f"{fn.__name__}.{p.name}"
                      for fn in (RffGpLayer, build_res_ffn, make_dense_layer, DenseLayer,
-                                ResidualBlock, SgdMomentum, gen_two_moons, gen_two_ovals)
+                                ResidualBlock, SgdMomentum, gen_two_moons, gen_two_ovals,
+                                loss_and_grads)
                      for p in inspect.signature(fn).parameters.values()
                      if p.name in owned and p.default is not p.empty]
         assert defaulted == []
@@ -668,6 +671,52 @@ class TestEvalCommand:
         code = main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"),
                      "--data", str(tmp_path / "none.csv")])
         assert code == EXIT_USAGE
+
+
+class TestLoadedModel:
+    """A ``LoadedModel`` only predicts, so a single GP head's precision becomes
+    its covariance in place before the first prediction."""
+
+    def test_predicting_holds_less_than_one_more_matrix(self, tmp_path):
+        # A default-size model: D = 1024, so one D x D matrix is 8 MiB.
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(build_variant("sngp", RunConfig().spec), str(ckpt))
+        loaded = LoadedModel.from_checkpoints([str(ckpt)])
+        x = np.random.default_rng(0).uniform(-2.0, 3.0, size=(256, 2))
+        tracemalloc.start()
+        try:
+            loaded.predict(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 1024 * 1024
+
+    def test_gp_head_is_released_and_cannot_be_saved(self, tmp_path):
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--config", write_config(tmp_path, epochs=1),
+                     "--out", str(ckpt)]) == EXIT_OK
+        loaded = LoadedModel.from_checkpoints([str(ckpt)])
+        x = np.array([[0.1, 0.2], [3.0, 3.0]])
+        first = loaded.predict(x)
+        with pytest.raises(ValueError, match="holds only its posterior covariance"):
+            save_checkpoint(loaded.models[0], str(tmp_path / "again.ckpt"))
+        assert not (tmp_path / "again.ckpt").exists()
+        fresh = LoadedModel.from_checkpoints([str(ckpt)])
+        assert np.array_equal(fresh.predict(x).variance_logits, first.variance_logits)
+
+    @pytest.mark.parametrize("variants", [["dnn_sn"], ["sngp", "sngp"]],
+                             ids=["dense_head", "ensemble"])
+    def test_dense_head_and_ensemble_are_untouched(self, tmp_path, variants):
+        spec = ModelSpec(hidden_width=8, depth=1, num_features=16, dropout_rate=0.0)
+        paths = []
+        for i, tag in enumerate(variants):
+            paths.append(str(tmp_path / f"m{i}.ckpt"))
+            save_checkpoint(build_variant(tag, replace(spec, seed=i)), paths[-1])
+        loaded = LoadedModel.from_checkpoints(paths)
+        loaded.predict(np.array([[0.1, 0.2], [3.0, 3.0]]))
+        for model, path in zip(loaded.models, paths):
+            save_checkpoint(model, str(tmp_path / "again.ckpt"))
+            assert (tmp_path / "again.ckpt").read_bytes() == open(path, "rb").read()
 
 
 class TestVerifyCommand:

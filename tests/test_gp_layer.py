@@ -471,6 +471,65 @@ class TestCovariance:
         assert peak <= (1.0 + 1.5) * matrix_bytes  # the covariance plus 1.5 D x D
 
 
+def fitted_layer(num_classes=2, num_features=64, in_dim=2):
+    """A head whose precision holds a Fisher term; equal calls build equal heads."""
+    layer = make_layer(in_dim=in_dim, num_features=num_features, num_classes=num_classes)
+    rng = RngState(0)
+    phi = layer.rff_features(rng.normal_matrix(200, in_dim))
+    layer.update_precision_exact(phi, softmax(rng.normal_matrix(200, num_classes)))
+    return layer
+
+
+class TestReleasedPrecision:
+    """``release_precision`` turns each precision into its covariance in place;
+    the head still predicts, but holds nothing it could train or save."""
+
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_released_variances_equal_the_copied_inverse(self, num_classes):
+        kept, released = fitted_layer(num_classes), fitted_layer(num_classes)
+        phi = kept.rff_features(RngState(9).normal_matrix(50, 2) * 2.0)
+        held = list(released.precision)
+        released.release_precision()
+        assert all(cov is p for cov, p in zip(released.covariances(), held))
+        assert np.array_equal(released.predictive_variance_batch(phi),
+                              kept.predictive_variance_batch(phi))
+        for a, b in zip(released.covariances(), kept.covariances()):
+            assert np.array_equal(a, b)
+
+    def test_release_after_covariances_keeps_them(self):
+        layer = fitted_layer()
+        cached = layer.covariances()
+        layer.release_precision()
+        layer.release_precision()  # a second call does nothing
+        assert layer.covariances() is cached
+
+    @pytest.mark.parametrize("action", ["update_exact", "update_minibatch", "reset"])
+    def test_released_head_cannot_train(self, action):
+        layer = fitted_layer()
+        layer.release_precision()
+        expected = layer.covariances()[0].copy()
+        phi = layer.rff_features(RngState(2).normal_matrix(8, 2))
+        probs = softmax(RngState(3).normal_matrix(8, 2))
+        calls = {"update_exact": lambda: layer.update_precision_exact(phi, probs),
+                 "update_minibatch": lambda: layer.update_precision_minibatch(phi, probs),
+                 "reset": layer.reset_precision}
+        with pytest.raises(ValueError, match="holds only its posterior covariance"):
+            calls[action]()
+        assert np.array_equal(layer.covariances()[0], expected)
+
+    def test_failed_release_leaves_no_precision(self):
+        layer = make_layer(num_features=8)
+        layer.precision[0][6, 1] = layer.precision[0][1, 6] = np.inf
+        with pytest.raises(NotSpdError, match="lost positive definiteness"):
+            layer.release_precision()
+        with pytest.raises(ValueError, match="holds only its posterior covariance"):
+            layer.covariances()
+
+    def test_release_holds_no_dd_temporary(self):
+        layer = fitted_layer(num_features=1024, in_dim=128)
+        assert peak_bytes(layer.release_precision) < 8 * 1024 * 1024
+
+
 class TestQuadraticForm:
     """``quadratic_form`` reads only the lower block triangle of the
     covariance, one slab of ``PANEL`` columns at a time; D = 1 and the

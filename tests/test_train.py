@@ -39,7 +39,7 @@ class TestLossAndGrads:
         model = small_model()
         model.head.beta[:] = 0.0
         x, y = toy_batch()
-        loss, _ = loss_and_grads(model, x, y, train_mode=False)
+        loss, _ = loss_and_grads(model, x, y, l2_beta=0.0, l2_scale=1.0, train_mode=False)
         assert loss == pytest.approx(np.log(2.0))
 
     def test_overflowing_features_count_as_divergence(self):
@@ -50,7 +50,8 @@ class TestLossAndGrads:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrainingDivergedError, match="row 4: layer-norm variance"):
-                loss_and_grads(small_model(), x, y, train_mode=False)
+                loss_and_grads(small_model(), x, y, l2_beta=0.0, l2_scale=1.0,
+                               train_mode=False)
 
     def test_saturated_ce_leaves_l2_term(self):
         model = small_model(gp_head=False)
@@ -111,9 +112,9 @@ class TestLossAndGrads:
         x, y = toy_batch(seed=7)
 
         def loss_fn():
-            return loss_and_grads(model, x, y, train_mode=False)[0]
+            return loss_and_grads(model, x, y, l2_beta=0.0, l2_scale=1.0, train_mode=False)[0]
 
-        _, analytic = loss_and_grads(model, x, y, train_mode=False)
+        _, analytic = loss_and_grads(model, x, y, l2_beta=0.0, l2_scale=1.0, train_mode=False)
         numeric = finite_diff_gradients(loss_fn, model.parameters())
         worst, name = max_relative_gradient_error(analytic, numeric)
         assert worst <= 1e-4, f"gradient mismatch at {name}: {worst}"
@@ -124,9 +125,9 @@ class TestLossAndGrads:
         x, y = toy_batch(seed=10)
 
         def loss_fn():
-            return loss_and_grads(model, x, y, train_mode=False)[0]
+            return loss_and_grads(model, x, y, l2_beta=0.0, l2_scale=1.0, train_mode=False)[0]
 
-        _, analytic = loss_and_grads(model, x, y, train_mode=False)
+        _, analytic = loss_and_grads(model, x, y, l2_beta=0.0, l2_scale=1.0, train_mode=False)
         numeric = finite_diff_gradients(loss_fn, model.parameters())
         worst, name = max_relative_gradient_error(analytic, numeric)
         assert worst <= 1e-4, f"gradient mismatch at {name}: {worst}"
@@ -135,7 +136,7 @@ class TestLossAndGrads:
         model = small_model()
         x, _ = toy_batch()
         with pytest.raises(ValueError):
-            loss_and_grads(model, x, np.full(len(x), 5))
+            loss_and_grads(model, x, np.full(len(x), 5), l2_beta=0.0, l2_scale=1.0)
 
 
 class TestTrainLoop:
