@@ -216,6 +216,10 @@ class LoadedModel:
     def native_metric(self) -> str:
         return "variance" if self.has_gp_head else "margin"
 
+    def echo(self, **output) -> dict:
+        """``_echo`` of its run config, each model key read from its first model's spec."""
+        return _echo(replace(self.cfg, spec=self.models[0].spec), **output)
+
 
 def _score_fn(loaded: LoadedModel, metric: str):
     """The OOD score of a prediction for ``metric``, checked against the model
@@ -293,7 +297,7 @@ def cmd_surface(args) -> int:
     score = _score_fn(loaded, args.metric)
     values = score(loaded.predict(points))
     data_mod.surface_to_csv(points, values, args.out,
-                            meta=_echo(loaded.cfg, metric=args.metric, grid=args.grid))
+                            meta=loaded.echo(metric=args.metric, grid=args.grid))
     if args.pgm:
         data_mod.surface_to_pgm(values, grid, args.pgm, meta={"metric": args.metric})
     print(f"wrote {len(values)} surface rows to {args.out}")
@@ -340,7 +344,7 @@ def cmd_eval(args) -> int:
         ood_points = ood_ds.points if ood_ds.ood_points is None else ood_ds.ood_points
         ds = data_mod.Dataset2D(points=ds.points, labels=ds.labels, ood_points=ood_points)
     values = _score_model(loaded, ds, args.uncertainty)
-    lines = [f"{k}={v}" for k, v in _echo(loaded.cfg).items()]
+    lines = [f"{k}={v}" for k, v in loaded.echo().items()]
     report = "\n".join(lines) + "\n" + metrics_report(
         {k: v for k, v in values.items() if isinstance(v, float)})
     if args.out:
@@ -393,7 +397,15 @@ def _write_table(path: str, cfg: RunConfig, rows: list[dict]) -> None:
 # -- verification suites ---------------------------------------------------------
 
 
-def _verify_theory(println) -> None:
+def _check(name: str, ok: bool, failure: str) -> None:
+    """Print a suite's ``[PASS]``/``[FAIL]`` line for ``name``; a failed
+    property raises ``VerificationFailure`` with ``failure``."""
+    print(f"[{'PASS' if ok else 'FAIL'}] {name}")
+    if not ok:
+        raise VerificationFailure(failure)
+
+
+def _verify_theory() -> None:
     for k in (2, 3):
         for rule_name in ("brier", "log"):
             rule = theory.brier_rule(k) if rule_name == "brier" else theory.log_rule()
@@ -402,15 +414,11 @@ def _verify_theory(println) -> None:
             mm = theory.minimax_oracle(k, 0.05, rule)
             me = theory.max_entropy_oracle(k, 0.05, rule)
             for name, point in (("minimax", mm), ("max_entropy", me)):
-                ok = np.all(np.abs(point - uniform) <= 0.05 + 1e-12)
-                println(f"theory.{name}_uniform K={k} rule={rule_name}", ok)
-                if not ok:
-                    raise VerificationFailure(
-                        f"{name} point {point} is not uniform for K={k}, {rule_name}")
-            ok = np.allclose(mm, me)
-            println(f"theory.minimax_equals_max_entropy K={k} rule={rule_name}", ok)
-            if not ok:
-                raise VerificationFailure(f"minimax {mm} != max-entropy {me}")
+                _check(f"theory.{name}_uniform K={k} rule={rule_name}",
+                       np.all(np.abs(point - uniform) <= 0.05 + 1e-12),
+                       f"{name} point {point} is not uniform for K={k}, {rule_name}")
+            _check(f"theory.minimax_equals_max_entropy K={k} rule={rule_name}",
+                   np.allclose(mm, me), f"minimax {mm} != max-entropy {me}")
     rng = RngState(1234).derive("verify_theory")
     for rule_name in ("brier", "log"):
         rule = theory.brier_rule(3) if rule_name == "brier" else theory.log_rule()
@@ -424,13 +432,11 @@ def _verify_theory(println) -> None:
                 continue
             margin = theory.bregman_score(q, p, rule) - theory.bregman_score(p, p, rule)
             worst = min(worst, margin)
-        ok = worst > 0.0
-        println(f"theory.strict_propriety rule={rule_name} (min margin {worst:.3g})", ok)
-        if not ok:
-            raise VerificationFailure(f"propriety margin {worst} <= 0 for {rule_name}")
+        _check(f"theory.strict_propriety rule={rule_name} (min margin {worst:.3g})",
+               worst > 0.0, f"propriety margin {worst} <= 0 for {rule_name}")
 
 
-def _verify_lipschitz(println) -> None:
+def _verify_lipschitz() -> None:
     c, depth, width = 0.9, 3, 16
     rng = RngState(99)
     net = build_res_ffn(2, width, depth, rng.derive("net"), activation="relu",
@@ -442,21 +448,16 @@ def _verify_lipschitz(println) -> None:
              for _ in range(1000)]
     lo, hi, _ = lipschitz_probe(net, pairs)
     lower, upper = (1.0 - c) ** depth, (1.0 + c) ** depth
-    ok = lower <= lo and hi <= upper
-    println(f"lipschitz.probe_bounds [{lo:.4f}, {hi:.4f}] within "
-            f"[{lower:.4f}, {upper:.4f}]", ok)
-    if not ok:
-        raise VerificationFailure(f"probe ratios [{lo}, {hi}] escape [{lower}, {upper}]")
+    _check(f"lipschitz.probe_bounds [{lo:.4f}, {hi:.4f}] within [{lower:.4f}, {upper:.4f}]",
+           lower <= lo and hi <= upper, f"probe ratios [{lo}, {hi}] escape [{lower}, {upper}]")
     for i, blk in enumerate(net.blocks):
         sigma, _ = power_iteration(blk.layer.weight, iters=500,
                                    u0=rng.derive(f"pi{i}").normal(width))
-        ok = sigma <= c + 1e-6
-        println(f"lipschitz.spectral_norm block{i} sigma={sigma:.6f} <= {c}", ok)
-        if not ok:
-            raise VerificationFailure(f"block {i} spectral norm {sigma} exceeds {c}")
+        _check(f"lipschitz.spectral_norm block{i} sigma={sigma:.6f} <= {c}",
+               sigma <= c + 1e-6, f"block {i} spectral norm {sigma} exceeds {c}")
 
 
-def _verify_kernel(println) -> None:
+def _verify_kernel() -> None:
     from .gp_layer import KERNEL_ABS_ERROR, RffGpLayer, half_angle_cos_sin
     rng = RngState(4242)
     layer = RffGpLayer(in_dim=2, num_features=4096, num_classes=2, rng=rng.derive("gp"),
@@ -470,30 +471,22 @@ def _verify_kernel(println) -> None:
     approx = np.einsum("ij,ij->i", phi_x, phi_y)
     exact = np.exp(-np.sum((xs - ys) ** 2, axis=1) / 2.0)
     frac = float(np.mean(np.abs(approx - exact) <= 0.05))
-    ok = frac >= 0.95
-    println(f"kernel.rbf_fidelity within 0.05 on {frac:.0%} of pairs", ok)
-    if not ok:
-        raise VerificationFailure(f"kernel fidelity only on {frac:.0%} of pairs")
+    _check(f"kernel.rbf_fidelity within 0.05 on {frac:.0%} of pairs", frac >= 0.95,
+           f"kernel fidelity only on {frac:.0%} of pairs")
     # The features' cosine and sine against libm, |z| log-spread over [1, 1e12].
     z_rng = rng.derive("half_angle")
     z = np.copysign(10.0 ** z_rng.uniform(4096, 0.0, 12.0), z_rng.uniform(4096, -1.0, 1.0))
     cos_z, sin_z = half_angle_cos_sin(0.5 * z)
     err = max(np.max(np.abs(cos_z - np.cos(z))), np.max(np.abs(sin_z - np.sin(z))))
-    ok = err <= KERNEL_ABS_ERROR
-    println(f"kernel.half_angle_cos_sin max abs error {err:.2e} <= {KERNEL_ABS_ERROR:.0e} "
-            f"for |z| up to 1e12", ok)
-    if not ok:
-        raise VerificationFailure(f"half-angle cos/sin off libm by {err:.3g} "
-                                  f"(> {KERNEL_ABS_ERROR:g})")
+    _check(f"kernel.half_angle_cos_sin max abs error {err:.2e} <= {KERNEL_ABS_ERROR:.0e} "
+           f"for |z| up to 1e12", err <= KERNEL_ABS_ERROR,
+           f"half-angle cos/sin off libm by {err:.3g} (> {KERNEL_ABS_ERROR:g})")
 
 
 def cmd_verify(args) -> int:
-    def println(name: str, ok: bool):
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}")
-
     suites = {"theory": _verify_theory, "lipschitz": _verify_lipschitz,
               "kernel": _verify_kernel}
-    suites[args.suite](println)
+    suites[args.suite]()
     return EXIT_OK
 
 

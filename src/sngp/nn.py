@@ -21,12 +21,13 @@ import numpy as np
 
 from .linalg import RngState, power_iteration
 
-# name -> (activation, its derivative); an activation given ``out=z`` works in place.
+# name -> (activation, its derivative); an activation given ``out=z`` works in
+# place, and one given no ``out`` returns a new array, never ``z`` itself.
 ACTIVATIONS = {
     "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out),
              lambda z: (z > 0.0).astype(np.float64)),
     "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
-    "linear": (lambda z, out=None: z, lambda z: np.ones_like(z)),
+    "linear": (np.positive, lambda z: np.ones_like(z)),
 }
 
 
@@ -123,8 +124,8 @@ class ResFfnNetwork:
         Dropout masks (inverted dropout on the residual branch) are drawn from
         ``rng`` only when ``train_mode`` is set and a block has a nonzero rate.
         With ``keep_tape = False`` the tape is None, and since nothing else
-        holds a block's intermediates, its activation, dropout and residual
-        sum are computed in place; the result has the same bits.
+        holds a block's pre-activation, its branch is computed over it; the
+        result has the same bits.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
@@ -147,9 +148,8 @@ class ResFfnNetwork:
                 tape.block_inputs.append(h)
                 tape.pre_activations.append(z)
                 tape.dropout_masks.append(mask)
-                h = h + branch
-            else:
-                h += branch
+            branch += h  # the branch is a new array, or z when nothing holds it
+            h = branch
         return h, tape
 
     def backward(self, tape: ForwardTape, grad_h: np.ndarray) -> dict[str, np.ndarray]:

@@ -267,14 +267,7 @@ class SngpModel:
                   ) -> tuple[np.ndarray, np.ndarray | None]:
         """Evaluation-mode mean logits and logit variances of an (N, d) input,
         each (N, K); the variances are zero for a dense head and None when not
-        asked for.  Rows pass through the network, the random features and the
-        variance ``PREDICT_BLOCK_ROWS`` at a time into the preallocated outputs,
-        with no network tape, so the (rows, D) features never exceed one block.
-        A row holding NaN or inf raises ``ValueError`` naming the first one, and
-        so does a finite row whose hidden features, their layer-norm variance
-        or its mean logits overflow (``NonFiniteRowError``, counted from the
-        input's start); the network and head run under ``np.errstate`` so that
-        such a row warns about nothing."""
+        asked for.  Each block of ``_evaluate_blocks`` fills its rows of both."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError(f"expected an (N, d) input, got shape {x.shape}")
@@ -286,19 +279,38 @@ class SngpModel:
         variances = np.zeros((n, self.num_classes)) if variance else None
         if variance and self.has_gp_head:
             self.head.covariances()  # built before any feature block is alive
-        for lo in range(0, n, PREDICT_BLOCK_ROWS):
-            rows = slice(lo, lo + PREDICT_BLOCK_ROWS)
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    h = self.hidden(x[rows], keep_tape=False)[0]
-                    phi = self.head.rff_features(h) if self.has_gp_head else h
-                    means[rows] = self.head.logits(phi)
-                check_rows(np.isfinite(means[rows]).all(axis=1), h, "mean logits are")
-            except NonFiniteRowError as exc:
-                raise NonFiniteRowError(lo + exc.row, exc.reason) from None
+        for rows, phi, block_means in self._evaluate_blocks(x):
+            means[rows] = block_means
             if variance and self.has_gp_head:
                 variances[rows] = self.head.predictive_variance_batch(phi)
         return means, variances
+
+    def _evaluate_blocks(self, x: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+        """``_evaluate`` of ``x`` ``PREDICT_BLOCK_ROWS`` rows at a time: each
+        block's row slice, features and mean logits, so the (rows, D) features
+        never exceed one block.  A ``NonFiniteRowError`` counts its row from
+        the start of ``x``."""
+        for lo in range(0, x.shape[0], PREDICT_BLOCK_ROWS):
+            rows = slice(lo, lo + PREDICT_BLOCK_ROWS)
+            try:
+                yield rows, *self._evaluate(x[rows])
+            except NonFiniteRowError as exc:
+                raise NonFiniteRowError(lo + exc.row, exc.reason) from None
+
+    def _evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The evaluation-mode pass behind prediction, both precision updates
+        and the final accuracy: the features (``h`` for a dense head) and mean
+        logits of an (M, d) input, from the network run with no tape.  A finite
+        row whose hidden features, their layer-norm variance or its mean
+        logits overflow raises ``NonFiniteRowError`` naming the first one; the
+        network and head run under ``np.errstate`` so that such a row warns
+        about nothing."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = self.hidden(x, keep_tape=False)[0]
+            phi = self.head.rff_features(h) if self.has_gp_head else h
+            means = self.head.logits(phi)
+        check_rows(np.isfinite(means).all(axis=1), h, "mean logits are")
+        return phi, means
 
 
 def build_sngp_model(spec: ModelSpec) -> SngpModel:
@@ -380,6 +392,8 @@ def train(model: SngpModel, points: np.ndarray, labels: np.ndarray, config: Trai
     n = points.shape[0]
     if n == 0:
         raise ValueError("dataset must be non-empty")
+    if config.epochs == 0:  # nothing trains, so no accuracy is counted
+        return TrainReport(seed=model.spec.seed)
     start = time.perf_counter()
     root = RngState(model.spec.seed)
     shuffle_rng = root.derive("shuffle")
@@ -402,63 +416,55 @@ def train(model: SngpModel, points: np.ndarray, labels: np.ndarray, config: Trai
             try:
                 loss, grads = loss_and_grads(model, bx, by, l2_beta=config.l2_beta,
                                              l2_scale=float(n), rng=dropout_rng)
-            except TrainingDivergedError as exc:
-                bad = exc.__cause__  # names a row by its place in the shuffled batch
+                if loss > DIVERGENCE_LIMIT:
+                    raise TrainingDivergedError(f"loss {loss}")
+                if hooks:
+                    hooks("sgd_update", epoch, step)
+                optimizer.step(model.parameters(), grads)
+                if model.spec.spectral_norm and model.network is not None:
+                    if hooks:
+                        hooks("spectral_norm", epoch, step)
+                    try:
+                        # Weights whose norm overflows come from gradients near
+                        # the float64 limit; name that instead of warning.
+                        with np.errstate(over="raise", invalid="raise"):
+                            normalize_network(model.network)
+                    except FloatingPointError as exc:
+                        raise TrainingDivergedError(f"spectral normalization: {exc}") from None
+                if collect_precision:
+                    if hooks:
+                        hooks("precision_update", epoch, step)
+                    phi, means = model._evaluate(bx)
+                    model.head.update_precision_minibatch(phi, softmax(means))
+            except (TrainingDivergedError, NonFiniteRowError) as exc:
+                bad = exc.__cause__ or exc  # names a row by its place in the shuffled batch
                 what = (f"dataset row {idx[bad.row]}: {bad.reason}"
                         if isinstance(bad, NonFiniteRowError) else exc)
                 raise TrainingDivergedError(f"{what} at epoch {epoch} step {step}") from None
-            if loss > DIVERGENCE_LIMIT:
-                raise TrainingDivergedError(f"loss {loss} at epoch {epoch} step {step}")
-            if hooks:
-                hooks("sgd_update", epoch, step)
-            optimizer.step(model.parameters(), grads)
-            if model.spec.spectral_norm and model.network is not None:
-                if hooks:
-                    hooks("spectral_norm", epoch, step)
-                try:
-                    # Weights whose norm overflows come from gradients near
-                    # the float64 limit; name that instead of warning.
-                    with np.errstate(over="raise", invalid="raise"):
-                        normalize_network(model.network)
-                except FloatingPointError as exc:
-                    raise TrainingDivergedError(f"spectral normalization: {exc} "
-                                                f"at epoch {epoch} step {step}") from None
-            if collect_precision:
-                if hooks:
-                    hooks("precision_update", epoch, step)
-                model.head.update_precision_minibatch(*_features_and_probs(model, bx))
             epoch_loss += loss
             num_batches += 1
             step += 1
         report.epoch_losses.append(epoch_loss / num_batches)
 
-    if model.spec.spectral_norm and model.network is not None and config.epochs > 0:
+    if model.spec.spectral_norm and model.network is not None:
         # The single-iteration estimates lag the last SGD updates; finish with
         # an exact clamp so the spectral bound holds as a certificate.
         clamp_network(model.network)
-
-    if model.has_gp_head and config.precision_exact and config.epochs > 0:
+    exact = model.has_gp_head and config.precision_exact
+    if exact:
         if hooks:
             hooks("precision_update", config.epochs - 1, step)
-        # The Fisher sum is D x D whatever N is, so the rows pass through the
-        # network and the features one block at a time.
         model.head.reset_precision()
-        for lo in range(0, n, PREDICT_BLOCK_ROWS):
-            rows = slice(lo, lo + PREDICT_BLOCK_ROWS)
-            model.head.update_precision_exact(*_features_and_probs(model, points[rows]))
-
-    if config.epochs > 0:
-        logits = model.eval_logits(points)
-        report.final_train_accuracy = float(np.mean(np.argmax(logits, axis=1) == labels))
+    # One evaluation pass over the rows, a block at a time (the Fisher sum is
+    # D x D whatever N is), adds the exact precision and counts the accuracy.
+    hits = np.empty(n, dtype=bool)
+    for rows, phi, means in model._evaluate_blocks(points):
+        if exact:
+            model.head.update_precision_exact(phi, softmax(means))
+        hits[rows] = np.argmax(means, axis=1) == labels[rows]
+    report.final_train_accuracy = float(np.mean(hits))
     report.wall_clock_s = time.perf_counter() - start
     return report
-
-
-def _features_and_probs(model: SngpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluation-mode random features of ``x`` and the model's probabilities
-    on them: the inputs of a precision update."""
-    phi = model.head.rff_features(model.hidden(x, keep_tape=False)[0])
-    return phi, softmax(model.head.logits(phi))
 
 
 # -- prediction ---------------------------------------------------------------

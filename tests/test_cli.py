@@ -1,5 +1,6 @@
 import inspect
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -325,6 +326,25 @@ class TestTrainCommand:
                 in capsys.readouterr().err)
         assert not ckpt.exists()
 
+    def test_overflow_met_by_the_precision_update_exits_3(self, tmp_path, capsys):
+        # Step 1's loss is finite, but its update overflows the network, so the
+        # final epoch's precision update is the first to meet a non-finite row.
+        cfg = write_config(tmp_path, "variant = dnn_gp\nepochs = 1\nuse_layer_norm = false\n"
+                           "noise_sd = 1e300\nhidden_width = 8\ndepth = 2\nnum_features = 32\n"
+                           "n_per_class = 20\n")
+        ckpt = tmp_path / "m.ckpt"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["train", "--config", cfg, "--out", str(ckpt)])
+        assert code == EXIT_DIVERGED
+        err = capsys.readouterr().err
+        row = re.fullmatch(r"error: training diverged: dataset row (\d+): hidden features are "
+                           r"not finite at epoch 0 step 1\n", err)
+        assert row is not None, err
+        assert 0 <= int(row.group(1)) < 40
+        assert not ckpt.exists()
+
     def test_out_of_memory_exits_2(self, tmp_path):
         # A ridge of 3e6 x 3e6 floats cannot be allocated; the child's address
         # space is capped, so the allocation fails at once instead of paging.
@@ -481,6 +501,27 @@ class TestEvalCommand:
                                                    num_classes=2, seed=0, num_features=16,
                                                    dropout_rate=0.0)), str(bare))
         assert LoadedModel.from_checkpoints([str(bare)]).cfg == RunConfig()  # mc_samples 10
+
+    def test_echo_holds_the_model_keys_of_the_checkpoint(self, tmp_path, capsys):
+        # A checkpoint saved from Python has no config text; its model's keys
+        # are echoed all the same, and a shallow GP's use_layer_norm is its own.
+        spec = ModelSpec(hidden_width=8, depth=2, num_features=32, seed=5)
+        ckpts = {tag: str(tmp_path / f"{tag}.ckpt") for tag in ("sngp", "shallow_gp")}
+        for tag, path in ckpts.items():
+            save_checkpoint(build_variant(tag, spec), path)
+        data_csv = str(tmp_path / "data.csv")
+        assert main(["gen-data", "--dataset", "two_moons", "--n", "20",
+                     "--out", data_csv]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", ckpts["sngp"], "--data", data_csv]) == EXIT_OK
+        echo = capsys.readouterr().out.splitlines()
+        for line in ("config.hidden_width=8", "config.depth=2", "config.num_features=32",
+                     "config.seed=5", "config.use_layer_norm=True", "config.mc_samples=10"):
+            assert line in echo
+        surface = tmp_path / "surface.csv"
+        assert main(["surface", "--checkpoint", ckpts["shallow_gp"], "--grid=-1,1,-1,1,2,2",
+                     "--metric", "variance", "--out", str(surface)]) == EXIT_OK
+        assert "# config.use_layer_norm=False" in surface.read_text().splitlines()
 
     @pytest.fixture()
     def eval_inputs(self, tmp_path):

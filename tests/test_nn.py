@@ -81,6 +81,25 @@ class TestForward:
                 assert np.array_equal(h_tape, h_bare), (activation, dropout_rate)
         assert np.array_equal(x, x_before)
 
+    @pytest.mark.parametrize("train_mode", [False, True])
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.3])
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    def test_tape_holds_what_each_block_computed(self, activation, dropout_rate, train_mode):
+        # Each residual sum is formed in place in the branch, so no write may
+        # reach an array the tape holds for backward.
+        net = build_res_ffn(2, 16, 4, RngState(7), activation=activation,
+                            dropout_rate=dropout_rate, sn_bound=1.0)
+        h, tape = net.forward(RngState(8).normal_matrix(6, 2), train_mode=train_mode,
+                              rng=RngState(9))
+        act, _ = ACTIVATIONS[activation]
+        outputs = tape.block_inputs[1:] + [h]
+        for blk, x_in, z, mask, x_out in zip(net.blocks, tape.block_inputs,
+                                             tape.pre_activations, tape.dropout_masks, outputs):
+            assert (mask is not None) == (train_mode and dropout_rate > 0.0)
+            assert np.array_equal(z, blk.layer.apply(x_in))
+            branch = act(z) if mask is None else act(z) * mask
+            assert np.array_equal(x_out, x_in + branch)
+
 
 class TestBackward:
     def test_zero_upstream(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sngp.gp_layer import GpPrediction, NonFiniteRowError, mc_softmax, softmax
+from sngp.gp_layer import GpPrediction, NonFiniteRowError, RffGpLayer, mc_softmax, softmax
 from sngp.linalg import RngState
 from sngp.metrics import dempster_shafer, margin_uncertainty, variance_uncertainty
 from sngp.train import (PREDICT_BLOCK_ROWS, ModelSpec, SngpModel, TrainConfig, TrainReport,
@@ -511,6 +511,74 @@ class TestExactPrecisionPass:
         grown_rows = 8000 - 2000
         inputs_and_outputs = 8 * grown_rows * (2 + 1 + 2)  # x, y and the (N, 2) logits
         assert peak_bytes(8000) - peak_bytes(2000) < inputs_and_outputs + 4 * 2**20
+
+
+class TestOneEvaluationPass:
+    """Prediction, both precision updates and the final accuracy take their
+    features and mean logits from one checked pass, ``SngpModel._evaluate``."""
+
+    @staticmethod
+    def data(n=2 * PREDICT_BLOCK_ROWS + 3):
+        x = RngState(80).normal_matrix(n, 2)
+        return x, (x[:, 0] * x[:, 1] > 0).astype(int)
+
+    def test_exact_precision_sends_each_row_through_once_after_training(self, monkeypatch):
+        x, y = self.data()
+        model = small_model(seed=81)
+        sgd_steps, feature_rows, network_rows = [], [], []
+        features, forward = model.head.rff_features, model.network.forward
+        monkeypatch.setattr(model.head, "rff_features", lambda h: feature_rows.append(
+            (len(sgd_steps), len(h))) or features(h))
+        monkeypatch.setattr(model.network, "forward", lambda x, **kw: network_rows.append(
+            (len(sgd_steps), len(x))) or forward(x, **kw))
+        train(model, x, y, TrainConfig(epochs=2, batch_size=64, precision_exact=True),
+              hooks=lambda event, *_: sgd_steps.append(event) if event == "sgd_update" else None)
+        last = len(sgd_steps)
+        blocks = [(last, PREDICT_BLOCK_ROWS), (last, PREDICT_BLOCK_ROWS), (last, 3)]
+        assert feature_rows == blocks
+        assert [(s, m) for s, m in network_rows if s == last] == blocks
+
+    @pytest.mark.parametrize("precision_exact", [True, False])
+    def test_final_accuracy_is_that_of_the_eval_logits(self, precision_exact):
+        x, y = self.data()
+        model = small_model(seed=82)
+        report = train(model, x, y, TrainConfig(epochs=2, batch_size=64,
+                                                precision_exact=precision_exact))
+        assert 0.0 < report.final_train_accuracy < 1.0
+        assert report.final_train_accuracy == np.mean(np.argmax(model.eval_logits(x), 1) == y)
+
+    def test_moving_average_takes_each_minibatch_in_one_update(self, monkeypatch):
+        # Minibatches above PREDICT_BLOCK_ROWS are not split into blocks.
+        x, y = self.data(600)
+        model = small_model(seed=83)
+        sizes = []
+        update = model.head.update_precision_minibatch
+        monkeypatch.setattr(model.head, "update_precision_minibatch",
+                            lambda phi, probs: sizes.append((len(phi), len(probs)))
+                            or update(phi, probs))
+        train(model, x, y, TrainConfig(epochs=2, batch_size=300))
+        assert sizes == [(300, 300), (300, 300)]
+
+    def test_features_are_computed_only_inside_the_evaluation_pass(self, monkeypatch):
+        depth, inside = [0], []
+        evaluate, features = SngpModel._evaluate, RffGpLayer.rff_features
+
+        def counted_evaluate(model, x):
+            depth[0] += 1
+            try:
+                return evaluate(model, x)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(SngpModel, "_evaluate", counted_evaluate)
+        monkeypatch.setattr(RffGpLayer, "rff_features",
+                            lambda head, h: inside.append(depth[0] == 1) or features(head, h))
+        x, y = self.data()
+        model = small_model(seed=84)
+        train(model, x, y, TrainConfig(epochs=2, batch_size=64))
+        predict_batch(model, x, rng=RngState(0))
+        # The final epoch's 9 minibatches, then 3 blocks after training and 3 to predict.
+        assert len(inside) == 9 + 3 + 3 and all(inside)
 
 
 @pytest.fixture(scope="module")
