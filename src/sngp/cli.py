@@ -181,7 +181,9 @@ class LoadedModel:
 
     Its models only predict: before the first prediction, a single GP-head model's
     precision is inverted in place (``RffGpLayer.release_precision``), so the head holds
-    its covariance only and can no longer be trained or saved."""
+    its covariance only and can no longer be trained or saved.  An ensemble predicts from
+    its members' mean logits alone, so each GP-head member's precision is freed at once
+    (``RffGpLayer.free_precision``)."""
 
     def __init__(self, models: list[SngpModel], cfg: RunConfig):
         self.models = models
@@ -189,6 +191,10 @@ class LoadedModel:
         self.num_classes = models[0].num_classes
         self.is_ensemble = len(models) > 1
         self._mc_rng = RngState(models[0].spec.seed).derive("mc")
+        if self.is_ensemble:
+            for model in models:
+                if model.has_gp_head:
+                    model.head.free_precision()
 
     @classmethod
     def from_checkpoints(cls, paths: list[str]) -> "LoadedModel":
@@ -460,9 +466,10 @@ def _verify_lipschitz() -> None:
 def _verify_kernel() -> None:
     from .gp_layer import KERNEL_ABS_ERROR, RffGpLayer, half_angle_cos_sin
     rng = RngState(4242)
-    layer = RffGpLayer(in_dim=2, num_features=4096, num_classes=2, rng=rng.derive("gp"),
-                       length_scale=1.0, ridge_s=0.001, discount_m=0.999,
-                       use_layer_norm=False, projection_dim=None)
+    layer = RffGpLayer(in_dim=2, num_features=4096, num_classes=2, length_scale=1.0,
+                       ridge_s=0.001, discount_m=0.999, use_layer_norm=False,
+                       projection_dim=None)
+    layer.draw(rng.derive("gp"))
     pair_rng = rng.derive("pairs")
     xs = pair_rng.uniform(200, -2.0, 2.0).reshape(100, 2)
     ys = pair_rng.uniform(200, -2.0, 2.0).reshape(100, 2)

@@ -16,6 +16,8 @@ constants) so "far from the data" is true by construction.
 CSV formats (version-stable, 17 significant digits so round-trips are exact):
   dataset:  header ``x1,x2,label``; label is the class id, -1 marks OOD rows.
   surface:  header ``x1,x2,value``.
+Both are written by one writer that formats ``CSV_CHUNK_ROWS`` rows at a
+time, so writing holds one chunk's text, not the whole file's.
 Optional ``# key=value`` comment lines may precede the header (the CLI uses
 them to embed its config echo); readers skip them.  A surface can also be
 written as a plain P2 (ASCII) PGM image with values mapped linearly onto
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -40,6 +43,8 @@ OVAL_SD_FLAT = 0.08
 # classes, several cluster widths away from any labeled point).
 OOD_CENTER = (0.25, 2.6)
 OOD_SD = 0.12
+
+CSV_CHUNK_ROWS = 1024  # rows formatted and written at a time
 
 
 @dataclass
@@ -135,10 +140,6 @@ def gen_grid(bounds: tuple[float, float, float, float], resolution: tuple[int, i
     return EvalGrid(x1_min=x1_min, x1_max=x1_max, x2_min=x2_min, x2_max=x2_max, nx=nx, ny=ny)
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
 class CsvFormatError(ValueError):
     """Malformed CSV input; the message carries the offending line number."""
 
@@ -166,15 +167,25 @@ def _read_header(f, expected: str):
         return lineno
 
 
-def dataset_to_csv(ds: Dataset2D, path: str, meta: dict | None = None) -> None:
-    lines = _meta_lines(meta) + ["x1,x2,label"]
-    for (x1, x2), lab in zip(ds.points, ds.labels):
-        lines.append(f"{_fmt(x1)},{_fmt(x2)},{int(lab)}")
-    if ds.ood_points is not None:
-        for x1, x2 in ds.ood_points:
-            lines.append(f"{_fmt(x1)},{_fmt(x2)},-1")
+def _write_csv(path: str, header: str, meta: dict | None,
+               sections: list[tuple[str, list[np.ndarray]]]) -> None:
+    """Write the ``meta`` comment lines, ``header``, then each section's rows:
+    row i of a ``(row_format, columns)`` section is ``row_format`` applied to
+    element i of each column.  Rows are formatted and written
+    ``CSV_CHUNK_ROWS`` at a time, so no more than one chunk's text is held."""
     with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+        f.writelines(line + "\n" for line in _meta_lines(meta) + [header])
+        for row_format, columns in sections:
+            for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+                chunk = [c[lo:lo + CSV_CHUNK_ROWS].tolist() for c in columns]
+                f.write(row_format * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))))
+
+
+def dataset_to_csv(ds: Dataset2D, path: str, meta: dict | None = None) -> None:
+    sections = [("%.17g,%.17g,%d\n", [ds.points[:, 0], ds.points[:, 1], ds.labels])]
+    if ds.ood_points is not None:
+        sections.append(("%.17g,%.17g,-1\n", [ds.ood_points[:, 0], ds.ood_points[:, 1]]))
+    _write_csv(path, "x1,x2,label", meta, sections)
 
 
 def _csv_rows(path: str, header: str, third: type):
@@ -224,11 +235,8 @@ def surface_to_csv(points: np.ndarray, values: np.ndarray, path: str,
                    meta: dict | None = None) -> None:
     if points.shape[0] != values.shape[0]:
         raise ValueError("points and values disagree on count")
-    lines = _meta_lines(meta) + ["x1,x2,value"]
-    for (x1, x2), v in zip(points, values):
-        lines.append(f"{_fmt(x1)},{_fmt(x2)},{_fmt(v)}")
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_csv(path, "x1,x2,value", meta,
+               [("%.17g,%.17g,%.17g\n", [points[:, 0], points[:, 1], values])])
 
 
 def surface_from_csv(path: str) -> tuple[np.ndarray, np.ndarray]:

@@ -97,12 +97,13 @@ class RffGpLayer:
     """Frozen random-feature frontend plus trainable output weights and
     Laplace precision matrices (``num_precisions`` of them).
 
-    The hyperparameters are taken as given: ``ModelSpec`` checks that
-    ``length_scale`` and ``ridge_s`` are positive and finite and that
-    ``discount_m`` lies in [0, 1).  ``projection_dim = None`` means no
-    down-projection."""
+    The constructor allocates every array as zeros, to be drawn into by
+    ``draw`` or read from a checkpoint.  The hyperparameters are taken as
+    given: ``ModelSpec`` checks that ``length_scale`` and ``ridge_s`` are
+    positive and finite and that ``discount_m`` lies in [0, 1).
+    ``projection_dim = None`` means no down-projection."""
 
-    def __init__(self, in_dim: int, num_features: int, num_classes: int, rng: RngState, *,
+    def __init__(self, in_dim: int, num_features: int, num_classes: int, *,
                  length_scale: float, ridge_s: float, discount_m: float,
                  use_layer_norm: bool, projection_dim: int | None):
         self.in_dim = in_dim
@@ -114,23 +115,36 @@ class RffGpLayer:
         self.use_layer_norm = use_layer_norm
 
         if projection_dim is not None:
-            self.input_projection = rng.derive("gp_proj").normal_matrix(projection_dim, in_dim)
+            self.input_projection = np.zeros((projection_dim, in_dim))
             feat_in = projection_dim
         else:
             self.input_projection = None
             feat_in = in_dim
-        self.w_fixed = rng.derive("gp_w").normal_matrix(num_features, feat_in)
-        self.b_fixed = rng.derive("gp_b").uniform(num_features, 0.0, 2.0 * np.pi)
+        self.w_fixed = np.zeros((num_features, feat_in))
+        self.b_fixed = np.zeros(num_features)
         self.beta = np.zeros((num_classes, num_features))
-        # Built through a transient identity, not filled in place: freeing its
+        self.precision = [np.zeros((num_features, num_features))
+                          for _ in range(num_precisions(num_classes))]
+
+    def draw(self, rng: RngState) -> None:
+        """The initial draw, in place: the frozen frontend from the streams
+        ``gp_proj``, ``gp_w`` and ``gp_b`` of ``rng``, and each precision set
+        to ``ridge_s * I``; ``beta`` is left as it is (zero on a new layer)."""
+        if self.input_projection is not None:
+            rng.derive("gp_proj").fill_normal(self.input_projection)
+        rng.derive("gp_w").fill_normal(self.w_fixed)
+        rng.derive("gp_b").fill_uniform(self.b_fixed, 0.0, 2.0 * np.pi)
+        # Set through a transient identity, not filled in place: freeing its
         # D x D block early raises glibc's mmap threshold, so the smaller
         # temporaries of every later step are served from the heap instead of
         # each being mapped and unmapped.  A fresh default ``sngp train`` took
         # ≈10k minor page faults this way and ≈76k with ``ridge_s * np.eye(d)``,
         # whose temporary NumPy reuses in place, so that no block is freed
         # (2-vCPU x86-64 host, glibc malloc, NumPy 2.4).
-        eye = np.eye(num_features)
-        self.precision = [self.ridge_s * eye for _ in range(num_precisions(num_classes))]
+        eye = np.eye(self.num_features)
+        for p in self.precision:
+            np.multiply(self.ridge_s, eye, out=p)
+        self._covariances = None
 
     # -- feature pipeline ---------------------------------------------------
 
@@ -202,10 +216,10 @@ class RffGpLayer:
     @property
     def precision(self) -> list[np.ndarray]:
         """The stored precision matrices; ``ValueError`` once
-        ``release_precision`` has inverted them into the covariances."""
+        ``release_precision`` has inverted them into the covariances, or
+        ``free_precision`` has dropped them."""
         if self._precision is None:
-            raise ValueError("this GP head holds only its posterior covariance: its precision "
-                             "was inverted in place for prediction")
+            raise ValueError(f"this GP head {self._without_precision}")
         return self._precision
 
     @precision.setter
@@ -281,8 +295,18 @@ class RffGpLayer:
         if self._precision is None:
             return
         precision, self._precision = self._precision, None
+        self._without_precision = ("holds only its posterior covariance: its precision was "
+                                   "inverted in place for prediction")
         if self._covariances is None:
             self._covariances = _inverted(precision)
+
+    def free_precision(self) -> None:
+        """Drop the precision and any covariance, for a head whose variances
+        are never read: afterwards the variances, the updates,
+        ``reset_precision`` and saving a checkpoint raise ``ValueError``."""
+        self._precision = self._covariances = None
+        self._without_precision = ("holds neither its precision nor its covariance: it "
+                                   "predicts mean logits only")
 
     def predictive_variance_batch(self, phi_batch: np.ndarray) -> np.ndarray:
         """(batch, K) logit variances phi^T precision_k^{-1} phi (each >= 0),
@@ -431,7 +455,11 @@ def mc_softmax(mean: np.ndarray, variance: np.ndarray, n_samples: int, rng: RngS
     """Average softmax(mean + sqrt(variance) * eps) over n_samples normal draws,
     for one (K,) logit vector or an (N, K) batch of them.
 
-    With zero variance this is exactly softmax(mean) for any sample count.
+    The softmax is taken inside the (n_samples, N, K) buffer of the draws,
+    one sample at a time, so beside it and the result no temporary is larger
+    than (N, K); each step is the arithmetic of ``softmax``, so the result has
+    its bits.  With zero variance this is exactly softmax(mean) for any
+    sample count.
     """
     mean = np.asarray(mean, dtype=np.float64)
     variance = np.asarray(variance, dtype=np.float64)
@@ -441,6 +469,11 @@ def mc_softmax(mean: np.ndarray, variance: np.ndarray, n_samples: int, rng: RngS
         raise ValueError("variance must be nonnegative")
     if not np.any(variance > 0.0):
         return softmax(mean)
-    sd = np.sqrt(variance)
-    eps = rng.normal(n_samples * mean.size).reshape(n_samples, *mean.shape)
-    return softmax(mean + sd * eps).mean(axis=0)
+    draws = rng.normal(n_samples * mean.size).reshape(n_samples, *mean.shape)
+    draws *= np.sqrt(variance)
+    draws += mean
+    for logits in draws:
+        logits -= np.max(logits, axis=-1, keepdims=True)
+        np.exp(logits, out=logits)
+        logits /= logits.sum(axis=-1, keepdims=True)
+    return draws.mean(axis=0)

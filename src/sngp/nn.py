@@ -54,25 +54,30 @@ class DenseLayer:
     def in_dim(self) -> int:
         return self.weight.shape[1]
 
+    @classmethod
+    def zeros(cls, in_dim: int, out_dim: int, *, sn_bound: float) -> "DenseLayer":
+        """A layer whose arrays are all zeros, to be drawn into or loaded."""
+        return cls(weight=np.zeros((out_dim, in_dim)), bias=np.zeros(out_dim),
+                   sn_u=np.zeros(out_dim), sn_bound=sn_bound)
+
+    def draw(self, rng: RngState) -> None:
+        """The initial draw, in place: a He-scaled normal weight and a random
+        unit ``sn_u``; the bias is left as it is (zero on a new layer)."""
+        rng.fill_normal(self.weight)
+        self.weight *= np.sqrt(2.0 / self.in_dim)
+        rng.fill_normal(self.sn_u)
+        self.sn_u /= np.linalg.norm(self.sn_u)
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         out = x @ self.weight.T
         out += self.bias
         return out
 
 
-def make_dense_layer(in_dim: int, out_dim: int, rng: RngState, *, sn_bound: float) -> DenseLayer:
-    """He-scaled normal init for the weight, zero bias, random unit sn_u."""
-    scale = np.sqrt(2.0 / in_dim)
-    weight = scale * rng.normal_matrix(out_dim, in_dim)
-    u = rng.normal(out_dim)
-    u /= np.linalg.norm(u)
-    return DenseLayer(weight=weight, bias=np.zeros(out_dim), sn_u=u, sn_bound=sn_bound)
-
-
 @dataclass
 class ResidualBlock:
     """A square layer, a name in ``ACTIVATIONS`` and a dropout rate in [0, 1),
-    taken as given: ``ModelSpec`` checks the values and ``build_res_ffn``
+    taken as given: ``ModelSpec`` checks the values and ``ResFfnNetwork.zeros``
     makes the layer square."""
 
     layer: DenseLayer
@@ -97,6 +102,24 @@ class ResFfnNetwork:
     def __init__(self, input_projection: DenseLayer, blocks: list[ResidualBlock]):
         self.input_projection = input_projection
         self.blocks = blocks
+
+    @classmethod
+    def zeros(cls, input_dim: int, hidden_width: int, depth: int, *, activation: str,
+              dropout_rate: float, sn_bound: float) -> "ResFfnNetwork":
+        """A network of square blocks whose arrays are all zeros, to be drawn
+        into or loaded.  The values are taken as given; ``ModelSpec`` checks them."""
+        proj = DenseLayer.zeros(input_dim, hidden_width, sn_bound=sn_bound)
+        blocks = [ResidualBlock(layer=DenseLayer.zeros(hidden_width, hidden_width,
+                                                       sn_bound=sn_bound),
+                                activation=activation, dropout_rate=dropout_rate)
+                  for _ in range(depth)]
+        return cls(proj, blocks)
+
+    def draw(self, rng: RngState) -> None:
+        """The initial draw of every layer, in place, each from its own stream of ``rng``."""
+        self.input_projection.draw(rng.derive("proj"))
+        for i, blk in enumerate(self.blocks):
+            blk.layer.draw(rng.derive(f"block{i}"))
 
     @property
     def hidden_width(self) -> int:
@@ -276,15 +299,8 @@ class SgdMomentum:
 
 def build_res_ffn(input_dim: int, hidden_width: int, depth: int, rng: RngState, *,
                   activation: str, dropout_rate: float, sn_bound: float) -> ResFfnNetwork:
-    """Construct a randomly initialized residual feed-forward network of square
-    blocks.  The values are taken as given; ``ModelSpec`` checks them."""
-    proj = make_dense_layer(input_dim, hidden_width, rng.derive("proj"), sn_bound=sn_bound)
-    blocks = [
-        ResidualBlock(
-            layer=make_dense_layer(hidden_width, hidden_width, rng.derive(f"block{i}"), sn_bound=sn_bound),
-            activation=activation,
-            dropout_rate=dropout_rate,
-        )
-        for i in range(depth)
-    ]
-    return ResFfnNetwork(proj, blocks)
+    """A new network: ``ResFfnNetwork.zeros`` drawn into by ``ResFfnNetwork.draw``."""
+    net = ResFfnNetwork.zeros(input_dim, hidden_width, depth, activation=activation,
+                              dropout_rate=dropout_rate, sn_bound=sn_bound)
+    net.draw(rng)
+    return net

@@ -11,7 +11,9 @@ or a plain dense layer for ablations).  Each minibatch step runs, in order:
 
 A step whose loss passes ``DIVERGENCE_LIMIT``, whose batch holds a row with
 non-finite features or logits, or whose spectral normalization overflows
-ends training with ``TrainingDivergedError`` naming the epoch and the step.
+ends training with ``TrainingDivergedError`` naming the epoch and the step;
+a row that the evaluation pass after the last step finds non-finite ends it
+the same way, naming the row.
 The step order is observable through the optional ``hooks`` callback.
 Training is bit-reproducible: initialisation, shuffling and dropout all
 draw from independently derived streams of the model's seed, ``spec.seed``.
@@ -32,10 +34,11 @@ Checkpoint format (binary, version 3, bit-exact round trip):
 Loading checks, in order, the magic, the version, the header's JSON, the
 ``ModelSpec`` field types, the manifest against the array names and shapes
 the spec implies, and the payload length those shapes give (from the file's
-size); only then does it build the model from its spec, so a header cannot
-make loading allocate more than its payload holds, nor name a length the
-spec does not.  The payload is read straight into the model's arrays, and
-its CRC is checked before the model is returned.
+size); only then does it allocate the model's arrays from its spec, so a
+header cannot make loading allocate more than its payload holds, nor name a
+length the spec does not.  The arrays are allocated as zeros and the payload
+is read straight into them, with no initial draw, and its CRC is checked
+before the model is returned.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ import numpy as np
 from .gp_layer import (GpPrediction, NonFiniteRowError, RffGpLayer, check_rows, mc_softmax,
                        num_precisions, softmax)
 from .linalg import RngState
-from .nn import ACTIVATIONS, SgdMomentum, build_res_ffn, clamp_network, normalize_network
+from .nn import ACTIVATIONS, ResFfnNetwork, SgdMomentum, clamp_network, normalize_network
 
 CHECKPOINT_MAGIC = b"SNGPCKPT"
 CHECKPOINT_VERSION = 3
@@ -70,12 +73,16 @@ class TrainingDivergedError(RuntimeError):
 
 
 class DenseHead:
-    """Plain affine output layer for the non-GP ablations."""
+    """Plain affine output layer for the non-GP ablations, allocated as zeros."""
 
-    def __init__(self, in_dim: int, num_classes: int, rng: RngState):
-        scale = np.sqrt(1.0 / in_dim)
-        self.weight = scale * rng.normal_matrix(num_classes, in_dim)
+    def __init__(self, in_dim: int, num_classes: int):
+        self.weight = np.zeros((num_classes, in_dim))
         self.bias = np.zeros(num_classes)
+
+    def draw(self, rng: RngState) -> None:
+        """The initial draw, in place: a normal weight scaled by 1 / sqrt(in_dim)."""
+        rng.fill_normal(self.weight)
+        self.weight *= np.sqrt(1.0 / self.weight.shape[1])
 
     def logits(self, h: np.ndarray) -> np.ndarray:
         return h @ self.weight.T + self.bias
@@ -206,28 +213,28 @@ _SPEC_TYPE_CHECKS = {
 
 
 class SngpModel:
-    """Hidden mapping plus output head, built from a ``ModelSpec``.
+    """Hidden mapping plus output head of a ``ModelSpec``.
 
-    The arrays are freshly drawn from ``spec.seed``; ``build_sngp_model``
-    also moves a spectral-normalized network inside its bound.
+    The constructor allocates every array the spec implies once, as zeros,
+    whose pages cost no resident memory until written: ``build_sngp_model``
+    draws a new model into them and ``load_checkpoint`` reads a saved one.
     """
 
     def __init__(self, spec: ModelSpec):
-        rng = RngState(spec.seed)
         if spec.identity_hidden:
             network, width = None, spec.input_dim
         else:
-            network = build_res_ffn(spec.input_dim, spec.hidden_width, spec.depth,
-                                    rng.derive("net"), activation=spec.activation,
-                                    dropout_rate=spec.dropout_rate, sn_bound=spec.sn_bound)
+            network = ResFfnNetwork.zeros(spec.input_dim, spec.hidden_width, spec.depth,
+                                          activation=spec.activation,
+                                          dropout_rate=spec.dropout_rate, sn_bound=spec.sn_bound)
             width = spec.hidden_width
         if spec.gp_head:
-            head = RffGpLayer(width, spec.num_features, spec.num_classes, rng.derive("head"),
+            head = RffGpLayer(width, spec.num_features, spec.num_classes,
                               length_scale=spec.length_scale, ridge_s=spec.ridge_s,
                               discount_m=spec.discount_m, use_layer_norm=spec.use_layer_norm,
                               projection_dim=spec.gp_projection_dim)
         else:
-            head = DenseHead(width, spec.num_classes, rng.derive("head"))
+            head = DenseHead(width, spec.num_classes)
         self.spec = spec
         self.network = network
         self.head = head
@@ -314,9 +321,15 @@ class SngpModel:
 
 
 def build_sngp_model(spec: ModelSpec) -> SngpModel:
-    """A new model of the spec, ready to train: a spectral-normalized network
-    starts inside its bound with warmed-up power-iteration vectors."""
+    """A new model of the spec, ready to train: its arrays are drawn in place
+    from the streams ``net`` and ``head`` of ``spec.seed``, and a
+    spectral-normalized network starts inside its bound with warmed-up
+    power-iteration vectors."""
     model = SngpModel(spec)
+    rng = RngState(spec.seed)
+    if model.network is not None:
+        model.network.draw(rng.derive("net"))
+    model.head.draw(rng.derive("head"))
     if spec.spectral_norm and model.network is not None:
         clamp_network(model.network)
         for _ in range(10):
@@ -458,10 +471,14 @@ def train(model: SngpModel, points: np.ndarray, labels: np.ndarray, config: Trai
     # One evaluation pass over the rows, a block at a time (the Fisher sum is
     # D x D whatever N is), adds the exact precision and counts the accuracy.
     hits = np.empty(n, dtype=bool)
-    for rows, phi, means in model._evaluate_blocks(points):
-        if exact:
-            model.head.update_precision_exact(phi, softmax(means))
-        hits[rows] = np.argmax(means, axis=1) == labels[rows]
+    try:
+        for rows, phi, means in model._evaluate_blocks(points):
+            if exact:
+                model.head.update_precision_exact(phi, softmax(means))
+            hits[rows] = np.argmax(means, axis=1) == labels[rows]
+    except NonFiniteRowError as exc:  # its row counts from the start of the dataset
+        raise TrainingDivergedError(f"dataset row {exc.row}: {exc.reason} "
+                                    "after the last step") from None
     report.final_train_accuracy = float(np.mean(hits))
     report.wall_clock_s = time.perf_counter() - start
     return report
@@ -477,11 +494,12 @@ def predict_batch(model: SngpModel, x: np.ndarray, mc_samples: int = 10,
 
     The network, features and variances run ``PREDICT_BLOCK_ROWS`` rows at a
     time (``SngpModel._posterior``), so memory is O(block) + O(N K) rather than
-    O(N D): on a default-size model, 10,000 rows peak ≈9 MB above the model and
-    its cached covariance.  The Monte Carlo draws are taken once over all N
-    rows, so they do not depend on the block size.  A row holding NaN or inf
-    raises ``ValueError`` naming the first such row before anything is
-    computed.
+    O(N D).  The Monte Carlo draws are taken once over all N rows, so they do
+    not depend on the block size, and ``mc_softmax`` works inside their one
+    buffer.  On a default-size model, beside the model and its cached
+    covariance, 10,000 rows peak at most 8 MiB and 40,000 rows at most 12 MiB
+    (tracemalloc).  A row holding NaN or inf raises ``ValueError`` naming the
+    first such row before anything is computed.
     """
     means, variances = model._posterior(x)
     if rng is None and np.any(variances > 0.0):
@@ -559,15 +577,16 @@ def save_checkpoint(model: SngpModel, path: str, config: str = "") -> None:
 def load_checkpoint(path: str) -> tuple[SngpModel, dict]:
     """Read a checkpoint written by ``save_checkpoint``.
 
-    The model is built from the header's ``ModelSpec`` through the same
-    constructor as a new one, so its hyperparameters pass the same checks,
-    but only after the manifest has matched the arrays the spec implies and
-    the file's length has matched the manifest.  The payload is then read
-    straight into the model's arrays and its CRC-32 checked before the model
-    is returned.  A file that is not a checkpoint, a header that is not a
-    well-formed version-3 header, a manifest that is not the spec's, or a
-    payload whose length or CRC-32 differs from the header's raises
-    ``ValueError``.
+    The model's arrays are allocated from the header's ``ModelSpec`` by the
+    ``SngpModel`` constructor that a new model is drawn into, so its
+    hyperparameters pass the same checks, but only after the manifest has
+    matched the arrays the spec implies and the file's length has matched
+    the manifest.  The payload is then read straight into those zero arrays,
+    with no initial draw and no identity, so loading holds little more than
+    the payload, and its CRC-32 is checked before the model is returned.  A
+    file that is not a checkpoint, a header that is not a well-formed
+    version-3 header, a manifest that is not the spec's, or a payload whose
+    length or CRC-32 differs from the header's raises ``ValueError``.
     """
     with open(path, "rb") as f:
         preamble = f.read(CHECKPOINT_PREAMBLE_BYTES)

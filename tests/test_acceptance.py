@@ -56,9 +56,10 @@ def trained_sngp(moons):
 def test_criterion_1_kernel_fidelity():
     start = time.perf_counter()
     rng = RngState(4242)
-    layer = RffGpLayer(in_dim=2, num_features=4096, num_classes=2, rng=rng.derive("gp"),
-                       length_scale=1.0, ridge_s=0.001, discount_m=0.999,
-                       use_layer_norm=False, projection_dim=None)
+    layer = RffGpLayer(in_dim=2, num_features=4096, num_classes=2, length_scale=1.0,
+                       ridge_s=0.001, discount_m=0.999, use_layer_norm=False,
+                       projection_dim=None)
+    layer.draw(rng.derive("gp"))
     pair_rng = rng.derive("pairs")
     xs = pair_rng.uniform(200, -2.0, 2.0).reshape(100, 2)
     ys = pair_rng.uniform(200, -2.0, 2.0).reshape(100, 2)
@@ -79,13 +80,15 @@ def test_criterion_2_laplace_posterior_equivalence():
     ridge = 1e-9
     kwargs = dict(in_dim=2, num_features=16, num_classes=2, length_scale=2.0,
                   ridge_s=ridge, discount_m=0.999, use_layer_norm=False, projection_dim=None)
-    layer = RffGpLayer(rng=RngState(13).derive("gp"), **kwargs)
+    layer = RffGpLayer(**kwargs)
+    layer.draw(RngState(13).derive("gp"))
     pts = rng.derive("data").normal(400).reshape(200, 2)
     layer.beta[:] = 0.5 * rng.derive("beta").normal_matrix(2, 16)
     phi = layer.rff_features(pts)
     probs = softmax(layer.logits(phi))
 
-    exact = RffGpLayer(rng=RngState(13).derive("gp"), **kwargs)
+    exact = RffGpLayer(**kwargs)
+    exact.draw(RngState(13).derive("gp"))
     exact.update_precision_exact(phi, probs)
 
     layer.reset_precision()

@@ -17,8 +17,8 @@ from sngp.baselines import build_variant
 from sngp.cli import (EXIT_DIVERGED, EXIT_INCOMPATIBLE, EXIT_OK, EXIT_USAGE,
                       EXIT_VERIFY_FAILED, LoadedModel, RunConfig, main, parse_run_config)
 from sngp.data import dataset_from_csv, gen_two_moons, gen_two_ovals, surface_from_csv
-from sngp.gp_layer import RffGpLayer
-from sngp.nn import DenseLayer, ResidualBlock, SgdMomentum, build_res_ffn, make_dense_layer
+from sngp.gp_layer import RffGpLayer, softmax
+from sngp.nn import DenseLayer, ResFfnNetwork, ResidualBlock, SgdMomentum, build_res_ffn
 from sngp.train import (ModelSpec, TrainConfig, TrainingDivergedError, TrainReport,
                         load_checkpoint, loss_and_grads, save_checkpoint)
 
@@ -124,10 +124,10 @@ class TestConfigParsing:
         # that can disagree with the config section's default and skip its check.
         # The loss takes the L2 prior's data-size scale as given too.
         owned = set(cli.CONFIG_KEYS) | {"projection_dim", "l2_scale"}
-        defaulted = [f"{fn.__name__}.{p.name}"
-                     for fn in (RffGpLayer, build_res_ffn, make_dense_layer, DenseLayer,
-                                ResidualBlock, SgdMomentum, gen_two_moons, gen_two_ovals,
-                                loss_and_grads)
+        defaulted = [f"{fn.__qualname__}.{p.name}"
+                     for fn in (RffGpLayer, build_res_ffn, DenseLayer, DenseLayer.zeros,
+                                ResFfnNetwork.zeros, ResidualBlock, SgdMomentum, gen_two_moons,
+                                gen_two_ovals, loss_and_grads)
                      for p in inspect.signature(fn).parameters.values()
                      if p.name in owned and p.default is not p.empty]
         assert defaulted == []
@@ -326,12 +326,16 @@ class TestTrainCommand:
                 in capsys.readouterr().err)
         assert not ckpt.exists()
 
-    def test_overflow_met_by_the_precision_update_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("exact, when", [("false", "at epoch 0 step 1"),
+                                             ("true", "after the last step")],
+                             ids=["minibatch", "exact"])
+    def test_overflow_met_by_the_precision_update_exits_3(self, tmp_path, exact, when, capsys):
         # Step 1's loss is finite, but its update overflows the network, so the
-        # final epoch's precision update is the first to meet a non-finite row.
+        # final epoch's precision update is the first to meet a non-finite row;
+        # with the exact precision that is the evaluation pass after the last step.
         cfg = write_config(tmp_path, "variant = dnn_gp\nepochs = 1\nuse_layer_norm = false\n"
                            "noise_sd = 1e300\nhidden_width = 8\ndepth = 2\nnum_features = 32\n"
-                           "n_per_class = 20\n")
+                           f"n_per_class = 20\nprecision_exact = {exact}\n")
         ckpt = tmp_path / "m.ckpt"
         capsys.readouterr()
         with warnings.catch_warnings():
@@ -340,7 +344,7 @@ class TestTrainCommand:
         assert code == EXIT_DIVERGED
         err = capsys.readouterr().err
         row = re.fullmatch(r"error: training diverged: dataset row (\d+): hidden features are "
-                           r"not finite at epoch 0 step 1\n", err)
+                           rf"not finite {when}\n", err)
         assert row is not None, err
         assert 0 <= int(row.group(1)) < 40
         assert not ckpt.exists()
@@ -745,19 +749,43 @@ class TestLoadedModel:
         fresh = LoadedModel.from_checkpoints([str(ckpt)])
         assert np.array_equal(fresh.predict(x).variance_logits, first.variance_logits)
 
-    @pytest.mark.parametrize("variants", [["dnn_sn"], ["sngp", "sngp"]],
-                             ids=["dense_head", "ensemble"])
-    def test_dense_head_and_ensemble_are_untouched(self, tmp_path, variants):
+    @staticmethod
+    def saved(tmp_path, variants: list[str]) -> list[str]:
         spec = ModelSpec(hidden_width=8, depth=1, num_features=16, dropout_rate=0.0)
         paths = []
         for i, tag in enumerate(variants):
             paths.append(str(tmp_path / f"m{i}.ckpt"))
             save_checkpoint(build_variant(tag, replace(spec, seed=i)), paths[-1])
-        loaded = LoadedModel.from_checkpoints(paths)
+        return paths
+
+    def test_dense_head_is_untouched(self, tmp_path):
+        [path] = self.saved(tmp_path, ["dnn_sn"])
+        loaded = LoadedModel.from_checkpoints([path])
         loaded.predict(np.array([[0.1, 0.2], [3.0, 3.0]]))
-        for model, path in zip(loaded.models, paths):
-            save_checkpoint(model, str(tmp_path / "again.ckpt"))
-            assert (tmp_path / "again.ckpt").read_bytes() == open(path, "rb").read()
+        save_checkpoint(loaded.models[0], str(tmp_path / "again.ckpt"))
+        assert (tmp_path / "again.ckpt").read_bytes() == open(path, "rb").read()
+
+    def test_ensemble_members_hold_no_precision(self, tmp_path):
+        # An ensemble predicts from its members' mean logits, so no member keeps
+        # its D x D precision, and none can train, report variances or be saved.
+        paths = self.saved(tmp_path, ["sngp", "sngp"])
+        loaded = LoadedModel.from_checkpoints(paths)
+        x = np.array([[0.1, 0.2], [3.0, 3.0]])
+        singles = [load_checkpoint(p)[0] for p in paths]
+        expected = np.mean([softmax(m.eval_logits(x)) for m in singles], axis=0)
+        assert np.array_equal(loaded.predict(x).probs, expected)
+        phi = np.zeros((1, 16))
+        for model in loaded.models:
+            head = model.head
+            assert head._precision is None and head._covariances is None
+            for action in (lambda: head.predictive_variance_batch(phi),
+                           lambda: head.update_precision_exact(phi, np.full((1, 2), 0.5)),
+                           head.reset_precision,
+                           lambda: save_checkpoint(model, str(tmp_path / "again.ckpt"))):
+                with pytest.raises(ValueError, match="holds neither its precision nor its "
+                                                     "covariance"):
+                    action()
+        assert not (tmp_path / "again.ckpt").exists()
 
 
 class TestVerifyCommand:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -5,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from sngp.data import (CsvFormatError, Dataset2D, dataset_from_csv, dataset_to_csv,
                        gen_grid, gen_two_moons, gen_two_ovals, min_distance_to_set,
                        surface_from_csv, surface_to_csv, surface_to_pgm,
-                       OOD_CENTER)
+                       CSV_CHUNK_ROWS, OOD_CENTER)
 
 
 class TestTwoOvals:
@@ -151,6 +153,36 @@ class TestCsvRoundTrip:
         path.write_text("a,b,c\n")
         with pytest.raises(CsvFormatError, match="header"):
             dataset_from_csv(path)
+
+    def test_rows_are_written_as_formatted(self, tmp_path):
+        # More rows than one chunk, so rows on both sides of its edge are checked.
+        n = CSV_CHUNK_ROWS + 3
+        rng = np.random.default_rng(14)
+        pts = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-300, 300, size=(n, 2))
+        labels = rng.integers(0, 2, size=n)
+        ds = Dataset2D(points=pts, labels=labels, ood_points=pts[:5] / 3.0)
+        dataset_to_csv(ds, tmp_path / "ds.csv", meta={"seed": 14})
+        values = np.concatenate([[np.inf, -0.0, 5e-324], rng.normal(size=n - 3)])
+        surface_to_csv(pts, values, tmp_path / "surf.csv")
+        ds_rows = [f"{x1:.17g},{x2:.17g},{lab}" for (x1, x2), lab in zip(pts, labels)]
+        ds_rows += [f"{x1:.17g},{x2:.17g},-1" for x1, x2 in pts[:5] / 3.0]
+        assert (tmp_path / "ds.csv").read_text() == "\n".join(
+            ["# seed=14", "x1,x2,label"] + ds_rows) + "\n"
+        surf_rows = [f"{x1:.17g},{x2:.17g},{v:.17g}" for (x1, x2), v in zip(pts, values)]
+        assert (tmp_path / "surf.csv").read_text() == "\n".join(
+            ["x1,x2,value"] + surf_rows) + "\n"
+
+    def test_surface_of_40k_rows_is_written_within_1_mib(self, tmp_path):
+        # Written a chunk at a time, never as one text of ≈2.3 MB.
+        pts = gen_grid((-2.5, 3.5, -2.0, 3.0), (200, 200)).points()
+        values = np.sin(pts[:, 0]) * pts[:, 1]
+        tracemalloc.start()
+        try:
+            surface_to_csv(pts, values, tmp_path / "surf.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
 
     def test_surface_roundtrip(self, tmp_path):
         grid = gen_grid((0.0, 1.0, 0.0, 1.0), (5, 4))

@@ -19,7 +19,9 @@ def make_layer(in_dim=2, num_features=64, num_classes=2, seed=0, **kwargs):
     defaults = dict(length_scale=1.0, ridge_s=0.001, discount_m=0.999, use_layer_norm=False,
                     projection_dim=None)
     defaults.update(kwargs)
-    return RffGpLayer(in_dim, num_features, num_classes, RngState(seed), **defaults)
+    layer = RffGpLayer(in_dim, num_features, num_classes, **defaults)
+    layer.draw(RngState(seed))
+    return layer
 
 
 def peak_bytes(fn) -> int:
@@ -607,8 +609,9 @@ class TestMcSoftmax:
 class TestDistanceAwareness:
     def test_variance_monotone_along_rays(self):
         rng = RngState(21)
-        layer = RffGpLayer(2, 2048, 2, rng.derive("gp"), length_scale=2.0, ridge_s=0.001,
-                           discount_m=0.999, use_layer_norm=False, projection_dim=None)
+        layer = RffGpLayer(2, 2048, 2, length_scale=2.0, ridge_s=0.001, discount_m=0.999,
+                           use_layer_norm=False, projection_dim=None)
+        layer.draw(rng.derive("gp"))
         cloud = rng.derive("cloud").normal(200).reshape(100, 2)
         phi = layer.rff_features(cloud)
         layer.update_precision_exact(phi, softmax(layer.logits(phi)))

@@ -206,6 +206,16 @@ class TestRngState:
         b = RngState(7).uniform(16, -1.0, 1.0)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("shape", [(1,), (7, 3), (64, 128)])
+    def test_fills_in_place_equal_the_fresh_draws(self, shape):
+        # The model's initial draws fill arrays it has already allocated.
+        n = int(np.prod(shape))
+        normal, uniform = np.zeros(shape), np.zeros(shape)
+        RngState(7).fill_normal(normal)
+        RngState(8).fill_uniform(uniform, -1.5, 2.0 * np.pi)
+        assert np.array_equal(normal.ravel(), RngState(7).normal(n))
+        assert np.array_equal(uniform.ravel(), RngState(8).uniform(n, -1.5, 2.0 * np.pi))
+
     def test_derived_streams_differ(self):
         root = RngState(7)
         a = root.derive("weights").normal(8)

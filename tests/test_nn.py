@@ -3,13 +3,19 @@ import pytest
 
 from sngp.linalg import RngState
 from sngp.nn import (ACTIVATIONS, DenseLayer, ResidualBlock, ResFfnNetwork, SgdMomentum,
-                     build_res_ffn, lipschitz_probe, make_dense_layer, normalize_network,
+                     build_res_ffn, lipschitz_probe, normalize_network,
                      spectral_normalize)
 
 from oracles import finite_diff_gradients, max_relative_gradient_error, sigma_max_jacobi
 
 # The network settings of tests that need no particular ones; the layers take no defaults.
 RELU_NET = dict(activation="relu", dropout_rate=0.0, sn_bound=1.0)
+
+
+def drawn_layer(in_dim: int, out_dim: int, rng: RngState, sn_bound: float) -> DenseLayer:
+    layer = DenseLayer.zeros(in_dim, out_dim, sn_bound=sn_bound)
+    layer.draw(rng)
+    return layer
 
 
 def zero_block(width: int) -> ResidualBlock:
@@ -21,7 +27,7 @@ def zero_block(width: int) -> ResidualBlock:
 class TestForward:
     def test_zero_blocks_reduce_to_projection(self):
         rng = RngState(1)
-        proj = make_dense_layer(2, 4, rng, sn_bound=1.0)
+        proj = drawn_layer(2, 4, rng, sn_bound=1.0)
         net = ResFfnNetwork(proj, [zero_block(4) for _ in range(3)])
         x = rng.normal_matrix(5, 2)
         h, _ = net.forward(x)
@@ -29,7 +35,7 @@ class TestForward:
 
     def test_depth_zero(self):
         rng = RngState(2)
-        proj = make_dense_layer(2, 4, rng, sn_bound=1.0)
+        proj = drawn_layer(2, 4, rng, sn_bound=1.0)
         net = ResFfnNetwork(proj, [])
         x = rng.normal_matrix(3, 2)
         h, _ = net.forward(x)
@@ -168,7 +174,7 @@ class TestSpectralNormalize:
 
     def test_repeated_normalization_meets_bound(self):
         rng = RngState(12)
-        layer = make_dense_layer(8, 8, rng, sn_bound=0.9)
+        layer = drawn_layer(8, 8, rng, sn_bound=0.9)
         layer.weight *= 3.0
         for _ in range(100):
             spectral_normalize(layer)
@@ -178,7 +184,7 @@ class TestSpectralNormalize:
 class TestLipschitzProbe:
     def test_zero_residuals_give_unit_ratio(self):
         rng = RngState(14)
-        proj = make_dense_layer(2, 4, rng, sn_bound=1.0)
+        proj = drawn_layer(2, 4, rng, sn_bound=1.0)
         net = ResFfnNetwork(proj, [zero_block(4) for _ in range(2)])
         pairs = [(rng.normal(2), rng.normal(2)) for _ in range(20)]
         lo, hi, skipped = lipschitz_probe(net, pairs)
