@@ -179,11 +179,11 @@ class LoadedModel:
     """One model or an ensemble, and the run config that trained it, behind one prediction
     interface; its Monte Carlo stream derives from the first model's seed, as at training.
 
-    Its models only predict: before the first prediction, a single GP-head model's
-    precision is inverted in place (``RffGpLayer.release_precision``), so the head holds
-    its covariance only and can no longer be trained or saved.  An ensemble predicts from
-    its members' mean logits alone, so each GP-head member's precision is freed at once
-    (``RffGpLayer.free_precision``)."""
+    Its models only predict: a single GP-head model's first prediction inverts its
+    precision in place (``RffGpLayer.covariances``), so the head holds its covariance
+    only and can no longer be trained or saved.  An ensemble predicts from its members'
+    mean logits alone, so ``from_checkpoints`` frees each GP-head member's precision as
+    soon as that member is loaded (``RffGpLayer.free_precision``)."""
 
     def __init__(self, models: list[SngpModel], cfg: RunConfig):
         self.models = models
@@ -191,14 +191,15 @@ class LoadedModel:
         self.num_classes = models[0].num_classes
         self.is_ensemble = len(models) > 1
         self._mc_rng = RngState(models[0].spec.seed).derive("mc")
-        if self.is_ensemble:
-            for model in models:
-                if model.has_gp_head:
-                    model.head.free_precision()
 
     @classmethod
     def from_checkpoints(cls, paths: list[str]) -> "LoadedModel":
-        loaded = [load_checkpoint(p) for p in paths]
+        loaded = []
+        for path in paths:
+            loaded.append(load_checkpoint(path))
+            model = loaded[-1][0]
+            if len(paths) > 1 and model.has_gp_head:  # before the next member is read
+                model.head.free_precision()
         config = loaded[0][1].get("config")
         if not isinstance(config, str):
             raise ValueError(f"checkpoint config must be text, got {type(config).__name__}")
@@ -215,8 +216,6 @@ class LoadedModel:
     def predict(self, x: np.ndarray) -> GpPrediction:
         if self.is_ensemble:
             return ensemble_predict(self.models, x)
-        if self.has_gp_head:  # prediction needs only the covariance
-            self.models[0].head.release_precision()
         return predict_batch(self.models[0], x, mc_samples=self.cfg.mc_samples, rng=self._mc_rng)
 
     def native_metric(self) -> str:

@@ -41,16 +41,15 @@ K = 2 head stores one matrix, built from the class-mean weights, because
 (``num_precisions``).
 
 Predictive variance for class k is ``phi^T Sigma_k phi`` with the covariance
-``Sigma_k = precision_k^{-1}``.  Each distinct covariance is built once, by
-one step of block elimination (``spd_inverse``) in NumPy matrix products
-written over the matrix it is given, and cached until the precision changes.
-``covariances`` hands it a copy, so a head that may still train keeps its
-precision beside the covariance; ``release_precision`` hands it the
-precision itself, for a head that only predicts, which then holds the
-covariance alone and refuses to update, reset or save its precision.
-Either way no D x D temporary is made: beside the matrix being inverted,
-at most three (D/2, D/2) blocks are alive.  A batch of variances is then one
-``quadratic_form`` per stored precision: one matrix product per slab of
+``Sigma_k = precision_k^{-1}``.  As in SNGP, where the precision is gathered
+during training and inverted once for prediction, ``covariances`` builds each
+distinct covariance on its first call, by one step of block elimination
+(``spd_inverse``) in NumPy matrix products written over the precision
+itself.  No D x D temporary is made: beside the matrix being inverted, at
+most three (D/2, D/2) blocks are alive.  The head then holds the covariance
+alone and refuses to update, reset or save its precision, so a model is
+trained and saved before it predicts.  A batch of variances is then one
+``quadratic_form`` per stored matrix: one matrix product per slab of
 ``PANEL`` columns against the lower block triangle of ``Sigma_k``, which is
 symmetric, at about 5/8 of the flops of the full ``phi @ Sigma_k``.
 
@@ -63,7 +62,7 @@ meaningful features: ``features_with_tape`` raises ``NonFiniteRowError`` (a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -123,8 +122,11 @@ class RffGpLayer:
         self.w_fixed = np.zeros((num_features, feat_in))
         self.b_fixed = np.zeros(num_features)
         self.beta = np.zeros((num_classes, num_features))
-        self.precision = [np.zeros((num_features, num_features))
-                          for _ in range(num_precisions(num_classes))]
+        # The precisions, until ``covariances`` inverts them in place or
+        # ``free_precision`` drops them; ``_without_precision`` then says which.
+        self._posterior: list[np.ndarray] | None = [
+            np.zeros((num_features, num_features)) for _ in range(num_precisions(num_classes))]
+        self._without_precision: str | None = None
 
     def draw(self, rng: RngState) -> None:
         """The initial draw, in place: the frozen frontend from the streams
@@ -144,7 +146,6 @@ class RffGpLayer:
         eye = np.eye(self.num_features)
         for p in self.precision:
             np.multiply(self.ridge_s, eye, out=p)
-        self._covariances = None
 
     # -- feature pipeline ---------------------------------------------------
 
@@ -215,24 +216,19 @@ class RffGpLayer:
 
     @property
     def precision(self) -> list[np.ndarray]:
-        """The stored precision matrices; ``ValueError`` once
-        ``release_precision`` has inverted them into the covariances, or
-        ``free_precision`` has dropped them."""
-        if self._precision is None:
+        """The stored precision matrices, to be updated and read in place;
+        ``ValueError`` once ``covariances`` has inverted them for prediction,
+        or ``free_precision`` has dropped them.  So a head that has predicted
+        can no longer train or be saved: save it first."""
+        if self._without_precision is not None:
             raise ValueError(f"this GP head {self._without_precision}")
-        return self._precision
-
-    @precision.setter
-    def precision(self, matrices: list[np.ndarray]) -> None:
-        self._precision = matrices
-        self._covariances: list | None = None  # cached by covariances()
+        return self._posterior
 
     def reset_precision(self) -> None:
         """Set every stored precision to ridge_s * I, in the arrays it already holds."""
         for p in self.precision:
             p.fill(0.0)
             np.fill_diagonal(p, self.ridge_s)
-        self._covariances = None
 
     def _fisher_factors(self, phi_batch: np.ndarray, probs_batch: np.ndarray
                         ) -> Iterator[np.ndarray]:
@@ -265,7 +261,6 @@ class RffGpLayer:
         for p, a in zip(self.precision, self._fisher_factors(phi_batch, probs_batch)):
             p *= self.discount_m
             add_gram(p, a, 1.0 - self.discount_m)
-        self._covariances = None
 
     def update_precision_exact(self, phi: np.ndarray, probs: np.ndarray) -> None:
         """Add the Fisher term of one block of rows to every stored precision.
@@ -277,34 +272,31 @@ class RffGpLayer:
         """
         for p, a in zip(self.precision, self._fisher_factors(phi, probs)):
             add_gram(p, a)
-        self._covariances = None
 
     def covariances(self) -> list[np.ndarray]:
-        """Posterior covariance precision^{-1} for each stored precision, built
-        once by ``spd_inverse`` on a copy and cached until the precision changes."""
-        if self._covariances is None:
-            self._covariances = _inverted(p.copy() for p in self.precision)
-        return self._covariances
-
-    def release_precision(self) -> None:
-        """Keep only the covariances, for a head that will predict but not
-        train again: a precision not yet inverted is inverted in place, with
-        no D x D temporary.  The precision is gone afterwards, even if this
-        raises, so the updates, ``reset_precision`` and saving a checkpoint
-        raise ``ValueError``; a second call does nothing."""
-        if self._precision is None:
-            return
-        precision, self._precision = self._precision, None
-        self._without_precision = ("holds only its posterior covariance: its precision was "
-                                   "inverted in place for prediction")
-        if self._covariances is None:
-            self._covariances = _inverted(precision)
+        """Posterior covariance precision^{-1} for each stored precision.  The
+        first call inverts each precision in place by ``spd_inverse``, with no
+        D x D temporary, and later calls return the same matrices.  The
+        precision is gone afterwards, even if the inversion raises, so the
+        updates, ``reset_precision`` and saving a checkpoint raise
+        ``ValueError``."""
+        if self._without_precision is None:
+            precision, self._posterior = self._posterior, None
+            self._without_precision = ("holds only its posterior covariance: its precision "
+                                       "was inverted in place for prediction")
+            try:
+                self._posterior = [spd_inverse(p) for p in precision]
+            except NotSpdError as exc:
+                raise NotSpdError(f"precision matrix lost positive definiteness: {exc}") from exc
+        if self._posterior is None:
+            raise ValueError(f"this GP head {self._without_precision}")
+        return self._posterior
 
     def free_precision(self) -> None:
-        """Drop the precision and any covariance, for a head whose variances
-        are never read: afterwards the variances, the updates,
-        ``reset_precision`` and saving a checkpoint raise ``ValueError``."""
-        self._precision = self._covariances = None
+        """Drop the precision or covariance, for a head whose variances are
+        never read: afterwards the variances, the updates, ``reset_precision``
+        and saving a checkpoint raise ``ValueError``."""
+        self._posterior = None
         self._without_precision = ("holds neither its precision nor its covariance: it "
                                    "predicts mean logits only")
 
@@ -316,14 +308,6 @@ class RffGpLayer:
         if len(columns) == 1:
             columns *= self.num_classes
         return np.maximum(np.stack(columns, axis=1), 0.0)
-
-
-def _inverted(precisions: Iterable[np.ndarray]) -> list[np.ndarray]:
-    """``spd_inverse`` of each matrix, in place, with its failure named as the precision's."""
-    try:
-        return [spd_inverse(p) for p in precisions]
-    except NotSpdError as exc:
-        raise NotSpdError(f"precision matrix lost positive definiteness: {exc}") from exc
 
 
 def half_angle_cos_sin(half_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

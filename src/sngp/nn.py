@@ -208,9 +208,15 @@ def spectral_normalize(layer: DenseLayer) -> float:
     """
     sigma, u = power_iteration(layer.weight, iters=1, u0=layer.sn_u)
     layer.sn_u = u
+    _rescale_to_bound(layer, sigma)
+    return sigma
+
+
+def _rescale_to_bound(layer: DenseLayer, sigma: float) -> None:
+    """``w <- c * w / sigma`` when the bound ``c`` is below the spectral-norm
+    estimate ``sigma``; otherwise the weight is left untouched."""
     if sigma > 0.0 and layer.sn_bound < sigma:
         layer.weight *= layer.sn_bound / sigma
-    return sigma
 
 
 def normalize_network(net: ResFfnNetwork) -> None:
@@ -219,22 +225,16 @@ def normalize_network(net: ResFfnNetwork) -> None:
         spectral_normalize(blk.layer)
 
 
-def clamp_spectral_norm(layer: DenseLayer) -> None:
-    """Rescale the weight so its exact spectral norm is at most the bound.
+def clamp_network(net: ResFfnNetwork) -> None:
+    """Rescale every residual-block layer so its exact spectral norm is at
+    most the bound.
 
     The per-step normalization estimates the norm with a single warm-started
     power iteration, which lags the SGD updates by O(step size); calling this
     once after training removes that residual excess exactly.
     """
-    sigma = float(np.linalg.norm(layer.weight, 2))
-    if sigma > 0.0 and layer.sn_bound < sigma:
-        layer.weight *= layer.sn_bound / sigma
-
-
-def clamp_network(net: ResFfnNetwork) -> None:
-    """Exact spectral-norm clamp of every residual-block layer."""
     for blk in net.blocks:
-        clamp_spectral_norm(blk.layer)
+        _rescale_to_bound(blk.layer, float(np.linalg.norm(blk.layer.weight, 2)))
 
 
 def lipschitz_probe(net: ResFfnNetwork,

@@ -281,11 +281,11 @@ class SngpModel:
         bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
         if bad.size:
             raise ValueError(f"input row {int(bad[0])} is not finite: {x[bad[0]]}")
+        if variance and self.has_gp_head:
+            self.head.covariances()  # inverted before any output or feature block is alive
         n = x.shape[0]
         means = np.empty((n, self.num_classes))
         variances = np.zeros((n, self.num_classes)) if variance else None
-        if variance and self.has_gp_head:
-            self.head.covariances()  # built before any feature block is alive
         for rows, phi, block_means in self._evaluate_blocks(x):
             means[rows] = block_means
             if variance and self.has_gp_head:
@@ -487,19 +487,22 @@ def train(model: SngpModel, points: np.ndarray, labels: np.ndarray, config: Trai
 # -- prediction ---------------------------------------------------------------
 
 
-def predict_batch(model: SngpModel, x: np.ndarray, mc_samples: int = 10,
+def predict_batch(model: SngpModel, x: np.ndarray, *, mc_samples: int,
                   rng: RngState | None = None) -> GpPrediction:
     """Posterior prediction for an (N, d) batch: mean logits, logit variances
     (zero for a dense head) and MC-averaged probabilities, each (N, K).
 
-    The network, features and variances run ``PREDICT_BLOCK_ROWS`` rows at a
-    time (``SngpModel._posterior``), so memory is O(block) + O(N K) rather than
-    O(N D).  The Monte Carlo draws are taken once over all N rows, so they do
-    not depend on the block size, and ``mc_softmax`` works inside their one
-    buffer.  On a default-size model, beside the model and its cached
-    covariance, 10,000 rows peak at most 8 MiB and 40,000 rows at most 12 MiB
-    (tracemalloc).  A row holding NaN or inf raises ``ValueError`` naming the
-    first such row before anything is computed.
+    A GP head's first prediction inverts its precision in place
+    (``RffGpLayer.covariances``), so the model can no longer be trained or
+    saved afterwards: save it first.  The network, features and variances run
+    ``PREDICT_BLOCK_ROWS`` rows at a time (``SngpModel._posterior``), so
+    memory is O(block) + O(N K) rather than O(N D).  The Monte Carlo draws are
+    taken once over all N rows, so they do not depend on the block size, and
+    ``mc_softmax`` works inside their one buffer.  On a default-size model,
+    beside the model, 10,000 rows peak at most 8 MiB and 40,000 rows at most
+    12 MiB (tracemalloc), the first prediction's inversion included.  A row
+    holding NaN or inf raises ``ValueError`` naming the first such row before
+    anything is computed.
     """
     means, variances = model._posterior(x)
     if rng is None and np.any(variances > 0.0):
@@ -550,8 +553,9 @@ def _array_manifest(model: SngpModel) -> list[tuple[str, np.ndarray]]:
 
 def save_checkpoint(model: SngpModel, path: str, config: str = "") -> None:
     """Write ``model`` to ``path`` with ``config``, the text of its run config.
-    A GP head that holds only its covariance (``RffGpLayer.release_precision``)
-    raises ``ValueError`` before the file is opened."""
+    A GP head that has predicted holds only its covariance
+    (``RffGpLayer.covariances``), so a model is saved before it predicts; after
+    that, this raises ``ValueError`` before the file is opened."""
     arrays = _array_manifest(model)
     # The model's own arrays (copied only on a host that is not little-endian),
     # so the payload is never held as a second copy in memory.

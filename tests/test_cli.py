@@ -20,7 +20,8 @@ from sngp.data import dataset_from_csv, gen_two_moons, gen_two_ovals, surface_fr
 from sngp.gp_layer import RffGpLayer, softmax
 from sngp.nn import DenseLayer, ResFfnNetwork, ResidualBlock, SgdMomentum, build_res_ffn
 from sngp.train import (ModelSpec, TrainConfig, TrainingDivergedError, TrainReport,
-                        load_checkpoint, loss_and_grads, save_checkpoint)
+                        build_sngp_model, load_checkpoint, loss_and_grads, predict_batch,
+                        save_checkpoint)
 
 from headers import rewrite_header
 
@@ -122,12 +123,13 @@ class TestConfigParsing:
     def test_layers_take_hyperparameters_without_defaults(self):
         # A default in a constructor would be a second owner of the value, one
         # that can disagree with the config section's default and skip its check.
-        # The loss takes the L2 prior's data-size scale as given too.
+        # The loss takes the L2 prior's data-size scale as given too, and
+        # prediction its Monte Carlo sample count.
         owned = set(cli.CONFIG_KEYS) | {"projection_dim", "l2_scale"}
         defaulted = [f"{fn.__qualname__}.{p.name}"
                      for fn in (RffGpLayer, build_res_ffn, DenseLayer, DenseLayer.zeros,
                                 ResFfnNetwork.zeros, ResidualBlock, SgdMomentum, gen_two_moons,
-                                gen_two_ovals, loss_and_grads)
+                                gen_two_ovals, loss_and_grads, predict_batch)
                      for p in inspect.signature(fn).parameters.values()
                      if p.name in owned and p.default is not p.empty]
         assert defaulted == []
@@ -720,7 +722,8 @@ class TestEvalCommand:
 
 class TestLoadedModel:
     """A ``LoadedModel`` only predicts, so a single GP head's precision becomes
-    its covariance in place before the first prediction."""
+    its covariance in place at the first prediction, and an ensemble's GP-head
+    members drop theirs as they are loaded."""
 
     def test_predicting_holds_less_than_one_more_matrix(self, tmp_path):
         # A default-size model: D = 1024, so one D x D matrix is 8 MiB.
@@ -765,6 +768,21 @@ class TestLoadedModel:
         save_checkpoint(loaded.models[0], str(tmp_path / "again.ckpt"))
         assert (tmp_path / "again.ckpt").read_bytes() == open(path, "rb").read()
 
+    def test_ensemble_load_holds_one_precision_at_a_time(self, tmp_path):
+        # Two default GP-head members: each payload is ≈10.6 MiB, 8 MiB of it
+        # the precision, which is dropped before the next member is read.
+        paths = [str(tmp_path / f"m{seed}.ckpt") for seed in (0, 1)]
+        for seed, path in enumerate(paths):
+            save_checkpoint(build_sngp_model(ModelSpec(seed=seed)), path)
+        tracemalloc.start()
+        try:
+            loaded = LoadedModel.from_checkpoints(paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert all(m.head._posterior is None for m in loaded.models)
+
     def test_ensemble_members_hold_no_precision(self, tmp_path):
         # An ensemble predicts from its members' mean logits, so no member keeps
         # its D x D precision, and none can train, report variances or be saved.
@@ -777,7 +795,7 @@ class TestLoadedModel:
         phi = np.zeros((1, 16))
         for model in loaded.models:
             head = model.head
-            assert head._precision is None and head._covariances is None
+            assert head._posterior is None
             for action in (lambda: head.predictive_variance_batch(phi),
                            lambda: head.update_precision_exact(phi, np.full((1, 2), 0.5)),
                            head.reset_precision,

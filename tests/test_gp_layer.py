@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.stats import spearmanr
 
 from sngp.gp_layer import (PANEL, NonFiniteRowError, RffGpLayer, mc_softmax, quadratic_form,
-                           softmax)
+                           softmax, spd_inverse)
 from sngp.linalg import NotSpdError, RngState, spd_factor, spd_solve_factored
 
 from test_linalg import spd_with_condition
@@ -334,9 +334,7 @@ class TestPrecision:
         rng = RngState(23)
         layer.update_precision_exact(rng.normal_matrix(10, 40),
                                      softmax(rng.normal_matrix(10, num_classes)))
-        layer.covariances()
         layer.reset_precision()
-        assert layer._covariances is None
         assert len(layer.precision) == len(held)
         for p, q in zip(layer.precision, held):
             assert p is q
@@ -360,7 +358,8 @@ class TestPrecision:
         v_prev = layer.predictive_variance_batch(phi)[0, 0]
         probs = np.array([[0.5, 0.5]])
         for step in range(5):
-            layer.reset_precision()  # update_precision_exact adds to the precision
+            # A fresh layer of the same draw: predicting inverted the last one's precision.
+            layer = make_layer(num_features=8, seed=21)
             layer.update_precision_exact(np.tile(phi, (10 * (step + 1), 1)),
                                          np.tile(probs, (10 * (step + 1), 1)))
             v = layer.predictive_variance_batch(phi)[0, 0]
@@ -377,8 +376,8 @@ class TestPrecision:
         layer = make_layer(num_features=4)
         phi = np.ones((1, 4))
         assert layer.predictive_variance_batch(phi)[0, 1] >= 0.0
-        layer.precision[0] = -np.eye(4)
-        layer._covariances = None
+        layer = make_layer(num_features=4)
+        layer.precision[0][:] = -np.eye(4)
         with pytest.raises(NotSpdError):
             layer.predictive_variance_batch(phi)
 
@@ -403,34 +402,35 @@ class TestPrecision:
         layer = make_layer(num_features=32, num_classes=num_classes, seed=43)
         fit = layer.rff_features(rng.normal_matrix(60, 2))
         layer.update_precision_exact(fit, softmax(rng.normal_matrix(60, num_classes)))
+        precisions = [p.copy() for p in layer.precision]  # predicting inverts them in place
         phi = layer.rff_features(rng.normal_matrix(25, 2) * 2.0)
         variances = layer.predictive_variance_batch(phi)
         assert variances.shape == (25, num_classes)
         single = layer.predictive_variance_batch(phi[3:4])[0]
         for k in range(num_classes):
-            p = layer.precision[0 if num_classes == 2 else k]
+            p = precisions[0 if num_classes == 2 else k]
             expected = np.einsum("ij,ji->i", phi, np.linalg.solve(p, phi.T))
             assert np.allclose(variances[:, k], expected, rtol=1e-10, atol=0.0)
             assert np.isclose(single[k], variances[3, k], rtol=1e-12, atol=0.0)
-        assert len(layer.precision) == (1 if num_classes == 2 else num_classes)
+        assert len(precisions) == (1 if num_classes == 2 else num_classes)
 
 
 class TestCovariance:
-    """``covariances`` inverts each stored precision by one step of block
-    elimination, split at D // 2; D = 1 and odd D are the split's edges."""
+    """``covariances`` inverts each stored precision in place by one step of
+    block elimination, split at D // 2; D = 1 and odd D are the split's edges."""
 
     @pytest.mark.parametrize("num_classes", [2, 3])
     @pytest.mark.parametrize("cond", [10.0, 1e8])
     @pytest.mark.parametrize("d", [1, 2, 3, 127, 128, 129, 1024])
     def test_matches_numpy_inverse(self, d, cond, num_classes):
         layer = make_layer(num_features=d, num_classes=num_classes)
-        layer.precision = [spd_with_condition(d, cond, seed=d + j)
-                           for j in range(len(layer.precision))]
+        for j, p in enumerate(layer.precision):
+            p[:] = spd_with_condition(d, cond, seed=d + j)
+        inverses = [np.linalg.inv(p) for p in layer.precision]  # taken before the inversion
         covariances = layer.covariances()
         assert len(covariances) == (1 if num_classes == 2 else 3)
         h = d // 2
-        for p, cov in zip(layer.precision, covariances):
-            inv = np.linalg.inv(p)
+        for inv, cov in zip(inverses, covariances):
             # Both inverses are accurate to about cond * eps in norm, as the
             # solves of test_linalg are.
             rtol = 4.0 * cond * np.finfo(np.float64).eps
@@ -438,12 +438,10 @@ class TestCovariance:
             assert np.array_equal(cov[:h, h:], cov[h:, :h].T)
 
     def test_reads_only_the_lower_triangle(self):
-        layer = make_layer(num_features=9)
-        layer.precision = [spd_with_condition(9, 100.0, seed=3)]
-        expected = layer.covariances()[0].copy()
-        layer.precision[0][np.triu_indices(9, 1)] = np.nan
-        layer._covariances = None
-        assert np.array_equal(layer.covariances()[0], expected)
+        full, lower = make_layer(num_features=9), make_layer(num_features=9)
+        full.precision[0][:] = lower.precision[0][:] = spd_with_condition(9, 100.0, seed=3)
+        lower.precision[0][np.triu_indices(9, 1)] = np.nan
+        assert np.array_equal(lower.covariances()[0], full.covariances()[0])
 
     @pytest.mark.parametrize("value", [np.inf, np.nan, 1e300])
     @pytest.mark.parametrize("row, col", [(1, 0), (6, 1), (7, 5)], ids=["A", "B", "C"])
@@ -470,7 +468,7 @@ class TestCovariance:
         finally:
             tracemalloc.stop()
         matrix_bytes = 8 * 1024 * 1024
-        assert peak <= (1.0 + 1.5) * matrix_bytes  # the covariance plus 1.5 D x D
+        assert peak <= 1.5 * matrix_bytes  # three (D/2, D/2) blocks beside the precision
 
 
 def fitted_layer(num_classes=2, num_features=64, in_dim=2):
@@ -483,32 +481,34 @@ def fitted_layer(num_classes=2, num_features=64, in_dim=2):
 
 
 class TestReleasedPrecision:
-    """``release_precision`` turns each precision into its covariance in place;
-    the head still predicts, but holds nothing it could train or save."""
+    """The first ``covariances`` call releases each precision: it is inverted
+    in place, so the head still predicts, but holds nothing it could train or
+    save."""
 
     @pytest.mark.parametrize("num_classes", [2, 3])
     def test_released_variances_equal_the_copied_inverse(self, num_classes):
-        kept, released = fitted_layer(num_classes), fitted_layer(num_classes)
-        phi = kept.rff_features(RngState(9).normal_matrix(50, 2) * 2.0)
-        held = list(released.precision)
-        released.release_precision()
-        assert all(cov is p for cov, p in zip(released.covariances(), held))
-        assert np.array_equal(released.predictive_variance_batch(phi),
-                              kept.predictive_variance_batch(phi))
-        for a, b in zip(released.covariances(), kept.covariances()):
-            assert np.array_equal(a, b)
+        layer = fitted_layer(num_classes)
+        phi = layer.rff_features(RngState(9).normal_matrix(50, 2) * 2.0)
+        held = list(layer.precision)
+        copied = [spd_inverse(p.copy()) for p in held]
+        variances = layer.predictive_variance_batch(phi)
+        assert all(cov is p for cov, p in zip(layer.covariances(), held))
+        for cov, expected in zip(layer.covariances(), copied):
+            assert np.array_equal(cov, expected)
+        for k in range(num_classes):
+            expected = quadratic_form(copied[k % len(copied)], phi)
+            assert np.array_equal(variances[:, k], np.maximum(expected, 0.0))
 
-    def test_release_after_covariances_keeps_them(self):
+    def test_second_call_returns_the_same_covariances(self):
         layer = fitted_layer()
-        cached = layer.covariances()
-        layer.release_precision()
-        layer.release_precision()  # a second call does nothing
-        assert layer.covariances() is cached
+        first = layer.covariances()
+        expected = first[0].copy()
+        assert layer.covariances() is first
+        assert np.array_equal(first[0], expected)  # not inverted back
 
     @pytest.mark.parametrize("action", ["update_exact", "update_minibatch", "reset"])
     def test_released_head_cannot_train(self, action):
         layer = fitted_layer()
-        layer.release_precision()
         expected = layer.covariances()[0].copy()
         phi = layer.rff_features(RngState(2).normal_matrix(8, 2))
         probs = softmax(RngState(3).normal_matrix(8, 2))
@@ -523,13 +523,14 @@ class TestReleasedPrecision:
         layer = make_layer(num_features=8)
         layer.precision[0][6, 1] = layer.precision[0][1, 6] = np.inf
         with pytest.raises(NotSpdError, match="lost positive definiteness"):
-            layer.release_precision()
-        with pytest.raises(ValueError, match="holds only its posterior covariance"):
             layer.covariances()
+        for read in (layer.covariances, lambda: layer.precision):
+            with pytest.raises(ValueError, match="holds only its posterior covariance"):
+                read()
 
     def test_release_holds_no_dd_temporary(self):
         layer = fitted_layer(num_features=1024, in_dim=128)
-        assert peak_bytes(layer.release_precision) < 8 * 1024 * 1024
+        assert peak_bytes(layer.covariances) < 8 * 1024 * 1024
 
 
 class TestQuadraticForm:

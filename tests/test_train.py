@@ -387,6 +387,8 @@ class TestPredictBlocks:
         model = self.fitted(kind)
         k = model.num_classes
         b = PREDICT_BLOCK_ROWS
+        # Copied before the first prediction inverts the precision in place.
+        precisions = [p.copy() for p in model.head.precision] if model.has_gp_head else []
         for n in (1, b - 1, b, b + 1, 2 * b + 3):
             x = 3.0 * RngState(n).normal_matrix(n, 2)
             pred = predict_batch(model, x, mc_samples=3, rng=RngState(62))
@@ -395,7 +397,7 @@ class TestPredictBlocks:
                 phi = model.head.rff_features(h)
                 means = model.head.logits(phi)
                 columns = [np.einsum("ij,ji->i", phi, np.linalg.solve(p, phi.T))
-                           for p in model.head.precision]
+                           for p in precisions]
                 variances = np.stack(columns * (k // len(columns)), axis=1)
             else:
                 means, variances = model.head.logits(h), np.zeros((n, k))
@@ -414,13 +416,14 @@ class TestPredictBlocks:
         b = PREDICT_BLOCK_ROWS
         model = build_sngp_model(ModelSpec(hidden_width=64, depth=8, num_features=128,
                                            dropout_rate=0.0))
-        predict_batch(model, np.zeros((1, 2)), rng=RngState(0))  # caches the covariance
+        # The first prediction inverts the precision in place.
+        predict_batch(model, np.zeros((1, 2)), mc_samples=10, rng=RngState(0))
 
         def peak_bytes(n):
             x = RngState(n).normal_matrix(n, 2)
             tracemalloc.start()
             try:
-                predict_batch(model, x, rng=RngState(1))
+                predict_batch(model, x, mc_samples=10, rng=RngState(1))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -428,19 +431,20 @@ class TestPredictBlocks:
         # The Monte Carlo softmax works inside its (S, N, K) draws, so beside
         # them only the three (N, K) outputs and (N, K)-sized temporaries grow.
         grown = (8 * b - 2 * b) * model.num_classes * 8
-        outputs, draws = 3 * grown, 10 * grown  # predict_batch's default 10 samples
+        outputs, draws = 3 * grown, 10 * grown  # 10 Monte Carlo samples
         assert peak_bytes(8 * b) - peak_bytes(2 * b) < outputs + draws + 2**20
 
     @staticmethod
     def default_model_peak(rows: int) -> int:
-        # Beside the model and its cached covariance: one block's network
-        # pass, features and variance product, the (N, K) outputs and the MC draws.
+        # Beside the model and its covariance: one block's network pass,
+        # features and variance product, the (N, K) outputs and the MC draws.
         model = build_sngp_model(ModelSpec())
-        predict_batch(model, np.zeros((1, 2)), rng=RngState(0))  # caches the covariance
+        # The first prediction inverts the precision in place.
+        predict_batch(model, np.zeros((1, 2)), mc_samples=10, rng=RngState(0))
         x = RngState(3).normal_matrix(rows, 2)
         tracemalloc.start()
         try:
-            predict_batch(model, x, rng=RngState(1))
+            predict_batch(model, x, mc_samples=10, rng=RngState(1))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -456,7 +460,7 @@ class TestPredictBlocks:
         x[3, 1] = np.inf
         x[5, 0] = np.nan
         with pytest.raises(ValueError, match="input row 3 is not finite"):
-            predict_batch(small_model(seed=63), x, rng=RngState(0))
+            predict_batch(small_model(seed=63), x, mc_samples=10, rng=RngState(0))
 
     @pytest.mark.parametrize("magnitude", [1e155, 1e300, 1e306])
     def test_overflowing_row_is_named_across_blocks(self, magnitude):
@@ -468,17 +472,35 @@ class TestPredictBlocks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteRowError, match=f"^row {b + 5}: layer-norm variance"):
-                predict_batch(small_model(seed=63), x, rng=RngState(0))
+                predict_batch(small_model(seed=63), x, mc_samples=10, rng=RngState(0))
 
     def test_covariance_is_built_before_any_feature_block(self, monkeypatch):
+        # The inversion writes over the precision, so the first feature block
+        # must see it changed.
         model = self.fitted("sngp")
+        precision = model.head.precision[0]
+        before = precision.copy()
         seen = []
         features = model.head.rff_features
-        monkeypatch.setattr(
-            model.head, "rff_features",
-            lambda h: seen.append(model.head._covariances is not None) or features(h))
-        predict_batch(model, np.zeros((3, 2)), rng=RngState(0))
+        monkeypatch.setattr(model.head, "rff_features",
+                            lambda h: seen.append(not np.array_equal(precision, before))
+                            or features(h))
+        predict_batch(model, np.zeros((3, 2)), mc_samples=10, rng=RngState(0))
         assert seen == [True]
+
+    def test_first_prediction_inverts_within_8_mb_and_holds_nothing(self):
+        # A default head's covariance takes the place of its 8 MiB precision:
+        # no copy is made, and nothing is kept beside it afterwards.
+        model = build_sngp_model(ModelSpec())
+        x = RngState(3).normal_matrix(PREDICT_BLOCK_ROWS, 2)
+        tracemalloc.start()
+        try:
+            predict_batch(model, x, mc_samples=10, rng=RngState(1))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert held < 2**16
 
 
 class TestExactPrecisionPass:
@@ -586,7 +608,7 @@ class TestOneEvaluationPass:
         x, y = self.data()
         model = small_model(seed=84)
         train(model, x, y, TrainConfig(epochs=2, batch_size=64))
-        predict_batch(model, x, rng=RngState(0))
+        predict_batch(model, x, mc_samples=10, rng=RngState(0))
         # The final epoch's 9 minibatches, then 3 blocks after training and 3 to predict.
         assert len(inside) == 9 + 3 + 3 and all(inside)
 
@@ -699,6 +721,19 @@ class TestCheckpoint:
         assert np.array_equal(model.head.b_fixed, back.head.b_fixed)
         pts = np.array([[0.4, -0.4]])
         assert np.array_equal(model.eval_logits(pts), back.eval_logits(pts))
+
+    def test_model_that_has_predicted_is_not_saved(self, tmp_path):
+        # Its precision was inverted in place for prediction, so there is
+        # nothing left to save.
+        model = small_model(seed=38)
+        x, y = toy_batch(seed=39, n=24)
+        train(model, x, y, TrainConfig(epochs=3, batch_size=8, learning_rate=0.05))
+        predict_batch(model, x, mc_samples=10, rng=RngState(0))
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match="its precision was inverted in place for "
+                                             "prediction"):
+            save_checkpoint(model, path, "seed = 1\n")
+        assert not path.exists()
 
     def test_save_and_load_hold_no_copy_of_the_payload(self, tmp_path):
         # A default model's payload is ≈11 MB, its precision 8 MB of it.
