@@ -45,13 +45,15 @@ Predictive variance for class k is ``phi^T Sigma_k phi`` with the covariance
 during training and inverted once for prediction, ``covariances`` builds each
 distinct covariance on its first call, by one step of block elimination
 (``spd_inverse``) in NumPy matrix products written over the precision
-itself.  No D x D temporary is made: beside the matrix being inverted, at
-most three (D/2, D/2) blocks are alive.  The head then holds the covariance
-alone and refuses to update, reset or save its precision, so a model is
-trained and saved before it predicts.  A batch of variances is then one
-``quadratic_form`` per stored matrix: one matrix product per slab of
-``PANEL`` columns against the lower block triangle of ``Sigma_k``, which is
-symmetric, at about 5/8 of the flops of the full ``phi @ Sigma_k``.
+itself.  No D x D temporary is made: the factors and products live in the
+precision's upper block, which is never read, so beside the matrix being
+inverted at most two (D/2, D/2) blocks are alive (when D is even).  The head
+then holds the covariance alone and refuses to update, reset or save its
+precision, so a model is trained and saved before it predicts.  A batch of
+variances is then one ``quadratic_form`` per stored matrix: one matrix
+product per slab of ``PANEL`` columns against the lower block triangle of
+``Sigma_k``, which is symmetric, at about 5/8 of the flops of the full
+``phi @ Sigma_k``.
 
 The feature pipeline takes a (batch, in_dim) matrix of hidden rows.  A row
 that is not finite, or so large that its layer-norm variance overflows, has no
@@ -99,7 +101,7 @@ class RffGpLayer:
     The constructor allocates every array as zeros, to be drawn into by
     ``draw`` or read from a checkpoint.  The hyperparameters are taken as
     given: ``ModelSpec`` checks that ``length_scale`` and ``ridge_s`` are
-    positive and finite and that ``discount_m`` lies in [0, 1).
+    positive and finite and that ``discount_m`` lies in (0, 1).
     ``projection_dim = None`` means no down-projection."""
 
     def __init__(self, in_dim: int, num_features: int, num_classes: int, *,
@@ -129,23 +131,25 @@ class RffGpLayer:
         self._without_precision: str | None = None
 
     def draw(self, rng: RngState) -> None:
-        """The initial draw, in place: the frozen frontend from the streams
-        ``gp_proj``, ``gp_w`` and ``gp_b`` of ``rng``, and each precision set
-        to ``ridge_s * I``; ``beta`` is left as it is (zero on a new layer)."""
+        """The initial draw: the frozen frontend, in place, from the streams
+        ``gp_proj``, ``gp_w`` and ``gp_b`` of ``rng``, and each precision
+        replaced by a new ``ridge_s * I``; ``beta`` is left as it is (zero on a
+        new layer)."""
         if self.input_projection is not None:
             rng.derive("gp_proj").fill_normal(self.input_projection)
         rng.derive("gp_w").fill_normal(self.w_fixed)
         rng.derive("gp_b").fill_uniform(self.b_fixed, 0.0, 2.0 * np.pi)
-        # Set through a transient identity, not filled in place: freeing its
-        # D x D block early raises glibc's mmap threshold, so the smaller
-        # temporaries of every later step are served from the heap instead of
-        # each being mapped and unmapped.  A fresh default ``sngp train`` took
-        # ≈10k minor page faults this way and ≈76k with ``ridge_s * np.eye(d)``,
-        # whose temporary NumPy reuses in place, so that no block is freed
-        # (2-vCPU x86-64 host, glibc malloc, NumPy 2.4).
-        eye = np.eye(self.num_features)
-        for p in self.precision:
-            np.multiply(self.ridge_s, eye, out=p)
+        # Each ridge is a new array, not the constructor's zeros filled in
+        # place: freeing those untouched D x D zeros raises glibc's mmap
+        # threshold, so the smaller temporaries of every later step are served
+        # from the heap instead of each being mapped and unmapped, and no
+        # identity is made beside them.  A fresh default ``sngp train`` took
+        # 8k-14k minor page faults this way (10k-16k through a transient
+        # ``np.eye``) and ≈424k with ``np.fill_diagonal`` alone, which frees no
+        # block (2-vCPU x86-64 host, glibc malloc, NumPy 2.4).
+        precision = self.precision
+        for j in range(len(precision)):
+            precision[j] = np.diag(np.full(self.num_features, self.ridge_s))
 
     # -- feature pipeline ---------------------------------------------------
 
@@ -386,28 +390,32 @@ def spd_inverse(p: np.ndarray) -> np.ndarray:
     with ``A^{-1}`` and ``S^{-1}`` from their inverse Cholesky factors.  Each
     block goes into ``p`` once the block it replaces has been read for the
     last time: ``A^{-1}`` over ``A``, ``S`` and then ``S^{-1}`` over ``C``,
-    ``Sigma_21`` over ``B``.  So beside ``p`` at most three (D/2, D/2) blocks
-    are alive: ``X`` and two temporaries (``A``'s factor and the solve's inner
-    product, then ``B X``, then ``S``'s factor, then ``X Sigma_21``).
+    ``Sigma_21`` over ``B``.  The upper block ``p[:h, h:]`` is never read, so
+    when D is even it holds, in turn, ``A``'s factor, ``B X``, ``S``'s factor
+    and ``X Sigma_21``, and at last ``Sigma_21^T``.  Beside ``p`` at most two
+    (D/2, D/2) blocks are then alive: ``X`` and the solve's inner product.
+    When D is odd that block is not square, and those four are allocated
+    instead.
     """
     d = p.shape[0]
     h = d // 2
-    w_a = spd_factor(p[:h, :h])
+    spare = p[:h, h:] if d == 2 * h else None
     b = p[h:, :h]  # holds B, then Sigma_21
     corner = p[h:, h:]  # holds C, then S, then Sigma_22
+    w_a = spd_factor(p[:h, :h], out=spare)
     # A non-finite or huge B overflows here; S is then not finite and its
     # factorization raises NotSpdError.
     with np.errstate(over="ignore", invalid="ignore"):
         x = spd_solve_factored(w_a, b.T)
         np.matmul(w_a.T, w_a, out=p[:h, :h])
         del w_a
-        np.subtract(corner, b @ x, out=corner)
-    w_s = spd_factor(corner)
+        corner -= np.matmul(b, x, out=spare)
+    w_s = spd_factor(corner, out=spare)
     np.matmul(w_s.T, w_s, out=corner)
     del w_s
     s21 = np.matmul(corner, x.T, out=b)
     np.negative(s21, out=s21)
-    p[:h, :h] -= x @ s21
+    p[:h, :h] -= np.matmul(x, s21, out=spare)
     p[:h, h:] = s21.T
     return p
 

@@ -9,9 +9,10 @@ core operations have a single, well-tested home:
   and solve against it with two matrix products; a matrix that is not SPD
   raises ``NotSpdError`` and a right-hand side of the wrong length
   ``ValueError``.  The factor comes from one 2 x 2 block recursion whose
-  work is matrix products; only diagonal blocks of at most
-  ``LOWER_INVERSE_LEAF`` rows go to NumPy's Cholesky, which runs far below
-  the matrix-product rate at larger sizes.
+  work is matrix products, written into a given array (``out``) or a new
+  one; only diagonal blocks of at most ``LOWER_INVERSE_LEAF`` rows go to
+  NumPy's Cholesky, which runs far below the matrix-product rate at larger
+  sizes.
 * ``power_iteration`` estimates the largest singular value of a matrix and
   returns the left singular-vector estimate so callers can warm-start the
   next call with a single iteration per training step.
@@ -39,12 +40,14 @@ class NotSpdError(ValueError):
     """Raised when a matrix expected to be SPD fails its Cholesky factorization."""
 
 
-def spd_factor(a: np.ndarray) -> np.ndarray:
+def spd_factor(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse Cholesky factor ``W = L^{-1}`` of an SPD matrix ``a = L L^T``,
     lower triangular, so that ``a^{-1} = W^T W``; factor once for repeated
     ``spd_solve_factored`` calls.  Only the lower triangle of ``a`` is read,
     and an ``a`` that is not SPD, or holds NaN or inf there, raises
-    ``NotSpdError`` without a warning.
+    ``NotSpdError`` without a warning.  ``W`` is written into ``out``, an
+    (n, n) float64 array or view that does not overlap ``a``, and returned;
+    a new array when ``out`` is None.  Either way it has the same bits.
 
     ``W`` is built by one recursion that never forms ``L``.  With ``a =
     [[A, B^T], [B, C]]`` split at h = n // 2 and ``W_11`` the factor of
@@ -53,11 +56,21 @@ def spd_factor(a: np.ndarray) -> np.ndarray:
     blocks of at most ``LOWER_INVERSE_LEAF`` rows reach NumPy's Cholesky and
     inverse, so almost all the work is matrix products.  Each lower-triangle
     entry of ``S`` depends only on lower-triangle entries of ``a``.
+
+    Each ``W_ij`` is written straight into its block of ``out``.  At a level
+    of even size, ``S`` and then ``L_21 W_11`` are made in ``out``'s upper
+    block, which is zeroed last, so that level allocates only ``L_21``: for
+    n a power of two above the leaf, (n/2)^2 + (n/4)^2 + ... < n^2 / 3
+    elements beside ``out`` in all, plus leaf-size temporaries.  A level of
+    odd size allocates ``S`` and ``L_21 W_11`` too.
     """
-    return _inverse_factor(np.asarray(a, dtype=np.float64))
+    a = np.asarray(a, dtype=np.float64)
+    return _inverse_factor(a, np.empty(a.shape) if out is None else out)
 
 
-def _inverse_factor(a: np.ndarray) -> np.ndarray:
+def _inverse_factor(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # The recursion stays off the public name, so a tracer that wraps
+    # ``spd_factor`` sees one call per factor.
     n = a.shape[0]
     if n <= LOWER_INVERSE_LEAF:
         try:
@@ -68,23 +81,23 @@ def _inverse_factor(a: np.ndarray) -> np.ndarray:
         # without making the factorization itself fail.
         if not np.isfinite(low.diagonal()).all():
             raise NotSpdError("matrix is not SPD: its Cholesky factor is not finite")
-        return np.tril(np.linalg.inv(low))
+        out[...] = np.tril(np.linalg.inv(low))
+        return out
     h = n // 2
-    w11 = _inverse_factor(a[:h, :h])
+    spare = out[:h, h:] if n == 2 * h else None  # square: it holds S, then L_21 W_11
+    w11 = _inverse_factor(a[:h, :h], out[:h, :h])
     # A non-finite or huge B overflows here; S is then not finite and a leaf
     # of its factorization raises NotSpdError.
     with np.errstate(over="ignore", invalid="ignore"):
         l21 = a[h:, :h] @ w11.T
-        s = l21 @ l21.T
+        s = np.matmul(l21, l21.T, out=spare)
         np.subtract(a[h:, h:], s, out=s)
-    w22 = _inverse_factor(s)
+    w22 = _inverse_factor(s, out[h:, h:])
     del s
-    w = np.zeros((n, n))
-    w[:h, :h] = w11
-    w[h:, h:] = w22
-    w21 = np.matmul(w22, l21 @ w11, out=w[h:, :h])
+    w21 = np.matmul(w22, np.matmul(l21, w11, out=spare), out=out[h:, :h])
     np.negative(w21, out=w21)
-    return w
+    out[:h, h:] = 0.0
+    return out
 
 
 def spd_solve_factored(factor: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -139,13 +139,13 @@ class ModelSpec:
     puts a dense layer in place of the GP.  Each field's type is checked on
     construction (``TypeError``), so a checkpoint header cannot pass a string
     or a bool where a number belongs.  Then ``length_scale``, ``ridge_s`` and
-    ``sn_bound`` must be > 0 and finite and ``dropout_rate`` and ``discount_m``
-    in [0, 1) (``ValueError``; NaN fails both), so neither a config file nor a
-    header can pass ``nan`` or ``inf``.  ``seed`` must be >= 0, every size the
-    spec uses one a model can be built with, and ``activation`` one of
-    ``nn.ACTIVATIONS`` when there is a network.  Each ``ValueError`` names its
-    field.  These are the only checks: the layers built from the spec take
-    each value as given."""
+    ``sn_bound`` must be > 0 and finite, ``dropout_rate`` in [0, 1) and
+    ``discount_m`` in (0, 1) (``ValueError``; NaN fails each), so neither a
+    config file nor a header can pass ``nan`` or ``inf``.  ``seed`` must be
+    >= 0, every size the spec uses one a model can be built with, and
+    ``activation`` one of ``nn.ACTIVATIONS`` when there is a network.  Each
+    ``ValueError`` names its field.  These are the only checks: the layers
+    built from the spec take each value as given."""
 
     input_dim: int = 2
     hidden_width: int = 128
@@ -178,10 +178,12 @@ class ModelSpec:
                 raise ValueError(f"{name} must be positive, got {value!r}")
             if not value <= sys.float_info.max:  # inf, or a header's int too large for a float
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        for name in ("dropout_rate", "discount_m"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {value!r}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate!r}")
+        # At 0 the moving average keeps only the last minibatch's Fisher term,
+        # of rank at most the batch size: no ridge, so no covariance.
+        if not 0.0 < self.discount_m < 1.0:
+            raise ValueError(f"discount_m must lie in (0, 1), got {self.discount_m!r}")
         lows = [("seed", 0), ("input_dim", 1), ("num_classes", 2)]
         if not self.identity_hidden:
             lows += [("hidden_width", 1), ("depth", 0)]
@@ -290,6 +292,7 @@ class SngpModel:
             means[rows] = block_means
             if variance and self.has_gp_head:
                 variances[rows] = self.head.predictive_variance_batch(phi)
+            del phi, block_means  # so that the next block is not evaluated beside this one
         return means, variances
 
     def _evaluate_blocks(self, x: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
@@ -434,6 +437,7 @@ def train(model: SngpModel, points: np.ndarray, labels: np.ndarray, config: Trai
                 if hooks:
                     hooks("sgd_update", epoch, step)
                 optimizer.step(model.parameters(), grads)
+                del grads  # so that the next step's gradients are not made beside these
                 if model.spec.spectral_norm and model.network is not None:
                     if hooks:
                         hooks("spectral_norm", epoch, step)
@@ -449,6 +453,7 @@ def train(model: SngpModel, points: np.ndarray, labels: np.ndarray, config: Trai
                         hooks("precision_update", epoch, step)
                     phi, means = model._evaluate(bx)
                     model.head.update_precision_minibatch(phi, softmax(means))
+                    del phi, means
             except (TrainingDivergedError, NonFiniteRowError) as exc:
                 bad = exc.__cause__ or exc  # names a row by its place in the shuffled batch
                 what = (f"dataset row {idx[bad.row]}: {bad.reason}"
@@ -458,6 +463,7 @@ def train(model: SngpModel, points: np.ndarray, labels: np.ndarray, config: Trai
             num_batches += 1
             step += 1
         report.epoch_losses.append(epoch_loss / num_batches)
+    del optimizer  # its velocity is dead after the last step
 
     if model.spec.spectral_norm and model.network is not None:
         # The single-iteration estimates lag the last SGD updates; finish with
@@ -476,6 +482,7 @@ def train(model: SngpModel, points: np.ndarray, labels: np.ndarray, config: Trai
             if exact:
                 model.head.update_precision_exact(phi, softmax(means))
             hits[rows] = np.argmax(means, axis=1) == labels[rows]
+            del phi, means  # so that the next block is not evaluated beside this one
     except NonFiniteRowError as exc:  # its row counts from the start of the dataset
         raise TrainingDivergedError(f"dataset row {exc.row}: {exc.reason} "
                                     "after the last step") from None

@@ -289,6 +289,16 @@ class TestTrainCommand:
         assert f"{key} must be >= 0, got {float(value)!r}" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    def test_zero_discount_exits_2_naming_the_key(self, tmp_path, capsys):
+        # A zero discount would keep only the last minibatch's rank-deficient
+        # Fisher term, so every prediction from the checkpoint would fail.
+        cfg = write_config(tmp_path, discount_m=0)
+        ckpt = tmp_path / "m.ckpt"
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--out", str(ckpt)]) == EXIT_USAGE
+        assert "discount_m must lie in (0, 1), got 0.0" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_zero_mc_samples_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, mc_samples=0)
         ckpt = tmp_path / "m.ckpt"

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -52,6 +53,16 @@ class TestSolveSpd:
         b = rng.normal(6)
         x = solve_spd(a, b)
         assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) <= 1e-10
+
+
+def peak_bytes(fn) -> int:
+    """The tracemalloc peak of ``fn()`` above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def spd_with_condition(n, cond, seed):
@@ -111,6 +122,32 @@ class TestInverseFactor:
     def test_not_spd_or_not_finite_raises(self, a):
         with pytest.raises(NotSpdError):
             spd_factor(a)
+
+
+class TestFactorInto:
+    """``spd_factor(a, out=view)`` writes the factor into a view of a larger
+    array and returns it, with the bits of ``spd_factor(a)``."""
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_writes_the_same_bits_into_a_view(self, n):
+        a = spd_with_condition(n, 1e4, seed=n)
+        big = np.full((n + 2, n + 3), np.nan)  # whatever it held before is overwritten
+        view = big[1:n + 1, 2:n + 2]
+        assert spd_factor(a, out=view) is view
+        assert np.array_equal(view, spd_factor(a))
+        big[1:n + 1, 2:n + 2] = 0.0
+        assert np.isnan(big).sum() == big.size - n * n  # nothing outside the view
+
+    def test_even_sizes_work_inside_out(self):
+        # Each level's S and L_21 W_11 live in out's upper block, so beside
+        # out only one L_21 per level is allocated: < n^2 / 3 elements.
+        n = 1024
+        a = spd_with_condition(n, 1e4, seed=3)
+        out = np.empty((n, n))
+        peak = peak_bytes(lambda: spd_factor(a, out=out))
+        # Leaf-size temporaries: a leaf's Cholesky, inverse and tril, and LAPACK's work.
+        leaves = 8 * (8 * LOWER_INVERSE_LEAF**2)
+        assert peak <= 8 * n * n / 3 + leaves
 
 
 class TestFactorRecursion:

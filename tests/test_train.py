@@ -545,6 +545,21 @@ class TestExactPrecisionPass:
         assert peak_bytes(8000) - peak_bytes(2000) < inputs_and_outputs + 4 * 2**20
 
 
+class TestTrainingMemory:
+    def test_default_epoch_holds_no_dead_step_or_block(self):
+        # Beside the model, a default epoch holds the optimizer's velocity (one
+        # copy of the parameters) and one step's gradients (another); the
+        # pass after the last step holds one block's cosine and sine, and
+        # neither the velocity nor the previous block.
+        from sngp.data import gen_two_moons
+        ds = gen_two_moons(500, 0.1, seed=7)
+        model = build_sngp_model(ModelSpec())
+        params = sum(a.nbytes for a in model.parameters().values())
+        block = 2 * PREDICT_BLOCK_ROWS * model.spec.num_features * 8
+        peak = peak_bytes(lambda: train(model, ds.points, ds.labels, TrainConfig(epochs=1)))
+        assert peak <= 2 * params + block
+
+
 class TestOneEvaluationPass:
     """Prediction, both precision updates and the final accuracy take their
     features and mean logits from one checked pass, ``SngpModel._evaluate``."""
@@ -655,7 +670,8 @@ class TestModelSpec:
         ("length_scale", 0.0), ("length_scale", float("nan")), ("ridge_s", -1e-3),
         ("ridge_s", float("nan")), ("sn_bound", float("nan")), ("sn_bound", -1.0),
         ("dropout_rate", 1.0), ("dropout_rate", -0.1), ("dropout_rate", float("nan")),
-        ("discount_m", 1.0), ("discount_m", float("nan")), ("input_dim", 0),
+        ("discount_m", 1.0), ("discount_m", 0.0), ("discount_m", float("nan")),
+        ("input_dim", 0),
         ("num_classes", 1), ("hidden_width", 0), ("depth", -1), ("activation", "foo"),
         ("num_features", 0), ("gp_projection_dim", 0), ("seed", -1)])
     def test_out_of_range_hyperparameter_raises(self, name, value):
