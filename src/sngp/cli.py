@@ -180,7 +180,7 @@ class LoadedModel:
     interface; its Monte Carlo stream derives from the first model's seed, as at training.
 
     Its models only predict: a single GP-head model's first prediction inverts its
-    precision in place (``RffGpLayer.covariances``), so the head holds its covariance
+    precision in place (``RffGpLayer.covariance``), so the head holds its covariance
     only and can no longer be trained or saved.  An ensemble predicts from its members'
     mean logits alone, so ``from_checkpoints`` frees each GP-head member's precision as
     soon as that member is loaded (``RffGpLayer.free_precision``)."""

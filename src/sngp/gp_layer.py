@@ -23,9 +23,10 @@ keep ``|phi| <= sqrt(2 / D)`` exactly, and the cosine and sine lie within
 
 Class logits are linear in the features, ``g_k = phi . beta_k``, so the model
 is a Bayesian linear model in ``beta`` and the Laplace approximation to its
-posterior is Gaussian with a closed-form per-class precision
+posterior is Gaussian.  As in SNGP, the head keeps one precision for all K
+classes, weighting each row by the class mean of its Fisher weights,
 
-    precision_k = s * I + sum_i p_ik (1 - p_ik) phi_i phi_i^T
+    precision = s * I + sum_i w_i phi_i phi_i^T,    w_i = mean_k p_ik (1 - p_ik),
 
 accumulated over data after a ``reset_precision`` (``update_precision_exact``
 adds one block of rows' term, so ``train`` resets once and then streams the
@@ -35,25 +36,23 @@ previous precision weighted ``m``, fresh minibatch term weighted ``1 - m``).
 Each term is the symmetric product ``A^T A`` with ``A = sqrt(w) * phi``,
 added in place one slab of ``PANEL`` columns at a time (``add_gram``), so
 neither update holds a D x D temporary and the precision stays exactly
-symmetric; ``reset_precision`` refills the matrices it already holds.  A
-K = 2 head stores one matrix, built from the class-mean weights, because
-``p_0 (1 - p_0) = p_1 (1 - p_1)`` makes the two per-class matrices equal
-(``num_precisions``).
+symmetric; ``reset_precision`` refills the matrix it already holds.  For
+K = 2, ``p_0 (1 - p_0) = p_1 (1 - p_1)``, so this is each class's own
+precision.
 
-Predictive variance for class k is ``phi^T Sigma_k phi`` with the covariance
-``Sigma_k = precision_k^{-1}``.  As in SNGP, where the precision is gathered
-during training and inverted once for prediction, ``covariances`` builds each
-distinct covariance on its first call, by one step of block elimination
-(``spd_inverse``) in NumPy matrix products written over the precision
-itself.  No D x D temporary is made: the factors and products live in the
-precision's upper block, which is never read, so beside the matrix being
-inverted at most two (D/2, D/2) blocks are alive (when D is even).  The head
-then holds the covariance alone and refuses to update, reset or save its
-precision, so a model is trained and saved before it predicts.  A batch of
-variances is then one ``quadratic_form`` per stored matrix: one matrix
-product per slab of ``PANEL`` columns against the lower block triangle of
-``Sigma_k``, which is symmetric, at about 5/8 of the flops of the full
-``phi @ Sigma_k``.
+Every class's logit variance is ``phi^T Sigma phi`` with the covariance
+``Sigma = precision^{-1}``.  As in SNGP, where the precision is gathered
+during training and inverted once for prediction, ``covariance`` builds it on
+its first call, by one step of block elimination (``spd_inverse``) in NumPy
+matrix products written over the precision itself.  No D x D temporary is
+made: the factors and products live in the precision's upper block, which is
+never read, so beside the matrix being inverted at most two (D/2, D/2) blocks
+are alive (when D is even).  The head then holds the covariance alone and
+refuses to update, reset or save its precision, so a model is trained and
+saved before it predicts.  A batch of variances is then one
+``quadratic_form``: one matrix product per slab of ``PANEL`` columns against
+the lower block triangle of ``Sigma``, which is symmetric, at about 5/8 of the
+flops of the full ``phi @ Sigma``.
 
 The feature pipeline takes a (batch, in_dim) matrix of hidden rows.  A row
 that is not finite, or so large that its layer-norm variance overflows, has no
@@ -64,7 +63,6 @@ meaningful features: ``features_with_tape`` raises ``NonFiniteRowError`` (a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -95,8 +93,8 @@ class GpPrediction:
 
 
 class RffGpLayer:
-    """Frozen random-feature frontend plus trainable output weights and
-    Laplace precision matrices (``num_precisions`` of them).
+    """Frozen random-feature frontend plus trainable output weights and one
+    (D, D) Laplace precision matrix shared by the K classes.
 
     The constructor allocates every array as zeros, to be drawn into by
     ``draw`` or read from a checkpoint.  The hyperparameters are taken as
@@ -124,22 +122,21 @@ class RffGpLayer:
         self.w_fixed = np.zeros((num_features, feat_in))
         self.b_fixed = np.zeros(num_features)
         self.beta = np.zeros((num_classes, num_features))
-        # The precisions, until ``covariances`` inverts them in place or
-        # ``free_precision`` drops them; ``_without_precision`` then says which.
-        self._posterior: list[np.ndarray] | None = [
-            np.zeros((num_features, num_features)) for _ in range(num_precisions(num_classes))]
+        # The precision, until ``covariance`` inverts it in place or
+        # ``free_precision`` drops it; ``_without_precision`` then says which.
+        self._posterior: np.ndarray | None = np.zeros((num_features, num_features))
         self._without_precision: str | None = None
 
     def draw(self, rng: RngState) -> None:
         """The initial draw: the frozen frontend, in place, from the streams
-        ``gp_proj``, ``gp_w`` and ``gp_b`` of ``rng``, and each precision
+        ``gp_proj``, ``gp_w`` and ``gp_b`` of ``rng``, and the precision
         replaced by a new ``ridge_s * I``; ``beta`` is left as it is (zero on a
         new layer)."""
         if self.input_projection is not None:
             rng.derive("gp_proj").fill_normal(self.input_projection)
         rng.derive("gp_w").fill_normal(self.w_fixed)
         rng.derive("gp_b").fill_uniform(self.b_fixed, 0.0, 2.0 * np.pi)
-        # Each ridge is a new array, not the constructor's zeros filled in
+        # The ridge is a new array, not the constructor's zeros filled in
         # place: freeing those untouched D x D zeros raises glibc's mmap
         # threshold, so the smaller temporaries of every later step are served
         # from the heap instead of each being mapped and unmapped, and no
@@ -147,9 +144,8 @@ class RffGpLayer:
         # 8k-14k minor page faults this way (10k-16k through a transient
         # ``np.eye``) and ≈424k with ``np.fill_diagonal`` alone, which frees no
         # block (2-vCPU x86-64 host, glibc malloc, NumPy 2.4).
-        precision = self.precision
-        for j in range(len(precision)):
-            precision[j] = np.diag(np.full(self.num_features, self.ridge_s))
+        self._held_precision()  # a head that has predicted is not redrawn
+        self._posterior = np.diag(np.full(self.num_features, self.ridge_s))
 
     # -- feature pipeline ---------------------------------------------------
 
@@ -218,29 +214,33 @@ class RffGpLayer:
 
     # -- Laplace posterior precision -----------------------------------------
 
-    @property
-    def precision(self) -> list[np.ndarray]:
-        """The stored precision matrices, to be updated and read in place;
-        ``ValueError`` once ``covariances`` has inverted them for prediction,
-        or ``free_precision`` has dropped them.  So a head that has predicted
-        can no longer train or be saved: save it first."""
+    def _held_precision(self) -> np.ndarray:
+        """The (D, D) precision, to be updated and read in place;
+        ``ValueError`` once ``covariance`` has inverted it for prediction, or
+        ``free_precision`` has dropped it.  So a head that has predicted can
+        no longer train or be saved: save it first."""
         if self._without_precision is not None:
             raise ValueError(f"this GP head {self._without_precision}")
         return self._posterior
 
-    def reset_precision(self) -> None:
-        """Set every stored precision to ridge_s * I, in the arrays it already holds."""
-        for p in self.precision:
-            p.fill(0.0)
-            np.fill_diagonal(p, self.ridge_s)
+    @property
+    def precision(self) -> list[np.ndarray]:
+        """``[precision]``: the one matrix of ``_held_precision``, in a list
+        because the benchmark's score check (``perfbench/workloads.py``)
+        iterates it."""
+        return [self._held_precision()]
 
-    def _fisher_factors(self, phi_batch: np.ndarray, probs_batch: np.ndarray
-                        ) -> Iterator[np.ndarray]:
-        """For an (M, D) phi and (M, K) probs batch, one (M, D) matrix
-        ``A = sqrt(w) * phi`` per stored precision, whose ``A^T A`` is that
-        precision's term ``sum_i w_i phi_i phi_i^T``: w_ik = p_ik (1 - p_ik), or
-        its class mean.  A generator: the batch is checked before the first
-        matrix is made."""
+    def reset_precision(self) -> None:
+        """Set the precision to ridge_s * I, in the array it already holds."""
+        p = self._held_precision()
+        p.fill(0.0)
+        np.fill_diagonal(p, self.ridge_s)
+
+    def _fisher_factor(self, phi_batch: np.ndarray, probs_batch: np.ndarray) -> np.ndarray:
+        """For an (M, D) phi and (M, K) probs batch, the (M, D) matrix
+        ``A = sqrt(w) * phi`` whose ``A^T A`` is the precision's term
+        ``sum_i w_i phi_i phi_i^T``, with the class-mean weight
+        ``w_i = mean_k p_ik (1 - p_ik)``."""
         phi_batch = np.asarray(phi_batch, dtype=np.float64)
         probs_batch = np.asarray(probs_batch, dtype=np.float64)
         if phi_batch.ndim != 2 or phi_batch.shape[1] != self.num_features:
@@ -250,11 +250,7 @@ class RffGpLayer:
         weights = probs_batch * (1.0 - probs_batch)
         if not np.all(weights >= 0.0):  # NaN fails too
             raise ValueError("probs batch must lie in [0, 1]")
-        if len(self.precision) == 1:
-            weights = weights.mean(axis=1, keepdims=True)
-        root_w = np.sqrt(weights)
-        for k in range(root_w.shape[1]):
-            yield phi_batch * root_w[:, k:k + 1]
+        return phi_batch * np.sqrt(weights.mean(axis=1, keepdims=True))
 
     def update_precision_minibatch(self, phi_batch: np.ndarray, probs_batch: np.ndarray) -> None:
         """Discounted moving-average update: m * previous + (1 - m) * batch term.
@@ -262,34 +258,33 @@ class RffGpLayer:
         An empty batch contributes a zero fresh term, i.e. it only scales the
         previous precision by m.
         """
-        for p, a in zip(self.precision, self._fisher_factors(phi_batch, probs_batch)):
-            p *= self.discount_m
-            add_gram(p, a, 1.0 - self.discount_m)
+        p = self._held_precision()
+        a = self._fisher_factor(phi_batch, probs_batch)
+        p *= self.discount_m
+        add_gram(p, a, 1.0 - self.discount_m)
 
     def update_precision_exact(self, phi: np.ndarray, probs: np.ndarray) -> None:
-        """Add the Fisher term of one block of rows to every stored precision.
+        """Add the Fisher term of one block of rows to the precision.
 
         The exact precision ``ridge_s * I + sum_i w_i phi_i phi_i^T`` over a
         data set is ``reset_precision`` followed by this call on each block of
         its rows, which is how ``train`` builds it; how the rows are split
         changes the sum only by rounding.
         """
-        for p, a in zip(self.precision, self._fisher_factors(phi, probs)):
-            add_gram(p, a)
+        add_gram(self._held_precision(), self._fisher_factor(phi, probs))
 
-    def covariances(self) -> list[np.ndarray]:
-        """Posterior covariance precision^{-1} for each stored precision.  The
-        first call inverts each precision in place by ``spd_inverse``, with no
-        D x D temporary, and later calls return the same matrices.  The
-        precision is gone afterwards, even if the inversion raises, so the
-        updates, ``reset_precision`` and saving a checkpoint raise
-        ``ValueError``."""
+    def covariance(self) -> np.ndarray:
+        """Posterior covariance precision^{-1}.  The first call inverts the
+        precision in place by ``spd_inverse``, with no D x D temporary, and
+        later calls return the same matrix.  The precision is gone
+        afterwards, even if the inversion raises, so the updates,
+        ``reset_precision`` and saving a checkpoint raise ``ValueError``."""
         if self._without_precision is None:
             precision, self._posterior = self._posterior, None
             self._without_precision = ("holds only its posterior covariance: its precision "
                                        "was inverted in place for prediction")
             try:
-                self._posterior = [spd_inverse(p) for p in precision]
+                self._posterior = spd_inverse(precision)
             except NotSpdError as exc:
                 raise NotSpdError(f"precision matrix lost positive definiteness: {exc}") from exc
         if self._posterior is None:
@@ -305,13 +300,11 @@ class RffGpLayer:
                                    "predicts mean logits only")
 
     def predictive_variance_batch(self, phi_batch: np.ndarray) -> np.ndarray:
-        """(batch, K) logit variances phi^T precision_k^{-1} phi (each >= 0),
-        one ``quadratic_form`` per stored precision."""
+        """(batch, K) logit variances phi^T precision^{-1} phi (each >= 0): one
+        ``quadratic_form``, the same for every class."""
         phi_batch = np.asarray(phi_batch, dtype=np.float64)
-        columns = [quadratic_form(cov, phi_batch) for cov in self.covariances()]
-        if len(columns) == 1:
-            columns *= self.num_classes
-        return np.maximum(np.stack(columns, axis=1), 0.0)
+        variance = np.maximum(quadratic_form(self.covariance(), phi_batch), 0.0)
+        return np.repeat(variance[:, None], self.num_classes, axis=1)
 
 
 def half_angle_cos_sin(half_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -418,12 +411,6 @@ def spd_inverse(p: np.ndarray) -> np.ndarray:
     p[:h, :h] -= np.matmul(x, s21, out=spare)
     p[:h, h:] = s21.T
     return p
-
-
-def num_precisions(num_classes: int) -> int:
-    """Precision matrices a head of ``num_classes`` classes stores: one per
-    class, but one for K = 2, whose two per-class Fisher weights coincide."""
-    return 1 if num_classes == 2 else num_classes
 
 
 def check_rows(finite: np.ndarray, h: np.ndarray, derived: str) -> None:

@@ -55,8 +55,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .gp_layer import (GpPrediction, NonFiniteRowError, RffGpLayer, check_rows, mc_softmax,
-                       num_precisions, softmax)
+from .gp_layer import GpPrediction, NonFiniteRowError, RffGpLayer, check_rows, mc_softmax, softmax
 from .linalg import RngState
 from .nn import ACTIVATIONS, ResFfnNetwork, SgdMomentum, clamp_network, normalize_network
 
@@ -284,7 +283,7 @@ class SngpModel:
         if bad.size:
             raise ValueError(f"input row {int(bad[0])} is not finite: {x[bad[0]]}")
         if variance and self.has_gp_head:
-            self.head.covariances()  # inverted before any output or feature block is alive
+            self.head.covariance()  # inverted before any output or feature block is alive
         n = x.shape[0]
         means = np.empty((n, self.num_classes))
         variances = np.zeros((n, self.num_classes)) if variance else None
@@ -500,7 +499,7 @@ def predict_batch(model: SngpModel, x: np.ndarray, *, mc_samples: int,
     (zero for a dense head) and MC-averaged probabilities, each (N, K).
 
     A GP head's first prediction inverts its precision in place
-    (``RffGpLayer.covariances``), so the model can no longer be trained or
+    (``RffGpLayer.covariance``), so the model can no longer be trained or
     saved afterwards: save it first.  The network, features and variances run
     ``PREDICT_BLOCK_ROWS`` rows at a time (``SngpModel._posterior``), so
     memory is O(block) + O(N K) rather than O(N D).  The Monte Carlo draws are
@@ -548,8 +547,7 @@ def _array_layout(spec: ModelSpec) -> Iterator[tuple[str, tuple[int, ...],
     yield "head.w_fixed", (d, feat_in), lambda m: m.head.w_fixed
     yield "head.b_fixed", (d,), lambda m: m.head.b_fixed
     yield "head.beta", (k, d), lambda m: m.head.beta
-    for j in range(num_precisions(k)):
-        yield f"head.precision{j}", (d, d), lambda m, j=j: m.head.precision[j]
+    yield "head.precision0", (d, d), lambda m: m.head.precision[0]
     if spec.gp_projection_dim is not None:
         yield "head.input_projection", (feat_in, in_dim), lambda m: m.head.input_projection
 
@@ -561,7 +559,7 @@ def _array_manifest(model: SngpModel) -> list[tuple[str, np.ndarray]]:
 def save_checkpoint(model: SngpModel, path: str, config: str = "") -> None:
     """Write ``model`` to ``path`` with ``config``, the text of its run config.
     A GP head that has predicted holds only its covariance
-    (``RffGpLayer.covariances``), so a model is saved before it predicts; after
+    (``RffGpLayer.covariance``), so a model is saved before it predicts; after
     that, this raises ``ValueError`` before the file is opened."""
     arrays = _array_manifest(model)
     # The model's own arrays (copied only on a host that is not little-endian),
@@ -618,8 +616,8 @@ def load_checkpoint(path: str) -> tuple[SngpModel, dict]:
             for want, got in zip_longest(([name, list(shape)] for name, shape, _
                                           in _array_layout(spec)), header["arrays"]):
                 if want != got:
-                    raise ValueError(f"checkpoint array {got} does not match the header's "
-                                     f"model, which expects {want}")
+                    raise ValueError(f"checkpoint array {got or '(none)'} does not match the "
+                                     f"header's model, which expects {want or 'no more arrays'}")
                 expected += 8 * math.prod(want[1])
             if payload_len != expected:
                 raise ValueError(f"checkpoint payload is {payload_len} bytes, "

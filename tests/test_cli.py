@@ -1,4 +1,5 @@
 import inspect
+import json
 import os
 import re
 import resource
@@ -6,7 +7,8 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import fields, replace
+import zlib
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -20,8 +22,8 @@ from sngp.data import dataset_from_csv, gen_two_moons, gen_two_ovals, surface_fr
 from sngp.gp_layer import RffGpLayer, softmax
 from sngp.nn import DenseLayer, ResFfnNetwork, ResidualBlock, SgdMomentum, build_res_ffn
 from sngp.train import (ModelSpec, TrainConfig, TrainingDivergedError, TrainReport,
-                        build_sngp_model, load_checkpoint, loss_and_grads, predict_batch,
-                        save_checkpoint)
+                        _array_manifest, build_sngp_model, load_checkpoint, loss_and_grads,
+                        predict_batch, save_checkpoint)
 
 from headers import rewrite_header
 
@@ -596,6 +598,8 @@ class TestEvalCommand:
          "does not match the header's model"),
         (lambda c: rewrite_header(c, lambda h: h["arrays"][0].__setitem__(1, [float("inf")])),
          "does not match the header's model"),
+        (lambda c: rewrite_header(c, lambda h: h["arrays"].pop()),
+         "checkpoint array (none) does not match the header's model, which expects ['head."),
         (lambda c: rewrite_bytes(c, lambda raw: with_header_bytes(raw, b"[" * 100_000)),
          "malformed checkpoint header: RecursionError"),
         (lambda c: rewrite_header(c, lambda h: h.pop("config")),
@@ -610,7 +614,7 @@ class TestEvalCommand:
     ], ids=["no_model", "string_depth", "string_layer_norm", "nan_length_scale", "nan_ridge_s",
             "infinite_ridge_s", "huge_int_length_scale", "negative_sn_bound", "negative_seed",
             "10_bytes", "flipped_payload_bit", "version_1", "version_2", "huge_manifest_shape",
-            "infinite_manifest_shape", "deeply_nested_header", "no_config", "list_config",
+            "infinite_manifest_shape", "short_manifest", "deeply_nested_header", "no_config", "list_config",
             "forged_object_config", "list_mc_samples"])
     def test_damaged_checkpoint_exits_2(self, eval_inputs, damage, message, capsys):
         ckpt, data_csv = eval_inputs
@@ -618,6 +622,31 @@ class TestEvalCommand:
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data_csv)]) == EXIT_USAGE
         assert message in capsys.readouterr().err
+
+    def test_per_class_precision_checkpoint_exits_2(self, eval_inputs, capsys):
+        # A well-formed version-3 file of a K = 3 head with one precision per
+        # class, as such heads were once saved: its manifest names three.
+        _, data_csv = eval_inputs
+        spec = ModelSpec(num_classes=3, hidden_width=8, depth=2, num_features=16)
+        arrays = []
+        for name, arr in _array_manifest(build_sngp_model(spec)):
+            if name == "head.precision0":
+                arrays += [(f"head.precision{k}", arr) for k in range(3)]
+            elif not name.startswith("head.precision"):
+                arrays.append((name, arr))
+        payload = b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in arrays)
+        header = json.dumps({"config": "seed = 1\n", "model": asdict(spec),
+                             "arrays": [[name, list(arr.shape)] for name, arr in arrays],
+                             "payload_crc32": zlib.crc32(payload)}).encode("utf-8")
+        ckpt = data_csv.parent / "per_class.ckpt"
+        ckpt.write_bytes(b"SNGPCKPT" + np.uint32(3).tobytes() + np.uint32(len(header)).tobytes()
+                         + header + payload)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data_csv)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert ("checkpoint array ['head.precision1', [16, 16]] does not match the header's "
+                "model, which expects no more arrays") in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("config", [
         "mc_samples = 0\n", "variant = foo\n", "seed = 3\nno_such_key = 5\n",

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import spearmanr
 
+import sngp.gp_layer
 from sngp.gp_layer import (PANEL, NonFiniteRowError, RffGpLayer, mc_softmax, quadratic_form,
                            softmax, spd_inverse)
 from sngp.linalg import NotSpdError, RngState, spd_factor, spd_solve_factored
@@ -187,8 +189,7 @@ class TestPrecision:
     def test_reset_is_ridge_times_identity(self):
         layer = make_layer(num_features=3, ridge_s=0.001)
         layer.reset_precision()
-        for p in layer.precision:
-            assert np.array_equal(p, 0.001 * np.eye(3))
+        assert np.array_equal(layer.precision[0], 0.001 * np.eye(3))
 
     def test_reset_is_spd(self):
         layer = make_layer()
@@ -203,10 +204,9 @@ class TestPrecision:
 
     def test_empty_batch_scales_by_discount(self):
         layer = make_layer(num_features=4, discount_m=0.9)
-        before = [p.copy() for p in layer.precision]
+        before = layer.precision[0].copy()
         layer.update_precision_minibatch(np.zeros((0, 4)), np.zeros((0, 2)))
-        for b, p in zip(before, layer.precision):
-            assert np.allclose(p, 0.9 * b)
+        assert np.allclose(layer.precision[0], 0.9 * before)
 
     def test_single_sample_outer_product(self):
         layer = make_layer(num_features=3, discount_m=0.0)
@@ -215,8 +215,7 @@ class TestPrecision:
         layer.update_precision_minibatch(phi, probs)
         expected = np.zeros((3, 3))
         expected[0, 0] = 0.25
-        for p in layer.precision:
-            assert np.allclose(p, expected)
+        assert np.allclose(layer.precision[0], expected)
 
     def test_repeated_batch_converges_to_fisher_geometric_series(self):
         layer = make_layer(num_features=8, discount_m=0.9, seed=15)
@@ -238,8 +237,7 @@ class TestPrecision:
     def test_exact_empty_is_reset(self):
         layer = make_layer(num_features=4, ridge_s=0.01)
         layer.update_precision_exact(np.zeros((0, 4)), np.zeros((0, 2)))
-        for p in layer.precision:
-            assert np.array_equal(p, 0.01 * np.eye(4))
+        assert np.array_equal(layer.precision[0], 0.01 * np.eye(4))
 
     def test_exact_equals_minibatch_with_zero_discount_plus_ridge(self):
         rng = RngState(17)
@@ -251,21 +249,20 @@ class TestPrecision:
         moving.reset_precision()
         moving.update_precision_minibatch(phi, probs)
         # zero discount annihilates the ridge reset, leaving the bare Fisher term
-        for pe, pm in zip(exact.precision, moving.precision):
-            assert np.allclose(pe, pm + exact.ridge_s * np.eye(8), atol=1e-10)
+        assert np.allclose(exact.precision[0], moving.precision[0] + exact.ridge_s * np.eye(8),
+                           atol=1e-10)
 
     @pytest.mark.parametrize("bad", [1.5, -0.5, np.nan])
     def test_probs_outside_unit_interval_rejected_silently(self, bad):
         layer = make_layer(num_features=4)
-        before = [p.copy() for p in layer.precision]
+        before = layer.precision[0].copy()
         probs = np.array([[0.5, 0.5], [bad, 1.0 - bad]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for update in (layer.update_precision_exact, layer.update_precision_minibatch):
                 with pytest.raises(ValueError, match=re.escape("must lie in [0, 1]")):
                     update(np.ones((2, 4)), probs)
-        for b, p in zip(before, layer.precision):
-            assert np.array_equal(p, b)
+        assert np.array_equal(layer.precision[0], before)
 
     def test_exact_two_samples_hand_accumulated(self):
         layer = make_layer(num_features=2, ridge_s=0.5)
@@ -285,10 +282,10 @@ class TestPrecision:
             phi = rng.normal_matrix(m, 16)
             probs = softmax(rng.normal_matrix(m, 2))
             layer.update_precision_minibatch(phi, probs)
-        for p in layer.precision:
-            assert np.max(np.abs(p - p.T)) <= 1e-12
-            assert np.array_equal(p, p.T)
-            spd_solve_factored(spd_factor(p), np.ones(16))
+        p = layer.precision[0]
+        assert np.max(np.abs(p - p.T)) <= 1e-12
+        assert np.array_equal(p, p.T)
+        spd_solve_factored(spd_factor(p), np.ones(16))
 
     @pytest.mark.parametrize("num_classes", [2, 3])
     @pytest.mark.parametrize("rows", [0, 1, 32, 256])
@@ -299,35 +296,29 @@ class TestPrecision:
         rng = RngState(22)
         phi = rng.normal_matrix(256, d)[:rows] * 0.05
         probs = softmax(rng.normal_matrix(256, num_classes)[:rows])
-        weights = probs * (1.0 - probs)
-        if num_classes == 2:
-            weights = weights.mean(axis=1, keepdims=True)
+        weights = (probs * (1.0 - probs)).mean(axis=1, keepdims=True)
         exact = make_layer(num_features=d, num_classes=num_classes, ridge_s=0.01)
         moving = make_layer(num_features=d, num_classes=num_classes, ridge_s=0.01,
                             discount_m=0.9)
         exact.update_precision_exact(phi, probs)
         moving.update_precision_minibatch(phi, probs)
-        for k, (pe, pm) in enumerate(zip(exact.precision, moving.precision)):
-            a = phi * np.sqrt(weights[:, k:k + 1])
-            term = a.T @ a
-            for p, dense in ((pe, 0.01 * np.eye(d) + term),
-                             (pm, 0.9 * (0.01 * np.eye(d)) + 0.1 * term)):
-                np.testing.assert_allclose(p, dense, rtol=1e-12,
-                                           atol=1e-12 * np.abs(dense).max())
-                assert np.array_equal(p, p.T)
+        a = phi * np.sqrt(weights)
+        term = a.T @ a
+        for p, dense in ((exact.precision[0], 0.01 * np.eye(d) + term),
+                         (moving.precision[0], 0.9 * (0.01 * np.eye(d)) + 0.1 * term)):
+            np.testing.assert_allclose(p, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
+            assert np.array_equal(p, p.T)
 
     @pytest.mark.parametrize("num_classes", [2, 3])
     def test_reset_refills_the_same_arrays(self, num_classes):
         layer = make_layer(num_features=40, num_classes=num_classes, ridge_s=0.25)
-        held = list(layer.precision)
+        held = layer.precision[0]
         rng = RngState(23)
         layer.update_precision_exact(rng.normal_matrix(10, 40),
                                      softmax(rng.normal_matrix(10, num_classes)))
         layer.reset_precision()
-        assert len(layer.precision) == len(held)
-        for p, q in zip(layer.precision, held):
-            assert p is q
-            assert np.array_equal(p, 0.25 * np.eye(40))
+        assert layer.precision[0] is held
+        assert np.array_equal(held, 0.25 * np.eye(40))
 
     def test_default_size_reset_and_updates_hold_no_d_by_d_temporary(self):
         # D = 1024: a D x D matrix is 8 MB, a (D, PANEL) slab 2 MB.
@@ -391,46 +382,42 @@ class TestPrecision:
         layer = make_layer(num_features=32, num_classes=num_classes, seed=43)
         fit = layer.rff_features(rng.normal_matrix(60, 2))
         layer.update_precision_exact(fit, softmax(rng.normal_matrix(60, num_classes)))
-        precisions = [p.copy() for p in layer.precision]  # predicting inverts them in place
+        precision = layer.precision[0].copy()  # predicting inverts it in place
         phi = layer.rff_features(rng.normal_matrix(25, 2) * 2.0)
         variances = layer.predictive_variance_batch(phi)
         assert variances.shape == (25, num_classes)
         single = layer.predictive_variance_batch(phi[3:4])[0]
+        expected = np.einsum("ij,ji->i", phi, np.linalg.solve(precision, phi.T))
         for k in range(num_classes):
-            p = precisions[0 if num_classes == 2 else k]
-            expected = np.einsum("ij,ji->i", phi, np.linalg.solve(p, phi.T))
             assert np.allclose(variances[:, k], expected, rtol=1e-10, atol=0.0)
             assert np.isclose(single[k], variances[3, k], rtol=1e-12, atol=0.0)
-        assert len(precisions) == (1 if num_classes == 2 else num_classes)
 
 
 class TestCovariance:
-    """``covariances`` inverts each stored precision in place by one step of
-    block elimination, split at D // 2; D = 1 and odd D are the split's edges."""
+    """``covariance`` inverts the precision in place by one step of block
+    elimination, split at D // 2; D = 1 and odd D are the split's edges."""
 
     @pytest.mark.parametrize("num_classes", [2, 3])
     @pytest.mark.parametrize("cond", [10.0, 1e8])
     @pytest.mark.parametrize("d", [1, 2, 3, 127, 128, 129, 1024])
     def test_matches_numpy_inverse(self, d, cond, num_classes):
         layer = make_layer(num_features=d, num_classes=num_classes)
-        for j, p in enumerate(layer.precision):
-            p[:] = spd_with_condition(d, cond, seed=d + j)
-        inverses = [np.linalg.inv(p) for p in layer.precision]  # taken before the inversion
-        covariances = layer.covariances()
-        assert len(covariances) == (1 if num_classes == 2 else 3)
+        layer.precision[0][:] = spd_with_condition(d, cond, seed=d)
+        inv = np.linalg.inv(layer.precision[0])  # taken before the inversion
+        cov = layer.covariance()
+        assert cov.shape == (d, d)
         h = d // 2
-        for inv, cov in zip(inverses, covariances):
-            # Both inverses are accurate to about cond * eps in norm, as the
-            # solves of test_linalg are.
-            rtol = 4.0 * cond * np.finfo(np.float64).eps
-            assert np.linalg.norm(cov - inv) <= rtol * np.linalg.norm(inv)
-            assert np.array_equal(cov[:h, h:], cov[h:, :h].T)
+        # Both inverses are accurate to about cond * eps in norm, as the
+        # solves of test_linalg are.
+        rtol = 4.0 * cond * np.finfo(np.float64).eps
+        assert np.linalg.norm(cov - inv) <= rtol * np.linalg.norm(inv)
+        assert np.array_equal(cov[:h, h:], cov[h:, :h].T)
 
     def test_reads_only_the_lower_triangle(self):
         full, lower = make_layer(num_features=9), make_layer(num_features=9)
         full.precision[0][:] = lower.precision[0][:] = spd_with_condition(9, 100.0, seed=3)
         lower.precision[0][np.triu_indices(9, 1)] = np.nan
-        assert np.array_equal(lower.covariances()[0], full.covariances()[0])
+        assert np.array_equal(lower.covariance(), full.covariance())
 
     @pytest.mark.parametrize("value", [np.inf, np.nan, 1e300])
     @pytest.mark.parametrize("row, col", [(1, 0), (6, 1), (7, 5)], ids=["A", "B", "C"])
@@ -441,7 +428,7 @@ class TestCovariance:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NotSpdError, match="lost positive definiteness"):
-                layer.covariances()
+                layer.covariance()
 
     def test_building_holds_at_most_two_half_blocks_beside_the_precision(self):
         # A default-size head: 128 hidden features, D = 1024, K = 2.  The
@@ -453,7 +440,29 @@ class TestCovariance:
         layer.update_precision_exact(phi, softmax(rng.normal_matrix(200, 2)))
         del phi
         block_bytes = 8 * 512 * 512
-        assert peak_bytes(layer.covariances) <= 2 * block_bytes + 2**16
+        assert peak_bytes(layer.covariance) <= 2 * block_bytes + 2**16
+
+    def test_a_three_class_head_holds_one_matrix_and_inverts_it_once(self, monkeypatch):
+        # D = 512: the precision is 2 MiB, the frozen frontend and beta 24 KiB.
+        d = 512
+        rng = RngState(8)
+        tracemalloc.start()
+        try:
+            layer = make_layer(num_features=d, num_classes=3)
+            layer.update_precision_exact(layer.rff_features(rng.normal_matrix(64, 2)),
+                                         softmax(rng.normal_matrix(64, 3)))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 8 * d * d <= held < 2 * 8 * d * d
+        inverted = []
+        inverse = sngp.gp_layer.spd_inverse
+        monkeypatch.setattr(sngp.gp_layer, "spd_inverse",
+                            lambda p: inverted.append(p.shape) or inverse(p))
+        phi = layer.rff_features(rng.normal_matrix(10, 2))
+        for _ in range(2):
+            assert layer.predictive_variance_batch(phi).shape == (10, 3)
+        assert inverted == [(d, d)]
 
 
 def fitted_layer(num_classes=2, num_features=64, in_dim=2):
@@ -466,35 +475,34 @@ def fitted_layer(num_classes=2, num_features=64, in_dim=2):
 
 
 class TestReleasedPrecision:
-    """The first ``covariances`` call releases each precision: it is inverted
-    in place, so the head still predicts, but holds nothing it could train or
+    """The first ``covariance`` call releases the precision: it is inverted in
+    place, so the head still predicts, but holds nothing it could train or
     save."""
 
     @pytest.mark.parametrize("num_classes", [2, 3])
     def test_released_variances_equal_the_copied_inverse(self, num_classes):
         layer = fitted_layer(num_classes)
         phi = layer.rff_features(RngState(9).normal_matrix(50, 2) * 2.0)
-        held = list(layer.precision)
-        copied = [spd_inverse(p.copy()) for p in held]
+        held = layer.precision[0]
+        copied = spd_inverse(held.copy())
         variances = layer.predictive_variance_batch(phi)
-        assert all(cov is p for cov, p in zip(layer.covariances(), held))
-        for cov, expected in zip(layer.covariances(), copied):
-            assert np.array_equal(cov, expected)
+        assert layer.covariance() is held
+        assert np.array_equal(layer.covariance(), copied)
+        expected = np.maximum(quadratic_form(copied, phi), 0.0)
         for k in range(num_classes):
-            expected = quadratic_form(copied[k % len(copied)], phi)
-            assert np.array_equal(variances[:, k], np.maximum(expected, 0.0))
+            assert np.array_equal(variances[:, k], expected)
 
     def test_second_call_returns_the_same_covariances(self):
         layer = fitted_layer()
-        first = layer.covariances()
-        expected = first[0].copy()
-        assert layer.covariances() is first
-        assert np.array_equal(first[0], expected)  # not inverted back
+        first = layer.covariance()
+        expected = first.copy()
+        assert layer.covariance() is first
+        assert np.array_equal(first, expected)  # not inverted back
 
     @pytest.mark.parametrize("action", ["update_exact", "update_minibatch", "reset"])
     def test_released_head_cannot_train(self, action):
         layer = fitted_layer()
-        expected = layer.covariances()[0].copy()
+        expected = layer.covariance().copy()
         phi = layer.rff_features(RngState(2).normal_matrix(8, 2))
         probs = softmax(RngState(3).normal_matrix(8, 2))
         calls = {"update_exact": lambda: layer.update_precision_exact(phi, probs),
@@ -502,20 +510,20 @@ class TestReleasedPrecision:
                  "reset": layer.reset_precision}
         with pytest.raises(ValueError, match="holds only its posterior covariance"):
             calls[action]()
-        assert np.array_equal(layer.covariances()[0], expected)
+        assert np.array_equal(layer.covariance(), expected)
 
     def test_failed_release_leaves_no_precision(self):
         layer = make_layer(num_features=8)
         layer.precision[0][6, 1] = layer.precision[0][1, 6] = np.inf
         with pytest.raises(NotSpdError, match="lost positive definiteness"):
-            layer.covariances()
-        for read in (layer.covariances, lambda: layer.precision):
+            layer.covariance()
+        for read in (layer.covariance, lambda: layer.precision):
             with pytest.raises(ValueError, match="holds only its posterior covariance"):
                 read()
 
     def test_release_holds_no_dd_temporary(self):
         layer = fitted_layer(num_features=1024, in_dim=128)
-        assert peak_bytes(layer.covariances) < 8 * 1024 * 1024
+        assert peak_bytes(layer.covariance) < 8 * 1024 * 1024
 
 
 class TestQuadraticForm:
@@ -533,14 +541,13 @@ class TestQuadraticForm:
         # Rows on the training data and far from it.
         phi = layer.rff_features(rng.normal_matrix(40, 2) * np.linspace(0.5, 4.0, 40)[:, None])
         variances = layer.predictive_variance_batch(phi)
-        covariances = layer.covariances()
+        cov = layer.covariance()
+        expected = np.einsum("ij,ij->i", phi @ cov, phi)
+        # On the data the variance is a small difference of terms near the
+        # prior ||phi||^2 / s, so both sums round relative to the terms'
+        # magnitudes, |phi|^T |cov| |phi|; measured at most 4e-16.
+        scale = np.einsum("ij,ij->i", np.abs(phi) @ np.abs(cov), np.abs(phi))
         for k in range(num_classes):
-            cov = covariances[k % len(covariances)]
-            expected = np.einsum("ij,ij->i", phi @ cov, phi)
-            # On the data the variance is a small difference of terms near
-            # the prior ||phi||^2 / s, so both sums round relative to the
-            # terms' magnitudes, |phi|^T |cov| |phi|; measured at most 4e-16.
-            scale = np.einsum("ij,ij->i", np.abs(phi) @ np.abs(cov), np.abs(phi))
             assert np.all(np.abs(variances[:, k] - expected) <= 1e-13 * scale)
 
     def test_a_block_holds_one_more_block_and_one_slab(self):
