@@ -70,5 +70,7 @@ def ensemble_predict(members: list[SngpModel], x: np.ndarray) -> GpPrediction:
     """Member-averaged prediction for a (batch, d) input: the mean and variance
     of the member logits and the arithmetic mean of the member softmax outputs."""
     logits = np.stack([member.eval_logits(x) for member in members])
-    return GpPrediction(mean_logits=logits.mean(axis=0), variance_logits=logits.var(axis=0),
+    with np.errstate(over="ignore"):  # logits near the float limit give an inf mean or variance
+        mean, variance = logits.mean(axis=0), logits.var(axis=0)
+    return GpPrediction(mean_logits=mean, variance_logits=variance,
                         probs=softmax(logits).mean(axis=0))

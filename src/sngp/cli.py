@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -29,7 +30,7 @@ from . import data as data_mod
 from . import theory
 from .baselines import build_variant, ensemble_predict, train_ensemble, VARIANT_TAGS
 from .gp_layer import GpPrediction
-from .linalg import RngState
+from .linalg import NotSpdError, RngState
 from .metrics import (PredictionSet, auroc, aupr, brier, dempster_shafer, ece,
                       margin_uncertainty, metrics_report, nll, variance_uncertainty)
 from .nn import build_res_ffn, lipschitz_probe, normalize_network, power_iteration
@@ -274,6 +275,12 @@ def cmd_train(args) -> int:
     for i, model in enumerate(models):
         path = f"{args.out}.member{i}" if ensemble else args.out
         save_checkpoint(model, path, cfg.text())
+    if models[0].has_gp_head:  # its saved precision must invert, as every prediction does
+        try:
+            models[0].head.covariance()
+        except NotSpdError as exc:
+            os.remove(args.out)
+            raise TrainingDivergedError(f"{exc}; no checkpoint written") from None
     print(f"wrote {len(models)} member checkpoints to {args.out}.member*" if ensemble
           else f"wrote checkpoint to {args.out}")
     if args.report:
@@ -381,6 +388,7 @@ def cmd_compare(args) -> int:
         # A fresh stream per variant keeps each row independent of the ones before it.
         loaded = LoadedModel(models, cfg)
         rows.append({"variant": tag, **_score_model(loaded, ds, "auto")})
+        del models, loaded  # so that the next variant does not train beside this one
     _write_table(args.out, cfg, rows)
     return EXIT_OK
 

@@ -424,10 +424,15 @@ def check_rows(finite: np.ndarray, h: np.ndarray, derived: str) -> None:
     raise NonFiniteRowError(row, f"{what} not finite")
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis, computed in ``out`` (which may be ``logits``)
+    when given, else in a new array; both give the same bits."""
+    with np.errstate(over="ignore"):  # a spread past the float range gives -inf, whose exp is 0
+        z = np.subtract(logits, np.max(logits, axis=-1, keepdims=True), out=out,
+                        dtype=np.float64)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def mc_softmax(mean: np.ndarray, variance: np.ndarray, n_samples: int, rng: RngState) -> np.ndarray:
@@ -435,10 +440,9 @@ def mc_softmax(mean: np.ndarray, variance: np.ndarray, n_samples: int, rng: RngS
     for one (K,) logit vector or an (N, K) batch of them.
 
     The softmax is taken inside the (n_samples, N, K) buffer of the draws,
-    one sample at a time, so beside it and the result no temporary is larger
-    than (N, K); each step is the arithmetic of ``softmax``, so the result has
-    its bits.  With zero variance this is exactly softmax(mean) for any
-    sample count.
+    one sample at a time (``softmax(draw, out=draw)``), so beside it and the
+    result no temporary is larger than (N, K).  With zero variance this is
+    exactly softmax(mean) for any sample count.
     """
     mean = np.asarray(mean, dtype=np.float64)
     variance = np.asarray(variance, dtype=np.float64)
@@ -451,8 +455,6 @@ def mc_softmax(mean: np.ndarray, variance: np.ndarray, n_samples: int, rng: RngS
     draws = rng.normal(n_samples * mean.size).reshape(n_samples, *mean.shape)
     draws *= np.sqrt(variance)
     draws += mean
-    for logits in draws:
-        logits -= np.max(logits, axis=-1, keepdims=True)
-        np.exp(logits, out=logits)
-        logits /= logits.sum(axis=-1, keepdims=True)
+    for draw in draws:
+        softmax(draw, out=draw)
     return draws.mean(axis=0)

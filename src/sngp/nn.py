@@ -2,8 +2,9 @@
 
 The network is an affine input projection (no activation) followed by
 ``depth`` residual blocks ``x -> x + dropout(act(W x + b))``, all at a fixed
-hidden width.  Keeping every residual branch's spectral norm below a bound
-``c < 1`` makes the block stack bi-Lipschitz: distances through the stack are
+hidden width, sharing the network's one activation and dropout rate.
+Keeping every residual branch's spectral norm below a bound ``c < 1`` makes
+the block stack bi-Lipschitz: distances through the stack are
 squeezed/stretched by at most ``(1 - c)^depth`` and ``(1 + c)^depth``.  The
 bound is enforced by ``spectral_normalize`` (one warm-started power iteration
 per call, rescale only when the estimate exceeds the bound) and checked
@@ -76,13 +77,10 @@ class DenseLayer:
 
 @dataclass
 class ResidualBlock:
-    """A square layer, a name in ``ACTIVATIONS`` and a dropout rate in [0, 1),
-    taken as given: ``ModelSpec`` checks the values and ``ResFfnNetwork.zeros``
-    makes the layer square."""
+    """A square layer (``ResFfnNetwork.zeros`` makes it square); the
+    activation and dropout rate belong to the network."""
 
     layer: DenseLayer
-    activation: str
-    dropout_rate: float
 
 
 @dataclass
@@ -97,11 +95,15 @@ class ForwardTape:
 
 
 class ResFfnNetwork:
-    """Input projection plus a stack of residual blocks of its output width."""
+    """Input projection plus residual blocks of its output width, which share its
+    activation (in ``ACTIVATIONS``) and dropout rate (in [0, 1)), taken as given."""
 
-    def __init__(self, input_projection: DenseLayer, blocks: list[ResidualBlock]):
+    def __init__(self, input_projection: DenseLayer, blocks: list[ResidualBlock], *,
+                 activation: str, dropout_rate: float):
         self.input_projection = input_projection
         self.blocks = blocks
+        self.activation = activation
+        self.dropout_rate = dropout_rate
 
     @classmethod
     def zeros(cls, input_dim: int, hidden_width: int, depth: int, *, activation: str,
@@ -110,10 +112,9 @@ class ResFfnNetwork:
         into or loaded.  The values are taken as given; ``ModelSpec`` checks them."""
         proj = DenseLayer.zeros(input_dim, hidden_width, sn_bound=sn_bound)
         blocks = [ResidualBlock(layer=DenseLayer.zeros(hidden_width, hidden_width,
-                                                       sn_bound=sn_bound),
-                                activation=activation, dropout_rate=dropout_rate)
+                                                       sn_bound=sn_bound))
                   for _ in range(depth)]
-        return cls(proj, blocks)
+        return cls(proj, blocks, activation=activation, dropout_rate=dropout_rate)
 
     def draw(self, rng: RngState) -> None:
         """The initial draw of every layer, in place, each from its own stream of ``rng``."""
@@ -140,31 +141,29 @@ class ResFfnNetwork:
             params[f"block{i}.b"] = blk.layer.bias
         return params
 
-    def forward(self, x: np.ndarray, train_mode: bool = False, rng: RngState | None = None,
+    def forward(self, x: np.ndarray, rng: RngState | None = None,
                 keep_tape: bool = True) -> tuple[np.ndarray, ForwardTape | None]:
         """Map a (batch, input_dim) matrix to (batch, width) hidden features.
 
         Dropout masks (inverted dropout on the residual branch) are drawn from
-        ``rng`` only when ``train_mode`` is set and a block has a nonzero rate.
-        With ``keep_tape = False`` the tape is None, and since nothing else
+        ``rng`` exactly when a stream is given and the network's rate is above
+        0.  With ``keep_tape = False`` the tape is None, and since nothing else
         holds a block's pre-activation, its branch is computed over it; the
         result has the same bits.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ValueError(f"expected input of shape (batch, {self.input_dim}), got {x.shape}")
+        act, _ = ACTIVATIONS[self.activation]
+        keep = 1.0 - self.dropout_rate if rng is not None and self.dropout_rate > 0.0 else None
         h = self.input_projection.apply(x)
         tape = ForwardTape(x_in=x, proj_out=h) if keep_tape else None
         for blk in self.blocks:
-            act, _ = ACTIVATIONS[blk.activation]
             z = blk.layer.apply(h)
             out = z if tape is None else None  # without a tape, z is nobody else's
             branch = act(z, out=out)
             mask = None
-            if train_mode and blk.dropout_rate > 0.0:
-                if rng is None:
-                    raise ValueError("train-mode forward with dropout requires an rng")
-                keep = 1.0 - blk.dropout_rate
+            if keep is not None:
                 mask = rng.bernoulli_mask(z.shape, keep) / keep
                 branch = np.multiply(branch, mask, out=out)
             if tape is not None:
@@ -183,10 +182,10 @@ class ResFfnNetwork:
             raise ValueError(f"grad_h has shape {grad_h.shape}, expected "
                              f"({tape.x_in.shape[0]}, {self.hidden_width})")
         grads: dict[str, np.ndarray] = {}
+        _, act_grad = ACTIVATIONS[self.activation]
         d = np.asarray(grad_h, dtype=np.float64)
         for i in range(self.depth - 1, -1, -1):
             blk = self.blocks[i]
-            _, act_grad = ACTIVATIONS[blk.activation]
             d_branch = d
             if tape.dropout_masks[i] is not None:
                 d_branch = d_branch * tape.dropout_masks[i]
@@ -243,29 +242,23 @@ def lipschitz_probe(net: ResFfnNetwork,
 
     For each pair (x, x') measures ||h(x) - h(x')|| / ||P(x) - P(x')|| where P
     is the input projection, i.e. the ratio across the residual blocks only,
-    which is the regime where the (1 -+ c)^depth bounds apply.  Runs in
-    evaluation mode (no dropout).  Pairs that coincide after projection are
-    skipped and counted.
+    which is the regime where the (1 -+ c)^depth bounds apply.  No units drop
+    (no dropout stream).  Pairs that coincide after projection are skipped
+    and counted.
 
     Returns:
         (min_ratio, max_ratio, num_skipped)
     """
-    ratios = []
-    skipped = 0
     xs = np.asarray([p[0] for p in pairs], dtype=np.float64)
     ys = np.asarray([p[1] for p in pairs], dtype=np.float64)
-    hx, tape_x = net.forward(xs, train_mode=False)
-    hy, tape_y = net.forward(ys, train_mode=False)
+    hx, tape_x = net.forward(xs)
+    hy, tape_y = net.forward(ys)
     denom = np.linalg.norm(tape_x.proj_out - tape_y.proj_out, axis=1)
-    numer = np.linalg.norm(hx - hy, axis=1)
-    for n, d in zip(numer, denom):
-        if d == 0.0:
-            skipped += 1
-        else:
-            ratios.append(n / d)
-    if not ratios:
+    moved = denom != 0.0
+    if not moved.any():
         raise ValueError("all probe pairs coincided after projection")
-    return float(min(ratios)), float(max(ratios)), skipped
+    ratios = np.linalg.norm(hx - hy, axis=1)[moved] / denom[moved]
+    return float(ratios.min()), float(ratios.max()), int(np.sum(~moved))
 
 
 class SgdMomentum:

@@ -18,9 +18,7 @@ spelled out:
 Strict propriety follows from strict concavity: s(p, p*) > s(p*, p*) for
 every p != p*.  The brute-force oracles below verify, on an exact simplex
 grid, that the minimax prediction inf_p sup_{p*} s(p, p*) and the maximum of
-H coincide at the uniform distribution, and ``l1_ece_bound_check`` verifies
-by simulation that calibration error is bounded by the mean L1 gap between
-the model and the data-generating conditionals at the predicted class.
+H coincide at the uniform distribution.
 """
 
 from __future__ import annotations
@@ -29,9 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-
-from .linalg import RngState
-from .metrics import PredictionSet, ece
 
 LOG_CLIP = 1e-9
 
@@ -83,12 +78,6 @@ def _check_simplex(p: np.ndarray, what: str) -> np.ndarray:
     return p
 
 
-def pointwise_score(y: int, p: np.ndarray, rule: ScoringRule) -> float:
-    """Loss of predicting ``p`` when the outcome is class ``y`` (lower better)."""
-    p = _check_simplex(p, "p")
-    return float(rule.psi_prime(p[y]) + np.sum(rule.psi(p) - p * rule.psi_prime(p)))
-
-
 def bregman_score(p: np.ndarray, p_star: np.ndarray, rule: ScoringRule) -> float:
     """Expected pointwise score of prediction ``p`` under outcomes ``y ~ p_star``.
 
@@ -98,12 +87,6 @@ def bregman_score(p: np.ndarray, p_star: np.ndarray, rule: ScoringRule) -> float
     p = _check_simplex(p, "p")
     p_star = _check_simplex(p_star, "p_star")
     return float(np.sum((p_star - p) * rule.psi_prime(p) + rule.psi(p)))
-
-
-def bregman_entropy(p: np.ndarray, rule: ScoringRule) -> float:
-    """Generalized entropy sum_k psi(p_k) (Shannon entropy for the log rule)."""
-    p = _check_simplex(p, "p")
-    return float(np.sum(rule.psi(p)))
 
 
 @dataclass
@@ -176,59 +159,8 @@ def minimax_oracle(num_classes: int, step: float, rule: ScoringRule) -> np.ndarr
     return pts[int(np.argmin(sup_scores))]
 
 
-def minimax_value(num_classes: int, step: float, rule: ScoringRule) -> float:
-    """Value of the grid game at the minimax prediction."""
-    return float(_sup_scores(num_classes, step, rule)[1].min())
-
-
 def max_entropy_oracle(num_classes: int, step: float, rule: ScoringRule) -> np.ndarray:
     """Grid argmax of the generalized entropy; coincides with the minimax point."""
     pts = _grids_for_game(num_classes, step)
     entropies = rule.psi(pts).sum(axis=1)
     return pts[int(np.argmax(entropies))]
-
-
-def mixture_predictive(p_ind: np.ndarray, p_domain: float, num_classes: int) -> np.ndarray:
-    """Blend of the in-domain prediction and the uniform distribution.
-
-    Returns p_ind * p_domain + (1/K) * (1 - p_domain), which stays on the
-    simplex for any domain probability in [0, 1].
-    """
-    p_ind = _check_simplex(p_ind, "p_ind")
-    if not 0.0 <= p_domain <= 1.0:
-        raise ValueError("p_domain must lie in [0, 1]")
-    if p_ind.shape[0] != num_classes:
-        raise ValueError("p_ind length must equal num_classes")
-    return p_ind * p_domain + (1.0 - p_domain) / num_classes
-
-
-def sample_labels(probs: np.ndarray, rng: RngState) -> np.ndarray:
-    """Draw one label per row of a (N, K) probability array."""
-    u = rng.uniform(probs.shape[0], 0.0, 1.0)
-    cdf = np.cumsum(probs, axis=1)
-    labels = (u[:, None] > cdf).sum(axis=1)
-    return np.minimum(labels, probs.shape[1] - 1)
-
-
-def l1_ece_bound_check(model_probs: np.ndarray, true_probs: np.ndarray, n_draws: int,
-                       rng: RngState, num_bins: int = 15) -> tuple[float, float, bool]:
-    """Simulate the calibration-error-vs-L1 bound on synthetic inputs.
-
-    Labels are drawn y_i ~ true_probs_i (one per row, so n_draws must equal
-    the row count).  Returns the empirical ECE of model_probs against those
-    labels, the mean |true_probs[y_hat] - model_probs[y_hat]| at the predicted
-    class, and whether ECE <= L1 + 3/sqrt(n_draws).
-    """
-    model_probs = np.asarray(model_probs, dtype=np.float64)
-    true_probs = np.asarray(true_probs, dtype=np.float64)
-    if model_probs.shape != true_probs.shape:
-        raise ValueError("model and true probability arrays must be aligned")
-    if model_probs.shape[0] != n_draws:
-        raise ValueError("n_draws must equal the number of rows")
-    labels = sample_labels(true_probs, rng)
-    empirical_ece = ece(PredictionSet(probs=model_probs, labels=labels), num_bins=num_bins)
-    y_hat = np.argmax(model_probs, axis=1)
-    rows = np.arange(n_draws)
-    empirical_l1 = float(np.mean(np.abs(true_probs[rows, y_hat] - model_probs[rows, y_hat])))
-    holds = empirical_ece <= empirical_l1 + 3.0 / np.sqrt(n_draws)
-    return empirical_ece, empirical_l1, bool(holds)

@@ -245,14 +245,14 @@ class SngpModel:
     def has_gp_head(self) -> bool:
         return isinstance(self.head, RffGpLayer)
 
-    def hidden(self, x: np.ndarray, train_mode: bool = False, rng: RngState | None = None,
-               keep_tape: bool = True):
+    def hidden(self, x: np.ndarray, rng: RngState | None = None, keep_tape: bool = True):
         """Hidden features (batch, width) and the network tape (None for
-        identity, or when ``keep_tape`` is off because nothing runs backward)."""
+        identity, or when ``keep_tape`` is off because nothing runs backward);
+        the network drops units only when given a dropout stream ``rng``."""
         x = np.asarray(x, dtype=np.float64)
         if self.network is None:
             return x, None
-        return self.network.forward(x, train_mode=train_mode, rng=rng, keep_tape=keep_tape)
+        return self.network.forward(x, rng=rng, keep_tape=keep_tape)
 
     def parameters(self) -> dict[str, np.ndarray]:
         params: dict[str, np.ndarray] = {}
@@ -340,12 +340,12 @@ def build_sngp_model(spec: ModelSpec) -> SngpModel:
 
 
 def loss_and_grads(model: SngpModel, batch_x: np.ndarray, batch_y: np.ndarray, *,
-                   l2_beta: float, l2_scale: float,
-                   train_mode: bool = True, rng: RngState | None = None
+                   l2_beta: float, l2_scale: float, rng: RngState | None
                    ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy (plus the L2 prior ``l2_beta / l2_scale`` on the head
     weights; ``TrainConfig`` owns ``l2_beta`` and ``train`` passes the data
     size as ``l2_scale``) and exact gradients for every trainable parameter.
+    ``rng`` is the dropout stream, or None for a pass that drops nothing.
     A non-finite row or loss raises ``TrainingDivergedError``, caused by a
     row's ``NonFiniteRowError``; nothing warns."""
     batch_x = np.asarray(batch_x, dtype=np.float64)
@@ -358,7 +358,7 @@ def loss_and_grads(model: SngpModel, batch_x: np.ndarray, batch_y: np.ndarray, *
     head_weights = model.head.beta if gp else model.head.weight
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            h, tape = model.hidden(batch_x, train_mode=train_mode, rng=rng)
+            h, tape = model.hidden(batch_x, rng=rng)
             phi, gp_tape = model.head.features_with_tape(h) if gp else (h, None)
             logits = model.head.logits(phi)
             check_rows(np.isfinite(logits).all(axis=1), h, "logits are")
@@ -378,19 +378,21 @@ def loss_and_grads(model: SngpModel, batch_x: np.ndarray, batch_y: np.ndarray, *
     dlogits[np.arange(m), batch_y] -= 1.0
     dlogits /= m
 
-    grad_weights = dlogits.T @ phi
-    if l2_beta > 0.0:
-        grad_weights += (l2_beta / l2_scale) * head_weights
-    dh = dlogits @ head_weights  # d loss / d phi, which is h for the dense head
-    if gp:
-        grads = {"head.beta": grad_weights}
-        dh = model.head.backprop_features(gp_tape, dh)
-    else:
-        grads = {"head.w": grad_weights, "head.b": dlogits.sum(axis=0)}
+    # An overflowing gradient makes a parameter non-finite, which the next pass names.
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad_weights = dlogits.T @ phi
+        if l2_beta > 0.0:
+            grad_weights += (l2_beta / l2_scale) * head_weights
+        dh = dlogits @ head_weights  # d loss / d phi, which is h for the dense head
+        if gp:
+            grads = {"head.beta": grad_weights}
+            dh = model.head.backprop_features(gp_tape, dh)
+        else:
+            grads = {"head.w": grad_weights, "head.b": dlogits.sum(axis=0)}
 
-    if model.network is not None:
-        for name, g in model.network.backward(tape, dh).items():
-            grads[f"net.{name}"] = g
+        if model.network is not None:
+            for name, g in model.network.backward(tape, dh).items():
+                grads[f"net.{name}"] = g
     return loss, grads
 
 
@@ -407,8 +409,6 @@ def train(model: SngpModel, points: np.ndarray, labels: np.ndarray, config: Trai
     n = points.shape[0]
     if n == 0:
         raise ValueError("dataset must be non-empty")
-    if config.epochs == 0:  # nothing trains, so no accuracy is counted
-        return TrainReport(seed=model.spec.seed)
     start = time.perf_counter()
     root = RngState(model.spec.seed)
     shuffle_rng = root.derive("shuffle")
@@ -435,7 +435,8 @@ def train(model: SngpModel, points: np.ndarray, labels: np.ndarray, config: Trai
                     raise TrainingDivergedError(f"loss {loss}")
                 if hooks:
                     hooks("sgd_update", epoch, step)
-                optimizer.step(model.parameters(), grads)
+                with np.errstate(over="ignore", invalid="ignore"):  # named by the next pass
+                    optimizer.step(model.parameters(), grads)
                 del grads  # so that the next step's gradients are not made beside these
                 if model.spec.spectral_norm and model.network is not None:
                     if hooks:
@@ -464,11 +465,13 @@ def train(model: SngpModel, points: np.ndarray, labels: np.ndarray, config: Trai
         report.epoch_losses.append(epoch_loss / num_batches)
     del optimizer  # its velocity is dead after the last step
 
-    if model.spec.spectral_norm and model.network is not None:
+    # With no epochs nothing trains, but the pass below still checks every row.
+    trained = config.epochs > 0
+    if trained and model.spec.spectral_norm and model.network is not None:
         # The single-iteration estimates lag the last SGD updates; finish with
         # an exact clamp so the spectral bound holds as a certificate.
         clamp_network(model.network)
-    exact = model.has_gp_head and config.precision_exact
+    exact = trained and model.has_gp_head and config.precision_exact
     if exact:
         if hooks:
             hooks("precision_update", config.epochs - 1, step)

@@ -6,11 +6,19 @@ pair counter and the rank sum over ``scipy.stats.rankdata`` ranks check the
 rank-based AUROC, ``scipy.special`` checks the Dempster-Shafer score, and the
 central-difference gradient checker checks manual backprop.  SciPy is a test
 dependency only; the package itself is NumPy.
+
+The quantities at the end are reached only by tests: the pointwise score,
+entropy, minimax value and mixture predictive of ``sngp.theory``'s scoring
+rules, the calibration-bound simulation, and the distance to a point set.
 """
 
 import numpy as np
 from scipy.special import expit, logsumexp
 from scipy.stats import rankdata
+
+from sngp.linalg import RngState
+from sngp.metrics import PredictionSet, ece
+from sngp.theory import ScoringRule, _check_simplex, _sup_scores
 
 
 def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 100) -> np.ndarray:
@@ -114,3 +122,75 @@ def max_relative_gradient_error(analytic: dict[str, np.ndarray],
         if rel[idx] > worst:
             worst, worst_name = float(rel[idx]), f"{name}{idx}"
     return worst, worst_name
+
+
+def pointwise_score(y: int, p: np.ndarray, rule: ScoringRule) -> float:
+    """Loss of predicting ``p`` when the outcome is class ``y`` (lower better)."""
+    p = _check_simplex(p, "p")
+    return float(rule.psi_prime(p[y]) + np.sum(rule.psi(p) - p * rule.psi_prime(p)))
+
+
+def bregman_entropy(p: np.ndarray, rule: ScoringRule) -> float:
+    """Generalized entropy sum_k psi(p_k) (Shannon entropy for the log rule)."""
+    p = _check_simplex(p, "p")
+    return float(np.sum(rule.psi(p)))
+
+
+def minimax_value(num_classes: int, step: float, rule: ScoringRule) -> float:
+    """Value of the grid game at the minimax prediction."""
+    return float(_sup_scores(num_classes, step, rule)[1].min())
+
+
+def mixture_predictive(p_ind: np.ndarray, p_domain: float, num_classes: int) -> np.ndarray:
+    """Blend of the in-domain prediction and the uniform distribution.
+
+    Returns p_ind * p_domain + (1/K) * (1 - p_domain), which stays on the
+    simplex for any domain probability in [0, 1].
+    """
+    p_ind = _check_simplex(p_ind, "p_ind")
+    if not 0.0 <= p_domain <= 1.0:
+        raise ValueError("p_domain must lie in [0, 1]")
+    if p_ind.shape[0] != num_classes:
+        raise ValueError("p_ind length must equal num_classes")
+    return p_ind * p_domain + (1.0 - p_domain) / num_classes
+
+
+def sample_labels(probs: np.ndarray, rng: RngState) -> np.ndarray:
+    """Draw one label per row of a (N, K) probability array."""
+    u = rng.uniform(probs.shape[0], 0.0, 1.0)
+    cdf = np.cumsum(probs, axis=1)
+    labels = (u[:, None] > cdf).sum(axis=1)
+    return np.minimum(labels, probs.shape[1] - 1)
+
+
+def l1_ece_bound_check(model_probs: np.ndarray, true_probs: np.ndarray, n_draws: int,
+                       rng: RngState, num_bins: int = 15) -> tuple[float, float, bool]:
+    """Simulate the calibration-error-vs-L1 bound on synthetic inputs.
+
+    Labels are drawn y_i ~ true_probs_i (one per row, so n_draws must equal
+    the row count).  Returns the empirical ECE of model_probs against those
+    labels, the mean |true_probs[y_hat] - model_probs[y_hat]| at the predicted
+    class, and whether ECE <= L1 + 3/sqrt(n_draws).
+    """
+    model_probs = np.asarray(model_probs, dtype=np.float64)
+    true_probs = np.asarray(true_probs, dtype=np.float64)
+    if model_probs.shape != true_probs.shape:
+        raise ValueError("model and true probability arrays must be aligned")
+    if model_probs.shape[0] != n_draws:
+        raise ValueError("n_draws must equal the number of rows")
+    labels = sample_labels(true_probs, rng)
+    empirical_ece = ece(PredictionSet(probs=model_probs, labels=labels), num_bins=num_bins)
+    y_hat = np.argmax(model_probs, axis=1)
+    rows = np.arange(n_draws)
+    empirical_l1 = float(np.mean(np.abs(true_probs[rows, y_hat] - model_probs[rows, y_hat])))
+    holds = empirical_ece <= empirical_l1 + 3.0 / np.sqrt(n_draws)
+    return empirical_ece, empirical_l1, bool(holds)
+
+
+def min_distance_to_set(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each point to its nearest reference point."""
+    points = np.asarray(points, dtype=np.float64)
+    reference = np.asarray(reference, dtype=np.float64)
+    d2 = (np.sum(points**2, axis=1)[:, None] + np.sum(reference**2, axis=1)[None, :]
+          - 2.0 * points @ reference.T)
+    return np.sqrt(np.maximum(d2.min(axis=1), 0.0))

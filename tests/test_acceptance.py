@@ -15,16 +15,16 @@ from scipy.stats import spearmanr
 
 from sngp.baselines import build_variant, ensemble_predict, train_ensemble
 from sngp.cli import main as cli_main
-from sngp.data import gen_grid, gen_two_moons, min_distance_to_set
+from sngp.data import gen_grid, gen_two_moons
 from sngp.gp_layer import RffGpLayer, softmax
 from sngp.linalg import RngState
 from sngp.metrics import PredictionSet, aupr, ece, margin_uncertainty, variance_uncertainty
 from sngp.nn import lipschitz_probe
-from sngp.theory import (brier_rule, l1_ece_bound_check, log_rule, max_entropy_oracle,
-                         minimax_oracle, bregman_score)
+from sngp.theory import brier_rule, log_rule, max_entropy_oracle, minimax_oracle, bregman_score
 from sngp.train import ModelSpec, TrainConfig, build_sngp_model, loss_and_grads, predict_batch, train
 
-from oracles import finite_diff_gradients, max_relative_gradient_error, sigma_max_jacobi
+from oracles import (finite_diff_gradients, l1_ece_bound_check, max_relative_gradient_error,
+                     min_distance_to_set, sigma_max_jacobi)
 
 BENCH_SPEC = ModelSpec(hidden_width=16, depth=3, num_features=256, dropout_rate=0.01,
                          use_layer_norm=False, length_scale=2.0, sn_bound=0.9, seed=0)
@@ -114,9 +114,9 @@ def test_criterion_3_gradient_correctness():
     y = (rng.uniform(12, 0.0, 1.0) > 0.5).astype(int)
 
     def loss_fn():
-        return loss_and_grads(model, x, y, l2_beta=0.1, l2_scale=10.0, train_mode=False)[0]
+        return loss_and_grads(model, x, y, l2_beta=0.1, l2_scale=10.0, rng=None)[0]
 
-    _, analytic = loss_and_grads(model, x, y, l2_beta=0.1, l2_scale=10.0, train_mode=False)
+    _, analytic = loss_and_grads(model, x, y, l2_beta=0.1, l2_scale=10.0, rng=None)
     numeric = finite_diff_gradients(loss_fn, model.parameters(), step=1e-5)
     worst, name = max_relative_gradient_error(analytic, numeric)
     n_params = sum(p.size for p in model.parameters().values())

@@ -5,11 +5,14 @@ import pytest
 from scipy.stats import spearmanr
 
 from sngp.baselines import build_variant, ensemble_predict, train_ensemble
-from sngp.data import gen_two_moons, min_distance_to_set
+from sngp.data import gen_two_moons
 from sngp.gp_layer import softmax
 from sngp.linalg import RngState
 from sngp.metrics import margin_uncertainty, variance_uncertainty
 from sngp.train import ModelSpec, TrainConfig, predict_batch, train
+
+from oracles import min_distance_to_set
+
 
 def variance_of(model, x):
     return variance_uncertainty(predict_batch(model, x, mc_samples=1, rng=RngState(0)))

@@ -20,7 +20,8 @@ from sngp.cli import (EXIT_DIVERGED, EXIT_INCOMPATIBLE, EXIT_OK, EXIT_USAGE,
                       EXIT_VERIFY_FAILED, LoadedModel, RunConfig, main, parse_run_config)
 from sngp.data import dataset_from_csv, gen_two_moons, gen_two_ovals, surface_from_csv
 from sngp.gp_layer import RffGpLayer, softmax
-from sngp.nn import DenseLayer, ResFfnNetwork, ResidualBlock, SgdMomentum, build_res_ffn
+from sngp.nn import (ACTIVATIONS, DenseLayer, ResFfnNetwork, ResidualBlock, SgdMomentum,
+                     build_res_ffn)
 from sngp.train import (ModelSpec, TrainConfig, TrainingDivergedError, TrainReport,
                         _array_manifest, build_sngp_model, load_checkpoint, loss_and_grads,
                         predict_batch, save_checkpoint)
@@ -130,11 +131,13 @@ class TestConfigParsing:
         owned = set(cli.CONFIG_KEYS) | {"projection_dim", "l2_scale"}
         defaulted = [f"{fn.__qualname__}.{p.name}"
                      for fn in (RffGpLayer, build_res_ffn, DenseLayer, DenseLayer.zeros,
-                                ResFfnNetwork.zeros, ResidualBlock, SgdMomentum, gen_two_moons,
-                                gen_two_ovals, loss_and_grads, predict_batch)
+                                ResFfnNetwork, ResFfnNetwork.zeros, ResidualBlock, SgdMomentum,
+                                gen_two_moons, gen_two_ovals, loss_and_grads, predict_batch)
                      for p in inspect.signature(fn).parameters.values()
                      if p.name in owned and p.default is not p.empty]
         assert defaulted == []
+        # A training caller that leaves out the dropout stream must not lose dropout silently.
+        assert inspect.signature(loss_and_grads).parameters["rng"].default is inspect.Parameter.empty
 
     def test_repeated_key_rejected_naming_both_lines(self):
         with pytest.raises(ValueError, match="config line 3: key 'seed' is already set on line 1"):
@@ -972,3 +975,154 @@ class TestCompareCommand:
                        if not l.startswith("#")]
         evaluated = dict(l.split("=", 1) for l in report.read_text().splitlines())
         assert {c: evaluated[c] for c in header[1:]} == dict(zip(header[1:], row[1:]))
+
+
+# The hostile-input property: a tiny base config with one to three keys drawn
+# from their accepted ranges, each range's edges drawn as often as its inside.
+# Size keys stay within a few times the base, since nothing bounds the bytes
+# a size asks for.  A deeper run for a change to input handling:
+#   HOSTILE_EXAMPLES=8000 PYTHONPATH=src python -m pytest -q tests/test_cli.py -k hostile
+HOSTILE_BASE = dict(dataset="two_moons", n_per_class=20, noise_sd=0.1, data_seed=7,
+                    ensemble_size=2, mc_samples=4, hidden_width=8, depth=2, seed=0,
+                    num_features=32, epochs=2, batch_size=16)
+BELOW_ONE = float(np.nextafter(1.0, 0.0))  # 1 - eps, the largest float below 1
+MAX_FLOAT = sys.float_info.max
+
+
+def _edged(edges, inside):
+    return st.one_of(st.sampled_from(edges), inside)
+
+
+POSITIVE = _edged([5e-324, 1e-300, 1e300, MAX_FLOAT],
+                  st.floats(0.0, 1e300, exclude_min=True))
+NONNEGATIVE = _edged([0.0, 5e-324, 1e-300, 1e300, MAX_FLOAT], st.floats(0.0, 1e300))
+UNIT_RIGHT_OPEN = _edged([0.0, 5e-324, BELOW_ONE], st.floats(0.0, 1.0, exclude_max=True))
+SEED = _edged([0, 10**300], st.integers(0, 2**64))
+HOSTILE_KEYS = {
+    "dataset": st.sampled_from(cli.DATASETS),
+    "n_per_class": st.integers(1, 60),
+    "noise_sd": NONNEGATIVE,
+    "data_seed": SEED,
+    "ensemble_size": st.integers(1, 4),
+    "mc_samples": st.integers(1, 30),
+    "hidden_width": st.integers(1, 24),
+    "depth": st.integers(0, 6),
+    "seed": SEED,
+    "activation": st.sampled_from(sorted(ACTIVATIONS)),
+    "dropout_rate": UNIT_RIGHT_OPEN,
+    "sn_bound": POSITIVE,
+    "num_features": st.integers(1, 96),
+    "length_scale": POSITIVE,
+    "ridge_s": POSITIVE,
+    "discount_m": _edged([5e-324, BELOW_ONE],
+                         st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    "use_layer_norm": st.booleans(),
+    "epochs": st.integers(0, 6),
+    "batch_size": st.integers(1, 64),
+    "learning_rate": POSITIVE,
+    "momentum": UNIT_RIGHT_OPEN,
+    "l2_beta": NONNEGATIVE,
+    "precision_exact": st.booleans(),
+}
+HOSTILE_EDITS = st.lists(st.sampled_from(sorted(HOSTILE_KEYS)).flatmap(
+    lambda key: st.tuples(st.just(key), HOSTILE_KEYS[key])),
+    min_size=1, max_size=3, unique_by=lambda edit: edit[0])
+
+
+def train_hostile(tmp_path, variant, **edits):
+    """``sngp train`` on the hostile base config with ``edits``, every warning
+    an error: (exit code, the config's values, the checkpoint path)."""
+    cfg = {**HOSTILE_BASE, "variant": variant, **edits}
+    config, ckpt = tmp_path / "hostile.cfg", tmp_path / "m.ckpt"
+    config.write_text("".join(f"{key} = {value}\n" for key, value in cfg.items()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(["train", "--config", str(config), "--out", str(ckpt)]), cfg, ckpt
+
+
+class TestHostileConfigs:
+    # Each defect the property found, as its own case.
+    def test_overflowing_sgd_update_exits_3(self, tmp_path, capsys):
+        code, _, ckpt = train_hostile(tmp_path, "deterministic", learning_rate=MAX_FLOAT)
+        assert code == EXIT_DIVERGED and not ckpt.exists()
+        assert "hidden features are not finite at epoch 0 step 1" in capsys.readouterr().err
+
+    def test_overflowing_feature_gradient_exits_3(self, tmp_path, capsys):
+        # shallow_gp backpropagates through the features into nothing; that
+        # product overflows first, before the loss names the divergence.
+        code, _, ckpt = train_hostile(tmp_path, "shallow_gp", learning_rate=1e300,
+                                      length_scale=1e-12)
+        assert code == EXIT_DIVERGED and not ckpt.exists()
+        assert "training diverged: loss" in capsys.readouterr().err
+
+    def test_precision_that_lost_its_ridge_exits_3(self, tmp_path, capsys):
+        # The moving average scales the ridge by discount_m at every step, so a
+        # tiny one leaves a rank-deficient precision that no prediction can invert.
+        code, _, ckpt = train_hostile(tmp_path, "shallow_gp", discount_m=5e-324)
+        assert code == EXIT_DIVERGED and not ckpt.exists()
+        assert "precision matrix lost positive definiteness" in capsys.readouterr().err
+
+    def test_overflowing_two_moons_noise_exits_2(self, tmp_path, capsys):
+        message = f"noise_sd = {MAX_FLOAT!r} makes a two-moons point overflow"
+        code, _, ckpt = train_hostile(tmp_path, "sngp", noise_sd=MAX_FLOAT)
+        assert code == EXIT_USAGE and not ckpt.exists()
+        assert message in capsys.readouterr().err
+        out = tmp_path / "data.csv"
+        assert main(["gen-data", "--dataset", "two_moons", "--noise", repr(MAX_FLOAT),
+                     "--out", str(out)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err and not out.exists()
+
+    def test_zero_epochs_still_check_every_row(self, tmp_path, capsys):
+        # Else the checkpoint would fail an eval of the very rows it trained on.
+        code, _, ckpt = train_hostile(tmp_path, "dnn_gp", epochs=0, noise_sd=1e300)
+        assert code == EXIT_DIVERGED and not ckpt.exists()
+        assert "dataset row 0: layer-norm variance" in capsys.readouterr().err
+
+    def test_ensemble_of_near_limit_logits_evaluates_without_a_warning(self, tmp_path):
+        code, cfg, ckpt = train_hostile(tmp_path, "deep_ensemble", epochs=0, noise_sd=1e300)
+        assert code == EXIT_OK
+        data_csv = tmp_path / "data.csv"
+        assert main(["gen-data", "--dataset", "two_moons", "--n", "20", "--noise", "1e300",
+                     "--seed", str(cfg["data_seed"]), "--out", str(data_csv)]) == EXIT_OK
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", "--checkpoint", f"{ckpt}.member0", f"{ckpt}.member1",
+                         "--data", str(data_csv)]) == EXIT_OK
+
+    def test_logit_spread_past_the_float_range_trains_and_predicts(self, tmp_path):
+        # The precision update's softmax once warned on such finite logits.
+        code, _, ckpt = train_hostile(tmp_path, "shallow_gp", dataset="two_ovals", epochs=3,
+                                      learning_rate=MAX_FLOAT)
+        assert code == EXIT_OK
+        data_csv = tmp_path / "data.csv"
+        assert main(["gen-data", "--dataset", "two_ovals", "--n", "20",
+                     "--out", str(data_csv)]) == EXIT_OK
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["surface", "--checkpoint", str(ckpt), "--grid=-2.5,3.5,-2,3,6,6",
+                         "--metric", "variance", "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+            assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data_csv)]) == EXIT_OK
+
+    def test_every_key_and_the_variant_are_drawn(self):
+        assert set(HOSTILE_KEYS) | {"variant"} == set(cli.CONFIG_KEYS)
+
+    @settings(max_examples=int(os.environ.get("HOSTILE_EXAMPLES", "500")), deadline=None,
+              derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(variant=st.sampled_from(cli.VARIANT_TAGS), edits=HOSTILE_EDITS)
+    def test_hostile_config_ends_in_a_documented_exit(self, tmp_path, variant, edits):
+        code, cfg, ckpt = train_hostile(tmp_path, variant, **dict(edits))
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_DIVERGED, EXIT_INCOMPATIBLE)
+        if code != EXIT_OK:
+            return
+        members = ([f"{ckpt}.member{i}" for i in range(cfg["ensemble_size"])]
+                   if variant == "deep_ensemble" else [str(ckpt)])
+        if variant in ("sngp", "dnn_gp", "shallow_gp"):
+            assert main(["surface", "--checkpoint", *members, "--grid=-2.5,3.5,-2,3,6,6",
+                         "--metric", "variance", "--out", str(tmp_path / "surface.csv")]
+                        ) == EXIT_OK
+        # The training rows and the OOD rows, as the run generated them.
+        data_csv = tmp_path / "data.csv"
+        assert main(["gen-data", "--dataset", cfg["dataset"], "--n", str(cfg["n_per_class"]),
+                     "--noise", repr(cfg["noise_sd"]), "--seed", str(cfg["data_seed"]),
+                     "--out", str(data_csv)]) == EXIT_OK
+        assert main(["eval", "--checkpoint", *members, "--data", str(data_csv)]) == EXIT_OK

@@ -558,6 +558,21 @@ class TestQuadraticForm:
         assert peak <= phi.nbytes + 8 * 256 * PANEL + 2**16
 
 
+class TestSoftmax:
+    def test_in_place_gives_the_same_bits(self):
+        logits = RngState(29).normal_matrix(50, 3) * 30.0
+        expected = softmax(logits)
+        assert softmax(logits, out=logits) is logits
+        assert np.array_equal(logits, expected)
+
+    def test_spread_past_the_float_range_is_exact_without_a_warning(self):
+        # max - min overflows to -inf, whose exp is exactly 0.
+        logits = np.array([[9e307, -9e307], [-1.7e308, 1.7e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(softmax(logits), [[1.0, 0.0], [0.0, 1.0]])
+
+
 class TestMcSoftmax:
     def test_zero_variance_is_plain_softmax(self):
         mean = np.array([0.2, -1.0, 0.5])

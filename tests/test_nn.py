@@ -10,6 +10,8 @@ from oracles import finite_diff_gradients, max_relative_gradient_error, sigma_ma
 
 # The network settings of tests that need no particular ones; the layers take no defaults.
 RELU_NET = dict(activation="relu", dropout_rate=0.0, sn_bound=1.0)
+RELU = dict(activation="relu", dropout_rate=0.0)
+LINEAR = dict(activation="linear", dropout_rate=0.0)
 
 
 def drawn_layer(in_dim: int, out_dim: int, rng: RngState, sn_bound: float) -> DenseLayer:
@@ -21,14 +23,14 @@ def drawn_layer(in_dim: int, out_dim: int, rng: RngState, sn_bound: float) -> De
 def zero_block(width: int) -> ResidualBlock:
     layer = DenseLayer(weight=np.zeros((width, width)), bias=np.zeros(width),
                        sn_u=np.ones(width) / np.sqrt(width), sn_bound=1.0)
-    return ResidualBlock(layer=layer, activation="relu", dropout_rate=0.0)
+    return ResidualBlock(layer=layer)
 
 
 class TestForward:
     def test_zero_blocks_reduce_to_projection(self):
         rng = RngState(1)
         proj = drawn_layer(2, 4, rng, sn_bound=1.0)
-        net = ResFfnNetwork(proj, [zero_block(4) for _ in range(3)])
+        net = ResFfnNetwork(proj, [zero_block(4) for _ in range(3)], **RELU)
         x = rng.normal_matrix(5, 2)
         h, _ = net.forward(x)
         assert np.array_equal(h, proj.apply(x))
@@ -36,7 +38,7 @@ class TestForward:
     def test_depth_zero(self):
         rng = RngState(2)
         proj = drawn_layer(2, 4, rng, sn_bound=1.0)
-        net = ResFfnNetwork(proj, [])
+        net = ResFfnNetwork(proj, [], **RELU)
         x = rng.normal_matrix(3, 2)
         h, _ = net.forward(x)
         assert np.array_equal(h, proj.apply(x))
@@ -47,9 +49,8 @@ class TestForward:
         proj = DenseLayer(weight=np.eye(2), bias=np.zeros(2), sn_u=np.array([1.0, 0.0]),
                           sn_bound=1.0)
         blk = ResidualBlock(layer=DenseLayer(weight=w, bias=b, sn_u=np.array([1.0, 0.0]),
-                                             sn_bound=1.0),
-                            activation="relu", dropout_rate=0.0)
-        net = ResFfnNetwork(proj, [blk])
+                                             sn_bound=1.0))
+        net = ResFfnNetwork(proj, [blk], **RELU)
         x = np.array([[1.0, 2.0]])
         h, _ = net.forward(x)
         pre = w @ x[0] + b                       # (-0.9, 4.3)
@@ -61,18 +62,35 @@ class TestForward:
         with pytest.raises(ValueError):
             net.forward(np.zeros((2, 3)))
 
-    def test_dropout_only_in_train_mode(self):
+    def test_dropout_only_with_a_stream(self):
         net = build_res_ffn(2, 8, 2, RngState(4), activation="relu", dropout_rate=0.5,
                             sn_bound=1.0)
         x = RngState(5).normal_matrix(4, 2)
-        h_eval1, _ = net.forward(x, train_mode=False)
-        h_eval2, _ = net.forward(x, train_mode=False)
+        h_eval1, _ = net.forward(x, rng=None)
+        h_eval2, _ = net.forward(x, rng=None)
         assert np.array_equal(h_eval1, h_eval2)
-        h_train, _ = net.forward(x, train_mode=True, rng=RngState(6))
+        h_train, _ = net.forward(x, rng=RngState(6))
         assert not np.allclose(h_train, h_eval1)
 
-    @pytest.mark.parametrize("train_mode", [False, True])
-    def test_forward_without_tape_gives_the_same_bits(self, train_mode):
+    def test_the_stream_alone_decides_dropout(self):
+        # The network owns the rate; a pass drops units exactly when it is
+        # given a stream, and each stream's draw repeats.
+        x = RngState(5).normal_matrix(6, 2)
+        net = build_res_ffn(2, 16, 3, RngState(4), activation="relu", dropout_rate=0.4,
+                            sn_bound=1.0)
+        rate_zero = build_res_ffn(2, 16, 3, RngState(4), **RELU_NET)
+        assert np.array_equal(net.parameters()["block2.w"], rate_zero.parameters()["block2.w"])
+        plain = rate_zero.forward(x)[0]
+        assert np.array_equal(net.forward(x)[0], plain)
+        assert np.array_equal(net.forward(x)[0], plain)
+        dropped = net.forward(x, rng=RngState(6))[0]
+        assert not np.array_equal(dropped, plain)
+        assert np.array_equal(net.forward(x, rng=RngState(6))[0], dropped)
+        assert not np.array_equal(net.forward(x, rng=RngState(7))[0], dropped)
+        assert np.array_equal(rate_zero.forward(x, rng=RngState(6))[0], plain)
+
+    @pytest.mark.parametrize("with_stream", [False, True])
+    def test_forward_without_tape_gives_the_same_bits(self, with_stream):
         # Without a tape the activation, dropout and residual sum run in place.
         x = RngState(8).normal_matrix(6, 2)
         x_before = x.copy()
@@ -80,28 +98,28 @@ class TestForward:
             for dropout_rate in (0.0, 0.3):
                 net = build_res_ffn(2, 16, 4, RngState(7), activation=activation,
                                     dropout_rate=dropout_rate, sn_bound=1.0)
-                h_tape, tape = net.forward(x, train_mode=train_mode, rng=RngState(9))
-                h_bare, bare = net.forward(x, train_mode=train_mode, rng=RngState(9),
+                h_tape, tape = net.forward(x, rng=RngState(9) if with_stream else None)
+                h_bare, bare = net.forward(x, rng=RngState(9) if with_stream else None,
                                            keep_tape=False)
                 assert len(tape.block_inputs) == 4 and bare is None
                 assert np.array_equal(h_tape, h_bare), (activation, dropout_rate)
         assert np.array_equal(x, x_before)
 
-    @pytest.mark.parametrize("train_mode", [False, True])
+    @pytest.mark.parametrize("with_stream", [False, True])
     @pytest.mark.parametrize("dropout_rate", [0.0, 0.3])
     @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
-    def test_tape_holds_what_each_block_computed(self, activation, dropout_rate, train_mode):
+    def test_tape_holds_what_each_block_computed(self, activation, dropout_rate, with_stream):
         # Each residual sum is formed in place in the branch, so no write may
         # reach an array the tape holds for backward.
         net = build_res_ffn(2, 16, 4, RngState(7), activation=activation,
                             dropout_rate=dropout_rate, sn_bound=1.0)
-        h, tape = net.forward(RngState(8).normal_matrix(6, 2), train_mode=train_mode,
-                              rng=RngState(9))
+        h, tape = net.forward(RngState(8).normal_matrix(6, 2),
+                              rng=RngState(9) if with_stream else None)
         act, _ = ACTIVATIONS[activation]
         outputs = tape.block_inputs[1:] + [h]
         for blk, x_in, z, mask, x_out in zip(net.blocks, tape.block_inputs,
                                              tape.pre_activations, tape.dropout_masks, outputs):
-            assert (mask is not None) == (train_mode and dropout_rate > 0.0)
+            assert (mask is not None) == (with_stream and dropout_rate > 0.0)
             assert np.array_equal(z, blk.layer.apply(x_in))
             branch = act(z) if mask is None else act(z) * mask
             assert np.array_equal(x_out, x_in + branch)
@@ -120,9 +138,8 @@ class TestBackward:
         proj = DenseLayer(weight=np.array([[2.0]]), bias=np.array([0.5]),
                           sn_u=np.array([1.0]), sn_bound=1.0)
         blk = ResidualBlock(layer=DenseLayer(weight=np.array([[3.0]]), bias=np.array([0.0]),
-                                             sn_u=np.array([1.0]), sn_bound=1.0),
-                            activation="linear", dropout_rate=0.0)
-        net = ResFfnNetwork(proj, [blk])
+                                             sn_u=np.array([1.0]), sn_bound=1.0))
+        net = ResFfnNetwork(proj, [blk], **LINEAR)
         x = np.array([[1.5]])
         h, tape = net.forward(x)
         # h = (p x + b) * (1 + w) = (2*1.5 + 0.5) * 4 = 14
@@ -185,7 +202,7 @@ class TestLipschitzProbe:
     def test_zero_residuals_give_unit_ratio(self):
         rng = RngState(14)
         proj = drawn_layer(2, 4, rng, sn_bound=1.0)
-        net = ResFfnNetwork(proj, [zero_block(4) for _ in range(2)])
+        net = ResFfnNetwork(proj, [zero_block(4) for _ in range(2)], **RELU)
         pairs = [(rng.normal(2), rng.normal(2)) for _ in range(20)]
         lo, hi, skipped = lipschitz_probe(net, pairs)
         assert skipped == 0
@@ -208,9 +225,8 @@ class TestLipschitzProbe:
         proj = DenseLayer(weight=np.eye(2), bias=np.zeros(2), sn_u=np.array([1.0, 0.0]),
                           sn_bound=1.0)
         blk = ResidualBlock(layer=DenseLayer(weight=0.5 * np.eye(2), bias=np.zeros(2),
-                                             sn_u=np.array([1.0, 0.0]), sn_bound=1.0),
-                            activation="linear", dropout_rate=0.0)
-        net = ResFfnNetwork(proj, [blk])
+                                             sn_u=np.array([1.0, 0.0]), sn_bound=1.0))
+        net = ResFfnNetwork(proj, [blk], **LINEAR)
         rng = RngState(16)
         pairs = [(rng.normal(2), rng.normal(2)) for _ in range(10)]
         lo, hi, _ = lipschitz_probe(net, pairs)

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sngp.linalg import RngState
-from sngp.theory import (GridTooLargeError, ScoringRule, SimplexGrid, bregman_entropy,
-                         bregman_score, brier_rule, l1_ece_bound_check, log_rule,
-                         max_entropy_oracle, minimax_oracle, minimax_value,
-                         mixture_predictive, pointwise_score, sample_labels)
+from sngp.theory import (GridTooLargeError, ScoringRule, SimplexGrid, bregman_score, brier_rule,
+                         log_rule, max_entropy_oracle, minimax_oracle)
+
+from oracles import (bregman_entropy, l1_ece_bound_check, minimax_value, mixture_predictive,
+                     pointwise_score, sample_labels)
 
 
 def random_simplex(rng, k):

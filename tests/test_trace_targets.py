@@ -81,9 +81,10 @@ def test_score_factors_each_covariance_twice(tmp_path, monkeypatch):
                         counted("public spd_factor", sngp.linalg.spd_factor))
     wide = TINY.replace("num_features = 32", "num_features = 300")
     calls = traced_calls(tmp_path, "score", wide)
-    # surface and eval each build the one covariance of a binary head.
-    assert counts == {"spd_inverse": 2, "public spd_factor": 0}
-    assert calls["linalg.spd_factor"] == 2 * counts["spd_inverse"]
+    # The untraced set-up's train inverts its saved precision once to check
+    # it; the traced surface and eval each build the one covariance of a binary head.
+    assert counts == {"spd_inverse": 3, "public spd_factor": 0}
+    assert calls["linalg.spd_factor"] == 2 * (counts["spd_inverse"] - 1)
 
 
 def pinned_train_calls(cfg: RunConfig) -> dict[str, int]:

@@ -40,7 +40,7 @@ class TestLossAndGrads:
         model = small_model()
         model.head.beta[:] = 0.0
         x, y = toy_batch()
-        loss, _ = loss_and_grads(model, x, y, l2_beta=0.0, l2_scale=1.0, train_mode=False)
+        loss, _ = loss_and_grads(model, x, y, l2_beta=0.0, l2_scale=1.0, rng=None)
         assert loss == pytest.approx(np.log(2.0))
 
     def test_overflowing_features_count_as_divergence(self):
@@ -52,7 +52,7 @@ class TestLossAndGrads:
             warnings.simplefilter("error")
             with pytest.raises(TrainingDivergedError, match="row 4: layer-norm variance"):
                 loss_and_grads(small_model(), x, y, l2_beta=0.0, l2_scale=1.0,
-                               train_mode=False)
+                               rng=None)
 
     def test_saturated_ce_leaves_l2_term(self):
         model = small_model(gp_head=False)
@@ -67,7 +67,7 @@ class TestLossAndGrads:
         y_forced = np.zeros(len(y), dtype=int)
         l2_beta, l2_scale = 0.3, 2.0
         loss, _ = loss_and_grads(model, x, y_forced, l2_beta=l2_beta, l2_scale=l2_scale,
-                                 train_mode=False)
+                                 rng=None)
         l2_term = l2_beta * 0.5 * float(np.sum(model.head.weight**2)) / l2_scale
         assert loss == pytest.approx(l2_term, abs=1e-12)
 
@@ -78,10 +78,10 @@ class TestLossAndGrads:
 
         def loss_fn():
             return loss_and_grads(model, x, y, l2_beta=0.1, l2_scale=10.0,
-                                  train_mode=False)[0]
+                                  rng=None)[0]
 
         _, analytic = loss_and_grads(model, x, y, l2_beta=0.1, l2_scale=10.0,
-                                     train_mode=False)
+                                     rng=None)
         numeric = finite_diff_gradients(loss_fn, model.parameters())
         worst, name = max_relative_gradient_error(analytic, numeric)
         assert worst <= 1e-4, f"gradient mismatch at {name}: {worst}"
@@ -100,10 +100,10 @@ class TestLossAndGrads:
 
         def loss_fn():
             return loss_and_grads(model, x, y, l2_beta=0.1, l2_scale=10.0,
-                                  train_mode=False)[0]
+                                  rng=None)[0]
 
         _, analytic = loss_and_grads(model, x, y, l2_beta=0.1, l2_scale=10.0,
-                                     train_mode=False)
+                                     rng=None)
         numeric = finite_diff_gradients(loss_fn, model.parameters())
         worst, name = max_relative_gradient_error(analytic, numeric)
         assert worst <= 1e-4, f"gradient mismatch at {name}: {worst}"
@@ -113,9 +113,9 @@ class TestLossAndGrads:
         x, y = toy_batch(seed=7)
 
         def loss_fn():
-            return loss_and_grads(model, x, y, l2_beta=0.0, l2_scale=1.0, train_mode=False)[0]
+            return loss_and_grads(model, x, y, l2_beta=0.0, l2_scale=1.0, rng=None)[0]
 
-        _, analytic = loss_and_grads(model, x, y, l2_beta=0.0, l2_scale=1.0, train_mode=False)
+        _, analytic = loss_and_grads(model, x, y, l2_beta=0.0, l2_scale=1.0, rng=None)
         numeric = finite_diff_gradients(loss_fn, model.parameters())
         worst, name = max_relative_gradient_error(analytic, numeric)
         assert worst <= 1e-4, f"gradient mismatch at {name}: {worst}"
@@ -126,9 +126,9 @@ class TestLossAndGrads:
         x, y = toy_batch(seed=10)
 
         def loss_fn():
-            return loss_and_grads(model, x, y, l2_beta=0.0, l2_scale=1.0, train_mode=False)[0]
+            return loss_and_grads(model, x, y, l2_beta=0.0, l2_scale=1.0, rng=None)[0]
 
-        _, analytic = loss_and_grads(model, x, y, l2_beta=0.0, l2_scale=1.0, train_mode=False)
+        _, analytic = loss_and_grads(model, x, y, l2_beta=0.0, l2_scale=1.0, rng=None)
         numeric = finite_diff_gradients(loss_fn, model.parameters())
         worst, name = max_relative_gradient_error(analytic, numeric)
         assert worst <= 1e-4, f"gradient mismatch at {name}: {worst}"
@@ -137,7 +137,7 @@ class TestLossAndGrads:
         model = small_model()
         x, _ = toy_batch()
         with pytest.raises(ValueError):
-            loss_and_grads(model, x, np.full(len(x), 5), l2_beta=0.0, l2_scale=1.0)
+            loss_and_grads(model, x, np.full(len(x), 5), l2_beta=0.0, l2_scale=1.0, rng=None)
 
 
 class TestTrainLoop:
