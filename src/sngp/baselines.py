@@ -1,17 +1,24 @@
 """Comparison models: deep ensembles, the shallow GP, and the ablations.
 
 Variant tags map onto the two model toggles (spectral normalization on the
-hidden layers, GP vs dense output head) plus the identity-hidden-map switch:
+hidden layers, GP vs dense output head) plus the identity-hidden-map switch,
+and two of them also fix the GP head's layer norm (``use_layer_norm``, a
+config key that is off by default):
 
     deterministic   dense head, no spectral norm
     deep_ensemble   E independently seeded deterministic models, averaged
     dnn_sn          spectral norm + dense head
-    dnn_gp          GP head, no spectral norm
-    sngp            spectral norm + GP head
-    shallow_gp      GP head directly on the raw inputs (no network at all)
+    dnn_gp          GP head with its layer norm, no spectral norm
+    sngp            spectral norm + GP head (layer norm as the key says)
+    shallow_gp      GP head directly on the raw inputs (no network at all),
+                    without layer norm
 
-The shallow GP stands in for the gold-standard exact GP; it skips layer
-normalization so its uncertainty stays a function of raw input distance.
+The norm is scale-invariant, so along a ray from the data the features
+converge and the variance stops rising.  The shallow GP stands in for the
+gold-standard exact GP, so it skips the norm and its uncertainty stays a
+function of raw input distance.  ``dnn_gp`` keeps it: with no spectral norm
+nothing else bounds its hidden features, and without the norm it diverged at
+the default size in every run tried.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ _VARIANT_SWITCHES = {
     "deep_ensemble": dict(gp_head=False, spectral_norm=False, identity_hidden=False),
     "shallow_gp": dict(gp_head=True, spectral_norm=False, identity_hidden=True,
                        use_layer_norm=False),
-    "dnn_gp": dict(gp_head=True, spectral_norm=False, identity_hidden=False),
+    "dnn_gp": dict(gp_head=True, spectral_norm=False, identity_hidden=False,
+                   use_layer_norm=True),
     "dnn_sn": dict(gp_head=False, spectral_norm=True, identity_hidden=False),
     "sngp": dict(gp_head=True, spectral_norm=True, identity_hidden=False),
 }

@@ -13,7 +13,8 @@ Config files are plain ``key = value`` lines; ``#`` starts a comment.
 Unknown keys are rejected; every effective value is echoed into outputs.
 
 Exit codes: 0 ok, 2 usage or input error (running out of memory included),
-3 training divergence, 4 metric/model incompatibility, 5 verification failure.
+3 training divergence (a GP head whose precision does not invert included),
+4 metric/model incompatibility, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -164,13 +165,36 @@ def _make_dataset(cfg: RunConfig) -> data_mod.Dataset2D:
     return data_mod.gen_two_ovals(cfg.n_per_class, cfg.data_seed)
 
 
-def _train_variant(tag: str, cfg: RunConfig, ds) -> tuple[list[SngpModel], list[TrainReport]]:
+def _train_variant(tag: str, cfg: RunConfig, ds, out: str | None = None
+                   ) -> tuple[list[SngpModel], list[TrainReport]]:
     """The trained models of one variant tag (the members of a deep ensemble,
-    else one model) and their training reports."""
-    if tag == "deep_ensemble":
-        return train_ensemble(cfg.spec, cfg.ensemble_size, ds.points, ds.labels, cfg.train)
-    model = build_variant(tag, cfg.spec)
-    return [model], [train(model, ds.points, ds.labels, cfg.train)]
+    else one model) and their reports, finished as SNGP finishes training: each
+    GP head inverts its precision into its covariance here, once, for every
+    prediction after (``RffGpLayer.covariance``).  Given ``out``, the models are
+    saved first, to ``out`` (a deep ensemble's to ``out.member<i>``), since the
+    covariance replaces the precision a checkpoint stores.  A precision that does
+    not invert raises ``TrainingDivergedError``, after removing every file written."""
+    ensemble = tag == "deep_ensemble"
+    if ensemble:
+        models, reports = train_ensemble(cfg.spec, cfg.ensemble_size, ds.points, ds.labels,
+                                         cfg.train)
+    else:
+        models = [build_variant(tag, cfg.spec)]
+        reports = [train(models[0], ds.points, ds.labels, cfg.train)]
+    paths = [] if out is None else [f"{out}.member{i}" if ensemble else out
+                                    for i in range(len(models))]
+    for model, path in zip(models, paths):
+        save_checkpoint(model, path, cfg.text())
+    try:
+        for model in models:
+            if model.has_gp_head:
+                model.head.covariance()
+    except NotSpdError as exc:
+        for path in paths:
+            os.remove(path)
+        raise TrainingDivergedError(f"{exc}; no checkpoint written" if paths
+                                    else str(exc)) from None
+    return models, reports
 
 
 # -- models behind one prediction interface --------------------------------------
@@ -180,11 +204,12 @@ class LoadedModel:
     """One model or an ensemble, and the run config that trained it, behind one prediction
     interface; its Monte Carlo stream derives from the first model's seed, as at training.
 
-    Its models only predict: a single GP-head model's first prediction inverts its
-    precision in place (``RffGpLayer.covariance``), so the head holds its covariance
-    only and can no longer be trained or saved.  An ensemble predicts from its members'
-    mean logits alone, so ``from_checkpoints`` frees each GP-head member's precision as
-    soon as that member is loaded (``RffGpLayer.free_precision``)."""
+    Its models only predict: a single GP-head model's precision is inverted in place
+    (``RffGpLayer.covariance``) by ``_train_variant``, or by a loaded model's first
+    prediction, so the head holds its covariance only and can no longer be trained or
+    saved.  An ensemble predicts from its members' mean logits alone, so
+    ``from_checkpoints`` frees each GP-head member's precision as soon as that member
+    is loaded (``RffGpLayer.free_precision``)."""
 
     def __init__(self, models: list[SngpModel], cfg: RunConfig):
         self.models = models
@@ -269,18 +294,12 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
+    """Train, save and finish the config's variant through ``_train_variant`` (a GP
+    head whose precision does not invert leaves no checkpoint: exit 3); the report
+    holds the config echo, then each model's training report."""
     cfg = load_run_config(args.config)
-    models, reports = _train_variant(cfg.variant, cfg, _make_dataset(cfg))
+    models, reports = _train_variant(cfg.variant, cfg, _make_dataset(cfg), args.out)
     ensemble = cfg.variant == "deep_ensemble"
-    for i, model in enumerate(models):
-        path = f"{args.out}.member{i}" if ensemble else args.out
-        save_checkpoint(model, path, cfg.text())
-    if models[0].has_gp_head:  # its saved precision must invert, as every prediction does
-        try:
-            models[0].head.covariance()
-        except NotSpdError as exc:
-            os.remove(args.out)
-            raise TrainingDivergedError(f"{exc}; no checkpoint written") from None
     print(f"wrote {len(models)} member checkpoints to {args.out}.member*" if ensemble
           else f"wrote checkpoint to {args.out}")
     if args.report:

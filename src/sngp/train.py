@@ -160,7 +160,7 @@ class ModelSpec:
     length_scale: float = 2.0
     ridge_s: float = 0.001
     discount_m: float = 0.999
-    use_layer_norm: bool = True
+    use_layer_norm: bool = False
     gp_projection_dim: int | None = None
     identity_hidden: bool = False
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from sngp.baselines import build_variant, ensemble_predict, train_ensemble
-from sngp.data import gen_two_moons
+from sngp.baselines import VARIANT_TAGS, build_variant, ensemble_predict, train_ensemble
+from sngp.data import gen_two_moons, gen_two_ovals
 from sngp.gp_layer import softmax
 from sngp.linalg import RngState
 from sngp.metrics import margin_uncertainty, variance_uncertainty
-from sngp.train import ModelSpec, TrainConfig, predict_batch, train
+from sngp.train import ModelSpec, TrainConfig, TrainingDivergedError, predict_batch, train
 
 from oracles import min_distance_to_set
 
@@ -153,3 +153,43 @@ class TestDirectionalProperty:
             pts = radii[:, None] * np.asarray(direction)[None, :]
             u = variance_of(model, pts)
             assert spearmanr(u, radii).statistic >= 0.99
+
+
+class TestDefaultModel:
+    @pytest.mark.parametrize("dataset", ["two_moons", "two_ovals"])
+    @pytest.mark.parametrize("tag", [
+        pytest.param(tag, marks=pytest.mark.xfail(
+            strict=True, raises=TrainingDivergedError,
+            reason="a default-size network with no spectral norm feeding a dense head "
+                   "overflows its loss at epoch 0 step 1"))
+        if tag in ("deterministic", "deep_ensemble") else tag for tag in VARIANT_TAGS])
+    def test_every_variant_trains_an_epoch_at_the_default_size(self, tag, dataset):
+        # Without its layer norm a default-size dnn_gp diverged at epoch 0
+        # step 15 or 30 on two ovals (seeds 0 and 1).
+        ds = gen_two_moons(500, 0.1, 7) if dataset == "two_moons" else gen_two_ovals(500, 7)
+        config = TrainConfig(epochs=1)
+        if tag == "deep_ensemble":
+            train_ensemble(ModelSpec(), 2, ds.points, ds.labels, config)
+        else:
+            train(build_variant(tag, ModelSpec()), ds.points, ds.labels, config)
+
+    def test_default_sngp_variance_reverts_to_the_prior_far_from_the_data(self):
+        # The ratio of the logit variance to the prior ||phi||^2 / s, at 8
+        # directions 10x the largest distance of a training row from the rows'
+        # mean, read 0.922-0.965 over seeds 0-19 (0.28-0.54 at seeds 0-7 with
+        # the scale-invariant layer norm on).
+        ds = gen_two_moons(100, 0.1, 7)
+        mean = ds.points.mean(axis=0)
+        radius = 10.0 * np.max(np.linalg.norm(ds.points - mean, axis=1))
+        angles = np.arange(8) * (np.pi / 4)
+        far = mean + radius * np.column_stack([np.cos(angles), np.sin(angles)])
+        ratios = {}
+        for seed in range(5):
+            model = build_variant("sngp", ModelSpec(hidden_width=32, depth=4, num_features=256,
+                                                    seed=seed))
+            assert not model.head.use_layer_norm
+            train(model, ds.points, ds.labels, TrainConfig(epochs=10))
+            phi = model.head.rff_features(model.hidden(far, keep_tape=False)[0])
+            prior = np.sum(phi ** 2, axis=1) / model.spec.ridge_s
+            ratios[seed] = float(np.min(variance_of(model, far) / prior))
+        assert {seed: r for seed, r in ratios.items() if not r >= 0.8} == {}

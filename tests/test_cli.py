@@ -254,8 +254,7 @@ class TestTrainCommand:
 
     def test_default_checkpoint_header_holds_the_config_text(self, tmp_path, monkeypatch):
         # Saved untrained: the header is under test here, not the fit.
-        monkeypatch.setattr(cli, "_train_variant", lambda tag, cfg, ds: (
-            [build_variant(tag, cfg.spec)], [TrainReport()]))
+        monkeypatch.setattr(cli, "train", lambda model, points, labels, config: TrainReport())
         ckpt = tmp_path / "m.ckpt"
         assert main(["train", "--out", str(ckpt)]) == EXIT_OK
         self.assert_header_holds(ckpt, RunConfig())
@@ -347,10 +346,11 @@ class TestTrainCommand:
                                              ("true", "after the last step")],
                              ids=["minibatch", "exact"])
     def test_overflow_met_by_the_precision_update_exits_3(self, tmp_path, exact, when, capsys):
-        # Step 1's loss is finite, but its update overflows the network, so the
-        # final epoch's precision update is the first to meet a non-finite row;
-        # with the exact precision that is the evaluation pass after the last step.
-        cfg = write_config(tmp_path, "variant = dnn_gp\nepochs = 1\nuse_layer_norm = false\n"
+        # Step 1's loss is finite, but its update overflows the input projection,
+        # which the spectral norm leaves unbounded, so the final epoch's precision
+        # update is the first to meet a non-finite row; with the exact precision
+        # that is the evaluation pass after the last step.
+        cfg = write_config(tmp_path, "variant = sngp\nepochs = 1\nlearning_rate = 1e-100\n"
                            "noise_sd = 1e300\nhidden_width = 8\ndepth = 2\nnum_features = 32\n"
                            f"n_per_class = 20\nprecision_exact = {exact}\n")
         ckpt = tmp_path / "m.ckpt"
@@ -525,9 +525,9 @@ class TestEvalCommand:
 
     def test_echo_holds_the_model_keys_of_the_checkpoint(self, tmp_path, capsys):
         # A checkpoint saved from Python has no config text; its model's keys
-        # are echoed all the same, and a shallow GP's use_layer_norm is its own.
+        # are echoed all the same, and a dnn_gp's use_layer_norm is its own.
         spec = ModelSpec(hidden_width=8, depth=2, num_features=32, seed=5)
-        ckpts = {tag: str(tmp_path / f"{tag}.ckpt") for tag in ("sngp", "shallow_gp")}
+        ckpts = {tag: str(tmp_path / f"{tag}.ckpt") for tag in ("sngp", "dnn_gp")}
         for tag, path in ckpts.items():
             save_checkpoint(build_variant(tag, spec), path)
         data_csv = str(tmp_path / "data.csv")
@@ -537,12 +537,12 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", ckpts["sngp"], "--data", data_csv]) == EXIT_OK
         echo = capsys.readouterr().out.splitlines()
         for line in ("config.hidden_width=8", "config.depth=2", "config.num_features=32",
-                     "config.seed=5", "config.use_layer_norm=True", "config.mc_samples=10"):
+                     "config.seed=5", "config.use_layer_norm=False", "config.mc_samples=10"):
             assert line in echo
         surface = tmp_path / "surface.csv"
-        assert main(["surface", "--checkpoint", ckpts["shallow_gp"], "--grid=-1,1,-1,1,2,2",
+        assert main(["surface", "--checkpoint", ckpts["dnn_gp"], "--grid=-1,1,-1,1,2,2",
                      "--metric", "variance", "--out", str(surface)]) == EXIT_OK
-        assert "# config.use_layer_norm=False" in surface.read_text().splitlines()
+        assert "# config.use_layer_norm=True" in surface.read_text().splitlines()
 
     @pytest.fixture()
     def eval_inputs(self, tmp_path):
@@ -1040,6 +1040,24 @@ def train_hostile(tmp_path, variant, **edits):
         return main(["train", "--config", str(config), "--out", str(ckpt)]), cfg, ckpt
 
 
+def compare_hostile(tmp_path, variants, **edits):
+    """``sngp compare --variants <variants>`` on the hostile base config with
+    ``edits``, every warning an error: (exit code, the variants its table
+    lists, or None when it wrote no table)."""
+    cfg = {**HOSTILE_BASE, **edits}
+    config, table = tmp_path / "compare.cfg", tmp_path / "table.csv"
+    config.write_text("".join(f"{key} = {value}\n" for key, value in cfg.items()))
+    table.unlink(missing_ok=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["compare", "--variants", ",".join(variants), "--config", str(config),
+                     "--out", str(table)])
+    if not table.exists():
+        return code, None
+    return code, [line.split(",")[0] for line in table.read_text().splitlines()
+                  if not line.startswith("#")][1:]
+
+
 class TestHostileConfigs:
     # Each defect the property found, as its own case.
     def test_overflowing_sgd_update_exits_3(self, tmp_path, capsys):
@@ -1061,6 +1079,30 @@ class TestHostileConfigs:
         code, _, ckpt = train_hostile(tmp_path, "shallow_gp", discount_m=5e-324)
         assert code == EXIT_DIVERGED and not ckpt.exists()
         assert "precision matrix lost positive definiteness" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant", ["shallow_gp", "sngp", "dnn_gp"])
+    def test_a_head_that_cannot_predict_ends_train_and_compare_with_3(self, tmp_path, variant,
+                                                                       capsys):
+        # One failure, one exit: compare forms each head's posterior as train does,
+        # and keeps the rows of the variants scored before it.
+        code, _, ckpt = train_hostile(tmp_path, variant, discount_m=5e-324)
+        assert code == EXIT_DIVERGED and not ckpt.exists()
+        assert "lost positive definiteness" in capsys.readouterr().err
+        code, listed = compare_hostile(tmp_path, ["dnn_sn", variant], discount_m=5e-324)
+        assert code == EXIT_DIVERGED and listed == ["dnn_sn"]
+        assert (f"training diverged: variant {variant}: precision matrix lost positive "
+                f"definiteness") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant", ["shallow_gp", "sngp", "dnn_gp"])
+    def test_train_and_compare_invert_each_head_once(self, tmp_path, variant, monkeypatch):
+        inversions = []
+        inverse = gp_layer.spd_inverse
+        monkeypatch.setattr(gp_layer, "spd_inverse",
+                            lambda p: inversions.append(p.shape) or inverse(p))
+        assert train_hostile(tmp_path, variant)[0] == EXIT_OK
+        assert len(inversions) == 1
+        assert compare_hostile(tmp_path, ["dnn_sn", variant]) == (EXIT_OK, ["dnn_sn", variant])
+        assert len(inversions) == 2
 
     def test_overflowing_two_moons_noise_exits_2(self, tmp_path, capsys):
         message = f"noise_sd = {MAX_FLOAT!r} makes a two-moons point overflow"
@@ -1112,6 +1154,14 @@ class TestHostileConfigs:
     def test_hostile_config_ends_in_a_documented_exit(self, tmp_path, variant, edits):
         code, cfg, ckpt = train_hostile(tmp_path, variant, **dict(edits))
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_DIVERGED, EXIT_INCOMPATIBLE)
+        # compare ends as train does, or with 3 where its dnn_sn diverged first;
+        # its table lists only the variants that trained, in order.
+        variants = [variant] if variant == "dnn_sn" else ["dnn_sn", variant]
+        compare_code, listed = compare_hostile(tmp_path, variants, **dict(edits))
+        assert compare_code in (EXIT_OK, EXIT_USAGE, EXIT_DIVERGED, EXIT_INCOMPATIBLE)
+        assert listed is None or listed == variants[:len(listed)]
+        assert (listed == variants) == (compare_code == EXIT_OK)
+        assert compare_code == code or (compare_code, code) == (EXIT_DIVERGED, EXIT_OK)
         if code != EXIT_OK:
             return
         members = ([f"{ckpt}.member{i}" for i in range(cfg["ensemble_size"])]
