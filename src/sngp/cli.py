@@ -105,9 +105,9 @@ class RunConfig:
 
 DATASETS = ("two_moons", "two_ovals")
 # Fields that are not config keys: the two sections, the switches the variant tag sets
-# (``build_variant``), the sizes of the 2-D, two-class data, and a Python-only projection.
+# (``build_variant``) and the sizes of the 2-D, two-class data.
 _NOT_KEYS = ("spec", "train", "spectral_norm", "gp_head", "identity_hidden", "input_dim",
-             "num_classes", "gp_projection_dim")
+             "num_classes")
 _SECTIONS = (("run", RunConfig), ("spec", ModelSpec), ("train", TrainConfig))
 # Config key -> its type and the one section whose fields declare it.
 CONFIG_KEYS = {f.name: (f.type, section) for section, cls in _SECTIONS
@@ -371,9 +371,7 @@ def cmd_eval(args) -> int:
     loaded = LoadedModel.from_checkpoints(args.checkpoint)
     ds = data_mod.dataset_from_csv(args.data)
     if args.ood_data:
-        ood_ds = data_mod.dataset_from_csv(args.ood_data)
-        ood_points = ood_ds.points if ood_ds.ood_points is None else ood_ds.ood_points
-        ds = data_mod.Dataset2D(points=ds.points, labels=ds.labels, ood_points=ood_points)
+        ds.ood_points = data_mod.ood_points_from_csv(args.ood_data)
     values = _score_model(loaded, ds, args.uncertainty)
     lines = [f"{k}={v}" for k, v in loaded.echo().items()]
     report = "\n".join(lines) + "\n" + metrics_report(
@@ -493,8 +491,7 @@ def _verify_kernel() -> None:
     from .gp_layer import KERNEL_ABS_ERROR, RffGpLayer, half_angle_cos_sin
     rng = RngState(4242)
     layer = RffGpLayer(in_dim=2, num_features=4096, num_classes=2, length_scale=1.0,
-                       ridge_s=0.001, discount_m=0.999, use_layer_norm=False,
-                       projection_dim=None)
+                       ridge_s=0.001, discount_m=0.999, use_layer_norm=False)
     layer.draw(rng.derive("gp"))
     pair_rng = rng.derive("pairs")
     xs = pair_rng.uniform(200, -2.0, 2.0).reshape(100, 2)
@@ -557,7 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True, nargs="+")
     p.add_argument("--data", required=True, help="dataset CSV")
-    p.add_argument("--ood-data", help="optional separate OOD CSV")
+    p.add_argument("--ood-data", help="dataset CSV of OOD points, used in place of "
+                   "--data's -1 rows: its -1 rows, or all its rows if it has none")
     p.add_argument("--uncertainty", default="auto",
                    choices=["auto", "variance", "margin", "ds"])
     p.add_argument("--out", help="report path (also printed)")

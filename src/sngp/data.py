@@ -229,10 +229,20 @@ def dataset_from_csv(path: str) -> Dataset2D:
             points.append((x1, x2))
             labels.append(lab)
     if not points:
-        raise CsvFormatError("no labeled rows found")
+        raise CsvFormatError(f"{path}: no labeled rows found")
     return Dataset2D(points=np.array(points, dtype=np.float64),
                      labels=np.array(labels, dtype=int),
                      ood_points=np.array(ood, dtype=np.float64) if ood else None)
+
+
+def ood_points_from_csv(path: str) -> np.ndarray:
+    """(N, 2) OOD points of a dataset CSV: its rows labelled -1, or every row
+    when none is, so that a file of labelled rows serves whole."""
+    rows = np.array(list(_csv_rows(path, "x1,x2,label", _label)), dtype=np.float64)
+    if not len(rows):
+        raise CsvFormatError(f"{path}: no rows found")
+    ood = rows[rows[:, 2] == -1]
+    return (ood if len(ood) else rows)[:, :2]
 
 
 def surface_to_csv(points: np.ndarray, values: np.ndarray, path: str,

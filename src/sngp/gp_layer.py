@@ -5,9 +5,9 @@ The layer maps a hidden vector ``h`` to features
     phi = sqrt(2 / D) * cos(z),    z = -(1 / length_scale) * W h' + b
 
 with ``W`` frozen i.i.d. standard normal and ``b`` frozen Uniform(0, 2*pi);
-``h'`` is ``h`` after optional layer normalization and an optional frozen
-Gaussian down-projection.  Inner products of these features approximate an
-RBF kernel: ``phi(x) . phi(y) ~= exp(-||x - y||^2 / (2 l^2))``.
+``h'`` is ``h`` after optional layer normalization.  Inner products of these
+features approximate an RBF kernel:
+``phi(x) . phi(y) ~= exp(-||x - y||^2 / (2 l^2))``.
 
 The cosine, and the sine that backprop needs, come from the half-angle
 tangent (``half_angle_cos_sin``): with ``t = tan(z / 2)``,
@@ -99,12 +99,15 @@ class RffGpLayer:
     The constructor allocates every array as zeros, to be drawn into by
     ``draw`` or read from a checkpoint.  The hyperparameters are taken as
     given: ``ModelSpec`` checks that ``length_scale`` and ``ridge_s`` are
-    positive and finite and that ``discount_m`` lies in (0, 1).
-    ``projection_dim = None`` means no down-projection."""
+    positive and finite and that ``discount_m`` lies in (0, 1)."""
+
+    # No input projection: the benchmark's feature counter
+    # (``perfbench/tracing.py``) still reads this attribute, until ROADMAP
+    # items 1 and 15 unpin it.
+    input_projection = None
 
     def __init__(self, in_dim: int, num_features: int, num_classes: int, *,
-                 length_scale: float, ridge_s: float, discount_m: float,
-                 use_layer_norm: bool, projection_dim: int | None):
+                 length_scale: float, ridge_s: float, discount_m: float, use_layer_norm: bool):
         self.in_dim = in_dim
         self.num_features = num_features
         self.num_classes = num_classes
@@ -113,13 +116,7 @@ class RffGpLayer:
         self.discount_m = float(discount_m)
         self.use_layer_norm = use_layer_norm
 
-        if projection_dim is not None:
-            self.input_projection = np.zeros((projection_dim, in_dim))
-            feat_in = projection_dim
-        else:
-            self.input_projection = None
-            feat_in = in_dim
-        self.w_fixed = np.zeros((num_features, feat_in))
+        self.w_fixed = np.zeros((num_features, in_dim))
         self.b_fixed = np.zeros(num_features)
         self.beta = np.zeros((num_classes, num_features))
         # The precision, until ``covariance`` inverts it in place or
@@ -129,13 +126,10 @@ class RffGpLayer:
 
     def draw(self, rng: RngState) -> None:
         """The initial draw: the frozen frontend, in place, from the streams
-        ``gp_proj``, ``gp_w`` and ``gp_b`` of ``rng``, and the precision
-        replaced by a new ``ridge_s * I``; ``beta`` is left as it is (zero on a
-        new layer)."""
-        if self.input_projection is not None:
-            rng.derive("gp_proj").fill_normal(self.input_projection)
+        ``gp_w`` and ``gp_b`` of ``rng``, and the precision replaced by a new
+        ``ridge_s * I``; ``beta`` is left as it is (zero on a new layer)."""
         rng.derive("gp_w").fill_normal(self.w_fixed)
-        rng.derive("gp_b").fill_uniform(self.b_fixed, 0.0, 2.0 * np.pi)
+        self.b_fixed[:] = rng.derive("gp_b").uniform(self.num_features, 0.0, 2.0 * np.pi)
         # The ridge is a new array, not the constructor's zeros filled in
         # place: freeing those untouched D x D zeros raises glibc's mmap
         # threshold, so the smaller temporaries of every later step are served
@@ -181,8 +175,6 @@ class RffGpLayer:
             tape["ln_inv_sd"] = inv_sd
         else:
             check_rows(np.isfinite(h).all(axis=1), h, "hidden features are")
-        if self.input_projection is not None:
-            x = x @ self.input_projection.T
         # z / 2, formed directly: halving is exact, so this is half of z's bits.
         half_z = x @ self.w_fixed.T
         half_z *= -0.5 / self.length_scale
@@ -195,8 +187,6 @@ class RffGpLayer:
         """Gradient of the loss w.r.t. the hidden input, given d loss / d phi."""
         dz = -np.sqrt(2.0 / self.num_features) * tape["sin_z"] * grad_phi
         dx = -(1.0 / self.length_scale) * (dz @ self.w_fixed)
-        if self.input_projection is not None:
-            dx = dx @ self.input_projection
         if self.use_layer_norm:
             y = tape["ln_out"]
             inv_sd = tape["ln_inv_sd"]

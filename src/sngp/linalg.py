@@ -193,14 +193,6 @@ class RngState:
         ``normal(out.size)`` would return, in row-major order."""
         self._gen.standard_normal(out=out)
 
-    def fill_uniform(self, out: np.ndarray, lo: float, hi: float) -> None:
-        """Fill a C-contiguous float64 array, in place, with the values
-        ``uniform(out.size, lo, hi)`` would return: NumPy draws those as
-        ``lo + (hi - lo) * u`` from the same ``u`` in [0, 1)."""
-        self._gen.random(out=out)
-        out *= hi - lo
-        out += lo
-
     def uniform(self, n: int, lo: float, hi: float) -> np.ndarray:
         """Draw ``n`` i.i.d. uniforms on [lo, hi)."""
         if n <= 0:

@@ -18,7 +18,7 @@ The step order is observable through the optional ``hooks`` callback.
 Training is bit-reproducible: initialisation, shuffling and dropout all
 draw from independently derived streams of the model's seed, ``spec.seed``.
 
-Checkpoint format (binary, version 3, bit-exact round trip):
+Checkpoint format (binary, version 4, bit-exact round trip):
 
     bytes 0..7    magic ``SNGPCKPT``
     bytes 8..11   format version, uint32 little-endian
@@ -60,7 +60,7 @@ from .linalg import RngState
 from .nn import ACTIVATIONS, ResFfnNetwork, SgdMomentum, clamp_network, normalize_network
 
 CHECKPOINT_MAGIC = b"SNGPCKPT"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 CHECKPOINT_PREAMBLE_BYTES = 16  # magic, version, header length
 DIVERGENCE_LIMIT = 1e6
 PREDICT_BLOCK_ROWS = 256  # rows per network/feature pass: inference, exact precision
@@ -161,7 +161,6 @@ class ModelSpec:
     ridge_s: float = 0.001
     discount_m: float = 0.999
     use_layer_norm: bool = False
-    gp_projection_dim: int | None = None
     identity_hidden: bool = False
 
     def __post_init__(self):
@@ -191,8 +190,6 @@ class ModelSpec:
                                  f"got {self.activation!r}")
         if self.gp_head:
             lows.append(("num_features", 1))
-        if self.gp_projection_dim is not None:
-            lows.append(("gp_projection_dim", 1))
         for name, low in lows:
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
@@ -209,7 +206,6 @@ _SPEC_TYPE_CHECKS = {
     "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "bool": lambda v: isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
-    "int | None": lambda v: v is None or _is_int(v),
 }
 
 
@@ -232,8 +228,7 @@ class SngpModel:
         if spec.gp_head:
             head = RffGpLayer(width, spec.num_features, spec.num_classes,
                               length_scale=spec.length_scale, ridge_s=spec.ridge_s,
-                              discount_m=spec.discount_m, use_layer_norm=spec.use_layer_norm,
-                              projection_dim=spec.gp_projection_dim)
+                              discount_m=spec.discount_m, use_layer_norm=spec.use_layer_norm)
         else:
             head = DenseHead(width, spec.num_classes)
         self.spec = spec
@@ -546,13 +541,10 @@ def _array_layout(spec: ModelSpec) -> Iterator[tuple[str, tuple[int, ...],
         yield "head.b", (k,), lambda m: m.head.bias
         return
     d = spec.num_features
-    feat_in = in_dim if spec.gp_projection_dim is None else spec.gp_projection_dim
-    yield "head.w_fixed", (d, feat_in), lambda m: m.head.w_fixed
+    yield "head.w_fixed", (d, in_dim), lambda m: m.head.w_fixed
     yield "head.b_fixed", (d,), lambda m: m.head.b_fixed
     yield "head.beta", (k, d), lambda m: m.head.beta
     yield "head.precision0", (d, d), lambda m: m.head.precision[0]
-    if spec.gp_projection_dim is not None:
-        yield "head.input_projection", (feat_in, in_dim), lambda m: m.head.input_projection
 
 
 def _array_manifest(model: SngpModel) -> list[tuple[str, np.ndarray]]:
@@ -597,7 +589,7 @@ def load_checkpoint(path: str) -> tuple[SngpModel, dict]:
     with no initial draw and no identity, so loading holds little more than
     the payload, and its CRC-32 is checked before the model is returned.  A
     file that is not a checkpoint, a header that is not a well-formed
-    version-3 header, a manifest that is not the spec's, or a payload whose
+    version-4 header, a manifest that is not the spec's, or a payload whose
     length or CRC-32 differs from the header's raises ``ValueError``.
     """
     with open(path, "rb") as f:

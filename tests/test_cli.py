@@ -18,7 +18,8 @@ from sngp import cli, gp_layer
 from sngp.baselines import build_variant
 from sngp.cli import (EXIT_DIVERGED, EXIT_INCOMPATIBLE, EXIT_OK, EXIT_USAGE,
                       EXIT_VERIFY_FAILED, LoadedModel, RunConfig, main, parse_run_config)
-from sngp.data import dataset_from_csv, gen_two_moons, gen_two_ovals, surface_from_csv
+from sngp.data import (dataset_from_csv, dataset_to_csv, gen_two_moons, gen_two_ovals,
+                       surface_from_csv)
 from sngp.gp_layer import RffGpLayer, softmax
 from sngp.nn import (ACTIVATIONS, DenseLayer, ResFfnNetwork, ResidualBlock, SgdMomentum,
                      build_res_ffn)
@@ -97,9 +98,9 @@ class TestConfigParsing:
             parse_run_config("variant = mc_dropout\n")
 
     @pytest.mark.parametrize("key", ["spectral_norm", "gp_head", "identity_hidden",
-                                     "input_dim", "num_classes", "gp_projection_dim"])
+                                     "input_dim", "num_classes"])
     def test_model_fields_set_elsewhere_are_not_keys(self, key):
-        # The variant tag, the data or a Python caller sets these.
+        # The variant tag or the data sets these.
         with pytest.raises(ValueError, match=f"line 1: unknown key '{key}'"):
             parse_run_config(f"{key} = 1\n")
 
@@ -128,7 +129,7 @@ class TestConfigParsing:
         # that can disagree with the config section's default and skip its check.
         # The loss takes the L2 prior's data-size scale as given too, and
         # prediction its Monte Carlo sample count.
-        owned = set(cli.CONFIG_KEYS) | {"projection_dim", "l2_scale"}
+        owned = set(cli.CONFIG_KEYS) | {"l2_scale"}
         defaulted = [f"{fn.__qualname__}.{p.name}"
                      for fn in (RffGpLayer, build_res_ffn, DenseLayer, DenseLayer.zeros,
                                 ResFfnNetwork, ResFfnNetwork.zeros, ResidualBlock, SgdMomentum,
@@ -247,7 +248,7 @@ class TestTrainCommand:
 
     @staticmethod
     def assert_header_holds(path, cfg):
-        assert path.read_bytes()[8:12] == np.uint32(3).tobytes()  # the format version
+        assert path.read_bytes()[8:12] == np.uint32(4).tobytes()  # the format version
         _, header = load_checkpoint(str(path))
         assert sorted(header) == ["arrays", "config", "model", "payload_crc32"]
         assert parse_run_config(header["config"]) == cfg
@@ -554,6 +555,37 @@ class TestEvalCommand:
                      "--out", str(data_csv)]) == EXIT_OK
         return ckpt, data_csv
 
+    @pytest.mark.parametrize("rows", [
+        "5,5,-1\n6,6,-1\n", "5,5,0\n6,6,1\n", "0.1,0.2,0\n5,5,-1\n0.3,0.4,1\n6,6,-1\n"],
+        ids=["ood_only", "labelled_only", "mixed"])
+    def test_ood_data_replaces_the_ood_rows_of_data(self, eval_inputs, rows, capsys):
+        # Its -1 rows are the OOD points, or all its rows if it has none: each
+        # form scores as --data holding (5, 5) and (6, 6) as its -1 rows.
+        ckpt, data_csv = eval_inputs
+        ood_csv, joined_csv = data_csv.parent / "ood.csv", data_csv.parent / "joined.csv"
+        ood_csv.write_text("x1,x2,label\n" + rows)
+        ds = dataset_from_csv(str(data_csv))
+        dataset_to_csv(replace(ds, ood_points=np.array([[5.0, 5.0], [6.0, 6.0]])),
+                       str(joined_csv))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data_csv),
+                     "--ood-data", str(ood_csv)]) == EXIT_OK
+        report = capsys.readouterr().out
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(joined_csv)]) == EXIT_OK
+        assert "auroc=" in report and report == capsys.readouterr().out
+
+    def test_a_file_without_rows_to_score_exits_2_naming_it(self, eval_inputs, capsys):
+        ckpt, data_csv = eval_inputs
+        ood_csv, empty_csv = data_csv.parent / "ood.csv", data_csv.parent / "empty.csv"
+        ood_csv.write_text("x1,x2,label\n5,5,-1\n6,6,-1\n")
+        empty_csv.write_text("x1,x2,label\n")
+        for argv, message in ((["--data", str(ood_csv)], f"{ood_csv}: no labeled rows found"),
+                              (["--data", str(data_csv), "--ood-data", str(empty_csv)],
+                               f"{empty_csv}: no rows found")):
+            capsys.readouterr()
+            assert main(["eval", "--checkpoint", str(ckpt), *argv]) == EXIT_USAGE
+            assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("edit", ["trailing", "truncated"])
     def test_payload_length_mismatch_exits_2(self, eval_inputs, edit, capsys):
         ckpt, data_csv = eval_inputs
@@ -597,6 +629,8 @@ class TestEvalCommand:
          "unsupported checkpoint version 1"),
         (lambda c: rewrite_bytes(c, lambda raw: raw[:8] + np.uint32(2).tobytes() + raw[12:]),
          "unsupported checkpoint version 2"),
+        (lambda c: rewrite_bytes(c, lambda raw: raw[:8] + np.uint32(3).tobytes() + raw[12:]),
+         "unsupported checkpoint version 3"),
         (lambda c: rewrite_header(c, lambda h: h["arrays"][0].__setitem__(1, [1e308, 10])),
          "does not match the header's model"),
         (lambda c: rewrite_header(c, lambda h: h["arrays"][0].__setitem__(1, [float("inf")])),
@@ -616,9 +650,10 @@ class TestEvalCommand:
          "config line 1: invalid literal for int() with base 10: '[3]'"),
     ], ids=["no_model", "string_depth", "string_layer_norm", "nan_length_scale", "nan_ridge_s",
             "infinite_ridge_s", "huge_int_length_scale", "negative_sn_bound", "negative_seed",
-            "10_bytes", "flipped_payload_bit", "version_1", "version_2", "huge_manifest_shape",
-            "infinite_manifest_shape", "short_manifest", "deeply_nested_header", "no_config", "list_config",
-            "forged_object_config", "list_mc_samples"])
+            "10_bytes", "flipped_payload_bit", "version_1", "version_2", "version_3",
+            "huge_manifest_shape", "infinite_manifest_shape", "short_manifest",
+            "deeply_nested_header", "no_config", "list_config", "forged_object_config",
+            "list_mc_samples"])
     def test_damaged_checkpoint_exits_2(self, eval_inputs, damage, message, capsys):
         ckpt, data_csv = eval_inputs
         damage(ckpt)
@@ -627,7 +662,7 @@ class TestEvalCommand:
         assert message in capsys.readouterr().err
 
     def test_per_class_precision_checkpoint_exits_2(self, eval_inputs, capsys):
-        # A well-formed version-3 file of a K = 3 head with one precision per
+        # A well-formed version-4 file of a K = 3 head with one precision per
         # class, as such heads were once saved: its manifest names three.
         _, data_csv = eval_inputs
         spec = ModelSpec(num_classes=3, hidden_width=8, depth=2, num_features=16)
@@ -642,7 +677,7 @@ class TestEvalCommand:
                              "arrays": [[name, list(arr.shape)] for name, arr in arrays],
                              "payload_crc32": zlib.crc32(payload)}).encode("utf-8")
         ckpt = data_csv.parent / "per_class.ckpt"
-        ckpt.write_bytes(b"SNGPCKPT" + np.uint32(3).tobytes() + np.uint32(len(header)).tobytes()
+        ckpt.write_bytes(b"SNGPCKPT" + np.uint32(4).tobytes() + np.uint32(len(header)).tobytes()
                          + header + payload)
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data_csv)]) == EXIT_USAGE

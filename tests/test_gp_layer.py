@@ -17,8 +17,7 @@ from test_linalg import peak_bytes, spd_with_condition
 
 
 def make_layer(in_dim=2, num_features=64, num_classes=2, seed=0, **kwargs):
-    defaults = dict(length_scale=1.0, ridge_s=0.001, discount_m=0.999, use_layer_norm=False,
-                    projection_dim=None)
+    defaults = dict(length_scale=1.0, ridge_s=0.001, discount_m=0.999, use_layer_norm=False)
     defaults.update(kwargs)
     layer = RffGpLayer(in_dim, num_features, num_classes, **defaults)
     layer.draw(RngState(seed))
@@ -92,14 +91,6 @@ class TestRffFeatures:
         h = RngState(12).normal_matrix(1, 8)
         assert np.allclose(layer.rff_features(h), layer.rff_features(3.0 * h), atol=1e-4)
 
-    def test_frozen_projection_reduces_feature_input(self):
-        layer = make_layer(in_dim=16, num_features=128, projection_dim=4, seed=30)
-        assert layer.input_projection.shape == (4, 16)
-        assert layer.w_fixed.shape == (128, 4)
-        phi = layer.rff_features(RngState(31).normal_matrix(1, 16))
-        assert phi.shape == (1, 128)
-        assert np.all(np.abs(phi) <= np.sqrt(2.0 / 128) + 1e-15)
-
     @pytest.mark.parametrize("use_layer_norm", [True, False])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_hidden_row_is_named(self, use_layer_norm, bad):
@@ -130,9 +121,8 @@ class TestRffFeatures:
         assert np.all(np.isfinite(phi))
 
     def test_feature_tape_matches_plain_features(self):
-        for kwargs in ({"use_layer_norm": True}, {"projection_dim": 3},
-                       {"use_layer_norm": True, "projection_dim": 3}):
-            layer = make_layer(in_dim=6, num_features=32, seed=32, **kwargs)
+        for use_layer_norm in (True, False):
+            layer = make_layer(in_dim=6, num_features=32, seed=32, use_layer_norm=use_layer_norm)
             h = RngState(33).normal_matrix(4, 6)
             phi_plain = layer.rff_features(h)
             phi_tape, _ = layer.features_with_tape(h)
@@ -618,7 +608,7 @@ class TestDistanceAwareness:
     def test_variance_monotone_along_rays(self):
         rng = RngState(21)
         layer = RffGpLayer(2, 2048, 2, length_scale=2.0, ridge_s=0.001, discount_m=0.999,
-                           use_layer_norm=False, projection_dim=None)
+                           use_layer_norm=False)
         layer.draw(rng.derive("gp"))
         cloud = rng.derive("cloud").normal(200).reshape(100, 2)
         phi = layer.rff_features(cloud)

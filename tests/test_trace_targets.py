@@ -13,6 +13,7 @@ import pytest
 import sngp.gp_layer
 import sngp.linalg
 from sngp.cli import EXIT_OK, RunConfig, main, parse_run_config
+from sngp.train import ModelSpec, build_sngp_model
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TINY = "hidden_width = 8\ndepth = 2\nnum_features = 32\nepochs = 1\nn_per_class = 20\n"
@@ -30,6 +31,19 @@ def test_every_trace_target_resolves():
     assert tracing.TARGETS
     with tracing.traced(tracing.Tracer()) as missing:
         assert missing == []
+
+
+def test_model_attributes_the_harness_reads():
+    # Beyond its TARGETS, the harness reads these attributes of a model: the
+    # feature counter the head's input projection, the score check the list
+    # of precisions, the train check each block's weight and bound.  Each is
+    # a pin to lift when the harness stops reading it (ROADMAP.md item 1).
+    model = build_sngp_model(ModelSpec(hidden_width=8, depth=2, num_features=32))
+    assert model.head.input_projection is None
+    precision = model.head.precision
+    assert isinstance(precision, list) and [p.shape for p in precision] == [(32, 32)]
+    for block in model.network.blocks:
+        assert block.layer.weight.shape == (8, 8) and block.layer.sn_bound == 0.9
 
 
 def traced_calls(tmp_path, workload, size=TINY):

@@ -120,19 +120,6 @@ class TestLossAndGrads:
         worst, name = max_relative_gradient_error(analytic, numeric)
         assert worst <= 1e-4, f"gradient mismatch at {name}: {worst}"
 
-    def test_gradient_check_with_head_projection(self):
-        model = small_model(seed=8, gp_projection_dim=4)
-        model.head.beta[:] = 0.3 * RngState(9).normal_matrix(2, 32)
-        x, y = toy_batch(seed=10)
-
-        def loss_fn():
-            return loss_and_grads(model, x, y, l2_beta=0.0, l2_scale=1.0, rng=None)[0]
-
-        _, analytic = loss_and_grads(model, x, y, l2_beta=0.0, l2_scale=1.0, rng=None)
-        numeric = finite_diff_gradients(loss_fn, model.parameters())
-        worst, name = max_relative_gradient_error(analytic, numeric)
-        assert worst <= 1e-4, f"gradient mismatch at {name}: {worst}"
-
     def test_label_range_checked(self):
         model = small_model()
         x, _ = toy_batch()
@@ -690,7 +677,7 @@ def test_three_blobs_keep_distance_awareness_with_one_precision(seed):
 class TestModelSpec:
     @pytest.mark.parametrize("name, value", [
         ("depth", 2.5), ("depth", True), ("num_features", "64"), ("length_scale", False),
-        ("use_layer_norm", "false"), ("use_layer_norm", 1), ("gp_projection_dim", 4.0),
+        ("use_layer_norm", "false"), ("use_layer_norm", 1), ("seed", None),
         ("activation", None)])
     def test_wrong_field_type_raises(self, name, value):
         with pytest.raises(TypeError, match=f"ModelSpec.{name} must be"):
@@ -703,7 +690,7 @@ class TestModelSpec:
         ("discount_m", 1.0), ("discount_m", 0.0), ("discount_m", float("nan")),
         ("input_dim", 0),
         ("num_classes", 1), ("hidden_width", 0), ("depth", -1), ("activation", "foo"),
-        ("num_features", 0), ("gp_projection_dim", 0), ("seed", -1)])
+        ("num_features", 0), ("seed", -1)])
     def test_out_of_range_hyperparameter_raises(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must"):
             ModelSpec(**{name: value})
@@ -716,12 +703,11 @@ class TestModelSpec:
         assert not build_sngp_model(ModelSpec(gp_head=False, num_features=0, hidden_width=4,
                                               depth=1)).has_gp_head
 
-    def test_int_for_float_and_none_for_projection(self):
-        spec = ModelSpec(length_scale=2, gp_projection_dim=None)
-        assert spec.length_scale == 2 and spec.gp_projection_dim is None
+    def test_int_for_float(self):
+        assert ModelSpec(length_scale=2).length_scale == 2
 
     @pytest.mark.parametrize("kwargs", [
-        {}, {"gp_head": False}, {"num_classes": 3}, {"gp_projection_dim": 4},
+        {}, {"gp_head": False}, {"num_classes": 3}, {"gp_head": False, "num_classes": 3},
         {"identity_hidden": True, "use_layer_norm": False}, {"num_classes": 4}])
     def test_layout_shapes_are_the_built_arrays(self, kwargs):
         model = small_model(seed=64, **kwargs)
@@ -755,7 +741,7 @@ class TestCheckpoint:
         x, y = toy_batch(seed=39, n=24)
         train(model, x, y, TrainConfig(epochs=3, batch_size=8, learning_rate=0.05))
         back, header = self.roundtrip(model, tmp_path)
-        assert (tmp_path / "model.ckpt").read_bytes()[8:12] == np.uint32(3).tobytes()
+        assert (tmp_path / "model.ckpt").read_bytes()[8:12] == np.uint32(4).tobytes()
         assert sorted(header) == ["arrays", "config", "model", "payload_crc32"]
         assert header["config"] == "seed = 1\n"
         for (ka, va), (kb, vb) in zip(sorted(model.parameters().items()),
@@ -792,7 +778,7 @@ class TestCheckpoint:
 
     def test_new_model_is_allocated_as_zeros(self):
         # What loading reads into: no initial draw, no identity precision.
-        model = SngpModel(ModelSpec(hidden_width=8, depth=2, num_features=32, gp_projection_dim=4))
+        model = SngpModel(ModelSpec(hidden_width=8, depth=2, num_features=32))
         assert all(not arr.any() for _, arr in _array_manifest(model))
 
     def test_initial_draws_are_pinned(self):
@@ -823,16 +809,8 @@ class TestCheckpoint:
         pts = np.array([[0.3, 0.7]])
         assert np.array_equal(model.eval_logits(pts), back.eval_logits(pts))
 
-    def test_head_projection_roundtrip(self, tmp_path):
-        model = small_model(seed=44, gp_projection_dim=4)
-        back, header = self.roundtrip(model, tmp_path)
-        assert header["model"]["gp_projection_dim"] == 4
-        assert np.array_equal(model.head.input_projection, back.head.input_projection)
-        pts = np.array([[0.6, -0.2]])
-        assert np.array_equal(model.eval_logits(pts), back.eval_logits(pts))
-
     def test_header_holds_the_spec(self, tmp_path):
-        model = small_model(seed=49, gp_projection_dim=4)
+        model = small_model(seed=49)
         back, header = self.roundtrip(model, tmp_path)
         assert back.spec == model.spec
         assert header["model"] == asdict(model.spec)
