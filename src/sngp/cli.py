@@ -469,8 +469,7 @@ def _verify_theory() -> None:
 def _verify_lipschitz() -> None:
     c, depth, width = 0.9, 3, 16
     rng = RngState(99)
-    net = build_res_ffn(2, width, depth, rng.derive("net"), activation="relu",
-                        dropout_rate=0.0, sn_bound=c)
+    net = build_res_ffn(2, width, depth, rng.derive("net"), dropout_rate=0.0, sn_bound=c)
     for _ in range(200):
         normalize_network(net)
     probe_rng = rng.derive("pairs")

@@ -1,8 +1,8 @@
 """Residual feed-forward hidden mapping with manual backpropagation.
 
 The network is an affine input projection (no activation) followed by
-``depth`` residual blocks ``x -> x + dropout(act(W x + b))``, all at a fixed
-hidden width, sharing the network's one activation and dropout rate.
+``depth`` residual blocks ``x -> x + dropout(relu(W x + b))``, all at a fixed
+hidden width, sharing the network's one dropout rate.
 Keeping every residual branch's spectral norm below a bound ``c < 1`` makes
 the block stack bi-Lipschitz: distances through the stack are
 squeezed/stretched by at most ``(1 - c)^depth`` and ``(1 + c)^depth``.  The
@@ -21,15 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import RngState, power_iteration
-
-# name -> (activation, its derivative); an activation given ``out=z`` works in
-# place, and one given no ``out`` returns a new array, never ``z`` itself.
-ACTIVATIONS = {
-    "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out),
-             lambda z: (z > 0.0).astype(np.float64)),
-    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
-    "linear": (np.positive, lambda z: np.ones_like(z)),
-}
 
 
 @dataclass
@@ -77,36 +68,36 @@ class DenseLayer:
 
 @dataclass
 class ResidualBlock:
-    """A square layer (``ResFfnNetwork.zeros`` makes it square); the
-    activation and dropout rate belong to the network."""
+    """A square layer (``ResFfnNetwork.zeros`` makes it square) under a ReLU;
+    the dropout rate belongs to the network."""
 
     layer: DenseLayer
 
 
 @dataclass
 class ForwardTape:
-    """Per-minibatch cache of everything backward needs."""
+    """Per-minibatch cache of everything backward needs: the input, each
+    block's input, its ReLU gate ``W h + b > 0`` (one byte per unit) and its
+    dropout mask (None when no units drop)."""
 
     x_in: np.ndarray
-    proj_out: np.ndarray
     block_inputs: list[np.ndarray] = field(default_factory=list)
-    pre_activations: list[np.ndarray] = field(default_factory=list)
+    gates: list[np.ndarray] = field(default_factory=list)
     dropout_masks: list[np.ndarray | None] = field(default_factory=list)
 
 
 class ResFfnNetwork:
-    """Input projection plus residual blocks of its output width, which share its
-    activation (in ``ACTIVATIONS``) and dropout rate (in [0, 1)), taken as given."""
+    """Input projection plus ReLU residual blocks of its output width, which
+    share its dropout rate (in [0, 1)), taken as given."""
 
     def __init__(self, input_projection: DenseLayer, blocks: list[ResidualBlock], *,
-                 activation: str, dropout_rate: float):
+                 dropout_rate: float):
         self.input_projection = input_projection
         self.blocks = blocks
-        self.activation = activation
         self.dropout_rate = dropout_rate
 
     @classmethod
-    def zeros(cls, input_dim: int, hidden_width: int, depth: int, *, activation: str,
+    def zeros(cls, input_dim: int, hidden_width: int, depth: int, *,
               dropout_rate: float, sn_bound: float) -> "ResFfnNetwork":
         """A network of square blocks whose arrays are all zeros, to be drawn
         into or loaded.  The values are taken as given; ``ModelSpec`` checks them."""
@@ -114,7 +105,7 @@ class ResFfnNetwork:
         blocks = [ResidualBlock(layer=DenseLayer.zeros(hidden_width, hidden_width,
                                                        sn_bound=sn_bound))
                   for _ in range(depth)]
-        return cls(proj, blocks, activation=activation, dropout_rate=dropout_rate)
+        return cls(proj, blocks, dropout_rate=dropout_rate)
 
     def draw(self, rng: RngState) -> None:
         """The initial draw of every layer, in place, each from its own stream of ``rng``."""
@@ -147,31 +138,28 @@ class ResFfnNetwork:
 
         Dropout masks (inverted dropout on the residual branch) are drawn from
         ``rng`` exactly when a stream is given and the network's rate is above
-        0.  With ``keep_tape = False`` the tape is None, and since nothing else
-        holds a block's pre-activation, its branch is computed over it; the
-        result has the same bits.
+        0.  Each block's branch is computed in place over its pre-activation
+        ``z``, which nothing else holds: the tape keeps only the gate ``z > 0``.
+        With ``keep_tape = False`` the tape is None.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ValueError(f"expected input of shape (batch, {self.input_dim}), got {x.shape}")
-        act, _ = ACTIVATIONS[self.activation]
         keep = 1.0 - self.dropout_rate if rng is not None and self.dropout_rate > 0.0 else None
         h = self.input_projection.apply(x)
-        tape = ForwardTape(x_in=x, proj_out=h) if keep_tape else None
+        tape = ForwardTape(x_in=x) if keep_tape else None
         for blk in self.blocks:
             z = blk.layer.apply(h)
-            out = z if tape is None else None  # without a tape, z is nobody else's
-            branch = act(z, out=out)
-            mask = None
-            if keep is not None:
-                mask = rng.bernoulli_mask(z.shape, keep) / keep
-                branch = np.multiply(branch, mask, out=out)
+            mask = None if keep is None else rng.bernoulli_mask(z.shape, keep) / keep
             if tape is not None:
                 tape.block_inputs.append(h)
-                tape.pre_activations.append(z)
+                tape.gates.append(z > 0.0)
                 tape.dropout_masks.append(mask)
-            branch += h  # the branch is a new array, or z when nothing holds it
-            h = branch
+            np.maximum(z, 0.0, out=z)
+            if mask is not None:
+                z *= mask
+            z += h
+            h = z
         return h, tape
 
     def backward(self, tape: ForwardTape, grad_h: np.ndarray) -> dict[str, np.ndarray]:
@@ -182,14 +170,13 @@ class ResFfnNetwork:
             raise ValueError(f"grad_h has shape {grad_h.shape}, expected "
                              f"({tape.x_in.shape[0]}, {self.hidden_width})")
         grads: dict[str, np.ndarray] = {}
-        _, act_grad = ACTIVATIONS[self.activation]
         d = np.asarray(grad_h, dtype=np.float64)
         for i in range(self.depth - 1, -1, -1):
             blk = self.blocks[i]
             d_branch = d
             if tape.dropout_masks[i] is not None:
                 d_branch = d_branch * tape.dropout_masks[i]
-            dz = d_branch * act_grad(tape.pre_activations[i])
+            dz = d_branch * tape.gates[i]
             grads[f"block{i}.w"] = dz.T @ tape.block_inputs[i]
             grads[f"block{i}.b"] = dz.sum(axis=0)
             d = d + dz @ blk.layer.weight
@@ -251,9 +238,10 @@ def lipschitz_probe(net: ResFfnNetwork,
     """
     xs = np.asarray([p[0] for p in pairs], dtype=np.float64)
     ys = np.asarray([p[1] for p in pairs], dtype=np.float64)
-    hx, tape_x = net.forward(xs)
-    hy, tape_y = net.forward(ys)
-    denom = np.linalg.norm(tape_x.proj_out - tape_y.proj_out, axis=1)
+    hx, _ = net.forward(xs, keep_tape=False)
+    hy, _ = net.forward(ys, keep_tape=False)
+    proj = net.input_projection.apply
+    denom = np.linalg.norm(proj(xs) - proj(ys), axis=1)
     moved = denom != 0.0
     if not moved.any():
         raise ValueError("all probe pairs coincided after projection")
@@ -291,9 +279,9 @@ class SgdMomentum:
 
 
 def build_res_ffn(input_dim: int, hidden_width: int, depth: int, rng: RngState, *,
-                  activation: str, dropout_rate: float, sn_bound: float) -> ResFfnNetwork:
+                  dropout_rate: float, sn_bound: float) -> ResFfnNetwork:
     """A new network: ``ResFfnNetwork.zeros`` drawn into by ``ResFfnNetwork.draw``."""
-    net = ResFfnNetwork.zeros(input_dim, hidden_width, depth, activation=activation,
+    net = ResFfnNetwork.zeros(input_dim, hidden_width, depth,
                               dropout_rate=dropout_rate, sn_bound=sn_bound)
     net.draw(rng)
     return net

@@ -18,7 +18,7 @@ The step order is observable through the optional ``hooks`` callback.
 Training is bit-reproducible: initialisation, shuffling and dropout all
 draw from independently derived streams of the model's seed, ``spec.seed``.
 
-Checkpoint format (binary, version 4, bit-exact round trip):
+Checkpoint format (binary, version 5, bit-exact round trip):
 
     bytes 0..7    magic ``SNGPCKPT``
     bytes 8..11   format version, uint32 little-endian
@@ -57,10 +57,10 @@ import numpy as np
 
 from .gp_layer import GpPrediction, NonFiniteRowError, RffGpLayer, check_rows, mc_softmax, softmax
 from .linalg import RngState
-from .nn import ACTIVATIONS, ResFfnNetwork, SgdMomentum, clamp_network, normalize_network
+from .nn import ResFfnNetwork, SgdMomentum, clamp_network, normalize_network
 
 CHECKPOINT_MAGIC = b"SNGPCKPT"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 CHECKPOINT_PREAMBLE_BYTES = 16  # magic, version, header length
 DIVERGENCE_LIMIT = 1e6
 PREDICT_BLOCK_ROWS = 256  # rows per network/feature pass: inference, exact precision
@@ -131,8 +131,9 @@ class TrainReport:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Every hyperparameter of a model: the hidden mapping, the output head and
-    the seed of their initial draws and of the training's shuffle and dropout.
+    """Every hyperparameter of a model: the hidden mapping (a residual network
+    of ReLU blocks), the output head and the seed of their initial draws and
+    of the training's shuffle and dropout.
     ``identity_hidden`` replaces the network by the identity (``hidden_width``,
     ``depth`` and the network settings are then unused); ``gp_head = False``
     puts a dense layer in place of the GP.  Each field's type is checked on
@@ -141,8 +142,7 @@ class ModelSpec:
     ``sn_bound`` must be > 0 and finite, ``dropout_rate`` in [0, 1) and
     ``discount_m`` in (0, 1) (``ValueError``; NaN fails each), so neither a
     config file nor a header can pass ``nan`` or ``inf``.  ``seed`` must be
-    >= 0, every size the spec uses one a model can be built with, and
-    ``activation`` one of ``nn.ACTIVATIONS`` when there is a network.  Each
+    >= 0 and every size the spec uses one a model can be built with.  Each
     ``ValueError`` names its field.  These are the only checks: the layers
     built from the spec take each value as given."""
 
@@ -151,7 +151,6 @@ class ModelSpec:
     depth: int = 12
     num_classes: int = 2
     seed: int = 0
-    activation: str = "relu"
     dropout_rate: float = 0.01
     sn_bound: float = 0.9
     spectral_norm: bool = True
@@ -185,9 +184,6 @@ class ModelSpec:
         lows = [("seed", 0), ("input_dim", 1), ("num_classes", 2)]
         if not self.identity_hidden:
             lows += [("hidden_width", 1), ("depth", 0)]
-            if self.activation not in ACTIVATIONS:
-                raise ValueError(f"activation must be one of {sorted(ACTIVATIONS)}, "
-                                 f"got {self.activation!r}")
         if self.gp_head:
             lows.append(("num_features", 1))
         for name, low in lows:
@@ -205,7 +201,6 @@ _SPEC_TYPE_CHECKS = {
     "int": _is_int,
     "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "bool": lambda v: isinstance(v, bool),
-    "str": lambda v: isinstance(v, str),
 }
 
 
@@ -222,7 +217,6 @@ class SngpModel:
             network, width = None, spec.input_dim
         else:
             network = ResFfnNetwork.zeros(spec.input_dim, spec.hidden_width, spec.depth,
-                                          activation=spec.activation,
                                           dropout_rate=spec.dropout_rate, sn_bound=spec.sn_bound)
             width = spec.hidden_width
         if spec.gp_head:
@@ -589,7 +583,7 @@ def load_checkpoint(path: str) -> tuple[SngpModel, dict]:
     with no initial draw and no identity, so loading holds little more than
     the payload, and its CRC-32 is checked before the model is returned.  A
     file that is not a checkpoint, a header that is not a well-formed
-    version-4 header, a manifest that is not the spec's, or a payload whose
+    version-5 header, a manifest that is not the spec's, or a payload whose
     length or CRC-32 differs from the header's raises ``ValueError``.
     """
     with open(path, "rb") as f:

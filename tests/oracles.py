@@ -3,9 +3,10 @@
 These deliberately avoid the code paths they verify: the Jacobi rotation
 eigensolver checks power iteration and spectral normalization, the O(N^2)
 pair counter and the rank sum over ``scipy.stats.rankdata`` ranks check the
-rank-based AUROC, ``scipy.special`` checks the Dempster-Shafer score, and the
-central-difference gradient checker checks manual backprop.  SciPy is a test
-dependency only; the package itself is NumPy.
+rank-based AUROC, ``scipy.special`` checks the Dempster-Shafer score, the
+central-difference gradient checker checks manual backprop, and the residual
+network's float-gate forward and backward check its in-place ReLU blocks bit
+for bit.  SciPy is a test dependency only; the package itself is NumPy.
 
 The quantities at the end are reached only by tests: the pointwise score,
 entropy, minimax value and mixture predictive of ``sngp.theory``'s scoring
@@ -122,6 +123,40 @@ def max_relative_gradient_error(analytic: dict[str, np.ndarray],
         if rel[idx] > worst:
             worst, worst_name = float(rel[idx]), f"{name}{idx}"
     return worst, worst_name
+
+
+def res_ffn_float_gate(net, x: np.ndarray, grad_h: np.ndarray, rng: RngState | None = None
+                       ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The residual network's hidden features of ``x`` and the gradients of a
+    loss whose d/dh is ``grad_h``, computed as the network first did: each
+    block's ReLU branch a new array, the dropout mask multiplied into it, and
+    its derivative the float gate ``(z > 0).astype(float64)``.  Masks are
+    drawn from ``rng`` in block order exactly when the network drops units."""
+    proj, layers = net.input_projection, [blk.layer for blk in net.blocks]
+    keep = 1.0 - net.dropout_rate
+    h = x @ proj.weight.T + proj.bias
+    inputs, float_gates, masks = [], [], []
+    for layer in layers:
+        z = h @ layer.weight.T + layer.bias
+        branch = np.maximum(z, 0.0)
+        mask = None
+        if rng is not None and net.dropout_rate > 0.0:
+            mask = rng.bernoulli_mask(z.shape, keep) / keep
+            branch = branch * mask
+        inputs.append(h)
+        float_gates.append((z > 0).astype(np.float64))
+        masks.append(mask)
+        h = branch + h
+    grads, d = {}, grad_h
+    for i in range(len(layers) - 1, -1, -1):
+        d_branch = d if masks[i] is None else d * masks[i]
+        dz = d_branch * float_gates[i]
+        grads[f"block{i}.w"] = dz.T @ inputs[i]
+        grads[f"block{i}.b"] = dz.sum(axis=0)
+        d = d + dz @ layers[i].weight
+    grads["proj.w"] = d.T @ x
+    grads["proj.b"] = d.sum(axis=0)
+    return h, grads
 
 
 def pointwise_score(y: int, p: np.ndarray, rule: ScoringRule) -> float:

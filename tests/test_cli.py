@@ -21,8 +21,7 @@ from sngp.cli import (EXIT_DIVERGED, EXIT_INCOMPATIBLE, EXIT_OK, EXIT_USAGE,
 from sngp.data import (dataset_from_csv, dataset_to_csv, gen_two_moons, gen_two_ovals,
                        surface_from_csv)
 from sngp.gp_layer import RffGpLayer, softmax
-from sngp.nn import (ACTIVATIONS, DenseLayer, ResFfnNetwork, ResidualBlock, SgdMomentum,
-                     build_res_ffn)
+from sngp.nn import DenseLayer, ResFfnNetwork, ResidualBlock, SgdMomentum, build_res_ffn
 from sngp.train import (ModelSpec, TrainConfig, TrainingDivergedError, TrainReport,
                         _array_manifest, build_sngp_model, load_checkpoint, loss_and_grads,
                         predict_batch, save_checkpoint)
@@ -107,10 +106,9 @@ class TestConfigParsing:
     def test_echo_keys_are_the_file_format(self):
         assert list(RunConfig().echo()) == [
             "variant", "dataset", "n_per_class", "noise_sd", "data_seed", "ensemble_size",
-            "mc_samples", "hidden_width", "depth", "seed", "activation", "dropout_rate",
-            "sn_bound", "num_features", "length_scale", "ridge_s", "discount_m",
-            "use_layer_norm", "epochs", "batch_size", "learning_rate", "momentum", "l2_beta",
-            "precision_exact"]
+            "mc_samples", "hidden_width", "depth", "seed", "dropout_rate", "sn_bound",
+            "num_features", "length_scale", "ridge_s", "discount_m", "use_layer_norm",
+            "epochs", "batch_size", "learning_rate", "momentum", "l2_beta", "precision_exact"]
 
     def test_seed_sets_the_model_seed(self):
         cfg = parse_run_config("seed = 9\n")
@@ -122,7 +120,7 @@ class TestConfigParsing:
         assert all(section in ("run", "spec", "train") for _, section in cli.CONFIG_KEYS.values())
         declared = [f.name for cls in (RunConfig, ModelSpec, TrainConfig) for f in fields(cls)
                     if f.name not in cli._NOT_KEYS]
-        assert len(declared) == len(set(declared)) == len(cli.CONFIG_KEYS) == 24
+        assert len(declared) == len(set(declared)) == len(cli.CONFIG_KEYS) == 23
 
     def test_layers_take_hyperparameters_without_defaults(self):
         # A default in a constructor would be a second owner of the value, one
@@ -154,7 +152,6 @@ class TestConfigParsing:
         ("depth = -1", "depth must be >= 0, got -1"),
         ("seed = -1", "seed must be >= 0, got -1"),
         ("data_seed = -1", "data_seed must be >= 0, got -1"),
-        ("activation = foo", "activation must be one of ['linear', 'relu', 'tanh'], got 'foo'"),
         ("n_per_class = 0", "n_per_class must be >= 1, got 0"),
         ("length_scale = inf", "length_scale must be finite, got inf"),
         ("ridge_s = inf", "ridge_s must be finite, got inf"),
@@ -248,7 +245,7 @@ class TestTrainCommand:
 
     @staticmethod
     def assert_header_holds(path, cfg):
-        assert path.read_bytes()[8:12] == np.uint32(4).tobytes()  # the format version
+        assert path.read_bytes()[8:12] == np.uint32(5).tobytes()  # the format version
         _, header = load_checkpoint(str(path))
         assert sorted(header) == ["arrays", "config", "model", "payload_crc32"]
         assert parse_run_config(header["config"]) == cfg
@@ -622,6 +619,8 @@ class TestEvalCommand:
          "sn_bound must be positive"),
         (lambda c: rewrite_header(c, lambda h: h["model"].update(seed=-1)),
          "seed must be >= 0, got -1"),
+        (lambda c: rewrite_header(c, lambda h: h["model"].update(activation="relu")),
+         "unexpected keyword argument 'activation'"),
         (lambda c: rewrite_bytes(c, lambda raw: raw[:10]), "not a checkpoint file (10 bytes"),
         (lambda c: rewrite_bytes(c, lambda raw: raw[:-100] + bytes([raw[-100] ^ 1]) + raw[-99:]),
          "payload CRC-32"),
@@ -631,6 +630,8 @@ class TestEvalCommand:
          "unsupported checkpoint version 2"),
         (lambda c: rewrite_bytes(c, lambda raw: raw[:8] + np.uint32(3).tobytes() + raw[12:]),
          "unsupported checkpoint version 3"),
+        (lambda c: rewrite_bytes(c, lambda raw: raw[:8] + np.uint32(4).tobytes() + raw[12:]),
+         "unsupported checkpoint version 4"),
         (lambda c: rewrite_header(c, lambda h: h["arrays"][0].__setitem__(1, [1e308, 10])),
          "does not match the header's model"),
         (lambda c: rewrite_header(c, lambda h: h["arrays"][0].__setitem__(1, [float("inf")])),
@@ -648,12 +649,14 @@ class TestEvalCommand:
          "checkpoint config must be text, got dict"),
         (lambda c: rewrite_header(c, lambda h: h.update(config="mc_samples = [3]\n")),
          "config line 1: invalid literal for int() with base 10: '[3]'"),
+        (lambda c: rewrite_header(c, lambda h: h.update(config="activation = relu\n")),
+         "config line 1: unknown key 'activation'"),
     ], ids=["no_model", "string_depth", "string_layer_norm", "nan_length_scale", "nan_ridge_s",
             "infinite_ridge_s", "huge_int_length_scale", "negative_sn_bound", "negative_seed",
-            "10_bytes", "flipped_payload_bit", "version_1", "version_2", "version_3",
-            "huge_manifest_shape", "infinite_manifest_shape", "short_manifest",
-            "deeply_nested_header", "no_config", "list_config", "forged_object_config",
-            "list_mc_samples"])
+            "activation_field", "10_bytes", "flipped_payload_bit", "version_1", "version_2",
+            "version_3", "version_4", "huge_manifest_shape", "infinite_manifest_shape",
+            "short_manifest", "deeply_nested_header", "no_config", "list_config", "forged_object_config",
+            "list_mc_samples", "activation_key"])
     def test_damaged_checkpoint_exits_2(self, eval_inputs, damage, message, capsys):
         ckpt, data_csv = eval_inputs
         damage(ckpt)
@@ -662,7 +665,7 @@ class TestEvalCommand:
         assert message in capsys.readouterr().err
 
     def test_per_class_precision_checkpoint_exits_2(self, eval_inputs, capsys):
-        # A well-formed version-4 file of a K = 3 head with one precision per
+        # A well-formed version-5 file of a K = 3 head with one precision per
         # class, as such heads were once saved: its manifest names three.
         _, data_csv = eval_inputs
         spec = ModelSpec(num_classes=3, hidden_width=8, depth=2, num_features=16)
@@ -677,7 +680,7 @@ class TestEvalCommand:
                              "arrays": [[name, list(arr.shape)] for name, arr in arrays],
                              "payload_crc32": zlib.crc32(payload)}).encode("utf-8")
         ckpt = data_csv.parent / "per_class.ckpt"
-        ckpt.write_bytes(b"SNGPCKPT" + np.uint32(4).tobytes() + np.uint32(len(header)).tobytes()
+        ckpt.write_bytes(b"SNGPCKPT" + np.uint32(5).tobytes() + np.uint32(len(header)).tobytes()
                          + header + payload)
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data_csv)]) == EXIT_USAGE
@@ -985,13 +988,14 @@ class TestCompareCommand:
         assert not out.exists()
 
     def test_unknown_activation_exits_2_without_a_network(self, tmp_path, capsys):
-        # shallow_gp builds no network, yet its row would echo the config's activation.
-        cfg = write_config(tmp_path, activation="foo")
+        # The blocks are ReLU and `activation` is no longer a key: a config
+        # that sets it exits 2 naming it, even for a variant with no network.
+        cfg = write_config(tmp_path, activation="relu")
         out = tmp_path / "table.csv"
         capsys.readouterr()
         assert main(["compare", "--variants", "shallow_gp", "--config", cfg,
                      "--out", str(out)]) == EXIT_USAGE
-        assert "activation must be one of" in capsys.readouterr().err
+        assert "unknown key 'activation'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_eval_of_trained_checkpoint_reproduces_compare_row(self, tmp_path):
@@ -1043,7 +1047,6 @@ HOSTILE_KEYS = {
     "hidden_width": st.integers(1, 24),
     "depth": st.integers(0, 6),
     "seed": SEED,
-    "activation": st.sampled_from(sorted(ACTIVATIONS)),
     "dropout_rate": UNIT_RIGHT_OPEN,
     "sn_bound": POSITIVE,
     "num_features": st.integers(1, 96),

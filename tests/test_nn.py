@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from sngp.linalg import RngState
-from sngp.nn import (ACTIVATIONS, DenseLayer, ResidualBlock, ResFfnNetwork, SgdMomentum,
-                     build_res_ffn, lipschitz_probe, normalize_network,
-                     spectral_normalize)
+from sngp.nn import (DenseLayer, ResidualBlock, ResFfnNetwork, SgdMomentum, build_res_ffn,
+                     lipschitz_probe, normalize_network, spectral_normalize)
 
-from oracles import finite_diff_gradients, max_relative_gradient_error, sigma_max_jacobi
+from oracles import (finite_diff_gradients, max_relative_gradient_error, res_ffn_float_gate,
+                     sigma_max_jacobi)
 
 # The network settings of tests that need no particular ones; the layers take no defaults.
-RELU_NET = dict(activation="relu", dropout_rate=0.0, sn_bound=1.0)
-RELU = dict(activation="relu", dropout_rate=0.0)
-LINEAR = dict(activation="linear", dropout_rate=0.0)
+PLAIN_NET = dict(dropout_rate=0.0, sn_bound=1.0)
+NO_DROPOUT = dict(dropout_rate=0.0)
 
 
 def drawn_layer(in_dim: int, out_dim: int, rng: RngState, sn_bound: float) -> DenseLayer:
@@ -30,7 +29,7 @@ class TestForward:
     def test_zero_blocks_reduce_to_projection(self):
         rng = RngState(1)
         proj = drawn_layer(2, 4, rng, sn_bound=1.0)
-        net = ResFfnNetwork(proj, [zero_block(4) for _ in range(3)], **RELU)
+        net = ResFfnNetwork(proj, [zero_block(4) for _ in range(3)], **NO_DROPOUT)
         x = rng.normal_matrix(5, 2)
         h, _ = net.forward(x)
         assert np.array_equal(h, proj.apply(x))
@@ -38,7 +37,7 @@ class TestForward:
     def test_depth_zero(self):
         rng = RngState(2)
         proj = drawn_layer(2, 4, rng, sn_bound=1.0)
-        net = ResFfnNetwork(proj, [], **RELU)
+        net = ResFfnNetwork(proj, [], **NO_DROPOUT)
         x = rng.normal_matrix(3, 2)
         h, _ = net.forward(x)
         assert np.array_equal(h, proj.apply(x))
@@ -50,7 +49,7 @@ class TestForward:
                           sn_bound=1.0)
         blk = ResidualBlock(layer=DenseLayer(weight=w, bias=b, sn_u=np.array([1.0, 0.0]),
                                              sn_bound=1.0))
-        net = ResFfnNetwork(proj, [blk], **RELU)
+        net = ResFfnNetwork(proj, [blk], **NO_DROPOUT)
         x = np.array([[1.0, 2.0]])
         h, _ = net.forward(x)
         pre = w @ x[0] + b                       # (-0.9, 4.3)
@@ -58,13 +57,12 @@ class TestForward:
         assert np.allclose(h[0], expected)
 
     def test_dimension_mismatch(self):
-        net = build_res_ffn(2, 4, 1, RngState(3), **RELU_NET)
+        net = build_res_ffn(2, 4, 1, RngState(3), **PLAIN_NET)
         with pytest.raises(ValueError):
             net.forward(np.zeros((2, 3)))
 
     def test_dropout_only_with_a_stream(self):
-        net = build_res_ffn(2, 8, 2, RngState(4), activation="relu", dropout_rate=0.5,
-                            sn_bound=1.0)
+        net = build_res_ffn(2, 8, 2, RngState(4), dropout_rate=0.5, sn_bound=1.0)
         x = RngState(5).normal_matrix(4, 2)
         h_eval1, _ = net.forward(x, rng=None)
         h_eval2, _ = net.forward(x, rng=None)
@@ -76,9 +74,8 @@ class TestForward:
         # The network owns the rate; a pass drops units exactly when it is
         # given a stream, and each stream's draw repeats.
         x = RngState(5).normal_matrix(6, 2)
-        net = build_res_ffn(2, 16, 3, RngState(4), activation="relu", dropout_rate=0.4,
-                            sn_bound=1.0)
-        rate_zero = build_res_ffn(2, 16, 3, RngState(4), **RELU_NET)
+        net = build_res_ffn(2, 16, 3, RngState(4), dropout_rate=0.4, sn_bound=1.0)
+        rate_zero = build_res_ffn(2, 16, 3, RngState(4), **PLAIN_NET)
         assert np.array_equal(net.parameters()["block2.w"], rate_zero.parameters()["block2.w"])
         plain = rate_zero.forward(x)[0]
         assert np.array_equal(net.forward(x)[0], plain)
@@ -91,55 +88,71 @@ class TestForward:
 
     @pytest.mark.parametrize("with_stream", [False, True])
     def test_forward_without_tape_gives_the_same_bits(self, with_stream):
-        # Without a tape the activation, dropout and residual sum run in place.
+        # Taped or not, the ReLU, dropout and residual sum run in place.
         x = RngState(8).normal_matrix(6, 2)
         x_before = x.copy()
-        for activation in ACTIVATIONS:
-            for dropout_rate in (0.0, 0.3):
-                net = build_res_ffn(2, 16, 4, RngState(7), activation=activation,
-                                    dropout_rate=dropout_rate, sn_bound=1.0)
-                h_tape, tape = net.forward(x, rng=RngState(9) if with_stream else None)
-                h_bare, bare = net.forward(x, rng=RngState(9) if with_stream else None,
-                                           keep_tape=False)
-                assert len(tape.block_inputs) == 4 and bare is None
-                assert np.array_equal(h_tape, h_bare), (activation, dropout_rate)
+        for dropout_rate in (0.0, 0.3):
+            net = build_res_ffn(2, 16, 4, RngState(7), dropout_rate=dropout_rate, sn_bound=1.0)
+            h_tape, tape = net.forward(x, rng=RngState(9) if with_stream else None)
+            h_bare, bare = net.forward(x, rng=RngState(9) if with_stream else None,
+                                       keep_tape=False)
+            assert len(tape.block_inputs) == 4 and bare is None
+            assert np.array_equal(h_tape, h_bare), dropout_rate
         assert np.array_equal(x, x_before)
 
     @pytest.mark.parametrize("with_stream", [False, True])
     @pytest.mark.parametrize("dropout_rate", [0.0, 0.3])
-    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
-    def test_tape_holds_what_each_block_computed(self, activation, dropout_rate, with_stream):
-        # Each residual sum is formed in place in the branch, so no write may
-        # reach an array the tape holds for backward.
-        net = build_res_ffn(2, 16, 4, RngState(7), activation=activation,
-                            dropout_rate=dropout_rate, sn_bound=1.0)
+    def test_tape_holds_what_each_block_computed(self, dropout_rate, with_stream):
+        # Each block's branch and residual sum are formed in place over its
+        # pre-activation, so no write may reach an array the tape holds for backward.
+        net = build_res_ffn(2, 16, 4, RngState(7), dropout_rate=dropout_rate, sn_bound=1.0)
         h, tape = net.forward(RngState(8).normal_matrix(6, 2),
                               rng=RngState(9) if with_stream else None)
-        act, _ = ACTIVATIONS[activation]
         outputs = tape.block_inputs[1:] + [h]
-        for blk, x_in, z, mask, x_out in zip(net.blocks, tape.block_inputs,
-                                             tape.pre_activations, tape.dropout_masks, outputs):
+        for blk, x_in, gate, mask, x_out in zip(net.blocks, tape.block_inputs,
+                                                tape.gates, tape.dropout_masks, outputs):
             assert (mask is not None) == (with_stream and dropout_rate > 0.0)
-            assert np.array_equal(z, blk.layer.apply(x_in))
-            branch = act(z) if mask is None else act(z) * mask
+            z = blk.layer.apply(x_in)
+            assert gate.dtype == np.bool_ and np.array_equal(gate, z > 0.0)
+            branch = np.maximum(z, 0.0) if mask is None else np.maximum(z, 0.0) * mask
             assert np.array_equal(x_out, x_in + branch)
+
+    @pytest.mark.parametrize("taped", [False, True])
+    @pytest.mark.parametrize("with_stream", [False, True])
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.3])
+    def test_matches_the_float_gate_reference_bit_for_bit(self, dropout_rate, with_stream,
+                                                          taped):
+        # The reference keeps the pre-activations, a float gate and a copied
+        # branch; the network's in-place body and byte gate give the same bits.
+        net = build_res_ffn(2, 16, 4, RngState(7), dropout_rate=dropout_rate, sn_bound=1.0)
+        x = RngState(8).normal_matrix(6, 2)
+        grad_h = RngState(10).normal_matrix(6, 16)
+        stream = (lambda: RngState(9)) if with_stream else (lambda: None)
+        h_ref, grads_ref = res_ffn_float_gate(net, x, grad_h, rng=stream())
+        h, tape = net.forward(x, rng=stream(), keep_tape=taped)
+        assert np.array_equal(h, h_ref)
+        if taped:
+            grads = net.backward(tape, grad_h)
+            assert sorted(grads) == sorted(grads_ref)
+            assert all(np.array_equal(grads[name], grads_ref[name]) for name in grads)
 
 
 class TestBackward:
     def test_zero_upstream(self):
-        net = build_res_ffn(2, 4, 2, RngState(7), **RELU_NET)
+        net = build_res_ffn(2, 4, 2, RngState(7), **PLAIN_NET)
         x = RngState(8).normal_matrix(3, 2)
         _, tape = net.forward(x)
         grads = net.backward(tape, np.zeros((3, 4)))
         assert all(np.all(g == 0.0) for g in grads.values())
 
     def test_scalar_linear_closed_form(self):
-        # width-1 linear net: h = p*x + b0 + act(w*(p*x+b0)+b1) with linear act
+        # width-1 net: h = p*x + b0 + relu(w*(p*x+b0)+b1); the pre-activation
+        # 10.5 is positive, where the block is linear
         proj = DenseLayer(weight=np.array([[2.0]]), bias=np.array([0.5]),
                           sn_u=np.array([1.0]), sn_bound=1.0)
         blk = ResidualBlock(layer=DenseLayer(weight=np.array([[3.0]]), bias=np.array([0.0]),
                                              sn_u=np.array([1.0]), sn_bound=1.0))
-        net = ResFfnNetwork(proj, [blk], **LINEAR)
+        net = ResFfnNetwork(proj, [blk], **NO_DROPOUT)
         x = np.array([[1.5]])
         h, tape = net.forward(x)
         # h = (p x + b) * (1 + w) = (2*1.5 + 0.5) * 4 = 14
@@ -152,9 +165,18 @@ class TestBackward:
         assert np.allclose(grads["block0.b"], [1.0])
 
     def test_finite_difference_oracle(self):
+        # ReLU has a kink at 0, so the rows are those whose pre-activations all
+        # lie clear of it, far beyond what a difference step moves them.
         rng = RngState(9)
-        net = build_res_ffn(3, 6, 2, rng, activation="tanh", dropout_rate=0.0, sn_bound=1.0)
-        x = rng.normal_matrix(5, 3)
+        net = build_res_ffn(3, 6, 2, rng, **PLAIN_NET)
+        candidates = rng.normal_matrix(40, 3)
+        h, margin = net.input_projection.apply(candidates), np.inf
+        for blk in net.blocks:
+            z = blk.layer.apply(h)
+            margin = np.minimum(margin, np.abs(z).min(axis=1))
+            h = h + np.maximum(z, 0.0)
+        x = candidates[margin > 0.05][:5]
+        assert x.shape == (5, 3)
         target = rng.normal_matrix(5, 6)
 
         def loss_fn():
@@ -168,8 +190,8 @@ class TestBackward:
         assert worst <= 1e-4, f"gradient mismatch at {name}: {worst}"
 
     def test_stale_tape_rejected(self):
-        net_a = build_res_ffn(2, 4, 2, RngState(10), **RELU_NET)
-        net_b = build_res_ffn(2, 4, 3, RngState(11), **RELU_NET)
+        net_a = build_res_ffn(2, 4, 2, RngState(10), **PLAIN_NET)
+        net_b = build_res_ffn(2, 4, 3, RngState(11), **PLAIN_NET)
         _, tape = net_a.forward(np.zeros((1, 2)))
         with pytest.raises(ValueError, match="tape"):
             net_b.backward(tape, np.zeros((1, 4)))
@@ -202,7 +224,7 @@ class TestLipschitzProbe:
     def test_zero_residuals_give_unit_ratio(self):
         rng = RngState(14)
         proj = drawn_layer(2, 4, rng, sn_bound=1.0)
-        net = ResFfnNetwork(proj, [zero_block(4) for _ in range(2)], **RELU)
+        net = ResFfnNetwork(proj, [zero_block(4) for _ in range(2)], **NO_DROPOUT)
         pairs = [(rng.normal(2), rng.normal(2)) for _ in range(20)]
         lo, hi, skipped = lipschitz_probe(net, pairs)
         assert skipped == 0
@@ -211,7 +233,7 @@ class TestLipschitzProbe:
     def test_proposition_bounds_hold(self):
         c, depth = 0.9, 3
         rng = RngState(15)
-        net = build_res_ffn(2, 8, depth, rng, activation="relu", dropout_rate=0.0, sn_bound=c)
+        net = build_res_ffn(2, 8, depth, rng, dropout_rate=0.0, sn_bound=c)
         for _ in range(200):
             normalize_network(net)
         pair_rng = rng.derive("pairs")
@@ -221,19 +243,20 @@ class TestLipschitzProbe:
         assert hi <= (1.0 + c) ** depth
 
     def test_linear_single_block_exact_ratio(self):
-        # h(x) = x + 0.5 x = 1.5 x so every ratio is exactly 1.5
+        # At positive inputs the pre-activation 0.5 x is positive, so the block
+        # is linear: h(x) = x + 0.5 x = 1.5 x and every ratio is exactly 1.5
         proj = DenseLayer(weight=np.eye(2), bias=np.zeros(2), sn_u=np.array([1.0, 0.0]),
                           sn_bound=1.0)
         blk = ResidualBlock(layer=DenseLayer(weight=0.5 * np.eye(2), bias=np.zeros(2),
                                              sn_u=np.array([1.0, 0.0]), sn_bound=1.0))
-        net = ResFfnNetwork(proj, [blk], **LINEAR)
+        net = ResFfnNetwork(proj, [blk], **NO_DROPOUT)
         rng = RngState(16)
-        pairs = [(rng.normal(2), rng.normal(2)) for _ in range(10)]
+        pairs = [(rng.uniform(2, 0.1, 3.0), rng.uniform(2, 0.1, 3.0)) for _ in range(10)]
         lo, hi, _ = lipschitz_probe(net, pairs)
         assert abs(lo - 1.5) <= 1e-12 and abs(hi - 1.5) <= 1e-12
 
     def test_coincident_pairs_skipped(self):
-        net = build_res_ffn(2, 4, 1, RngState(17), **RELU_NET)
+        net = build_res_ffn(2, 4, 1, RngState(17), **PLAIN_NET)
         x = np.array([0.3, -0.4])
         _, _, skipped = lipschitz_probe(net, [(x, x.copy()), (x, x + 1.0)])
         assert skipped == 1
@@ -262,8 +285,8 @@ class TestSgdMomentum:
 
 
 def test_deterministic_construction():
-    a = build_res_ffn(2, 8, 3, RngState(18), **RELU_NET)
-    b = build_res_ffn(2, 8, 3, RngState(18), **RELU_NET)
+    a = build_res_ffn(2, 8, 3, RngState(18), **PLAIN_NET)
+    b = build_res_ffn(2, 8, 3, RngState(18), **PLAIN_NET)
     for (na, pa), (nb, pb) in zip(sorted(a.parameters().items()),
                                   sorted(b.parameters().items())):
         assert na == nb

@@ -677,8 +677,7 @@ def test_three_blobs_keep_distance_awareness_with_one_precision(seed):
 class TestModelSpec:
     @pytest.mark.parametrize("name, value", [
         ("depth", 2.5), ("depth", True), ("num_features", "64"), ("length_scale", False),
-        ("use_layer_norm", "false"), ("use_layer_norm", 1), ("seed", None),
-        ("activation", None)])
+        ("use_layer_norm", "false"), ("use_layer_norm", 1), ("seed", None)])
     def test_wrong_field_type_raises(self, name, value):
         with pytest.raises(TypeError, match=f"ModelSpec.{name} must be"):
             ModelSpec(**{name: value})
@@ -689,7 +688,7 @@ class TestModelSpec:
         ("dropout_rate", 1.0), ("dropout_rate", -0.1), ("dropout_rate", float("nan")),
         ("discount_m", 1.0), ("discount_m", 0.0), ("discount_m", float("nan")),
         ("input_dim", 0),
-        ("num_classes", 1), ("hidden_width", 0), ("depth", -1), ("activation", "foo"),
+        ("num_classes", 1), ("hidden_width", 0), ("depth", -1),
         ("num_features", 0), ("seed", -1)])
     def test_out_of_range_hyperparameter_raises(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must"):
@@ -698,7 +697,7 @@ class TestModelSpec:
     def test_sizes_the_spec_does_not_use_are_not_checked(self):
         # The identity stands in for the network; a dense head has no random features.
         assert build_sngp_model(ModelSpec(identity_hidden=True, hidden_width=0, depth=-1,
-                                          activation="foo", use_layer_norm=False,
+                                          use_layer_norm=False,
                                           num_features=8)).network is None
         assert not build_sngp_model(ModelSpec(gp_head=False, num_features=0, hidden_width=4,
                                               depth=1)).has_gp_head
@@ -741,7 +740,7 @@ class TestCheckpoint:
         x, y = toy_batch(seed=39, n=24)
         train(model, x, y, TrainConfig(epochs=3, batch_size=8, learning_rate=0.05))
         back, header = self.roundtrip(model, tmp_path)
-        assert (tmp_path / "model.ckpt").read_bytes()[8:12] == np.uint32(4).tobytes()
+        assert (tmp_path / "model.ckpt").read_bytes()[8:12] == np.uint32(5).tobytes()
         assert sorted(header) == ["arrays", "config", "model", "payload_crc32"]
         assert header["config"] == "seed = 1\n"
         for (ka, va), (kb, vb) in zip(sorted(model.parameters().items()),
