@@ -75,10 +75,10 @@ def train_ensemble(spec: ModelSpec, ensemble_size: int, points: np.ndarray,
 
 
 def ensemble_predict(members: list[SngpModel], x: np.ndarray) -> GpPrediction:
-    """Member-averaged prediction for a (batch, d) input: the mean and variance
-    of the member logits and the arithmetic mean of the member softmax outputs."""
+    """Member-averaged prediction for a (batch, d) input: the members' mean logits, their
+    logit variance averaged over the classes, and the mean of their softmax outputs."""
     logits = np.stack([member.eval_logits(x) for member in members])
     with np.errstate(over="ignore"):  # logits near the float limit give an inf mean or variance
-        mean, variance = logits.mean(axis=0), logits.var(axis=0)
+        mean, variance = logits.mean(axis=0), logits.var(axis=0).mean(axis=1)
     return GpPrediction(mean_logits=mean, variance_logits=variance,
                         probs=softmax(logits).mean(axis=0))

@@ -202,7 +202,7 @@ def _train_variant(tag: str, cfg: RunConfig, ds, out: str | None = None
 
 class LoadedModel:
     """One model or an ensemble, and the run config that trained it, behind one prediction
-    interface; its Monte Carlo stream derives from the first model's seed, as at training.
+    interface; a single model predicts through ``predict_batch``, which draws from its seed.
 
     Its models only predict: a single GP-head model's precision is inverted in place
     (``RffGpLayer.covariance``) by ``_train_variant``, or by a loaded model's first
@@ -216,7 +216,6 @@ class LoadedModel:
         self.cfg = cfg
         self.num_classes = models[0].num_classes
         self.is_ensemble = len(models) > 1
-        self._mc_rng = RngState(models[0].spec.seed).derive("mc")
 
     @classmethod
     def from_checkpoints(cls, paths: list[str]) -> "LoadedModel":
@@ -242,7 +241,7 @@ class LoadedModel:
     def predict(self, x: np.ndarray) -> GpPrediction:
         if self.is_ensemble:
             return ensemble_predict(self.models, x)
-        return predict_batch(self.models[0], x, mc_samples=self.cfg.mc_samples, rng=self._mc_rng)
+        return predict_batch(self.models[0], x, mc_samples=self.cfg.mc_samples)
 
     def native_metric(self) -> str:
         return "variance" if self.has_gp_head else "margin"
@@ -288,8 +287,7 @@ def cmd_gen_data(args) -> int:
     meta = {"format_version": FORMAT_VERSION, "dataset": args.dataset, "n_per_class": args.n,
             "noise_sd": args.noise, "seed": args.seed}
     data_mod.dataset_to_csv(ds, args.out, meta=meta)
-    n_ood = 0 if ds.ood_points is None else len(ds.ood_points)
-    print(f"wrote {len(ds.labels)} labeled rows + {n_ood} OOD rows to {args.out}")
+    print(f"wrote {len(ds.labels)} labeled rows + {len(ds.ood_points)} OOD rows to {args.out}")
     return EXIT_OK
 
 
@@ -342,7 +340,7 @@ def _score_model(loaded: LoadedModel, ds: data_mod.Dataset2D, metric: str) -> di
     if bad.size:
         raise ValueError(f"label {int(bad[0])} is out of range for a checkpoint with "
                          f"{loaded.num_classes} classes")
-    has_ood = ds.ood_points is not None and len(ds.ood_points) > 0
+    has_ood = len(ds.ood_points) > 0
     if has_ood:
         metric = loaded.native_metric() if metric == "auto" else metric
         score = _score_fn(loaded, metric)
@@ -402,7 +400,6 @@ def cmd_compare(args) -> int:
             if rows:  # keep the rows of the variants that did train
                 _write_table(args.out, cfg, rows)
             raise TrainingDivergedError(f"variant {tag}: {exc}") from None
-        # A fresh stream per variant keeps each row independent of the ones before it.
         loaded = LoadedModel(models, cfg)
         rows.append({"variant": tag, **_score_model(loaded, ds, "auto")})
         del models, loaded  # so that the next variant does not train beside this one

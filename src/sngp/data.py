@@ -49,11 +49,11 @@ CSV_CHUNK_ROWS = 1024  # rows formatted and written at a time
 
 @dataclass
 class Dataset2D:
-    """Labeled 2D points plus an optional held-out OOD cloud."""
+    """Labeled 2D points plus a held-out (M, 2) OOD cloud, M = 0 when there is none."""
 
     points: np.ndarray
     labels: np.ndarray
-    ood_points: np.ndarray | None
+    ood_points: np.ndarray
 
     def __post_init__(self):
         if self.points.shape[0] != self.labels.shape[0]:
@@ -186,16 +186,15 @@ def _write_csv(path: str, header: str, meta: dict | None,
 
 
 def dataset_to_csv(ds: Dataset2D, path: str, meta: dict | None = None) -> None:
-    sections = [("%.17g,%.17g,%d\n", [ds.points[:, 0], ds.points[:, 1], ds.labels])]
-    if ds.ood_points is not None:
-        sections.append(("%.17g,%.17g,-1\n", [ds.ood_points[:, 0], ds.ood_points[:, 1]]))
-    _write_csv(path, "x1,x2,label", meta, sections)
+    _write_csv(path, "x1,x2,label", meta,
+               [("%.17g,%.17g,%d\n", [ds.points[:, 0], ds.points[:, 1], ds.labels]),
+                ("%.17g,%.17g,-1\n", [ds.ood_points[:, 0], ds.ood_points[:, 1]])])
 
 
 def _csv_rows(path: str, header: str, third: type):
-    """Yield ``(x1, x2, value)`` for each data row of a CSV with the given
-    header, the third column parsed by ``third``; comment and blank lines are
-    skipped, and a malformed row raises ``CsvFormatError`` naming its line."""
+    """Yield ``(x1, x2, value)`` for each data row of a CSV with the given header, the third
+    column parsed by ``third``; comment and blank lines are skipped, and a malformed row or a
+    non-finite ``x1`` or ``x2`` raises ``CsvFormatError`` naming its line."""
     with open(path, "r", encoding="ascii") as f:
         start = _read_header(f, header)
         for lineno, line in enumerate(f, start=start + 1):
@@ -209,6 +208,8 @@ def _csv_rows(path: str, header: str, third: type):
                 row = float(parts[0]), float(parts[1]), third(parts[2])
             except ValueError as exc:
                 raise CsvFormatError(f"line {lineno}: {exc}") from exc
+            if not (math.isfinite(row[0]) and math.isfinite(row[1])):
+                raise CsvFormatError(f"line {lineno}: coordinates are not finite: {line!r}")
             yield row
 
 
@@ -232,7 +233,7 @@ def dataset_from_csv(path: str) -> Dataset2D:
         raise CsvFormatError(f"{path}: no labeled rows found")
     return Dataset2D(points=np.array(points, dtype=np.float64),
                      labels=np.array(labels, dtype=int),
-                     ood_points=np.array(ood, dtype=np.float64) if ood else None)
+                     ood_points=np.array(ood, dtype=np.float64).reshape(-1, 2))
 
 
 def ood_points_from_csv(path: str) -> np.ndarray:

@@ -40,7 +40,7 @@ symmetric; ``reset_precision`` refills the matrix it already holds.  For
 K = 2, ``p_0 (1 - p_0) = p_1 (1 - p_1)``, so this is each class's own
 precision.
 
-Every class's logit variance is ``phi^T Sigma phi`` with the covariance
+Every class's logit has the one variance ``phi^T Sigma phi``, with the covariance
 ``Sigma = precision^{-1}``.  As in SNGP, where the precision is gathered
 during training and inverted once for prediction, ``covariance`` builds it on
 its first call, by one step of block elimination (``spd_inverse``) in NumPy
@@ -84,8 +84,8 @@ class NonFiniteRowError(ValueError):
 
 @dataclass
 class GpPrediction:
-    """Posterior summary of a batch of N inputs, each field (N, K): the mean
-    logits, the logit variances and the Monte Carlo predictive probabilities."""
+    """Posterior summary of N inputs: the (N, K) mean logits, the (N,) logit variances
+    (one per row, zero for a dense head) and the (N, K) predictive probabilities."""
 
     mean_logits: np.ndarray
     variance_logits: np.ndarray
@@ -290,11 +290,10 @@ class RffGpLayer:
                                    "predicts mean logits only")
 
     def predictive_variance_batch(self, phi_batch: np.ndarray) -> np.ndarray:
-        """(batch, K) logit variances phi^T precision^{-1} phi (each >= 0): one
-        ``quadratic_form``, the same for every class."""
+        """(batch,) logit variances phi^T precision^{-1} phi, each >= 0: one
+        ``quadratic_form``, the variance of every class's logit."""
         phi_batch = np.asarray(phi_batch, dtype=np.float64)
-        variance = np.maximum(quadratic_form(self.covariance(), phi_batch), 0.0)
-        return np.repeat(variance[:, None], self.num_classes, axis=1)
+        return np.maximum(quadratic_form(self.covariance(), phi_batch), 0.0)
 
 
 def half_angle_cos_sin(half_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -427,7 +426,7 @@ def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def mc_softmax(mean: np.ndarray, variance: np.ndarray, n_samples: int, rng: RngState) -> np.ndarray:
     """Average softmax(mean + sqrt(variance) * eps) over n_samples normal draws,
-    for one (K,) logit vector or an (N, K) batch of them.
+    for a (K,) logit vector and a scalar variance, or (N, K) logits and (N,) variances.
 
     The softmax is taken inside the (n_samples, N, K) buffer of the draws,
     one sample at a time (``softmax(draw, out=draw)``), so beside it and the
@@ -438,12 +437,14 @@ def mc_softmax(mean: np.ndarray, variance: np.ndarray, n_samples: int, rng: RngS
     variance = np.asarray(variance, dtype=np.float64)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if variance.shape != mean.shape[:-1]:
+        raise ValueError(f"expected one variance per logit vector, got {variance.shape}")
     if np.any(variance < 0.0):
         raise ValueError("variance must be nonnegative")
     if not np.any(variance > 0.0):
         return softmax(mean)
     draws = rng.normal(n_samples * mean.size).reshape(n_samples, *mean.shape)
-    draws *= np.sqrt(variance)
+    draws *= np.sqrt(variance)[..., None]
     draws += mean
     for draw in draws:
         softmax(draw, out=draw)

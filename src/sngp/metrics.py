@@ -13,7 +13,7 @@
   score thresholds, OOD treated as the positive class (higher score = more
   OOD).
 * OOD scores of a batched ``GpPrediction``, higher meaning more OOD:
-  ``variance_uncertainty`` (mean logit variance), ``margin_uncertainty``
+  ``variance_uncertainty`` (the row's logit variance), ``margin_uncertainty``
   (1 - 2 |p - 0.5|, K = 2 only) and ``dempster_shafer`` of the mean logits,
   K / (K + sum_k exp(logit_k)), in (0, 1) and decreasing as any logit grows,
   computed as a logistic of log K minus a max-shifted log-sum-exp, so no
@@ -177,8 +177,8 @@ def _logistic(t: np.ndarray) -> np.ndarray:
 
 
 def variance_uncertainty(pred: GpPrediction) -> np.ndarray:
-    """Native GP-head uncertainty: the mean posterior logit variance per row."""
-    return pred.variance_logits.mean(axis=1)
+    """Native GP-head uncertainty: each row's posterior logit variance."""
+    return pred.variance_logits
 
 
 def margin_uncertainty(pred: GpPrediction) -> np.ndarray:

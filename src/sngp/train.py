@@ -15,8 +15,9 @@ ends training with ``TrainingDivergedError`` naming the epoch and the step;
 a row that the evaluation pass after the last step finds non-finite ends it
 the same way, naming the row.
 The step order is observable through the optional ``hooks`` callback.
-Training is bit-reproducible: initialisation, shuffling and dropout all
-draw from independently derived streams of the model's seed, ``spec.seed``.
+Training and prediction are bit-reproducible: initialisation, shuffling,
+dropout and the Monte Carlo draws of ``predict_batch`` all come from
+independently derived streams of the model's seed, ``spec.seed``.
 
 Checkpoint format (binary, version 5, bit-exact round trip):
 
@@ -262,9 +263,9 @@ class SngpModel:
 
     def _posterior(self, x: np.ndarray, variance: bool = True
                   ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Evaluation-mode mean logits and logit variances of an (N, d) input,
-        each (N, K); the variances are zero for a dense head and None when not
-        asked for.  Each block of ``_evaluate_blocks`` fills its rows of both."""
+        """Evaluation-mode (N, K) mean logits and (N,) logit variances of an (N, d)
+        input; the variances are zero for a dense head and None when not asked
+        for.  Each block of ``_evaluate_blocks`` fills its rows of both."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError(f"expected an (N, d) input, got shape {x.shape}")
@@ -275,7 +276,7 @@ class SngpModel:
             self.head.covariance()  # inverted before any output or feature block is alive
         n = x.shape[0]
         means = np.empty((n, self.num_classes))
-        variances = np.zeros((n, self.num_classes)) if variance else None
+        variances = np.zeros(n) if variance else None
         for rows, phi, block_means in self._evaluate_blocks(x):
             means[rows] = block_means
             if variance and self.has_gp_head:
@@ -485,10 +486,10 @@ def train(model: SngpModel, points: np.ndarray, labels: np.ndarray, config: Trai
 # -- prediction ---------------------------------------------------------------
 
 
-def predict_batch(model: SngpModel, x: np.ndarray, *, mc_samples: int,
-                  rng: RngState | None = None) -> GpPrediction:
-    """Posterior prediction for an (N, d) batch: mean logits, logit variances
-    (zero for a dense head) and MC-averaged probabilities, each (N, K).
+def predict_batch(model: SngpModel, x: np.ndarray, *, mc_samples: int) -> GpPrediction:
+    """Posterior prediction for an (N, d) batch: (N, K) mean logits, (N,) logit
+    variances (zero for a dense head) and (N, K) MC-averaged probabilities,
+    drawn from the stream ``mc`` of the model's seed, derived anew on each call.
 
     A GP head's first prediction inverts its precision in place
     (``RffGpLayer.covariance``), so the model can no longer be trained or
@@ -503,9 +504,7 @@ def predict_batch(model: SngpModel, x: np.ndarray, *, mc_samples: int,
     anything is computed.
     """
     means, variances = model._posterior(x)
-    if rng is None and np.any(variances > 0.0):
-        raise ValueError("Monte Carlo averaging over logit noise requires an rng")
-    probs = mc_softmax(means, variances, mc_samples, rng)
+    probs = mc_softmax(means, variances, mc_samples, RngState(model.spec.seed).derive("mc"))
     return GpPrediction(mean_logits=means, variance_logits=variances, probs=probs)
 
 

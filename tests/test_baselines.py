@@ -15,7 +15,7 @@ from oracles import min_distance_to_set
 
 
 def variance_of(model, x):
-    return variance_uncertainty(predict_batch(model, x, mc_samples=1, rng=RngState(0)))
+    return variance_uncertainty(predict_batch(model, x, mc_samples=1))
 
 
 SMALL_SPEC = ModelSpec(hidden_width=8, depth=2, num_features=64, dropout_rate=0.0,
@@ -64,6 +64,20 @@ class TestVariants:
 
 
 class TestEnsemble:
+    def test_every_head_predicts_one_variance_per_row(self):
+        # A GP head's row variance, a dense head's zeros, and an ensemble's
+        # member logit variance averaged over the classes: each is (N,).
+        spec = replace(SMALL_SPEC, num_classes=3)
+        pts = RngState(6).normal_matrix(5, 2)
+        gp = predict_batch(build_variant("sngp", spec), pts, mc_samples=1)
+        assert gp.variance_logits.shape == (5,) and np.all(gp.variance_logits > 0.0)
+        dense = predict_batch(build_variant("dnn_sn", spec), pts, mc_samples=1)
+        assert np.array_equal(dense.variance_logits, np.zeros(5))
+        members = [build_variant("deterministic", replace(spec, seed=s)) for s in (7, 8, 9)]
+        logits = np.stack([m.eval_logits(pts) for m in members])
+        assert np.array_equal(ensemble_predict(members, pts).variance_logits,
+                              logits.var(0).mean(1))
+
     def test_single_member_matches_deterministic_model(self):
         x, y = toy_data()
         cfg = TrainConfig(epochs=5, batch_size=10, learning_rate=0.05, momentum=0.9)

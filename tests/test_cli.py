@@ -505,21 +505,34 @@ class TestEvalCommand:
 
     def test_mc_samples_read_from_checkpoint_config(self, tmp_path):
         from sngp.cli import LoadedModel
-        from sngp.linalg import RngState
         from sngp.train import build_sngp_model, predict_batch
         ckpt = tmp_path / "m.ckpt"
         assert main(["train", "--config", write_config(tmp_path, epochs=1, mc_samples=3),
                      "--out", str(ckpt)]) == EXIT_OK
         loaded = LoadedModel.from_checkpoints([str(ckpt)])
         x = np.array([[0.1, 0.2], [3.0, 3.0]])
-        expected = predict_batch(loaded.models[0], x, mc_samples=3,
-                                 rng=RngState(3).derive("mc"))  # FAST_CONFIG's seed
+        expected = predict_batch(loaded.models[0], x, mc_samples=3)
         assert np.array_equal(loaded.predict(x).probs, expected.probs)
         bare = tmp_path / "bare.ckpt"
         save_checkpoint(build_sngp_model(ModelSpec(input_dim=2, hidden_width=8, depth=1,
                                                    num_classes=2, seed=0, num_features=16,
                                                    dropout_rate=0.0)), str(bare))
         assert LoadedModel.from_checkpoints([str(bare)]).cfg == RunConfig()  # mc_samples 10
+
+    def test_ood_rows_are_predicted_as_by_a_fresh_model(self, tmp_path):
+        # eval predicts the OOD rows after the labelled rows; their draws
+        # start the model's stream afresh, as a first prediction's would.
+        from sngp.cli import LoadedModel
+        from sngp.train import predict_batch
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--config", write_config(tmp_path, epochs=1, mc_samples=3),
+                     "--out", str(ckpt)]) == EXIT_OK
+        loaded = LoadedModel.from_checkpoints([str(ckpt)])
+        labelled, ood = np.array([[0.1, 0.2], [0.5, -0.3]]), np.array([[3.0, 3.0], [-2.0, 2.5]])
+        loaded.predict(labelled)
+        after = loaded.predict(ood)
+        assert np.all(after.variance_logits > 0.0)
+        assert np.array_equal(after.probs, predict_batch(loaded.models[0], ood, mc_samples=3).probs)
 
     def test_echo_holds_the_model_keys_of_the_checkpoint(self, tmp_path, capsys):
         # A checkpoint saved from Python has no config text; its model's keys
@@ -582,6 +595,22 @@ class TestEvalCommand:
             capsys.readouterr()
             assert main(["eval", "--checkpoint", str(ckpt), *argv]) == EXIT_USAGE
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, rows, line", [
+        ("--data", "0.1,0.2,0\nnan,0.4,1\n", 3),
+        ("--data", "0.1,0.2,0\n0.3,0.4,1\n5,5,-1\n6,inf,-1\n", 5),
+        ("--ood-data", "5,5,-1\n-inf,6,-1\n", 3)],
+        ids=["labelled_nan", "ood_row_inf", "ood_data_inf"])
+    def test_non_finite_coordinates_exit_2_naming_their_line(self, eval_inputs, option, rows,
+                                                             line, capsys):
+        ckpt, data_csv = eval_inputs
+        bad_csv = data_csv.parent / "bad.csv"
+        bad_csv.write_text("x1,x2,label\n" + rows)
+        files = (["--data", str(bad_csv)] if option == "--data"
+                 else ["--data", str(data_csv), "--ood-data", str(bad_csv)])
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), *files]) == EXIT_USAGE
+        assert f"line {line}: coordinates are not finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", ["trailing", "truncated"])
     def test_payload_length_mismatch_exits_2(self, eval_inputs, edit, capsys):

@@ -116,6 +116,14 @@ class TestCsvRoundTrip:
         dataset_to_csv(ds, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_file_without_ood_rows_reads_an_empty_cloud_and_rewrites_unchanged(self, tmp_path):
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        p1.write_text("x1,x2,label\n0.5,-1,0\n2,3.25,1\n")
+        ds = dataset_from_csv(p1)
+        assert ds.ood_points.shape == (0, 2)
+        dataset_to_csv(ds, p2)
+        assert p2.read_bytes() == p1.read_bytes()
+
     def test_meta_comments_survive_roundtrip(self, tmp_path):
         ds = gen_two_moons(10, 0.1, seed=13)
         path = tmp_path / "ds.csv"
@@ -220,7 +228,7 @@ class TestPgm:
 def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset2D(points=np.zeros((3, 2)), labels=np.zeros(2, dtype=int),
-                  ood_points=None)
+                  ood_points=np.empty((0, 2)))
     with pytest.raises(ValueError):
         Dataset2D(points=np.array([[np.inf, 0.0]]), labels=np.zeros(1, dtype=int),
-                  ood_points=None)
+                  ood_points=np.empty((0, 2)))

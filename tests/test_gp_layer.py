@@ -189,7 +189,7 @@ class TestPrecision:
     def test_variance_after_reset(self):
         layer = make_layer(ridge_s=0.001)
         phi = layer.rff_features(np.array([[1.0, -1.0]]))
-        v = layer.predictive_variance_batch(phi)[0, 0]
+        v = layer.predictive_variance_batch(phi)[0]
         assert np.isclose(v, float(phi[0] @ phi[0]) / 0.001)
 
     def test_empty_batch_scales_by_discount(self):
@@ -325,14 +325,14 @@ class TestPrecision:
         # Sherman-Morrison: absorbing data along phi must shrink phi's variance
         layer = make_layer(num_features=8, seed=21)
         phi = layer.rff_features(np.array([[0.4, -0.2]]))
-        v_prev = layer.predictive_variance_batch(phi)[0, 0]
+        v_prev = layer.predictive_variance_batch(phi)[0]
         probs = np.array([[0.5, 0.5]])
         for step in range(5):
             # A fresh layer of the same draw: predicting inverted the last one's precision.
             layer = make_layer(num_features=8, seed=21)
             layer.update_precision_exact(np.tile(phi, (10 * (step + 1), 1)),
                                          np.tile(probs, (10 * (step + 1), 1)))
-            v = layer.predictive_variance_batch(phi)[0, 0]
+            v = layer.predictive_variance_batch(phi)[0]
             assert v < v_prev
             # Sherman-Morrison closed form for rank-one updates of s I
             n = 10 * (step + 1)
@@ -345,7 +345,7 @@ class TestPrecision:
     def test_variance_nonnegative_and_requires_spd(self):
         layer = make_layer(num_features=4)
         phi = np.ones((1, 4))
-        assert layer.predictive_variance_batch(phi)[0, 1] >= 0.0
+        assert layer.predictive_variance_batch(phi)[0] >= 0.0
         layer = make_layer(num_features=4)
         layer.precision[0][:] = -np.eye(4)
         with pytest.raises(NotSpdError):
@@ -375,12 +375,11 @@ class TestPrecision:
         precision = layer.precision[0].copy()  # predicting inverts it in place
         phi = layer.rff_features(rng.normal_matrix(25, 2) * 2.0)
         variances = layer.predictive_variance_batch(phi)
-        assert variances.shape == (25, num_classes)
+        assert variances.shape == (25,)
         single = layer.predictive_variance_batch(phi[3:4])[0]
         expected = np.einsum("ij,ji->i", phi, np.linalg.solve(precision, phi.T))
-        for k in range(num_classes):
-            assert np.allclose(variances[:, k], expected, rtol=1e-10, atol=0.0)
-            assert np.isclose(single[k], variances[3, k], rtol=1e-12, atol=0.0)
+        assert np.allclose(variances, expected, rtol=1e-10, atol=0.0)
+        assert np.isclose(single, variances[3], rtol=1e-12, atol=0.0)
 
 
 class TestCovariance:
@@ -451,7 +450,7 @@ class TestCovariance:
                             lambda p: inverted.append(p.shape) or inverse(p))
         phi = layer.rff_features(rng.normal_matrix(10, 2))
         for _ in range(2):
-            assert layer.predictive_variance_batch(phi).shape == (10, 3)
+            assert layer.predictive_variance_batch(phi).shape == (10,)
         assert inverted == [(d, d)]
 
 
@@ -478,9 +477,7 @@ class TestReleasedPrecision:
         variances = layer.predictive_variance_batch(phi)
         assert layer.covariance() is held
         assert np.array_equal(layer.covariance(), copied)
-        expected = np.maximum(quadratic_form(copied, phi), 0.0)
-        for k in range(num_classes):
-            assert np.array_equal(variances[:, k], expected)
+        assert np.array_equal(variances, np.maximum(quadratic_form(copied, phi), 0.0))
 
     def test_second_call_returns_the_same_covariances(self):
         layer = fitted_layer()
@@ -537,8 +534,7 @@ class TestQuadraticForm:
         # prior ||phi||^2 / s, so both sums round relative to the terms'
         # magnitudes, |phi|^T |cov| |phi|; measured at most 4e-16.
         scale = np.einsum("ij,ij->i", np.abs(phi) @ np.abs(cov), np.abs(phi))
-        for k in range(num_classes):
-            assert np.all(np.abs(variances[:, k] - expected) <= 1e-13 * scale)
+        assert np.all(np.abs(variances - expected) <= 1e-13 * scale)
 
     def test_a_block_holds_one_more_block_and_one_slab(self):
         # A default-size block: 256 rows of D = 1024 features, 2 MB.
@@ -566,42 +562,44 @@ class TestSoftmax:
 class TestMcSoftmax:
     def test_zero_variance_is_plain_softmax(self):
         mean = np.array([0.2, -1.0, 0.5])
-        out = mc_softmax(mean, np.zeros(3), 17, RngState(24))
+        out = mc_softmax(mean, 0.0, 17, RngState(24))
         assert np.array_equal(out, softmax(mean))
 
     def test_symmetric_case_near_uniform(self):
-        out = mc_softmax(np.zeros(2), np.ones(2), 10_000, RngState(25))
+        out = mc_softmax(np.zeros(2), 1.0, 10_000, RngState(25))
         assert np.all(np.abs(out - 0.5) <= 0.02)
 
     def test_sums_to_one(self):
         rng = RngState(26)
         for _ in range(10):
             mean = rng.normal(4)
-            var = rng.uniform(4, 0.0, 3.0)
+            var = rng.uniform(1, 0.0, 3.0)[0]
             out = mc_softmax(mean, var, 7, rng)
             assert abs(out.sum() - 1.0) <= 1e-12
 
     def test_deterministic_with_fixed_seed(self):
-        mean, var = np.array([0.1, 0.9]), np.array([0.5, 0.2])
+        mean, var = np.array([0.1, 0.9]), 0.5
         a = mc_softmax(mean, var, 32, RngState(27))
         b = mc_softmax(mean, var, 32, RngState(27))
         assert np.array_equal(a, b)
 
     def test_batch_rows_use_consecutive_draws(self):
         mean = np.array([[0.1, 0.9, -0.3], [1.0, 0.0, 0.5]])
-        var = np.array([[0.5, 0.2, 1.0], [0.0, 0.3, 0.1]])
+        var = np.array([0.5, 0.3])  # one per row, shared by its three logits
         out = mc_softmax(mean, var, 6, RngState(28))
         eps = RngState(28).normal(6 * mean.size).reshape(6, 2, 3)
         assert out.shape == (2, 3)
-        assert np.array_equal(out, softmax(mean + np.sqrt(var) * eps).mean(axis=0))
+        assert np.array_equal(out, softmax(mean + np.sqrt(var)[:, None] * eps).mean(axis=0))
         single = mc_softmax(mean[0], var[0], 6, RngState(28))
         assert np.array_equal(single, mc_softmax(mean[:1], var[:1], 6, RngState(28))[0])
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            mc_softmax(np.zeros(2), np.zeros(2), 0, RngState(0))
+            mc_softmax(np.zeros(2), 0.0, 0, RngState(0))
         with pytest.raises(ValueError):
-            mc_softmax(np.zeros(2), np.array([-1.0, 0.0]), 1, RngState(0))
+            mc_softmax(np.zeros((2, 2)), np.array([-1.0, 0.0]), 1, RngState(0))
+        with pytest.raises(ValueError, match="one variance per logit vector"):
+            mc_softmax(np.zeros((2, 2)), np.zeros((2, 2)), 1, RngState(0))
 
 
 class TestDistanceAwareness:
@@ -616,6 +614,6 @@ class TestDistanceAwareness:
         radii = np.linspace(0.5, 5.0, 20)
         for direction in ([1, 0], [0, 1], [-1, 0], [0, -1], [0.7071, 0.7071]):
             pts = radii[:, None] * np.asarray(direction, dtype=float)[None, :]
-            v = layer.predictive_variance_batch(layer.rff_features(pts)).mean(axis=1)
+            v = layer.predictive_variance_batch(layer.rff_features(pts))
             rho = spearmanr(v, radii).statistic
             assert rho >= 0.99, f"ray {direction}: spearman {rho}"

@@ -265,7 +265,7 @@ class TestPredict:
 
     def test_probs_sum_to_one(self):
         model, x = self.trained_model()
-        pred = predict_batch(model, np.array([[0.3, 0.3]]), mc_samples=10, rng=RngState(31))
+        pred = predict_batch(model, np.array([[0.3, 0.3]]), mc_samples=10)
         assert abs(pred.probs.sum() - 1.0) <= 1e-9
         assert np.all(pred.variance_logits >= 0.0)
 
@@ -290,57 +290,61 @@ class TestPredict:
                           precision_exact=True)
         train(model, x, y, cfg)
         far = np.array([[100.0 * x.std(), 0.0]])
-        pred = predict_batch(model, far, mc_samples=4, rng=RngState(36))
+        pred = predict_batch(model, far, mc_samples=4)
         phi = model.head.rff_features(far)[0]
         prior = float(phi @ phi) / model.head.ridge_s
-        assert abs(pred.variance_logits.mean() - prior) / prior <= 0.10
+        assert abs(pred.variance_logits[0] - prior) / prior <= 0.10
 
     def test_predict_deterministic_given_seed(self):
-        model, _ = self.trained_model()
-        a = predict_batch(model, np.array([[0.2, 0.1]]), mc_samples=10, rng=RngState(34))
-        b = predict_batch(model, np.array([[0.2, 0.1]]), mc_samples=10, rng=RngState(34))
+        # The draws come from the model's seed on every call, so the same rows
+        # give the same probabilities whatever was predicted in between.
+        model, x = self.trained_model()
+        a = predict_batch(model, np.array([[0.2, 0.1]]), mc_samples=10)
+        predict_batch(model, x, mc_samples=10)
+        b = predict_batch(model, np.array([[0.2, 0.1]]), mc_samples=10)
+        assert np.any(a.variance_logits > 0.0)
         assert np.array_equal(a.probs, b.probs)
 
     def test_uncertainty_summaries(self):
         model, _ = self.trained_model()
-        pred = predict_batch(model, np.array([[0.0, 0.0]]), mc_samples=5, rng=RngState(35))
-        assert variance_uncertainty(pred)[0] == pytest.approx(pred.variance_logits.mean())
+        pred = predict_batch(model, np.array([[0.0, 0.0]]), mc_samples=5)
+        assert np.array_equal(variance_uncertainty(pred), pred.variance_logits)
         margin = margin_uncertainty(pred)[0]
         assert 0.0 <= margin <= 1.0
 
     def test_margin_values(self):
         make = lambda p: GpPrediction(mean_logits=np.zeros((1, 2)),
-                                      variance_logits=np.zeros((1, 2)),
+                                      variance_logits=np.zeros(1),
                                       probs=np.array([[p, 1.0 - p]]))
         assert margin_uncertainty(make(0.5))[0] == pytest.approx(1.0)
         assert margin_uncertainty(make(1.0))[0] == pytest.approx(0.0)
         assert margin_uncertainty(make(0.75))[0] == pytest.approx(0.5)
 
     def test_margin_requires_binary(self):
-        pred = GpPrediction(mean_logits=np.zeros((1, 3)), variance_logits=np.zeros((1, 3)),
+        pred = GpPrediction(mean_logits=np.zeros((1, 3)), variance_logits=np.zeros(1),
                             probs=np.full((1, 3), 1 / 3))
         with pytest.raises(ValueError):
             margin_uncertainty(pred)
 
     def test_mc_probs_bit_identical_to_one_block_of_draws(self):
-        # predict_batch draws one block of mc_samples * N * K normals, so a
-        # seed keeps giving the same probabilities for batch and single inputs.
+        # predict_batch draws one block of mc_samples * N * K normals from the
+        # model's stream "mc", scaling each row's K logits by its one variance.
         model, x = self.trained_model()
-        pred = predict_batch(model, x[:7], mc_samples=5, rng=RngState(50))
+        pred = predict_batch(model, x[:7], mc_samples=5)
         means, variances = pred.mean_logits, pred.variance_logits
-        assert np.all(variances > 0.0)
-        eps = RngState(50).normal(5 * means.size).reshape(5, *means.shape)
-        expected = softmax(means[None, :, :] + np.sqrt(variances)[None, :, :] * eps).mean(axis=0)
+        assert variances.shape == (7,) and np.all(variances > 0.0)
+        eps = RngState(model.spec.seed).derive("mc").normal(5 * 7 * 2).reshape(5, 7, 2)
+        expected = softmax(means[None, :, :] + np.sqrt(variances)[None, :, None] * eps).mean(axis=0)
         assert np.array_equal(pred.probs, expected)
-        single = predict_batch(model, x[:1], mc_samples=5, rng=RngState(51))
+        single = predict_batch(model, x[:1], mc_samples=5)
         assert np.array_equal(single.probs, mc_softmax(single.mean_logits, single.variance_logits,
-                                                       5, RngState(51)))
+                                                       5, RngState(model.spec.seed).derive("mc")))
 
     def test_batch_matches_single(self):
         model, _ = self.trained_model()
         pts = np.array([[0.1, 0.2], [1.0, -0.5]])
-        batch = predict_batch(model, pts, mc_samples=3, rng=RngState(36))
-        single = predict_batch(model, pts[1:], mc_samples=3, rng=RngState(37))
+        batch = predict_batch(model, pts, mc_samples=3)
+        single = predict_batch(model, pts[1:], mc_samples=3)
         assert np.allclose(batch.mean_logits[1], single.mean_logits[0])
         assert np.allclose(batch.variance_logits[1], single.variance_logits[0])
         assert (dempster_shafer(batch.mean_logits)[1]
@@ -376,22 +380,22 @@ class TestPredictBlocks:
         precision = model.head.precision[0].copy() if model.has_gp_head else None
         for n in (1, b - 1, b, b + 1, 2 * b + 3):
             x = 3.0 * RngState(n).normal_matrix(n, 2)
-            pred = predict_batch(model, x, mc_samples=3, rng=RngState(62))
+            pred = predict_batch(model, x, mc_samples=3)
             h = model.hidden(x)[0]
             if model.has_gp_head:
                 phi = model.head.rff_features(h)
                 means = model.head.logits(phi)
-                variance = np.einsum("ij,ji->i", phi, np.linalg.solve(precision, phi.T))
-                variances = np.stack([variance] * k, axis=1)
+                variances = np.einsum("ij,ji->i", phi, np.linalg.solve(precision, phi.T))
             else:
-                means, variances = model.head.logits(h), np.zeros((n, k))
-            assert pred.mean_logits.shape == pred.variance_logits.shape == (n, k)
+                means, variances = model.head.logits(h), np.zeros(n)
+            assert pred.mean_logits.shape == (n, k)
+            assert pred.variance_logits.shape == (n,)
             # Each row's arithmetic is unchanged, but BLAS may pick another kernel
             # for a short block, so the means may differ by a few ulps.
             np.testing.assert_allclose(pred.mean_logits, means, rtol=1e-12, atol=1e-14)
             np.testing.assert_allclose(pred.variance_logits, variances, rtol=1e-10, atol=0.0)
             assert np.array_equal(pred.probs, mc_softmax(pred.mean_logits, pred.variance_logits,
-                                                         3, RngState(62)))
+                                                         3, RngState(model.spec.seed).derive("mc")))
             assert np.array_equal(model.eval_logits(x), pred.mean_logits)
 
     def test_peak_memory_does_not_grow_with_rows(self):
@@ -401,19 +405,19 @@ class TestPredictBlocks:
         model = build_sngp_model(ModelSpec(hidden_width=64, depth=8, num_features=128,
                                            dropout_rate=0.0))
         # The first prediction inverts the precision in place.
-        predict_batch(model, np.zeros((1, 2)), mc_samples=10, rng=RngState(0))
+        predict_batch(model, np.zeros((1, 2)), mc_samples=10)
 
         def peak_bytes(n):
             x = RngState(n).normal_matrix(n, 2)
             tracemalloc.start()
             try:
-                predict_batch(model, x, mc_samples=10, rng=RngState(1))
+                predict_batch(model, x, mc_samples=10)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         # The Monte Carlo softmax works inside its (S, N, K) draws, so beside
-        # them only the three (N, K) outputs and (N, K)-sized temporaries grow.
+        # them only the outputs and (N, K)-sized temporaries grow.
         grown = (8 * b - 2 * b) * model.num_classes * 8
         outputs, draws = 3 * grown, 10 * grown  # 10 Monte Carlo samples
         assert peak_bytes(8 * b) - peak_bytes(2 * b) < outputs + draws + 2**20
@@ -424,11 +428,11 @@ class TestPredictBlocks:
         # features and variance product, the (N, K) outputs and the MC draws.
         model = build_sngp_model(ModelSpec())
         # The first prediction inverts the precision in place.
-        predict_batch(model, np.zeros((1, 2)), mc_samples=10, rng=RngState(0))
+        predict_batch(model, np.zeros((1, 2)), mc_samples=10)
         x = RngState(3).normal_matrix(rows, 2)
         tracemalloc.start()
         try:
-            predict_batch(model, x, mc_samples=10, rng=RngState(1))
+            predict_batch(model, x, mc_samples=10)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -444,7 +448,7 @@ class TestPredictBlocks:
         x[3, 1] = np.inf
         x[5, 0] = np.nan
         with pytest.raises(ValueError, match="input row 3 is not finite"):
-            predict_batch(small_model(seed=63), x, mc_samples=10, rng=RngState(0))
+            predict_batch(small_model(seed=63), x, mc_samples=10)
 
     @pytest.mark.parametrize("magnitude", [1e155, 1e300, 1e306])
     def test_overflowing_row_is_named_across_blocks(self, magnitude):
@@ -456,7 +460,7 @@ class TestPredictBlocks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteRowError, match=f"^row {b + 5}: layer-norm variance"):
-                predict_batch(small_model(seed=63), x, mc_samples=10, rng=RngState(0))
+                predict_batch(small_model(seed=63), x, mc_samples=10)
 
     def test_covariance_is_built_before_any_feature_block(self, monkeypatch):
         # The inversion writes over the precision, so the first feature block
@@ -469,7 +473,7 @@ class TestPredictBlocks:
         monkeypatch.setattr(model.head, "rff_features",
                             lambda h: seen.append(not np.array_equal(precision, before))
                             or features(h))
-        predict_batch(model, np.zeros((3, 2)), mc_samples=10, rng=RngState(0))
+        predict_batch(model, np.zeros((3, 2)), mc_samples=10)
         assert seen == [True]
 
     def test_first_prediction_inverts_within_8_mb_and_holds_nothing(self):
@@ -479,7 +483,7 @@ class TestPredictBlocks:
         x = RngState(3).normal_matrix(PREDICT_BLOCK_ROWS, 2)
         tracemalloc.start()
         try:
-            predict_batch(model, x, mc_samples=10, rng=RngState(1))
+            predict_batch(model, x, mc_samples=10)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -604,7 +608,7 @@ class TestOneEvaluationPass:
         x, y = self.data()
         model = small_model(seed=84)
         train(model, x, y, TrainConfig(epochs=2, batch_size=64))
-        predict_batch(model, x, mc_samples=10, rng=RngState(0))
+        predict_batch(model, x, mc_samples=10)
         # The final epoch's 9 minibatches, then 3 blocks after training and 3 to predict.
         assert len(inside) == 9 + 3 + 3 and all(inside)
 
@@ -632,7 +636,7 @@ def test_variance_far_from_the_data_reverts_to_the_prior(far_field_fit, angle, l
     model, radius = far_field_fit
     head = model.head
     x = (radius + length_scales * head.length_scale) * np.array([[np.cos(angle), np.sin(angle)]])
-    variance = predict_batch(model, x, mc_samples=1, rng=RngState(0)).variance_logits[0, 0]
+    variance = predict_batch(model, x, mc_samples=1).variance_logits[0]
     phi = head.rff_features(x)[0]
     prior = float(phi @ phi) / head.ridge_s
     assert 0.9 * prior <= variance <= prior * (1.0 + 1e-9)
@@ -666,10 +670,9 @@ def test_three_blobs_keep_distance_awareness_with_one_precision(seed):
         np.min(np.einsum("ij,ji->i", phi, np.linalg.solve(
             head.ridge_s * np.eye(256) + (fit * w[:, None]).T @ fit, phi.T)) / prior)
         for w in (probs * (1.0 - probs)).T)
-    variances = predict_batch(model, np.concatenate([x, far]), mc_samples=1,
-                              rng=RngState(0)).variance_logits
-    in_ratio = np.median(variances[:300, 0] / (np.einsum("ij,ij->i", fit, fit) / head.ridge_s))
-    far_ratio = np.min(variances[300:, 0] / prior)
+    variances = predict_batch(model, np.concatenate([x, far]), mc_samples=1).variance_logits
+    in_ratio = np.median(variances[:300] / (np.einsum("ij,ij->i", fit, fit) / head.ridge_s))
+    far_ratio = np.min(variances[300:] / prior)
     assert in_ratio < 0.01
     assert far_ratio > max(0.5, per_class_far - 0.01)
 
@@ -758,7 +761,7 @@ class TestCheckpoint:
         model = small_model(seed=38)
         x, y = toy_batch(seed=39, n=24)
         train(model, x, y, TrainConfig(epochs=3, batch_size=8, learning_rate=0.05))
-        predict_batch(model, x, mc_samples=10, rng=RngState(0))
+        predict_batch(model, x, mc_samples=10)
         path = tmp_path / "model.ckpt"
         with pytest.raises(ValueError, match="its precision was inverted in place for "
                                              "prediction"):
